@@ -53,33 +53,8 @@ from .sentiment import (
     score_all,
     subjectivity_class,
 )
-from .spelling import load_dictionary
+from .spelling import SpellingDictionary, load_dictionary
 from ._util import sha256_file
-
-SUBCOMMANDS = (
-    "ingest",
-    "sentiment",
-    "compare",
-    "counts",
-    "cloud",
-    "timeseries",
-    "heatmap",
-    "topics",
-    "train-nbc",
-    "all",
-)
-
-_ALL_STAGES = (
-    "ingest",
-    "sentiment",
-    "compare",
-    "counts",
-    "cloud",
-    "timeseries",
-    "heatmap",
-    "topics",
-)
-
 
 @dataclass
 class _RunState:
@@ -102,7 +77,10 @@ def _load_state(config: RunConfig) -> _RunState:
     stopwords = load_stopwords(config.stopwords_path)
     if config.extra_stopwords_from_actors:
         stopwords = stopwords.with_extra(config.actor_set.alias_words())
-    dictionary = load_dictionary(config.dictionary_path) if config.dictionary_path else {}
+    if config.dictionary_path:
+        dictionary = load_dictionary(config.dictionary_path)
+    else:
+        dictionary = SpellingDictionary()
     pipeline = PipelineConfig(
         stopwords=stopwords,
         dictionary=dictionary,
@@ -116,17 +94,17 @@ def _load_state(config: RunConfig) -> _RunState:
     return state
 
 
-def _timed(state: _RunState, name: str, worker, count_of=len):
+def _timed(state: _RunState, name: str, worker) -> None:
+    """Run ``worker`` and record its stage: the count it returns and its time."""
     started = time.perf_counter()
-    result = worker()
+    records = worker()
     state.stages.append(
         {
             "name": name,
-            "records": count_of(result) if result is not None else 0,
+            "records": records,
             "seconds": round(time.perf_counter() - started, 6),
         }
     )
-    return result
 
 
 def _ingest(state: _RunState) -> None:
@@ -138,7 +116,7 @@ def _ingest(state: _RunState) -> None:
         )
         state.records = records
         state.report = report
-        return records
+        return len(records)
 
     _timed(state, "ingest", worker)
 
@@ -150,7 +128,7 @@ def _ingest(state: _RunState) -> None:
             )
             if tweet is not None
         ]
-        return state.kept
+        return len(state.kept)
 
     _timed(state, "preprocess", preprocess_worker)
     state.stats = dataset_stats(state.records, state.kept, config.actor_set)
@@ -177,11 +155,12 @@ def _write_json(path: str, payload) -> None:
         handle.write("\n")
 
 
-def _stage_tweets_csv(state: _RunState, staging: str) -> None:
+def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
     export_records(state.kept, os.path.join(staging, "tweets.csv"), state.config.actor_set)
+    return len(state.kept)
 
 
-def _stage_scores_csv(state: _RunState, staging: str) -> None:
+def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
     threshold = state.config.subjectivity_threshold
     with open(os.path.join(staging, "scores.csv"), "w", encoding="utf-8", newline="") as handle:
@@ -197,9 +176,10 @@ def _stage_scores_csv(state: _RunState, staging: str) -> None:
                     subjectivity_class(score.subjectivity, threshold),
                 ]
             )
+    return len(scores)
 
 
-def _stage_compare_csv(state: _RunState, staging: str) -> None:
+def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
     table = compare_classifiers(
         state.kept,
         pattern_lexicon=state.pattern_lexicon,
@@ -224,9 +204,10 @@ def _stage_compare_csv(state: _RunState, staging: str) -> None:
             writer.writerow(
                 [engine, *dist.counts, *(f"{value:.2f}" for value in dist.percentages)]
             )
+    return len(state.kept)
 
 
-def _stage_counts_json(state: _RunState, staging: str) -> None:
+def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
     combined = analytics.combined_avg_polarity(state.kept, scores, state.config.actor_set)
     stats = state.stats
@@ -246,10 +227,12 @@ def _stage_counts_json(state: _RunState, staging: str) -> None:
         },
     }
     _write_json(os.path.join(staging, "counts.json"), payload)
+    return len(stats.per_group)
 
 
-def _stage_clouds_json(state: _RunState, staging: str, actor_id: str | None) -> None:
+def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
     actor_set = state.config.actor_set
+    actor_id = options.get("actor")
     if actor_id:
         chosen = [actor_set[actor_id]]
     else:
@@ -259,9 +242,10 @@ def _stage_clouds_json(state: _RunState, staging: str, actor_id: str | None) -> 
         table = analytics.cooccurrence_cloud(state.kept, actor, actor_set)
         payload[actor.id] = [[term, count] for term, count in table.rows]
     _write_json(os.path.join(staging, "clouds.json"), payload)
+    return len(payload)
 
 
-def _stage_timeseries_csv(state: _RunState, staging: str) -> None:
+def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
     series = analytics.avg_sentiment_series(
         state.kept,
@@ -288,9 +272,10 @@ def _stage_timeseries_csv(state: _RunState, staging: str) -> None:
                             repr(cell.mean_subjectivity),
                         ]
                     )
+    return len(series) * len(analytics.BUCKET_LABELS)
 
 
-def _stage_heatmap_json(state: _RunState, staging: str) -> None:
+def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
     matrix = analytics.frequency_heatmap(
         state.kept,
         state.config.actor_set,
@@ -305,10 +290,12 @@ def _stage_heatmap_json(state: _RunState, staging: str) -> None:
         for actor_id, row in matrix.items()
     }
     _write_json(os.path.join(staging, "heatmap.json"), payload)
+    return len(payload)
 
 
-def _stage_topics_json(state: _RunState, staging: str, group: str | None) -> None:
+def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     config = state.config
+    group = options.get("group")
     tweets = state.kept
     if group:
         tweets = [
@@ -345,9 +332,10 @@ def _stage_topics_json(state: _RunState, staging: str, group: str | None) -> Non
         ],
     }
     _write_json(os.path.join(staging, "topics.json"), payload)
+    return len(report.entries)
 
 
-def _stage_nbc_model(state: _RunState, staging: str, alpha: float) -> None:
+def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
     corpus_path = state.config.nbc_corpus_path
     docs = []
     with open(corpus_path, encoding="utf-8", newline="") as handle:
@@ -358,7 +346,7 @@ def _stage_nbc_model(state: _RunState, staging: str, alpha: float) -> None:
             label, text = row[0].strip(), row[1]
             tokens, _ = process_text(text, state.pipeline)
             docs.append((tokens, label))
-    model = nbc_train(docs, alpha)
+    model = nbc_train(docs, options.get("alpha") or 1.0)
     payload = {
         "alpha": model.alpha,
         "labels": model.labels,
@@ -367,6 +355,25 @@ def _stage_nbc_model(state: _RunState, staging: str, alpha: float) -> None:
         "vocabulary": sorted(model.vocabulary),
     }
     _write_json(os.path.join(staging, "nbc_model.json"), payload)
+    return len(docs)
+
+
+# Subcommand -> (manifest stage name, writer), in the order ``all`` runs
+# them; ``all`` skips train-nbc. Each writer stages its artifact and
+# returns the record count the manifest reports for the stage.
+_STAGES = {
+    "ingest": ("export", _stage_tweets_csv),
+    "sentiment": ("score", _stage_scores_csv),
+    "compare": ("compare", _stage_compare_csv),
+    "counts": ("counts", _stage_counts_json),
+    "cloud": ("cloud", _stage_clouds_json),
+    "timeseries": ("timeseries", _stage_timeseries_csv),
+    "heatmap": ("heatmap", _stage_heatmap_json),
+    "topics": ("topics", _stage_topics_json),
+    "train-nbc": ("train-nbc", _stage_nbc_model),
+}
+SUBCOMMANDS = (*_STAGES, "all")
+_ALL_STAGES = tuple(stage for stage in _STAGES if stage != "train-nbc")
 
 
 def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
@@ -381,29 +388,15 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     status = "ok"
     error = None
     state = None
+    input_digest = None
     try:
+        input_digest = "sha256:" + sha256_file(config.input_path)
         state = _load_state(config)
         _ingest(state)
         stages = _ALL_STAGES if subcommand == "all" else (subcommand,)
         for stage in stages:
-            if stage == "ingest":
-                _timed(state, "export", lambda: _stage_tweets_csv(state, staging), lambda _: len(state.kept))
-            elif stage == "sentiment":
-                _timed(state, "score", lambda: _stage_scores_csv(state, staging), lambda _: len(state.kept))
-            elif stage == "compare":
-                _timed(state, "compare", lambda: _stage_compare_csv(state, staging), lambda _: len(state.kept))
-            elif stage == "counts":
-                _timed(state, "counts", lambda: _stage_counts_json(state, staging), lambda _: len(config.actor_set))
-            elif stage == "cloud":
-                _timed(state, "cloud", lambda: _stage_clouds_json(state, staging, options.get("actor")), lambda _: len(state.kept))
-            elif stage == "timeseries":
-                _timed(state, "timeseries", lambda: _stage_timeseries_csv(state, staging), lambda _: len(config.scope))
-            elif stage == "heatmap":
-                _timed(state, "heatmap", lambda: _stage_heatmap_json(state, staging), lambda _: len(config.scope))
-            elif stage == "topics":
-                _timed(state, "topics", lambda: _stage_topics_json(state, staging, options.get("group")), lambda _: config.lda_k)
-            elif stage == "train-nbc":
-                _timed(state, "train-nbc", lambda: _stage_nbc_model(state, staging, options.get("alpha") or 1.0), lambda _: 1)
+            stage_name, writer = _STAGES[stage]
+            _timed(state, stage_name, lambda: writer(state, staging, options))
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
     except Exception as exc:  # pipeline failure: no partial artifacts, manifest only
@@ -418,7 +411,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         "error": error,
         "config": config.snapshot,
         "seed": config.seed,
-        "input_digest": "sha256:" + sha256_file(config.input_path),
+        "input_digest": input_digest,
         "started_at": started_at.isoformat(),
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started_clock, 6),
@@ -441,6 +434,7 @@ def _dataset_section(state: _RunState | None) -> dict | None:
         "total_raw": state.stats.total_raw,
         "total_kept": state.stats.total_kept,
         "coverage_pct": state.stats.coverage_pct,
+        "spelling": state.pipeline.dictionary.activity(),
     }
 
 

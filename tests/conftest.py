@@ -28,7 +28,7 @@ from electionpulse.sentiment import (
     load_sense_lexicon,
     score_all,
 )
-from electionpulse.spelling import load_dictionary
+from electionpulse.spelling import SpellingDictionary, load_dictionary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,7 +51,7 @@ def scope() -> list[str]:
 
 
 @pytest.fixture(scope="session")
-def dictionary() -> dict[str, int]:
+def dictionary() -> SpellingDictionary:
     return load_dictionary(str(FIXTURES / "dictionary.txt"))
 
 

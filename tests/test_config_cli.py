@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from electionpulse.cli import main
+from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
+from electionpulse.ingest import parse_tweet_stream
+from electionpulse.preprocess import MIN_CORRECTION_LENGTH, clean, is_retweet, tokenize
+from electionpulse.spelling import correct_spelling
 
 ALL_ARTIFACTS = {
     "tweets.csv",
@@ -211,6 +214,63 @@ class TestCliRuns:
         assert manifest["dataset"]["total_kept"] == 43
         stage_names = [stage["name"] for stage in manifest["stages"]]
         assert stage_names[:2] == ["ingest", "preprocess"]
+
+    def test_manifest_stage_records(self, config_factory, tmp_path) -> None:
+        assert main(["all", "--config", config_factory()]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        records = {stage["name"]: stage["records"] for stage in manifest["stages"]}
+        assert records == {
+            "ingest": 50,
+            "preprocess": 43,
+            "export": 43,
+            "score": 43,
+            "compare": 43,
+            "counts": 15,
+            "cloud": 5,
+            "timeseries": 3 * 8,
+            "heatmap": 3,
+            "topics": 5,
+        }
+
+    def test_manifest_spelling_activity(self, config_factory, fixtures_dir, dictionary, tmp_path) -> None:
+        assert main(["sentiment", "--config", config_factory()]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        records, _ = parse_tweet_stream(str(fixtures_dir / "tweets_50.jsonl"))
+        looked_up = [
+            token
+            for record in records
+            if not is_retweet(record)
+            for token in tokenize(clean(record.text))
+            if len(token) >= MIN_CORRECTION_LENGTH and token not in dictionary
+        ]
+        plain = dict(dictionary)
+        assert manifest["dataset"]["spelling"] == {
+            "lookups": len(looked_up),
+            "distinct": len(set(looked_up)),
+            "corrected": sum(correct_spelling(token, plain) != token for token in looked_up),
+        }
+        assert looked_up == ["electin"]
+
+    def test_spelling_activity_is_zero_without_spellcheck(self, config_factory, tmp_path) -> None:
+        assert main(["sentiment", "--config", config_factory(), "--no-spellcheck"]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        assert manifest["dataset"]["spelling"] == {"lookups": 0, "distinct": 0, "corrected": 0}
+
+    def test_input_vanishing_after_validation_fails_with_manifest(
+        self, config_factory, fixtures_dir, tmp_path, capsys
+    ) -> None:
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_bytes((fixtures_dir / "tweets_50.jsonl").read_bytes())
+        config = validate_config(config_factory(**{"input.path": str(tweets)}))
+        tweets.unlink()
+        assert run("all", config) == 1
+        out_dir = tmp_path / "out"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("FileNotFoundError")
+        assert manifest["input_digest"] is None
+        assert "error" in capsys.readouterr().err
 
     def test_cloud_actor_option_narrows_output(self, config_factory, tmp_path) -> None:
         rc = main(["cloud", "--config", config_factory(), "--actor", "willie_obiano"])
