@@ -1,8 +1,7 @@
-"""Shared helpers: percentage rounding, timestamp parsing, file digests."""
+"""Shared helpers: percentage rounding, timestamp and timezone parsing."""
 
 from __future__ import annotations
 
-import hashlib
 import re
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -75,10 +74,3 @@ def parse_timestamp(value: str) -> datetime:
         raise ValueError(f"timestamp lacks a UTC offset: {value!r}")
     return parsed
 
-
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

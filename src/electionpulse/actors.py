@@ -5,14 +5,18 @@ combinations. Candidates and parties match when one of their alias
 phrases appears contiguously in the cleaned, unstemmed token stream of a
 tweet (stems mangle proper names, so matching never runs on stems). A
 combined actor matches exactly when both of its components match.
+
+A run matches each raw record once, in ``build_mention_matrix``; every
+count, export column and analytics filter then reads that mention table.
 """
 
 from __future__ import annotations
 
 import configparser
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 
+from ._util import ConsistencyError
 from .preprocess import ProcessedTweet, clean, tokenize
 
 KINDS = ("candidate", "party", "combined")
@@ -45,6 +49,15 @@ class ActorSet:
         if diagnostics:
             raise ActorConfigError(diagnostics)
         self._by_id = {actor.id: actor for actor in self.actors}
+        # Alias phrases as token tuples, split once here rather than per match.
+        self._phrases = tuple(
+            (actor.id, tuple(tuple(alias.split()) for alias in actor.aliases))
+            for actor in self.actors
+            if actor.kind != "combined"
+        )
+        self._pairs = tuple(
+            (actor.id, actor.components) for actor in self.actors if actor.kind == "combined"
+        )
 
     def __iter__(self) -> Iterator[Actor]:
         return iter(self.actors)
@@ -164,23 +177,24 @@ def load_actor_file(path: str) -> ActorSet:
     return ActorSet(actors)
 
 
-@dataclass(frozen=True)
-class MentionMatrix:
-    """Matched actor ids per tweet id."""
-
-    matches: dict[str, frozenset[str]]
-
-    def group_counts(self, actors: ActorSet) -> dict[str, int]:
-        return group_counts(self, actors)
+# Record id -> ids of the actors that record mentions: the mention table,
+# built once per run by build_mention_matrix.
+Mentions = Mapping[str, frozenset[str]]
 
 
-def _contains_phrase(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
+def _contains_phrase(
+    tokens: Sequence[str], present: AbstractSet[str], phrase: tuple[str, ...]
+) -> bool:
     span = len(phrase)
-    if span == 0 or span > len(tokens):
+    if span == 0 or not present.issuperset(phrase):
         return False
+    if span == 1:
+        return True
     first = phrase[0]
     for start in range(len(tokens) - span + 1):
-        if tokens[start] == first and list(tokens[start : start + span]) == list(phrase):
+        if tokens[start] == first and all(
+            tokens[start + offset] == word for offset, word in enumerate(phrase)
+        ):
             return True
     return False
 
@@ -198,24 +212,21 @@ def _text_of(tweet) -> str:
 def match_actors(tweet, actors: ActorSet) -> set[str]:
     """Actor ids mentioned in a tweet (raw text, TweetRecord or ProcessedTweet)."""
     tokens = tokenize(clean(_text_of(tweet)))
+    present = set(tokens)
     matched: set[str] = set()
-    phrases_by_actor = (
-        (actor, [alias.split() for alias in actor.aliases])
-        for actor in actors
-        if actor.kind != "combined"
-    )
-    for actor, phrases in phrases_by_actor:
-        if any(_contains_phrase(tokens, phrase) for phrase in phrases):
-            matched.add(actor.id)
-    for actor in actors.combined():
-        candidate_id, party_id = actor.components
+    for actor_id, phrases in actors._phrases:
+        if any(_contains_phrase(tokens, present, phrase) for phrase in phrases):
+            matched.add(actor_id)
+    for actor_id, (candidate_id, party_id) in actors._pairs:
         if candidate_id in matched and party_id in matched:
-            matched.add(actor.id)
+            matched.add(actor_id)
     return matched
 
 
-def sole_mention(tweet, actors: ActorSet, scope: Iterable[str]) -> str | None:
-    """The single scoped actor a tweet mentions, or None.
+def sole_mention(
+    matched: AbstractSet[str], actors: ActorSet, scope: Iterable[str]
+) -> str | None:
+    """The single scoped actor among a tweet's matched actor ids, or None.
 
     A matched combined actor in scope absorbs its own components: a tweet
     naming a candidate together with that candidate's party is a sole
@@ -226,29 +237,46 @@ def sole_mention(tweet, actors: ActorSet, scope: Iterable[str]) -> str | None:
     unknown = [actor_id for actor_id in scope_ids if actor_id not in actors]
     if unknown:
         raise ValueError(f"scope ids not configured: {unknown}")
-    matched = match_actors(tweet, actors) & set(scope_ids)
-    for actor_id in sorted(matched):
+    hits = set(scope_ids).intersection(matched)
+    for actor_id in sorted(hits):
         actor = actors[actor_id]
         if actor.kind == "combined" and actor.components:
-            matched -= set(actor.components)
-    if len(matched) == 1:
-        return next(iter(matched))
+            hits -= set(actor.components)
+    if len(hits) == 1:
+        return next(iter(hits))
     return None
 
 
-def build_mention_matrix(tweets: Iterable, actors: ActorSet) -> MentionMatrix:
-    """Match every tweet (TweetRecord or ProcessedTweet) in one pass."""
+def build_mention_matrix(tweets: Iterable, actors: ActorSet) -> dict[str, frozenset[str]]:
+    """Match every tweet (TweetRecord or ProcessedTweet) once.
+
+    Equal matched sets share one interned frozenset, so the table costs a
+    pointer per tweet however many tweets name the same actors.
+    """
+    interned: dict[frozenset[str], frozenset[str]] = {}
     matches = {}
     for tweet in tweets:
         tweet_id = getattr(tweet, "record_id", None) or tweet.id
-        matches[tweet_id] = frozenset(match_actors(tweet, actors))
-    return MentionMatrix(matches)
+        matched = frozenset(match_actors(tweet, actors))
+        matches[tweet_id] = interned.setdefault(matched, matched)
+    return matches
 
 
-def group_counts(matrix: MentionMatrix, actors: ActorSet) -> dict[str, int]:
+def mentions_of(mentions: Mentions, tweet_id: str) -> frozenset[str]:
+    """The matched actor ids of one tweet; a tweet absent from the table
+    raises ConsistencyError."""
+    try:
+        return mentions[tweet_id]
+    except KeyError:
+        raise ConsistencyError(
+            f"tweet {tweet_id!r} is missing from the mention table"
+        ) from None
+
+
+def group_counts(mentions: Mentions, actors: ActorSet) -> dict[str, int]:
     """Tweets mentioning each actor; actors with no mentions count zero."""
     counts = {actor.id: 0 for actor in actors}
-    for matched in matrix.matches.values():
+    for matched in mentions.values():
         for actor_id in matched:
             if actor_id in counts:
                 counts[actor_id] += 1

@@ -5,6 +5,10 @@ buckets: seven two-hour spans plus a final "20-00" span running to the
 end of the day. Earlier times are out of range. Bucket cells with no
 tweets are emitted as explicit empty markers (None), never as zero means:
 a fabricated zero would read as neutral sentiment.
+
+Which actors a tweet mentions is read from the run's mention table
+(``actors.build_mention_matrix``), keyed by record id; a tweet missing
+from it raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from datetime import datetime, time
 from typing import NamedTuple
 
 from ._util import ConsistencyError
-from .actors import Actor, ActorSet, match_actors, sole_mention
+from .actors import Actor, ActorSet, Mentions, mentions_of, sole_mention
 from .preprocess import ProcessedTweet, stem
 from .sentiment import SentimentScore
 
@@ -95,6 +99,7 @@ def _require_record(tweet: ProcessedTweet):
 def avg_sentiment_series(
     tweets: Sequence[ProcessedTweet],
     scores: Sequence[SentimentScore],
+    mentions: Mentions,
     actors: ActorSet,
     scope: Sequence[str],
     scale: float = 100.0,
@@ -111,10 +116,11 @@ def avg_sentiment_series(
     sums: dict[tuple[str, str], list[float]] = {}
     for tweet, score in zip(tweets, scores):
         record = _require_record(tweet)
+        matched = mentions_of(mentions, tweet.record_id)
         bucket = bucket_of(record.created_at)
         if bucket is None:
             continue
-        actor_id = sole_mention(tweet, actors, scope)
+        actor_id = sole_mention(matched, actors, scope)
         if actor_id is None:
             continue
         cell = sums.setdefault((actor_id, bucket.label), [0, 0.0, 0.0])
@@ -170,6 +176,7 @@ def actor_exclusions(actors: ActorSet) -> set[str]:
 def cooccurrence_cloud(
     tweets: Sequence[ProcessedTweet],
     actor: Actor,
+    mentions: Mentions,
     actors: ActorSet,
     exclusions: Iterable[str] | None = None,
     top_n: int | None = None,
@@ -177,7 +184,7 @@ def cooccurrence_cloud(
     """Term counts over tweets mentioning the actor, actor names excluded."""
     excluded = _as_exclusion_set(exclusions) | actor_exclusions(actors)
     matching = [
-        tweet for tweet in tweets if actor.id in match_actors(tweet, actors)
+        tweet for tweet in tweets if actor.id in mentions_of(mentions, tweet.record_id)
     ]
     table = term_frequencies(matching, excluded, top_n)
     table.key = actor.id
@@ -186,6 +193,7 @@ def cooccurrence_cloud(
 
 def frequency_heatmap(
     tweets: Sequence[ProcessedTweet],
+    mentions: Mentions,
     actors: ActorSet,
     scope: Sequence[str],
     top_n: int | None = None,
@@ -196,10 +204,11 @@ def frequency_heatmap(
     grouped: dict[tuple[str, str], list[ProcessedTweet]] = {}
     for tweet in tweets:
         record = _require_record(tweet)
+        matched = mentions_of(mentions, tweet.record_id)
         bucket = bucket_of(record.created_at)
         if bucket is None:
             continue
-        actor_id = sole_mention(tweet, actors, scope)
+        actor_id = sole_mention(matched, actors, scope)
         if actor_id is None:
             continue
         grouped.setdefault((actor_id, bucket.label), []).append(tweet)
@@ -221,6 +230,7 @@ def frequency_heatmap(
 def combined_avg_polarity(
     tweets: Sequence[ProcessedTweet],
     scores: Sequence[SentimentScore],
+    mentions: Mentions,
     actors: ActorSet,
     pair_ids: Sequence[str] | None = None,
 ) -> dict[str, float | None]:
@@ -235,7 +245,7 @@ def combined_avg_polarity(
             raise ValueError(f"{actor_id!r} is not a configured combined actor")
     sums = {actor_id: [0, 0.0] for actor_id in ids}
     for tweet, score in zip(tweets, scores):
-        matched = match_actors(tweet, actors)
+        matched = mentions_of(mentions, tweet.record_id)
         for actor_id in ids:
             if actor_id in matched:
                 sums[actor_id][0] += 1

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, analytics, topics
-from .actors import match_actors
+from .actors import build_mention_matrix, mentions_of
 from .config import ConfigError, RunConfig, validate_config
 from .ingest import (
     DatasetStats,
@@ -54,7 +54,6 @@ from .sentiment import (
     subjectivity_class,
 )
 from .spelling import SpellingDictionary, load_dictionary
-from ._util import sha256_file
 
 @dataclass
 class _RunState:
@@ -64,6 +63,7 @@ class _RunState:
     pipeline: PipelineConfig
     records: list = field(default_factory=list)
     report: ParseReport | None = None
+    mentions: dict[str, frozenset[str]] = field(default_factory=dict)
     kept: list[ProcessedTweet] = field(default_factory=list)
     stats: DatasetStats | None = None
     pattern_lexicon: dict = field(default_factory=dict)
@@ -116,6 +116,7 @@ def _ingest(state: _RunState) -> None:
         )
         state.records = records
         state.report = report
+        state.mentions = build_mention_matrix(records, config.actor_set)
         return len(records)
 
     _timed(state, "ingest", worker)
@@ -128,10 +129,12 @@ def _ingest(state: _RunState) -> None:
             )
             if tweet is not None
         ]
+        state.stats = dataset_stats(
+            state.records, state.kept, state.mentions, config.actor_set
+        )
         return len(state.kept)
 
     _timed(state, "preprocess", preprocess_worker)
-    state.stats = dataset_stats(state.records, state.kept, config.actor_set)
 
 
 def _score(state: _RunState) -> list[SentimentScore]:
@@ -156,7 +159,9 @@ def _write_json(path: str, payload) -> None:
 
 
 def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
-    export_records(state.kept, os.path.join(staging, "tweets.csv"), state.config.actor_set)
+    export_records(
+        state.kept, os.path.join(staging, "tweets.csv"), state.mentions, state.config.actor_set
+    )
     return len(state.kept)
 
 
@@ -209,7 +214,9 @@ def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
-    combined = analytics.combined_avg_polarity(state.kept, scores, state.config.actor_set)
+    combined = analytics.combined_avg_polarity(
+        state.kept, scores, state.mentions, state.config.actor_set
+    )
     stats = state.stats
     payload = {
         "total_raw": stats.total_raw,
@@ -239,7 +246,7 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
         chosen = [actor for actor in actor_set if actor.kind == "candidate"]
     payload = {}
     for actor in chosen:
-        table = analytics.cooccurrence_cloud(state.kept, actor, actor_set)
+        table = analytics.cooccurrence_cloud(state.kept, actor, state.mentions, actor_set)
         payload[actor.id] = [[term, count] for term, count in table.rows]
     _write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
@@ -250,6 +257,7 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     series = analytics.avg_sentiment_series(
         state.kept,
         scores,
+        state.mentions,
         state.config.actor_set,
         state.config.scope,
         scale=state.config.polarity_scale,
@@ -278,6 +286,7 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
 def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
     matrix = analytics.frequency_heatmap(
         state.kept,
+        state.mentions,
         state.config.actor_set,
         state.config.scope,
         top_n=state.config.heatmap_top_n,
@@ -299,7 +308,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     tweets = state.kept
     if group:
         tweets = [
-            tweet for tweet in tweets if group in match_actors(tweet, config.actor_set)
+            tweet for tweet in tweets if group in mentions_of(state.mentions, tweet.record_id)
         ]
     corpus = topics.build_corpus(
         tweets, min_doc_len=config.min_doc_len, provenance=group or "all"
@@ -388,9 +397,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     status = "ok"
     error = None
     state = None
-    input_digest = None
     try:
-        input_digest = "sha256:" + sha256_file(config.input_path)
         state = _load_state(config)
         _ingest(state)
         stages = _ALL_STAGES if subcommand == "all" else (subcommand,)
@@ -411,7 +418,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         "error": error,
         "config": config.snapshot,
         "seed": config.seed,
-        "input_digest": input_digest,
+        "input_digest": _input_digest(state),
         "started_at": started_at.isoformat(),
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started_clock, 6),
@@ -423,6 +430,13 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
     return 0
+
+
+def _input_digest(state: _RunState | None) -> str | None:
+    """The digest of the input bytes the run parsed, or None if it parsed none."""
+    if state is None or state.report is None or state.report.sha256 is None:
+        return None
+    return "sha256:" + state.report.sha256
 
 
 def _dataset_section(state: _RunState | None) -> dict | None:

@@ -14,6 +14,7 @@ counted and skipped, and lines read always equals records plus skips.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import unicodedata
 from collections.abc import Iterable, Sequence
@@ -22,7 +23,7 @@ from datetime import datetime, timedelta, timezone, tzinfo
 from typing import IO
 
 from ._util import ConsistencyError, parse_timestamp, pct
-from .actors import ActorSet, match_actors
+from .actors import ActorSet, Mentions, group_counts, mentions_of
 from .analytics import bucket_label
 from .preprocess import ProcessedTweet
 
@@ -58,6 +59,7 @@ class ParseReport:
     lines_read: int
     records_produced: int
     lines_skipped: int
+    sha256: str | None = None  # hex digest of the bytes parsed from a path source
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,12 @@ def _lookup(obj: dict, path: str):
     return None
 
 
-def _iter_lines(source) -> Iterable[bytes | str]:
-    if isinstance(source, (str, bytes)):
-        with open(source, "rb") as handle:
-            yield from handle
-        return
-    yield from source
+def _read_lines(path: str | bytes, digest) -> Iterable[bytes]:
+    """The file's lines, fed to ``digest`` as they are read."""
+    with open(path, "rb") as handle:
+        for line in handle:
+            digest.update(line)
+            yield line
 
 
 def parse_tweet_stream(
@@ -107,7 +109,8 @@ def parse_tweet_stream(
     A line is skipped (never fatal) when it is not valid JSON, misses a
     required field, carries an id already seen, exceeds the text byte
     limit, or has no text left after unicode normalization. An unreadable
-    source path still raises the underlying OSError.
+    source path still raises the underlying OSError. For a path source the
+    report carries the sha256 of exactly the bytes that were parsed.
     """
     fields = dict(DEFAULT_FIELD_MAP)
     if field_map:
@@ -116,7 +119,12 @@ def parse_tweet_stream(
     seen_ids: set[str] = set()
     lines_read = 0
     skipped = 0
-    for raw_line in _iter_lines(source):
+    digest = None
+    lines = source
+    if isinstance(source, (str, bytes)):
+        digest = hashlib.sha256()
+        lines = _read_lines(source, digest)
+    for raw_line in lines:
         lines_read += 1
         try:
             line = raw_line.decode("utf-8") if isinstance(raw_line, bytes) else raw_line
@@ -151,35 +159,33 @@ def parse_tweet_stream(
             continue
         seen_ids.add(record.id)
         records.append(record)
-    return records, ParseReport(lines_read, len(records), skipped)
+    return records, ParseReport(
+        lines_read, len(records), skipped, digest.hexdigest() if digest else None
+    )
 
 
 def dataset_stats(
     records: Sequence[TweetRecord],
     kept: Sequence[ProcessedTweet],
+    mentions: Mentions,
     groups: ActorSet,
 ) -> DatasetStats:
     """Per-actor raw/kept mention counts plus kept-population coverage.
 
-    Group rows overlap (a tweet can mention several actors), so the
-    totals are population sizes, not column sums.
+    ``mentions`` is the mention table of exactly ``records``. Group rows
+    overlap (a tweet can mention several actors), so the totals are
+    population sizes, not column sums.
     """
     record_ids = {record.id for record in records}
     for tweet in kept:
         if tweet.record_id not in record_ids:
             raise ConsistencyError(f"kept tweet {tweet.record_id!r} has no raw record")
-    kept_ids = {tweet.record_id for tweet in kept}
-    raw_counts = {actor.id: 0 for actor in groups}
-    kept_counts = {actor.id: 0 for actor in groups}
-    matched_kept = 0
-    for record in records:
-        matched = match_actors(record.text, groups)
-        for actor_id in matched:
-            raw_counts[actor_id] += 1
-            if record.id in kept_ids:
-                kept_counts[actor_id] += 1
-        if matched and record.id in kept_ids:
-            matched_kept += 1
+    if mentions.keys() != record_ids:
+        raise ConsistencyError("the mention table does not cover exactly the raw records")
+    kept_mentions = {tweet.record_id: mentions[tweet.record_id] for tweet in kept}
+    raw_counts = group_counts(mentions, groups)
+    kept_counts = group_counts(kept_mentions, groups)
+    matched_kept = sum(1 for matched in kept_mentions.values() if matched)
     per_group = {
         actor.id: GroupCount(raw_counts[actor.id], kept_counts[actor.id])
         for actor in groups
@@ -192,17 +198,19 @@ def dataset_stats(
     )
 
 
-def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSet) -> None:
+def export_records(
+    records: Sequence[ProcessedTweet], path: str, mentions: Mentions, actors: ActorSet
+) -> None:
     """Write one CSV row per kept tweet: id, timestamp, bucket, tokens,
-    then a true/false column per configured actor."""
-    header = ["id", "created_at", "bucket", "tokens"] + [actor.id for actor in actors]
+    then a true/false column per configured actor, read from ``mentions``."""
+    ids = [actor.id for actor in actors]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(header)
+        writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
         for tweet in records:
             if tweet.record is None:
                 raise ValueError(f"tweet {tweet.record_id!r} lacks its source record")
-            matched = match_actors(tweet.record.text, actors)
+            matched = mentions_of(mentions, tweet.record_id)
             writer.writerow(
                 [
                     tweet.record_id,
@@ -210,5 +218,5 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
                     bucket_label(tweet.record.created_at),
                     " ".join(tweet.tokens),
                 ]
-                + ["true" if actor.id in matched else "false" for actor in actors]
+                + ["true" if actor_id in matched else "false" for actor_id in ids]
             )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from electionpulse.actors import ActorSet, load_actor_file
+from electionpulse.actors import ActorSet, build_mention_matrix, load_actor_file
 from electionpulse.ingest import TweetRecord, parse_tweet_stream
 from electionpulse.preprocess import (
     PipelineConfig,
@@ -83,6 +83,11 @@ def records() -> list[TweetRecord]:
     parsed, report = parse_tweet_stream(str(FIXTURES / "tweets_50.jsonl"))
     assert report.lines_skipped == 0
     return parsed
+
+
+@pytest.fixture(scope="session")
+def mentions(records, actor_set) -> dict[str, frozenset[str]]:
+    return build_mention_matrix(records, actor_set)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from datetime import time as dtime
 
 import pytest
 
+from electionpulse.actors import build_mention_matrix, match_actors
 from electionpulse.analytics import (
     BUCKET_LABELS,
     BUCKETS,
@@ -265,15 +266,16 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                 SentimentScore(rng.uniform(-1, 1), rng.uniform(0, 1))
             )
 
-        series = avg_sentiment_series(tweets, scores, actor_set, scope, scale=100.0)
-        heatmap = frequency_heatmap(tweets, actor_set, scope, top_n=5)
+        mentions = build_mention_matrix(tweets, actor_set)
+        series = avg_sentiment_series(tweets, scores, mentions, actor_set, scope, scale=100.0)
+        heatmap = frequency_heatmap(tweets, mentions, actor_set, scope, top_n=5)
 
         grouped: dict[tuple[str, str], list[int]] = {}
         for index, tweet in enumerate(tweets):
             label = _independent_bucket(tweet.record.created_at.hour)
             if label is None:
                 continue
-            owner = sole_mention(tweet, actor_set, scope)
+            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(index)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electionpulse.actors import (
     Actor,
@@ -14,6 +19,8 @@ from electionpulse.actors import (
     match_actors,
     sole_mention,
 )
+from electionpulse.ingest import TweetRecord
+from electionpulse.preprocess import clean, tokenize
 
 
 def small_set() -> ActorSet:
@@ -202,50 +209,62 @@ class TestMatching:
             candidate, party = actor.components
             assert counts[actor.id] <= min(counts[candidate], counts[party])
 
+    def test_fixture_table_is_interned(self, records, actor_set) -> None:
+        mentions = build_mention_matrix(records, actor_set)
+        assert list(mentions) == [record.id for record in records]
+        by_value: dict[frozenset[str], frozenset[str]] = {}
+        for matched in mentions.values():
+            assert by_value.setdefault(matched, matched) is matched
+
 
 class TestSoleMention:
     SCOPE = ["willie_obiano", "tony_nwoye", "apga", "pdp", "willie_obiano_apga"]
 
     def test_single_scoped_actor(self) -> None:
         actors = small_set()
-        assert sole_mention("obiano holds a rally", actors, ["willie_obiano"]) == (
-            "willie_obiano"
-        )
+        matched = match_actors("obiano holds a rally", actors)
+        assert sole_mention(matched, actors, ["willie_obiano"]) == "willie_obiano"
 
     def test_two_scoped_actors_disqualify(self) -> None:
         actors = small_set()
-        assert sole_mention("obiano attacks pdp", actors, self.SCOPE) is None
+        matched = match_actors("obiano attacks pdp", actors)
+        assert sole_mention(matched, actors, self.SCOPE) is None
 
     def test_no_scoped_actor(self) -> None:
-        assert sole_mention("quiet day in awka", small_set(), self.SCOPE) is None
+        actors = small_set()
+        matched = match_actors("quiet day in awka", actors)
+        assert sole_mention(matched, actors, self.SCOPE) is None
 
     def test_candidate_with_own_party_is_sole_for_the_pair(self) -> None:
         # Both components plus the pair match; the pair absorbs its parts.
         actors = small_set()
-        result = sole_mention("obiano thanks apga faithful", actors, self.SCOPE)
-        assert result == "willie_obiano_apga"
+        matched = match_actors("obiano thanks apga faithful", actors)
+        assert sole_mention(matched, actors, self.SCOPE) == "willie_obiano_apga"
 
     def test_pair_out_of_scope_leaves_two_actors(self) -> None:
         # Without the combined actor in scope there is nothing to absorb
         # the two component mentions, so the tweet is not sole.
         actors = small_set()
         scope = ["willie_obiano", "tony_nwoye", "apga", "pdp"]
-        assert sole_mention("obiano thanks apga faithful", actors, scope) is None
+        matched = match_actors("obiano thanks apga faithful", actors)
+        assert sole_mention(matched, actors, scope) is None
 
     def test_mention_outside_scope_is_invisible(self) -> None:
         actors = small_set()
         # nwoye is matched but not scoped, so obiano stays sole.
         scope = ["willie_obiano", "apga", "willie_obiano_apga"]
-        assert sole_mention("obiano leads nwoye", actors, scope) == "willie_obiano"
+        matched = match_actors("obiano leads nwoye", actors)
+        assert sole_mention(matched, actors, scope) == "willie_obiano"
 
     def test_unknown_scope_id_raises(self) -> None:
+        actors = small_set()
         with pytest.raises(ValueError):
-            sole_mention("obiano wins", small_set(), ["nobody_here"])
+            sole_mention(match_actors("obiano wins", actors), actors, ["nobody_here"])
 
     def test_fixture_sole_counts(self, kept, actor_set, scope) -> None:
         counts = {actor_id: 0 for actor_id in scope}
         for tweet in kept:
-            owner = sole_mention(tweet, actor_set, scope)
+            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
             if owner is not None:
                 counts[owner] += 1
         assert counts == {
@@ -253,3 +272,95 @@ class TestSoleMention:
             "tony_nwoye_apc": 6,
             "oseloka_obaze_pdp": 5,
         }
+
+
+# Reference matcher and sole_mention that work on the raw text of each
+# tweet; the mention table and the set-based sole_mention must agree.
+def _oracle_contains_phrase(tokens, phrase) -> bool:
+    span = len(phrase)
+    if span == 0 or span > len(tokens):
+        return False
+    first = phrase[0]
+    for start in range(len(tokens) - span + 1):
+        if tokens[start] == first and list(tokens[start : start + span]) == list(phrase):
+            return True
+    return False
+
+
+def _oracle_match(text: str, actors: ActorSet) -> set[str]:
+    tokens = tokenize(clean(text))
+    matched: set[str] = set()
+    for actor in actors:
+        if actor.kind != "combined" and any(
+            _oracle_contains_phrase(tokens, alias.split()) for alias in actor.aliases
+        ):
+            matched.add(actor.id)
+    for actor in actors.combined():
+        candidate_id, party_id = actor.components
+        if candidate_id in matched and party_id in matched:
+            matched.add(actor.id)
+    return matched
+
+
+def _oracle_sole_mention(text: str, actors: ActorSet, scope) -> str | None:
+    scope_ids = list(scope)
+    matched = _oracle_match(text, actors) & set(scope_ids)
+    for actor_id in sorted(matched):
+        actor = actors[actor_id]
+        if actor.kind == "combined" and actor.components:
+            matched -= set(actor.components)
+    if len(matched) == 1:
+        return next(iter(matched))
+    return None
+
+
+ALIAS_WORDS = ("ada", "obi", "ike", "apc", "pdp")
+TWEET_WORDS = ALIAS_WORDS + ("vote", "awka", "queue", "#ada", "OBI", "@ike", "pdp,")
+
+
+@st.composite
+def rosters(draw) -> ActorSet:
+    alias = st.lists(st.sampled_from(ALIAS_WORDS), min_size=1, max_size=2).map(" ".join)
+    actors: list[Actor] = []
+    ids = {}
+    for kind in ("candidate", "party"):
+        count = draw(st.integers(1, 2))
+        aliases = draw(st.lists(alias, min_size=count, max_size=2 * count, unique=True))
+        ids[kind] = [f"{kind}{i}" for i in range(count)]
+        actors += [
+            Actor(actor_id, kind, tuple(aliases[i::count]))
+            for i, actor_id in enumerate(ids[kind])
+        ]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(ids["candidate"]), st.sampled_from(ids["party"])),
+            max_size=2,
+            unique=True,
+        )
+    )
+    actors += [
+        Actor(f"pair{i}", "combined", (f"pair{i}",), components=pair)
+        for i, pair in enumerate(pairs)
+    ]
+    return ActorSet(actors)
+
+
+tweet_texts = st.lists(st.sampled_from(TWEET_WORDS), max_size=7).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rosters(), st.lists(tweet_texts, min_size=1, max_size=4))
+def test_set_based_sole_mention_matches_the_text_oracle(actors, texts) -> None:
+    stamp = datetime(2017, 11, 18, 10, tzinfo=timezone.utc)
+    records = [
+        TweetRecord(f"t{i}", stamp, "someone", text, False) for i, text in enumerate(texts)
+    ]
+    mentions = build_mention_matrix(records, actors)
+    ids = actors.ids()
+    scopes = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
+    for record in records:
+        assert mentions[record.id] == _oracle_match(record.text, actors)
+        for scope in scopes:
+            assert sole_mention(mentions[record.id], actors, scope) == _oracle_sole_mention(
+                record.text, actors, scope
+            ), (record.text, scope)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from electionpulse._util import ConsistencyError
-from electionpulse.actors import Actor, ActorSet, sole_mention
+from electionpulse.actors import Actor, ActorSet, build_mention_matrix, match_actors, sole_mention
 from electionpulse.analytics import (
     BUCKET_LABELS,
     BUCKETS,
@@ -107,7 +107,8 @@ class TestSentimentSeries:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13)]
         scores = [SentimentScore(0.25, 0.6)]
-        series = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])
+        mentions = build_mention_matrix(tweets, actors)
+        series = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"])
         assert len(series) == 1
         cell = series[0].cells["12-14"]
         assert cell.count == 1
@@ -117,7 +118,10 @@ class TestSentimentSeries:
     def test_empty_cells_are_none_not_zero(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit",), 13)]
-        series = avg_sentiment_series(tweets, [SentimentScore(0.25, 0.6)], actors, ["willie_obiano"])
+        mentions = build_mention_matrix(tweets, actors)
+        series = avg_sentiment_series(
+            tweets, [SentimentScore(0.25, 0.6)], mentions, actors, ["willie_obiano"]
+        )
         cells = series[0].cells
         assert set(cells) == set(BUCKET_LABELS)
         assert [label for label, cell in cells.items() if cell is not None] == ["12-14"]
@@ -125,7 +129,10 @@ class TestSentimentSeries:
     def test_out_of_range_tweets_never_contribute(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano early start", ("earli", "start"), 5)]
-        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, ["willie_obiano"])
+        mentions = build_mention_matrix(tweets, actors)
+        series = avg_sentiment_series(
+            tweets, [SentimentScore(1.0, 1.0)], mentions, actors, ["willie_obiano"]
+        )
         assert all(cell is None for cell in series[0].cells.values())
 
     def test_non_sole_tweets_never_contribute(self) -> None:
@@ -133,33 +140,35 @@ class TestSentimentSeries:
         # Mentions two scoped identities, so it belongs to nobody.
         tweets = [make_tweet("t1", "obiano against apga rebels", ("rebel",), 13)]
         scope = ["willie_obiano", "apga"]
-        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, scope)
+        mentions = build_mention_matrix(tweets, actors)
+        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], mentions, actors, scope)
         for row in series:
             assert all(cell is None for cell in row.cells.values())
 
-    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set, scope) -> None:
+    def test_misaligned_scores_raise(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
         with pytest.raises(ConsistencyError):
-            avg_sentiment_series(kept, pattern_scores[:-1], actor_set, scope)
+            avg_sentiment_series(kept, pattern_scores[:-1], mentions, actor_set, scope)
 
     def test_scale_is_linear(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano wins", ("win",), 13)]
         scores = [SentimentScore(0.3, 0.5)]
-        x100 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=100.0)
-        x1 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=1.0)
+        mentions = build_mention_matrix(tweets, actors)
+        x100 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=100.0)
+        x1 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=1.0)
         assert x100[0].cells["12-14"].mean_polarity_x100 == pytest.approx(
             100.0 * x1[0].cells["12-14"].mean_polarity_x100
         )
 
-    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set, scope) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
+    def test_fixture_matches_brute_force(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
+        series = avg_sentiment_series(kept, pattern_scores, mentions, actor_set, scope)
         assert [row.actor_id for row in series] == scope
         groups: dict[tuple[str, str], list[SentimentScore]] = {}
         for tweet, score in zip(kept, pattern_scores):
             label = bucket_label(tweet.record.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(tweet, actor_set, scope)
+            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             groups.setdefault((owner, label), []).append(score)
@@ -176,11 +185,11 @@ class TestSentimentSeries:
                 assert cell.mean_polarity_x100 == pytest.approx(100 * mean_polarity, abs=1e-9)
                 assert cell.mean_subjectivity == pytest.approx(mean_subjectivity, abs=1e-9)
 
-    def test_bucket_counts_sum_to_sole_totals(self, kept, pattern_scores, actor_set, scope) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
+    def test_bucket_counts_sum_to_sole_totals(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
+        series = avg_sentiment_series(kept, pattern_scores, mentions, actor_set, scope)
         sole_totals = Counter()
         for tweet in kept:
-            owner = sole_mention(tweet, actor_set, scope)
+            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
             if owner is not None and bucket_label(tweet.record.created_at) != OUT_OF_RANGE:
                 sole_totals[owner] += 1
         for row in series:
@@ -241,7 +250,8 @@ class TestCooccurrence:
         # Tokens deliberately retain the alias word to prove the cloud
         # itself drops it.
         tweets = [make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)]
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
+        mentions = build_mention_matrix(tweets, actors)
+        table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
         assert table.key == "willie_obiano"
         assert dict(table.rows) == {"cheer": 1, "crowd": 1}
 
@@ -251,40 +261,42 @@ class TestCooccurrence:
             make_tweet("t1", "obiano cheers", ("cheer",), 10),
             make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11),
         ]
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
+        mentions = build_mention_matrix(tweets, actors)
+        table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
         assert dict(table.rows) == {"cheer": 1}
 
     def test_no_matching_tweets_is_empty(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "quiet day", ("quiet", "dai"), 10)]
-        assert cooccurrence_cloud(tweets, actors["apga"], actors).rows == []
+        mentions = build_mention_matrix(tweets, actors)
+        assert cooccurrence_cloud(tweets, actors["apga"], mentions, actors).rows == []
 
-    def test_fixture_running_mate_count(self, kept, actor_set) -> None:
+    def test_fixture_running_mate_count(self, kept, mentions, actor_set) -> None:
         # Three fixture tweets pair "ojukwu" with the apga alias.
-        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set)
+        table = cooccurrence_cloud(kept, actor_set["apga"], mentions, actor_set)
         assert dict(table.rows)["ojukwu"] == 3
         assert "apga" not in dict(table.rows)
 
-    def test_top_n_applies_after_exclusions(self, kept, actor_set) -> None:
-        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set, top_n=3)
+    def test_top_n_applies_after_exclusions(self, kept, mentions, actor_set) -> None:
+        table = cooccurrence_cloud(kept, actor_set["apga"], mentions, actor_set, top_n=3)
         assert len(table.rows) == 3
 
 
 class TestHeatmap:
-    def test_shape_covers_scope_and_buckets(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
+    def test_shape_covers_scope_and_buckets(self, kept, mentions, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, mentions, actor_set, scope, top_n=10)
         assert list(matrix) == scope
         for row in matrix.values():
             assert tuple(row) == BUCKET_LABELS
 
-    def test_cells_match_sole_mention_recount(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
+    def test_cells_match_sole_mention_recount(self, kept, mentions, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, mentions, actor_set, scope, top_n=10)
         grouped: dict[tuple[str, str], list] = {}
         for tweet in kept:
             label = bucket_label(tweet.record.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(tweet, actor_set, scope)
+            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(tweet)
@@ -298,8 +310,8 @@ class TestHeatmap:
                     assert cell.rows == expected.rows
                     assert cell.key == f"{actor_id}/{label}"
 
-    def test_fixture_has_known_empty_cells(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope)
+    def test_fixture_has_known_empty_cells(self, kept, mentions, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, mentions, actor_set, scope)
         empties = {
             actor_id: [label for label, cell in row.items() if cell is None]
             for actor_id, row in matrix.items()
@@ -313,29 +325,29 @@ class TestCombinedPolarity:
     def test_single_matching_tweet(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10)]
-        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
+        mentions = build_mention_matrix(tweets, actors)
+        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
         assert means == {"willie_obiano_apga": pytest.approx(0.5)}
 
     def test_no_matching_tweet_is_none(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano alone", ("alone",), 10)]
-        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
+        mentions = build_mention_matrix(tweets, actors)
+        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
         assert means == {"willie_obiano_apga": None}
 
-    def test_unknown_or_plain_actor_rejected(self, kept, pattern_scores, actor_set) -> None:
+    def test_unknown_or_plain_actor_rejected(self, kept, mentions, pattern_scores, actor_set) -> None:
         with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, actor_set, ["nobody"])
+            combined_avg_polarity(kept, pattern_scores, mentions, actor_set, ["nobody"])
         with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, actor_set, ["willie_obiano"])
+            combined_avg_polarity(kept, pattern_scores, mentions, actor_set, ["willie_obiano"])
 
-    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set) -> None:
+    def test_misaligned_scores_raise(self, kept, mentions, pattern_scores, actor_set) -> None:
         with pytest.raises(ConsistencyError):
-            combined_avg_polarity(kept[:-1], pattern_scores, actor_set)
+            combined_avg_polarity(kept[:-1], pattern_scores, mentions, actor_set)
 
-    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set) -> None:
-        from electionpulse.actors import match_actors
-
-        means = combined_avg_polarity(kept, pattern_scores, actor_set)
+    def test_fixture_matches_brute_force(self, kept, mentions, pattern_scores, actor_set) -> None:
+        means = combined_avg_polarity(kept, pattern_scores, mentions, actor_set)
         assert set(means) == {actor.id for actor in actor_set.combined()}
         for actor in actor_set.combined():
             values = [
@@ -347,3 +359,31 @@ class TestCombinedPolarity:
                 assert means[actor.id] is None
             else:
                 assert means[actor.id] == pytest.approx(sum(values) / len(values), abs=1e-12)
+
+
+class TestMentionTable:
+    def test_tweet_missing_from_the_table_raises(self) -> None:
+        actors = pair_set()
+        tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10)]
+        scores = [SentimentScore(0.5, 0.5)]
+        calls = [
+            lambda: avg_sentiment_series(tweets, scores, {}, actors, ["willie_obiano"]),
+            lambda: frequency_heatmap(tweets, {}, actors, ["willie_obiano"]),
+            lambda: cooccurrence_cloud(tweets, actors["apga"], {}, actors),
+            lambda: combined_avg_polarity(tweets, scores, {}, actors),
+        ]
+        for call in calls:
+            with pytest.raises(ConsistencyError):
+                call()
+
+    def test_the_table_is_read_not_the_text(self) -> None:
+        # The text names nobody; the table alone attributes the tweet.
+        actors = pair_set()
+        tweets = [make_tweet("t1", "quiet day", ("quiet",), 10)]
+        mentions = {"t1": frozenset({"willie_obiano"})}
+        cloud = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
+        assert cloud.rows == [("quiet", 1)]
+        series = avg_sentiment_series(
+            tweets, [SentimentScore(0.5, 0.5)], mentions, actors, ["willie_obiano"]
+        )
+        assert series[0].cells["10-12"].count == 1

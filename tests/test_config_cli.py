@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import electionpulse.cli as cli_module
+from electionpulse import actors as actors_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import parse_tweet_stream
@@ -231,6 +236,48 @@ class TestCliRuns:
             "heatmap": 3,
             "topics": 5,
         }
+
+    def test_preprocess_stage_times_dataset_stats(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        real = cli_module.dataset_stats
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "dataset_stats", slow)
+        assert main(["counts", "--config", config_factory()]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        seconds = {stage["name"]: stage["seconds"] for stage in manifest["stages"]}
+        assert seconds["preprocess"] >= 0.05
+
+    @pytest.mark.parametrize("args", [["all"], ["topics", "--group", "apga"]])
+    def test_each_record_is_matched_once(self, args, config_factory, monkeypatch) -> None:
+        original = actors_module.match_actors
+        matched_ids = []
+
+        def counting(tweet, actors):
+            matched_ids.append(tweet.id)
+            return original(tweet, actors)
+
+        # Swap every name the package bound match_actors to, not just one.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("electionpulse"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        assert main([*args, "--config", config_factory()]) == 0
+        assert len(matched_ids) == 50
+        assert len(set(matched_ids)) == 50
+
+    def test_input_digest_is_of_the_parsed_bytes(
+        self, config_factory, fixtures_dir, tmp_path
+    ) -> None:
+        assert main(["ingest", "--config", config_factory()]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        expected = hashlib.sha256((fixtures_dir / "tweets_50.jsonl").read_bytes()).hexdigest()
+        assert manifest["input_digest"] == "sha256:" + expected
 
     def test_manifest_spelling_activity(self, config_factory, fixtures_dir, dictionary, tmp_path) -> None:
         assert main(["sentiment", "--config", config_factory()]) == 0

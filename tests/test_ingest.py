@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import random
 from datetime import timedelta, timezone
@@ -10,6 +11,7 @@ from datetime import timedelta, timezone
 import pytest
 
 from electionpulse._util import ConsistencyError
+from electionpulse.actors import match_actors
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
     dataset_stats,
@@ -121,10 +123,27 @@ class TestParsing:
         with pytest.raises(OSError):
             parse_tweet_stream(str(tmp_path / "absent.jsonl"))
 
+    def test_path_source_reports_the_digest_of_its_bytes(self, fixtures_dir) -> None:
+        path = fixtures_dir / "tweets_50.jsonl"
+        _, report = parse_tweet_stream(str(path))
+        assert report.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_digest_covers_a_last_line_without_newline(self, tmp_path) -> None:
+        payload = (line() + "\n" + "not json").encode("utf-8")
+        path = tmp_path / "tail.jsonl"
+        path.write_bytes(payload)
+        records, report = parse_tweet_stream(str(path))
+        assert (len(records), report.lines_skipped) == (1, 1)
+        assert report.sha256 == hashlib.sha256(payload).hexdigest()
+
+    def test_non_path_source_has_no_digest(self) -> None:
+        _, report = parse_tweet_stream([line()])
+        assert report.sha256 is None
+
 
 class TestDatasetStats:
-    def test_fixture_counts(self, records, kept, actor_set) -> None:
-        stats = dataset_stats(records, kept, actor_set)
+    def test_fixture_counts(self, records, kept, mentions, actor_set) -> None:
+        stats = dataset_stats(records, kept, mentions, actor_set)
         assert stats.total_raw == 50
         assert stats.total_kept == 43
         group = stats.per_group
@@ -136,16 +155,16 @@ class TestDatasetStats:
         # 27 of 43 kept tweets mention at least one actor.
         assert stats.coverage_pct == 62.79
 
-    def test_order_invariance(self, records, kept, actor_set) -> None:
+    def test_order_invariance(self, records, kept, mentions, actor_set) -> None:
         shuffled_records = list(records)
         shuffled_kept = list(kept)
         random.Random(7).shuffle(shuffled_records)
         random.Random(8).shuffle(shuffled_kept)
-        stats = dataset_stats(shuffled_records, shuffled_kept, actor_set)
-        assert stats == dataset_stats(records, kept, actor_set)
+        stats = dataset_stats(shuffled_records, shuffled_kept, mentions, actor_set)
+        assert stats == dataset_stats(records, kept, mentions, actor_set)
 
-    def test_combined_never_exceeds_components(self, records, kept, actor_set) -> None:
-        stats = dataset_stats(records, kept, actor_set)
+    def test_combined_never_exceeds_components(self, records, kept, mentions, actor_set) -> None:
+        stats = dataset_stats(records, kept, mentions, actor_set)
         for actor in actor_set:
             if actor.components is None:
                 continue
@@ -158,23 +177,34 @@ class TestDatasetStats:
                 stats.per_group[candidate].kept, stats.per_group[party].kept
             )
 
-    def test_kept_must_be_subset_of_records(self, records, kept, actor_set) -> None:
+    def test_kept_must_be_subset_of_records(self, records, kept, mentions, actor_set) -> None:
         stranger = kept[0].__class__(
             record_id="not-a-real-id", tokens=("x",), raw_token_count=1
         )
         with pytest.raises(ConsistencyError):
-            dataset_stats(records, list(kept) + [stranger], actor_set)
+            dataset_stats(records, list(kept) + [stranger], mentions, actor_set)
 
     def test_empty_population(self, actor_set) -> None:
-        stats = dataset_stats([], [], actor_set)
+        stats = dataset_stats([], [], {}, actor_set)
         assert stats.total_raw == 0
         assert stats.coverage_pct == 0.0
 
+    def test_mention_table_must_cover_exactly_the_records(
+        self, records, kept, mentions, actor_set
+    ) -> None:
+        missing = dict(mentions)
+        del missing[kept[0].record_id]
+        with pytest.raises(ConsistencyError):
+            dataset_stats(records, kept, missing, actor_set)
+        extra = dict(mentions, stranger=frozenset({"apga"}))
+        with pytest.raises(ConsistencyError):
+            dataset_stats(records, kept, extra, actor_set)
+
 
 class TestExport:
-    def test_round_trip(self, kept, actor_set, tmp_path) -> None:
+    def test_round_trip(self, kept, mentions, actor_set, tmp_path) -> None:
         path = tmp_path / "tweets.csv"
-        export_records(kept, str(path), actor_set)
+        export_records(kept, str(path), mentions, actor_set)
         with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
         header, body = rows[0], rows[1:]
@@ -191,13 +221,28 @@ class TestExport:
             }
             assert set(flags.values()) <= {True, False}
 
-    def test_requires_source_records(self, kept, actor_set, tmp_path) -> None:
+    def test_requires_source_records(self, kept, mentions, actor_set, tmp_path) -> None:
         orphan = kept[0].__class__(record_id="x", tokens=("a",), raw_token_count=1)
         with pytest.raises(ValueError):
-            export_records([orphan], str(tmp_path / "x.csv"), actor_set)
+            export_records([orphan], str(tmp_path / "x.csv"), mentions, actor_set)
 
-    def test_uses_crlf_line_endings(self, kept, actor_set, tmp_path) -> None:
+    def test_uses_crlf_line_endings(self, kept, mentions, actor_set, tmp_path) -> None:
         path = tmp_path / "tweets.csv"
-        export_records(kept, str(path), actor_set)
+        export_records(kept, str(path), mentions, actor_set)
         raw = path.read_bytes()
         assert raw.count(b"\r\n") == len(kept) + 1
+
+    def test_flags_are_the_actors_named_in_the_text(
+        self, kept, mentions, actor_set, tmp_path
+    ) -> None:
+        path = tmp_path / "tweets.csv"
+        export_records(kept, str(path), mentions, actor_set)
+        with open(path, encoding="utf-8", newline="") as handle:
+            header, *body = list(csv.reader(handle))
+        for tweet, row in zip(kept, body):
+            named = match_actors(tweet.record.text, actor_set)
+            assert {a for a, flag in zip(header[4:], row[4:]) if flag == "true"} == named
+
+    def test_tweet_missing_from_the_table_raises(self, kept, actor_set, tmp_path) -> None:
+        with pytest.raises(ConsistencyError):
+            export_records(kept, str(tmp_path / "x.csv"), {}, actor_set)
