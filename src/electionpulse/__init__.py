@@ -2,7 +2,8 @@
 
 Library layout:
 
-- ``ingest``      JSON-lines parsing, dataset statistics, CSV export
+- ``ingest``      JSON-lines parsing, the one pass over records, dataset
+                  statistics, CSV export
 - ``preprocess``  clean / tokenize / spell-correct / stopword-filter / stem
 - ``sentiment``   pattern-lexicon and sense-lexicon scorers plus a Naive
                   Bayes classifier and distribution summaries

@@ -6,8 +6,9 @@ phrases appears contiguously in the cleaned, unstemmed token stream of a
 tweet (stems mangle proper names, so matching never runs on stems). A
 combined actor matches exactly when both of its components match.
 
-A run matches each raw record once, in ``build_mention_matrix``; every
-count, export column and analytics filter then reads that mention table.
+A run matches each raw record once, on the surface tokens it shares with
+preprocessing (``ingest.preprocess_records``); every count, export column
+and analytics filter then reads that mention table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence, Set as Abstra
 from dataclasses import dataclass, field
 
 from ._util import ConsistencyError
-from .preprocess import ProcessedTweet, clean, tokenize
+from .preprocess import stem
 
 KINDS = ("candidate", "party", "combined")
 
@@ -58,6 +59,7 @@ class ActorSet:
         self._pairs = tuple(
             (actor.id, actor.components) for actor in self.actors if actor.kind == "combined"
         )
+        self._exclusions: frozenset[str] | None = None
 
     def __iter__(self) -> Iterator[Actor]:
         return iter(self.actors)
@@ -84,6 +86,17 @@ class ActorSet:
             for alias in actor.aliases:
                 words.update(alias.split())
         return words
+
+    def exclusion_words(self) -> frozenset[str]:
+        """Every alias word plus its stem, stemmed on the first call only.
+
+        Frequency tables rank stemmed tokens, so excluding the surface
+        alias alone would still let its stem through.
+        """
+        if self._exclusions is None:
+            words = self.alias_words()
+            self._exclusions = frozenset(words | {stem(word) for word in words})
+        return self._exclusions
 
     def validate(self) -> list[str]:
         problems: list[str] = []
@@ -178,7 +191,7 @@ def load_actor_file(path: str) -> ActorSet:
 
 
 # Record id -> ids of the actors that record mentions: the mention table,
-# built once per run by build_mention_matrix.
+# built once per run by ingest.preprocess_records.
 Mentions = Mapping[str, frozenset[str]]
 
 
@@ -199,19 +212,9 @@ def _contains_phrase(
     return False
 
 
-def _text_of(tweet) -> str:
-    if isinstance(tweet, str):
-        return tweet
-    if isinstance(tweet, ProcessedTweet):
-        if tweet.record is None:
-            raise ValueError(f"tweet {tweet.record_id!r} lacks its source record")
-        return tweet.record.text
-    return tweet.text
-
-
-def match_actors(tweet, actors: ActorSet) -> set[str]:
-    """Actor ids mentioned in a tweet (raw text, TweetRecord or ProcessedTweet)."""
-    tokens = tokenize(clean(_text_of(tweet)))
+def match_actors(tokens: Sequence[str], actors: ActorSet) -> set[str]:
+    """Actor ids mentioned in a tweet, given its cleaned, unstemmed tokens
+    (``preprocess.text_tokens`` of the raw text)."""
     present = set(tokens)
     matched: set[str] = set()
     for actor_id, phrases in actors._phrases:
@@ -245,21 +248,6 @@ def sole_mention(
     if len(hits) == 1:
         return next(iter(hits))
     return None
-
-
-def build_mention_matrix(tweets: Iterable, actors: ActorSet) -> dict[str, frozenset[str]]:
-    """Match every tweet (TweetRecord or ProcessedTweet) once.
-
-    Equal matched sets share one interned frozenset, so the table costs a
-    pointer per tweet however many tweets name the same actors.
-    """
-    interned: dict[frozenset[str], frozenset[str]] = {}
-    matches = {}
-    for tweet in tweets:
-        tweet_id = getattr(tweet, "record_id", None) or tweet.id
-        matched = frozenset(match_actors(tweet, actors))
-        matches[tweet_id] = interned.setdefault(matched, matched)
-    return matches
 
 
 def mentions_of(mentions: Mentions, tweet_id: str) -> frozenset[str]:

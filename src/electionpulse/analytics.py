@@ -7,7 +7,7 @@ tweets are emitted as explicit empty markers (None), never as zero means:
 a fabricated zero would read as neutral sentiment.
 
 Which actors a tweet mentions is read from the run's mention table
-(``actors.build_mention_matrix``), keyed by record id; a tweet missing
+(``ingest.preprocess_records``), keyed by record id; a tweet missing
 from it raises ConsistencyError.
 """
 
@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from ._util import ConsistencyError
 from .actors import Actor, ActorSet, Mentions, mentions_of, sole_mention
-from .preprocess import ProcessedTweet, stem
+from .preprocess import ProcessedTweet
 from .sentiment import SentimentScore
 
 OUT_OF_RANGE = "out_of_range"
@@ -163,16 +163,6 @@ def _as_exclusion_set(exclusions: Iterable[str] | None) -> set[str]:
     return {word.lower() for word in exclusions}
 
 
-def actor_exclusions(actors: ActorSet) -> set[str]:
-    """Alias words of every configured actor, plus their stems.
-
-    Tables rank stemmed tokens, so excluding the surface alias alone
-    would still let its stem through.
-    """
-    words = actors.alias_words()
-    return words | {stem(word) for word in words}
-
-
 def cooccurrence_cloud(
     tweets: Sequence[ProcessedTweet],
     actor: Actor,
@@ -182,7 +172,7 @@ def cooccurrence_cloud(
     top_n: int | None = None,
 ) -> FrequencyTable:
     """Term counts over tweets mentioning the actor, actor names excluded."""
-    excluded = _as_exclusion_set(exclusions) | actor_exclusions(actors)
+    excluded = _as_exclusion_set(exclusions) | actors.exclusion_words()
     matching = [
         tweet for tweet in tweets if actor.id in mentions_of(mentions, tweet.record_id)
     ]

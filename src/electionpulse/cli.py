@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, analytics, topics
-from .actors import build_mention_matrix, mentions_of
+from .actors import mentions_of
 from .config import ConfigError, RunConfig, validate_config
 from .ingest import (
     DatasetStats,
@@ -33,15 +33,18 @@ from .ingest import (
     dataset_stats,
     export_records,
     parse_tweet_stream,
+    preprocess_records,
 )
 from .preprocess import (
     PipelineConfig,
     ProcessedTweet,
     load_stopwords,
-    preprocess_pipeline,
-    process_text,
+    process_tokens,
+    text_tokens,
 )
 from .sentiment import (
+    ENGINES,
+    EngineScores,
     SenseLexicon,
     SentimentScore,
     compare_classifiers,
@@ -57,23 +60,27 @@ from .spelling import SpellingDictionary, load_dictionary
 
 @dataclass
 class _RunState:
-    """Everything a stage needs, loaded once per run."""
+    """Everything a stage needs, loaded or computed once per run."""
 
     config: RunConfig
-    pipeline: PipelineConfig
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     records: list = field(default_factory=list)
     report: ParseReport | None = None
     mentions: dict[str, frozenset[str]] = field(default_factory=dict)
     kept: list[ProcessedTweet] = field(default_factory=list)
+    excluded: dict[str, int] = field(default_factory=dict)
     stats: DatasetStats | None = None
     pattern_lexicon: dict = field(default_factory=dict)
     negators: frozenset = frozenset()
     sense_lexicon: SenseLexicon | None = None
+    scored: dict[str, EngineScores] = field(default_factory=dict)
     scores: list[SentimentScore] = field(default_factory=list)
     stages: list[dict] = field(default_factory=list)
 
 
-def _load_state(config: RunConfig) -> _RunState:
+def _load(state: _RunState) -> int:
+    """Load the word lists and lexicons; returns the number of files read."""
+    config = state.config
     stopwords = load_stopwords(config.stopwords_path)
     if config.extra_stopwords_from_actors:
         stopwords = stopwords.with_extra(config.actor_set.alias_words())
@@ -81,17 +88,17 @@ def _load_state(config: RunConfig) -> _RunState:
         dictionary = load_dictionary(config.dictionary_path)
     else:
         dictionary = SpellingDictionary()
-    pipeline = PipelineConfig(
+    state.pipeline = PipelineConfig(
         stopwords=stopwords,
         dictionary=dictionary,
         spellcheck=config.spellcheck,
         stemming=config.stemming,
     )
-    state = _RunState(config=config, pipeline=pipeline)
     state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
     state.negators = load_negators(config.negators_path)
     state.sense_lexicon = load_sense_lexicon(config.sense_lexicon_path)
-    return state
+    # stopwords, pattern lexicon, negators, senses, and the dictionary if any
+    return 4 + bool(config.dictionary_path)
 
 
 def _timed(state: _RunState, name: str, worker) -> None:
@@ -111,24 +118,17 @@ def _ingest(state: _RunState) -> None:
     config = state.config
 
     def worker():
-        records, report = parse_tweet_stream(
+        state.records, state.report = parse_tweet_stream(
             config.input_path, field_map=config.field_map, tz=config.tz
         )
-        state.records = records
-        state.report = report
-        state.mentions = build_mention_matrix(records, config.actor_set)
-        return len(records)
+        return len(state.records)
 
     _timed(state, "ingest", worker)
 
     def preprocess_worker():
-        state.kept = [
-            tweet
-            for tweet in (
-                preprocess_pipeline(record, state.pipeline) for record in state.records
-            )
-            if tweet is not None
-        ]
+        state.kept, state.mentions, state.excluded = preprocess_records(
+            state.records, state.pipeline, config.actor_set
+        )
         state.stats = dataset_stats(
             state.records, state.kept, state.mentions, config.actor_set
         )
@@ -137,17 +137,24 @@ def _ingest(state: _RunState) -> None:
     _timed(state, "preprocess", preprocess_worker)
 
 
-def _score(state: _RunState) -> list[SentimentScore]:
-    if not state.scores:
-        polarity_vals, subjectivity_vals = score_all(
+def _scored(state: _RunState, engine: str) -> EngineScores:
+    """The engine's scores of the kept tweets, computed on first use."""
+    if engine not in state.scored:
+        state.scored[engine] = score_all(
             state.kept,
-            state.config.engine,
+            engine,
             pattern_lexicon=state.pattern_lexicon,
             negators=state.negators,
             sense_lexicon=state.sense_lexicon,
         )
+    return state.scored[engine]
+
+
+def _score(state: _RunState) -> list[SentimentScore]:
+    if not state.scores:
+        scored = _scored(state, state.config.engine)
         state.scores = [
-            SentimentScore(p, s) for p, s in zip(polarity_vals, subjectivity_vals)
+            SentimentScore(p, s) for p, s in zip(scored.polarity, scored.subjectivity)
         ]
     return state.scores
 
@@ -186,10 +193,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
     table = compare_classifiers(
-        state.kept,
-        pattern_lexicon=state.pattern_lexicon,
-        negators=state.negators,
-        sense_lexicon=state.sense_lexicon,
+        {engine: _scored(state, engine).polarity for engine in ENGINES}
     )
     with open(os.path.join(staging, "compare.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -353,7 +357,7 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
             if not row or row[0].strip().lower() == "label":
                 continue
             label, text = row[0].strip(), row[1]
-            tokens, _ = process_text(text, state.pipeline)
+            tokens = process_tokens(text_tokens(text), state.pipeline)
             docs.append((tokens, label))
     model = nbc_train(docs, options.get("alpha") or 1.0)
     payload = {
@@ -396,9 +400,9 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     staging = tempfile.mkdtemp(prefix=".staging-", dir=config.output_dir)
     status = "ok"
     error = None
-    state = None
+    state = _RunState(config=config)
     try:
-        state = _load_state(config)
+        _timed(state, "load", lambda: _load(state))
         _ingest(state)
         stages = _ALL_STAGES if subcommand == "all" else (subcommand,)
         for stage in stages:
@@ -422,7 +426,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         "started_at": started_at.isoformat(),
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started_clock, 6),
-        "stages": state.stages if state else [],
+        "stages": state.stages,
         "dataset": _dataset_section(state),
     }
     _write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
@@ -432,15 +436,15 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     return 0
 
 
-def _input_digest(state: _RunState | None) -> str | None:
+def _input_digest(state: _RunState) -> str | None:
     """The digest of the input bytes the run parsed, or None if it parsed none."""
-    if state is None or state.report is None or state.report.sha256 is None:
+    if state.report is None or state.report.sha256 is None:
         return None
     return "sha256:" + state.report.sha256
 
 
-def _dataset_section(state: _RunState | None) -> dict | None:
-    if state is None or state.stats is None:
+def _dataset_section(state: _RunState) -> dict | None:
+    if state.stats is None:
         return None
     return {
         "lines_read": state.report.lines_read,
@@ -448,7 +452,9 @@ def _dataset_section(state: _RunState | None) -> dict | None:
         "total_raw": state.stats.total_raw,
         "total_kept": state.stats.total_kept,
         "coverage_pct": state.stats.coverage_pct,
+        "excluded": state.excluded,
         "spelling": state.pipeline.dictionary.activity(),
+        "lexicon": {engine: scored.coverage() for engine, scored in state.scored.items()},
     }
 
 

@@ -4,6 +4,10 @@ Reads: JSON-lines files, one tweet object per line, UTF-8. Field
 locations are configurable through a dot-path table with "|"-separated
 alternatives (default fits Twitter's classic payload shape).
 
+Preprocesses: one pass over the parsed records cleans and tokenizes each
+record once, matches its actors on those tokens and, unless it is a
+retweet, runs the rest of the token pipeline on them.
+
 Writes: an RFC-4180 CSV export of preprocessed tweets with one boolean
 column per configured actor.
 
@@ -20,12 +24,18 @@ import unicodedata
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
-from typing import IO
+from typing import IO, NamedTuple
 
 from ._util import ConsistencyError, parse_timestamp, pct
-from .actors import ActorSet, Mentions, group_counts, mentions_of
+from .actors import ActorSet, Mentions, group_counts, match_actors, mentions_of
 from .analytics import bucket_label
-from .preprocess import ProcessedTweet
+from .preprocess import (
+    PipelineConfig,
+    ProcessedTweet,
+    is_retweet,
+    preprocess_pipeline,
+    text_tokens,
+)
 
 # Dot paths into the line's JSON object; "|" separates alternatives tried
 # in order. id, created_at and text are required for a line to count.
@@ -60,6 +70,15 @@ class ParseReport:
     records_produced: int
     lines_skipped: int
     sha256: str | None = None  # hex digest of the bytes parsed from a path source
+
+
+class Preprocessed(NamedTuple):
+    """The one pass's output: kept tweets in record order, the mention
+    table of every record (retweets included), and rejections by reason."""
+
+    kept: list[ProcessedTweet]
+    mentions: dict[str, frozenset[str]]
+    excluded: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,37 @@ def parse_tweet_stream(
     return records, ParseReport(
         lines_read, len(records), skipped, digest.hexdigest() if digest else None
     )
+
+
+def preprocess_records(
+    records: Iterable[TweetRecord], pipeline: PipelineConfig, actors: ActorSet
+) -> Preprocessed:
+    """Clean and tokenize each record once; match and preprocess from those tokens.
+
+    Every record gets a mention-table entry; equal matched sets share one
+    interned frozenset, so the table costs a pointer per record however
+    many records name the same actors. Retweets stop there. The rest go
+    through ``preprocess_pipeline`` and are kept unless no token survives
+    filtering. ``excluded`` counts both rejections: ``retweet`` and
+    ``empty_after_filtering``.
+    """
+    interned: dict[frozenset[str], frozenset[str]] = {}
+    mentions: dict[str, frozenset[str]] = {}
+    kept: list[ProcessedTweet] = []
+    excluded = {"retweet": 0, "empty_after_filtering": 0}
+    for record in records:
+        tokens = text_tokens(record.text)
+        matched = frozenset(match_actors(tokens, actors))
+        mentions[record.id] = interned.setdefault(matched, matched)
+        if is_retweet(record):
+            excluded["retweet"] += 1
+            continue
+        tweet = preprocess_pipeline(record, tokens, pipeline)
+        if tweet is None:
+            excluded["empty_after_filtering"] += 1
+        else:
+            kept.append(tweet)
+    return Preprocessed(kept, mentions, excluded)
 
 
 def dataset_stats(

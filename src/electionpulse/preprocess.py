@@ -2,15 +2,17 @@
 
 The pipeline runs the steps in that fixed order so that spelling
 correction sees surface words (never stems) and stemming sees only
-dictionary-corrected, stopword-free tokens. Retweets are rejected before
-any text work.
+dictionary-corrected, stopword-free tokens. A run cleans and tokenizes
+each record once (``text_tokens``); actor matching and, for records that
+are not retweets, the token steps (``preprocess_pipeline``) share those
+tokens.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -123,20 +125,27 @@ def stem(token: str) -> str:
     return token
 
 
+def text_tokens(text: str) -> list[str]:
+    """Clean then tokenize: the surface tokens that matching and the
+    token steps share."""
+    return tokenize(clean(text))
+
+
 @dataclass
 class PipelineConfig:
-    """Knobs the preprocessing pipeline needs from the run configuration."""
+    """Knobs the preprocessing pipeline needs from the run configuration,
+    plus the run's stem memo (token -> stem), so each distinct token is
+    stemmed once per run."""
 
     stopwords: StopwordSet = field(default_factory=StopwordSet)
     dictionary: Mapping[str, int] = field(default_factory=dict)
     spellcheck: bool = True
     stemming: bool = True
+    stems: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def process_text(text: str, config: PipelineConfig) -> tuple[list[str], int]:
-    """The token steps alone: returns (final tokens, count before filtering)."""
-    tokens = tokenize(clean(text))
-    raw_count = len(tokens)
+def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
+    """The token steps on clean surface tokens: correct, filter, stem."""
     if config.spellcheck:
         tokens = [
             correct_spelling(tok, config.dictionary)
@@ -146,24 +155,31 @@ def process_text(text: str, config: PipelineConfig) -> tuple[list[str], int]:
         ]
     tokens = [tok for tok in tokens if tok not in config.stopwords]
     if config.stemming:
-        tokens = [stem(tok) for tok in tokens]
-    return tokens, raw_count
+        stems = config.stems
+        stemmed = []
+        for tok in tokens:
+            result = stems.get(tok)
+            if result is None:
+                result = stems[tok] = stem(tok)
+            stemmed.append(result)
+        tokens = stemmed
+    return tokens
 
 
-def preprocess_pipeline(record: "TweetRecord", config: PipelineConfig) -> ProcessedTweet | None:
-    """Run clean -> tokenize -> correct -> filter -> stem on one record.
+def preprocess_pipeline(
+    record: "TweetRecord", tokens: Sequence[str], config: PipelineConfig
+) -> ProcessedTweet | None:
+    """Correct -> filter -> stem one non-retweet record's surface tokens
+    (``text_tokens(record.text)``).
 
-    Returns None (rejected) for retweets and for tweets with no tokens
-    left after filtering.
+    Returns None (rejected) when no token is left after filtering.
     """
-    if is_retweet(record):
-        return None
-    tokens, raw_count = process_text(record.text, config)
-    if not tokens:
+    final = process_tokens(tokens, config)
+    if not final:
         return None
     return ProcessedTweet(
         record_id=record.id,
-        tokens=tuple(tokens),
-        raw_token_count=raw_count,
+        tokens=tuple(final),
+        raw_token_count=len(tokens),
         record=record,
     )

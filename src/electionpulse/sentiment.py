@@ -7,8 +7,13 @@ Two lexicon engines share one scoring contract:
   that flips a matched word's polarity sign and halves its magnitude.
 - ``swn``: a SentiWordNet-3.0-format sense lexicon; per-word positive and
   negative scores are rank-weighted averages over senses (weight
-  1/sense_rank), polarity is the mean of (pos - neg) over matched tokens,
-  and subjectivity is 1 minus the mean objectivity of matched tokens.
+  1/sense_rank), computed once per lemma when the lexicon loads; polarity
+  is the mean of (pos - neg) over matched tokens, and subjectivity is 1
+  minus the mean objectivity of matched tokens, both from one pass.
+
+``score_all`` scores a tweet population with one engine and counts the
+engine's lexicon coverage on the same pass; ``compare_classifiers`` turns
+the per-engine polarities into distributions without scoring again.
 
 The Naive Bayes classifier is the multinomial, Laplace-smoothed textbook
 construction and exists alongside the lexicon engines because label
@@ -23,9 +28,9 @@ import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, NamedTuple
 
-from ._util import pct
+from ._util import ConsistencyError, pct
 from .preprocess import ProcessedTweet
 
 ENGINES = ("pattern", "swn")
@@ -97,7 +102,12 @@ class PatternEntry:
 
 @dataclass
 class SenseLexicon:
-    """Sense entries indexed by lemma, plus load-time rejection counts."""
+    """Sense entries indexed by lemma, plus load-time rejection counts.
+
+    Each lemma's rank-weighted (pos, neg) over all its senses, each sense
+    weighted 1/sense_rank and the sums normalized by the total weight, is
+    computed here, once, for ``swn_word_sentiment`` to look up.
+    """
 
     entries: list[SenseEntry] = field(default_factory=list)
     rows_read: int = 0
@@ -107,6 +117,17 @@ class SenseLexicon:
         self._by_lemma: dict[str, list[SenseEntry]] = defaultdict(list)
         for entry in self.entries:
             self._by_lemma[entry.lemma].append(entry)
+        self._word_scores: dict[str, tuple[float, float]] = {}
+        for lemma, senses in self._by_lemma.items():
+            total_weight = 0.0
+            pos = 0.0
+            neg = 0.0
+            for sense in senses:
+                weight = 1.0 / sense.sense_rank
+                total_weight += weight
+                pos += sense.pos_score * weight
+                neg += sense.neg_score * weight
+            self._word_scores[lemma] = (pos / total_weight, neg / total_weight)
 
     def senses(self, lemma: str) -> list[SenseEntry]:
         return self._by_lemma.get(lemma.lower(), [])
@@ -177,44 +198,27 @@ def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float]
     """Rank-weighted (pos, neg) over every sense of the lemma, or None.
 
     Senses across all pos tags participate; each contributes with weight
-    1/sense_rank and the result is normalized by the total weight.
+    1/sense_rank and the result is normalized by the total weight. The
+    pair was computed when the lexicon loaded.
     """
-    senses = lexicon.senses(lemma)
-    if not senses:
-        return None
-    total_weight = 0.0
-    pos = 0.0
-    neg = 0.0
-    for sense in senses:
-        weight = 1.0 / sense.sense_rank
-        total_weight += weight
-        pos += sense.pos_score * weight
-        neg += sense.neg_score * weight
-    return pos / total_weight, neg / total_weight
+    return lexicon._word_scores.get(lemma.lower())
 
 
-def swn_polarity(tokens: Sequence[str], lexicon: SenseLexicon) -> float:
-    """Mean of (pos - neg) over tokens found in the lexicon; 0 if none."""
-    values = []
+def swn_score(tokens: Sequence[str], lexicon: SenseLexicon) -> SentimentScore:
+    """Mean (pos - neg) and mean (pos + neg), i.e. 1 - mean objectivity,
+    over tokens found in the lexicon; (0, 0) if none."""
+    return _mean_score(*_swn_matches(tokens, lexicon))
+
+
+def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[float], list[float]]:
+    polarity_values = []
+    subjectivity_values = []
     for token in tokens:
         scores = swn_word_sentiment(lexicon, token)
         if scores is not None:
-            values.append(scores[0] - scores[1])
-    if not values:
-        return 0.0
-    return _clamp(sum(values) / len(values), -1.0, 1.0)
-
-
-def swn_subjectivity(tokens: Sequence[str], lexicon: SenseLexicon) -> float:
-    """1 - mean objectivity over matched tokens; 0 when nothing matches."""
-    values = []
-    for token in tokens:
-        scores = swn_word_sentiment(lexicon, token)
-        if scores is not None:
-            values.append(scores[0] + scores[1])
-    if not values:
-        return 0.0
-    return _clamp(sum(values) / len(values), 0.0, 1.0)
+            polarity_values.append(scores[0] - scores[1])
+            subjectivity_values.append(scores[0] + scores[1])
+    return polarity_values, subjectivity_values
 
 
 def load_pattern_lexicon(source: str | IO[str] | Iterable[str]) -> dict[str, PatternEntry]:
@@ -273,6 +277,14 @@ def pattern_score(
     word's polarity sign and halves its magnitude; subjectivity is never
     negated. No matches at all score (0, 0).
     """
+    return _mean_score(*_pattern_matches(tokens, lexicon, negators))
+
+
+def _pattern_matches(
+    tokens: Sequence[str],
+    lexicon: Mapping[str, PatternEntry],
+    negators: frozenset[str] | set[str],
+) -> tuple[list[float], list[float]]:
     polarity_values = []
     subjectivity_values = []
     for index, token in enumerate(tokens):
@@ -284,11 +296,33 @@ def pattern_score(
             value = -value / 2.0
         polarity_values.append(value)
         subjectivity_values.append(entry.subjectivity)
+    return polarity_values, subjectivity_values
+
+
+def _mean_score(polarity_values: list[float], subjectivity_values: list[float]) -> SentimentScore:
+    # One value per matched token, for either engine.
     if not polarity_values:
         return SentimentScore(0.0, 0.0)
     polarity = _clamp(sum(polarity_values) / len(polarity_values), -1.0, 1.0)
     subjectivity = _clamp(sum(subjectivity_values) / len(subjectivity_values), 0.0, 1.0)
     return SentimentScore(polarity, subjectivity)
+
+
+class EngineScores(NamedTuple):
+    """One engine's scores, aligned with the tweets it scored, plus its
+    lexicon coverage: tweets with at least one matched token, and matched
+    tokens out of all tokens scored."""
+
+    polarity: list[float]
+    subjectivity: list[float]
+    tweets_hit: int
+    tokens_hit: int
+    tokens: int
+
+    def coverage(self) -> dict[str, int | float]:
+        """The manifest's ``dataset.lexicon`` entry for this engine."""
+        rate = round(self.tokens_hit / self.tokens, 6) if self.tokens else 0.0
+        return {"tweets_hit": self.tweets_hit, "token_hit_rate": rate}
 
 
 def score_all(
@@ -298,27 +332,31 @@ def score_all(
     pattern_lexicon: Mapping[str, PatternEntry] | None = None,
     negators: frozenset[str] | set[str] = frozenset(),
     sense_lexicon: SenseLexicon | None = None,
-) -> tuple[list[float], list[float]]:
-    """Score every tweet with one engine; outputs align with the input."""
+) -> EngineScores:
+    """Score every tweet with one engine, counting lexicon coverage on the
+    same pass; the score lists align with the input."""
     if engine not in ENGINES:
         raise ValueError(f"engine {engine!r} not one of {ENGINES}")
+    if engine == "pattern" and pattern_lexicon is None:
+        raise ValueError("pattern engine needs a pattern lexicon")
+    if engine == "swn" and sense_lexicon is None:
+        raise ValueError("swn engine needs a sense lexicon")
     polarity_vals: list[float] = []
     subjectivity_vals: list[float] = []
+    tweets_hit = tokens_hit = tokens = 0
     for tweet in tweets:
         if engine == "pattern":
-            if pattern_lexicon is None:
-                raise ValueError("pattern engine needs a pattern lexicon")
-            score = pattern_score(tweet.tokens, pattern_lexicon, negators)
+            values = _pattern_matches(tweet.tokens, pattern_lexicon, negators)
         else:
-            if sense_lexicon is None:
-                raise ValueError("swn engine needs a sense lexicon")
-            score = SentimentScore(
-                swn_polarity(tweet.tokens, sense_lexicon),
-                swn_subjectivity(tweet.tokens, sense_lexicon),
-            )
+            values = _swn_matches(tweet.tokens, sense_lexicon)
+        score = _mean_score(*values)
         polarity_vals.append(score.polarity)
         subjectivity_vals.append(score.subjectivity)
-    return polarity_vals, subjectivity_vals
+        hits = len(values[0])
+        tweets_hit += hits > 0
+        tokens_hit += hits
+        tokens += len(tweet.tokens)
+    return EngineScores(polarity_vals, subjectivity_vals, tweets_hit, tokens_hit, tokens)
 
 
 def polarity_class(score: float) -> str:
@@ -460,24 +498,16 @@ def distribution(labels: Iterable[str]) -> PolarityDistribution:
 
 
 def compare_classifiers(
-    tweets: Sequence[ProcessedTweet],
-    *,
-    pattern_lexicon: Mapping[str, PatternEntry],
-    negators: frozenset[str] | set[str] = frozenset(),
-    sense_lexicon: SenseLexicon,
+    polarities: Mapping[str, Sequence[float]],
 ) -> dict[str, PolarityDistribution]:
-    """Polarity distributions of both engines over one tweet population."""
-    table = {}
-    for engine in ENGINES:
-        polarity_vals, _ = score_all(
-            tweets,
-            engine,
-            pattern_lexicon=pattern_lexicon,
-            negators=negators,
-            sense_lexicon=sense_lexicon,
-        )
-        table[engine] = distribution(polarity_class(value) for value in polarity_vals)
-    return table
+    """Polarity distribution of each engine, from the per-tweet polarities
+    it gave one tweet population (``score_all(...).polarity``)."""
+    if len({len(values) for values in polarities.values()}) > 1:
+        raise ConsistencyError("the engines scored tweet populations of different sizes")
+    return {
+        engine: distribution(polarity_class(value) for value in values)
+        for engine, values in polarities.items()
+    }
 
 
 def _clamp(value: float, low: float, high: float) -> float:

@@ -12,14 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from electionpulse.actors import ActorSet, build_mention_matrix, load_actor_file
-from electionpulse.ingest import TweetRecord, parse_tweet_stream
-from electionpulse.preprocess import (
-    PipelineConfig,
-    ProcessedTweet,
-    load_stopwords,
-    preprocess_pipeline,
-)
+from electionpulse.actors import ActorSet, load_actor_file
+from electionpulse.ingest import Preprocessed, TweetRecord, parse_tweet_stream, preprocess_records
+from electionpulse.preprocess import PipelineConfig, ProcessedTweet, load_stopwords
 from electionpulse.sentiment import (
     SenseLexicon,
     SentimentScore,
@@ -86,22 +81,24 @@ def records() -> list[TweetRecord]:
 
 
 @pytest.fixture(scope="session")
-def mentions(records, actor_set) -> dict[str, frozenset[str]]:
-    return build_mention_matrix(records, actor_set)
+def preprocessed(records, pipeline, actor_set) -> Preprocessed:
+    return preprocess_records(records, pipeline, actor_set)
 
 
 @pytest.fixture(scope="session")
-def kept(records, pipeline) -> list[ProcessedTweet]:
-    processed = [preprocess_pipeline(record, pipeline) for record in records]
-    return [tweet for tweet in processed if tweet is not None]
+def mentions(preprocessed) -> dict[str, frozenset[str]]:
+    return preprocessed.mentions
+
+
+@pytest.fixture(scope="session")
+def kept(preprocessed) -> list[ProcessedTweet]:
+    return preprocessed.kept
 
 
 @pytest.fixture(scope="session")
 def pattern_scores(kept, pattern_lexicon, negators) -> list[SentimentScore]:
-    polarity, subjectivity = score_all(
-        kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators
-    )
-    return [SentimentScore(p, s) for p, s in zip(polarity, subjectivity)]
+    scored = score_all(kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators)
+    return [SentimentScore(p, s) for p, s in zip(scored.polarity, scored.subjectivity)]
 
 
 @pytest.fixture()

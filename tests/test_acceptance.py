@@ -20,7 +20,6 @@ from datetime import time as dtime
 
 import pytest
 
-from electionpulse.actors import build_mention_matrix, match_actors
 from electionpulse.analytics import (
     BUCKET_LABELS,
     BUCKETS,
@@ -47,7 +46,7 @@ from electionpulse.sentiment import (
 from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
 
-from test_analytics import make_tweet
+from test_analytics import make_tweet, mention_table, named
 from test_sentiment import load_micro
 from test_stemming import VECTORS
 
@@ -178,13 +177,14 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
             tweets.append(ProcessedTweet(f"s{i}", tokens, len(tokens), record))
 
         for engine in ("pattern", "swn"):
-            polarity, subjectivity = score_all(
+            scored = score_all(
                 tweets,
                 engine,
                 pattern_lexicon=pattern_lexicon,
                 negators=negators,
                 sense_lexicon=sense_lexicon,
             )
+            polarity, subjectivity = scored.polarity, scored.subjectivity
             assert len(polarity) == len(subjectivity) == 1_000
             for p, s in zip(polarity, subjectivity):
                 assert -1.0 <= p <= 1.0
@@ -266,7 +266,7 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                 SentimentScore(rng.uniform(-1, 1), rng.uniform(0, 1))
             )
 
-        mentions = build_mention_matrix(tweets, actor_set)
+        mentions = mention_table(tweets, actor_set)
         series = avg_sentiment_series(tweets, scores, mentions, actor_set, scope, scale=100.0)
         heatmap = frequency_heatmap(tweets, mentions, actor_set, scope, top_n=5)
 
@@ -275,7 +275,7 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
             label = _independent_bucket(tweet.record.created_at.hour)
             if label is None:
                 continue
-            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(index)

@@ -13,14 +13,13 @@ from electionpulse.actors import (
     Actor,
     ActorConfigError,
     ActorSet,
-    build_mention_matrix,
     group_counts,
     load_actor_file,
     match_actors,
     sole_mention,
 )
-from electionpulse.ingest import TweetRecord
-from electionpulse.preprocess import clean, tokenize
+from electionpulse.ingest import TweetRecord, preprocess_records
+from electionpulse.preprocess import PipelineConfig, clean, text_tokens, tokenize
 
 
 def small_set() -> ActorSet:
@@ -150,16 +149,16 @@ class TestValidation:
 
 class TestMatching:
     def test_single_alias(self) -> None:
-        assert match_actors("obiano wins big", small_set()) == {"willie_obiano"}
+        assert match_actors(text_tokens("obiano wins big"), small_set()) == {"willie_obiano"}
 
     def test_no_alias(self) -> None:
-        assert match_actors("turnout is heavy in awka", small_set()) == set()
+        assert match_actors(text_tokens("turnout is heavy in awka"), small_set()) == set()
 
     def test_combined_requires_both_components(self) -> None:
         actors = small_set()
-        assert match_actors("obiano takes the lead", actors) == {"willie_obiano"}
-        assert match_actors("apga takes the lead", actors) == {"apga"}
-        assert match_actors("obiano and apga take the lead", actors) == {
+        assert match_actors(text_tokens("obiano takes the lead"), actors) == {"willie_obiano"}
+        assert match_actors(text_tokens("apga takes the lead"), actors) == {"apga"}
+        assert match_actors(text_tokens("obiano and apga take the lead"), actors) == {
             "willie_obiano",
             "apga",
             "willie_obiano_apga",
@@ -167,23 +166,22 @@ class TestMatching:
 
     def test_multiword_alias_must_be_contiguous(self) -> None:
         actors = ActorSet([Actor("x", "candidate", ("card reader",))])
-        assert match_actors("the card reader failed", actors) == {"x"}
-        assert match_actors("the card slow reader failed", actors) == set()
-        assert match_actors("reader card failed", actors) == set()
+        assert match_actors(text_tokens("the card reader failed"), actors) == {"x"}
+        assert match_actors(text_tokens("the card slow reader failed"), actors) == set()
+        assert match_actors(text_tokens("reader card failed"), actors) == set()
 
     def test_matching_is_case_insensitive_on_raw_text(self) -> None:
-        assert "willie_obiano" in match_actors("OBIANO WINS", small_set())
+        assert "willie_obiano" in match_actors(text_tokens("OBIANO WINS"), small_set())
 
     def test_matching_ignores_stems(self) -> None:
         # "obianos" is not the alias "obiano"; whole-token match only.
-        assert match_actors("obianos people cheer", small_set()) == set()
+        assert match_actors(text_tokens("obianos people cheer"), small_set()) == set()
 
     def test_matches_in_retweet_text(self) -> None:
-        assert "willie_obiano" in match_actors("RT @x: obiano wins", small_set())
+        assert "willie_obiano" in match_actors(text_tokens("RT @x: obiano wins"), small_set())
 
-    def test_fixture_group_counts(self, records, actor_set) -> None:
-        matrix = build_mention_matrix(records, actor_set)
-        counts = group_counts(matrix, actor_set)
+    def test_fixture_group_counts(self, mentions, actor_set) -> None:
+        counts = group_counts(mentions, actor_set)
         assert counts["willie_obiano"] == 10
         assert counts["apga"] == 12
         assert counts["willie_obiano_apga"] == 9
@@ -199,18 +197,19 @@ class TestMatching:
     def test_adding_an_alias_never_shrinks_a_group(self, records) -> None:
         base = ActorSet([Actor("x", "candidate", ("obiano",))])
         wider = ActorSet([Actor("x", "candidate", ("obiano", "nwoye"))])
-        count_base = group_counts(build_mention_matrix(records, base), base)["x"]
-        count_wider = group_counts(build_mention_matrix(records, wider), wider)["x"]
+        base_table = preprocess_records(records, PipelineConfig(), base).mentions
+        wider_table = preprocess_records(records, PipelineConfig(), wider).mentions
+        count_base = group_counts(base_table, base)["x"]
+        count_wider = group_counts(wider_table, wider)["x"]
         assert count_wider >= count_base
 
-    def test_combined_never_exceeds_either_component(self, records, actor_set) -> None:
-        counts = group_counts(build_mention_matrix(records, actor_set), actor_set)
+    def test_combined_never_exceeds_either_component(self, mentions, actor_set) -> None:
+        counts = group_counts(mentions, actor_set)
         for actor in actor_set.combined():
             candidate, party = actor.components
             assert counts[actor.id] <= min(counts[candidate], counts[party])
 
-    def test_fixture_table_is_interned(self, records, actor_set) -> None:
-        mentions = build_mention_matrix(records, actor_set)
+    def test_fixture_table_is_interned(self, records, mentions) -> None:
         assert list(mentions) == [record.id for record in records]
         by_value: dict[frozenset[str], frozenset[str]] = {}
         for matched in mentions.values():
@@ -222,23 +221,23 @@ class TestSoleMention:
 
     def test_single_scoped_actor(self) -> None:
         actors = small_set()
-        matched = match_actors("obiano holds a rally", actors)
+        matched = match_actors(text_tokens("obiano holds a rally"), actors)
         assert sole_mention(matched, actors, ["willie_obiano"]) == "willie_obiano"
 
     def test_two_scoped_actors_disqualify(self) -> None:
         actors = small_set()
-        matched = match_actors("obiano attacks pdp", actors)
+        matched = match_actors(text_tokens("obiano attacks pdp"), actors)
         assert sole_mention(matched, actors, self.SCOPE) is None
 
     def test_no_scoped_actor(self) -> None:
         actors = small_set()
-        matched = match_actors("quiet day in awka", actors)
+        matched = match_actors(text_tokens("quiet day in awka"), actors)
         assert sole_mention(matched, actors, self.SCOPE) is None
 
     def test_candidate_with_own_party_is_sole_for_the_pair(self) -> None:
         # Both components plus the pair match; the pair absorbs its parts.
         actors = small_set()
-        matched = match_actors("obiano thanks apga faithful", actors)
+        matched = match_actors(text_tokens("obiano thanks apga faithful"), actors)
         assert sole_mention(matched, actors, self.SCOPE) == "willie_obiano_apga"
 
     def test_pair_out_of_scope_leaves_two_actors(self) -> None:
@@ -246,25 +245,26 @@ class TestSoleMention:
         # the two component mentions, so the tweet is not sole.
         actors = small_set()
         scope = ["willie_obiano", "tony_nwoye", "apga", "pdp"]
-        matched = match_actors("obiano thanks apga faithful", actors)
+        matched = match_actors(text_tokens("obiano thanks apga faithful"), actors)
         assert sole_mention(matched, actors, scope) is None
 
     def test_mention_outside_scope_is_invisible(self) -> None:
         actors = small_set()
         # nwoye is matched but not scoped, so obiano stays sole.
         scope = ["willie_obiano", "apga", "willie_obiano_apga"]
-        matched = match_actors("obiano leads nwoye", actors)
+        matched = match_actors(text_tokens("obiano leads nwoye"), actors)
         assert sole_mention(matched, actors, scope) == "willie_obiano"
 
     def test_unknown_scope_id_raises(self) -> None:
         actors = small_set()
         with pytest.raises(ValueError):
-            sole_mention(match_actors("obiano wins", actors), actors, ["nobody_here"])
+            sole_mention(match_actors(text_tokens("obiano wins"), actors), actors, ["nobody_here"])
 
     def test_fixture_sole_counts(self, kept, actor_set, scope) -> None:
         counts = {actor_id: 0 for actor_id in scope}
         for tweet in kept:
-            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
+            matched = match_actors(text_tokens(tweet.record.text), actor_set)
+            owner = sole_mention(matched, actor_set, scope)
             if owner is not None:
                 counts[owner] += 1
         assert counts == {
@@ -355,7 +355,7 @@ def test_set_based_sole_mention_matches_the_text_oracle(actors, texts) -> None:
     records = [
         TweetRecord(f"t{i}", stamp, "someone", text, False) for i, text in enumerate(texts)
     ]
-    mentions = build_mention_matrix(records, actors)
+    mentions = preprocess_records(records, PipelineConfig(), actors).mentions
     ids = actors.ids()
     scopes = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
     for record in records:

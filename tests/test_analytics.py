@@ -10,12 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from electionpulse._util import ConsistencyError
-from electionpulse.actors import Actor, ActorSet, build_mention_matrix, match_actors, sole_mention
+from electionpulse.actors import Actor, ActorSet, match_actors, sole_mention
 from electionpulse.analytics import (
     BUCKET_LABELS,
     BUCKETS,
     OUT_OF_RANGE,
-    actor_exclusions,
     avg_sentiment_series,
     bucket_label,
     bucket_of,
@@ -25,7 +24,7 @@ from electionpulse.analytics import (
     term_frequencies,
 )
 from electionpulse.ingest import TweetRecord
-from electionpulse.preprocess import ProcessedTweet
+from electionpulse.preprocess import ProcessedTweet, text_tokens
 from electionpulse.sentiment import SentimentScore
 
 LAGOS = timezone(timedelta(hours=1))
@@ -46,6 +45,16 @@ def make_tweet(
         is_retweet=False,
     )
     return ProcessedTweet(record_id, tokens, len(tokens), record)
+
+
+def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:
+    """The actors a tweet's raw text names, matched afresh from the text."""
+    return match_actors(text_tokens(tweet.record.text), actors)
+
+
+def mention_table(tweets, actors: ActorSet) -> dict[str, frozenset[str]]:
+    """The mention table of synthetic tweets, whose tokens are not their text's."""
+    return {tweet.record_id: frozenset(named(tweet, actors)) for tweet in tweets}
 
 
 def pair_set() -> ActorSet:
@@ -107,7 +116,7 @@ class TestSentimentSeries:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13)]
         scores = [SentimentScore(0.25, 0.6)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         series = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"])
         assert len(series) == 1
         cell = series[0].cells["12-14"]
@@ -118,7 +127,7 @@ class TestSentimentSeries:
     def test_empty_cells_are_none_not_zero(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit",), 13)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         series = avg_sentiment_series(
             tweets, [SentimentScore(0.25, 0.6)], mentions, actors, ["willie_obiano"]
         )
@@ -129,7 +138,7 @@ class TestSentimentSeries:
     def test_out_of_range_tweets_never_contribute(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano early start", ("earli", "start"), 5)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         series = avg_sentiment_series(
             tweets, [SentimentScore(1.0, 1.0)], mentions, actors, ["willie_obiano"]
         )
@@ -140,7 +149,7 @@ class TestSentimentSeries:
         # Mentions two scoped identities, so it belongs to nobody.
         tweets = [make_tweet("t1", "obiano against apga rebels", ("rebel",), 13)]
         scope = ["willie_obiano", "apga"]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], mentions, actors, scope)
         for row in series:
             assert all(cell is None for cell in row.cells.values())
@@ -153,7 +162,7 @@ class TestSentimentSeries:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano wins", ("win",), 13)]
         scores = [SentimentScore(0.3, 0.5)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         x100 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=100.0)
         x1 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=1.0)
         assert x100[0].cells["12-14"].mean_polarity_x100 == pytest.approx(
@@ -168,7 +177,7 @@ class TestSentimentSeries:
             label = bucket_label(tweet.record.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             groups.setdefault((owner, label), []).append(score)
@@ -189,7 +198,7 @@ class TestSentimentSeries:
         series = avg_sentiment_series(kept, pattern_scores, mentions, actor_set, scope)
         sole_totals = Counter()
         for tweet in kept:
-            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
             if owner is not None and bucket_label(tweet.record.created_at) != OUT_OF_RANGE:
                 sole_totals[owner] += 1
         for row in series:
@@ -237,7 +246,7 @@ class TestTermFrequencies:
 
 class TestExclusions:
     def test_contains_alias_words_and_their_stems(self, actor_set) -> None:
-        excluded = actor_exclusions(actor_set)
+        excluded = actor_set.exclusion_words()
         assert "obiano" in excluded
         assert "willie" in excluded
         assert "willi" in excluded  # stem of willie
@@ -250,7 +259,7 @@ class TestCooccurrence:
         # Tokens deliberately retain the alias word to prove the cloud
         # itself drops it.
         tweets = [make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
         assert table.key == "willie_obiano"
         assert dict(table.rows) == {"cheer": 1, "crowd": 1}
@@ -261,14 +270,14 @@ class TestCooccurrence:
             make_tweet("t1", "obiano cheers", ("cheer",), 10),
             make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11),
         ]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
         assert dict(table.rows) == {"cheer": 1}
 
     def test_no_matching_tweets_is_empty(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "quiet day", ("quiet", "dai"), 10)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         assert cooccurrence_cloud(tweets, actors["apga"], mentions, actors).rows == []
 
     def test_fixture_running_mate_count(self, kept, mentions, actor_set) -> None:
@@ -296,7 +305,7 @@ class TestHeatmap:
             label = bucket_label(tweet.record.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(match_actors(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(tweet)
@@ -325,14 +334,14 @@ class TestCombinedPolarity:
     def test_single_matching_tweet(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
         assert means == {"willie_obiano_apga": pytest.approx(0.5)}
 
     def test_no_matching_tweet_is_none(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano alone", ("alone",), 10)]
-        mentions = build_mention_matrix(tweets, actors)
+        mentions = mention_table(tweets, actors)
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
         assert means == {"willie_obiano_apga": None}
 
@@ -353,7 +362,7 @@ class TestCombinedPolarity:
             values = [
                 score.polarity
                 for tweet, score in zip(kept, pattern_scores)
-                if actor.id in match_actors(tweet, actor_set)
+                if actor.id in named(tweet, actor_set)
             ]
             if not values:
                 assert means[actor.id] is None

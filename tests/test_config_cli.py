@@ -7,16 +7,27 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import electionpulse.cli as cli_module
 from electionpulse import actors as actors_module
+from electionpulse import preprocess as preprocess_module
+from electionpulse import sentiment as sentiment_module
+from electionpulse import stemming as stemming_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import parse_tweet_stream
-from electionpulse.preprocess import MIN_CORRECTION_LENGTH, clean, is_retweet, tokenize
+from electionpulse.preprocess import (
+    MIN_CORRECTION_LENGTH,
+    clean,
+    is_retweet,
+    process_tokens,
+    text_tokens,
+    tokenize,
+)
 from electionpulse.spelling import correct_spelling
 
 ALL_ARTIFACTS = {
@@ -34,6 +45,24 @@ ALL_ARTIFACTS = {
 def read_json(path: Path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def record_calls(monkeypatch, module, name: str, keep=lambda args, kwargs: args[0]) -> list:
+    """Wrap ``module.name`` under every name the package bound it to, the
+    way the benchmark tracer does; returns what ``keep`` takes from each call."""
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(keep(args, kwargs))
+        return original(*args, **kwargs)
+
+    for module_name, holder in list(sys.modules.items()):
+        if module_name.startswith("electionpulse"):
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, recording)
+    return calls
 
 
 class TestValidateConfig:
@@ -143,37 +172,90 @@ class TestValidateConfig:
         assert validate_config(path, {"run.seed": "9"}).seed == 9
 
 
+def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["counts", "--config", str(tmp_path / "none.ini")]
+
+
+def _unknown_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["cloud", "--config", config_factory(), "--actor", "peter_obi"]
+
+
+def _unknown_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(), "--group", "nobody"]
+
+
+def _train_nbc_without_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": None})]
+
+
+def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    corpus = tmp_path / "single_label.csv"
+    corpus.write_text("label,text\npos,good win\npos,great turnout\n", encoding="utf-8")
+    return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
+
+
+def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    tweets = tmp_path / "tweets.jsonl"
+    tweets.write_bytes((fixtures_dir / "tweets_50.jsonl").read_bytes())
+    validate = cli_module.validate_config
+
+    def validate_then_delete(*args, **kwargs):
+        config = validate(*args, **kwargs)
+        tweets.unlink()
+        return config
+
+    monkeypatch.setattr(cli_module, "validate_config", validate_then_delete)
+    return ["all", "--config", config_factory(**{"input.path": str(tweets)})]
+
+
+# One row per documented failure: (id, argv maker, exit code, stderr
+# fragment, manifest). Usage errors (2) stop before any output, so they
+# expect no manifest; runtime failures (1) leave a failed manifest and
+# nothing else, expected as (error fragment, input_digest prefix or None).
+EXIT_CODE_MATRIX = [
+    ("missing_config", _missing_config, 2, "config error", None),
+    ("unknown_actor", _unknown_actor, 2, "peter_obi", None),
+    ("unknown_group", _unknown_group, 2, "nobody", None),
+    ("train_nbc_without_corpus", _train_nbc_without_corpus, 2, "nbc_corpus", None),
+    ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
+    ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
+]
+
+
 class TestCliExitCodes:
-    def test_missing_config_is_usage_error(self, tmp_path, capsys) -> None:
-        rc = main(["counts", "--config", str(tmp_path / "none.ini")])
-        assert rc == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_unknown_cloud_actor_is_usage_error(self, config_factory, capsys) -> None:
-        rc = main(["cloud", "--config", config_factory(), "--actor", "peter_obi"])
-        assert rc == 2
-        assert "peter_obi" in capsys.readouterr().err
-
-    def test_unknown_topics_group_is_usage_error(self, config_factory, capsys) -> None:
-        rc = main(["topics", "--config", config_factory(), "--group", "nobody"])
-        assert rc == 2
-
-    def test_train_nbc_needs_a_corpus(self, config_factory, capsys) -> None:
-        rc = main(["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": None})])
-        assert rc == 2
-        assert "nbc_corpus" in capsys.readouterr().err
-
-    def test_runtime_failure_leaves_manifest_only(self, config_factory, tmp_path, capsys) -> None:
-        corpus = tmp_path / "single_label.csv"
-        corpus.write_text("label,text\npos,good win\npos,great turnout\n", encoding="utf-8")
-        rc = main(["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})])
-        assert rc == 1
+    @pytest.mark.parametrize(
+        "argv_of,code,stderr_fragment,expected_manifest",
+        [row[1:] for row in EXIT_CODE_MATRIX],
+        ids=[row[0] for row in EXIT_CODE_MATRIX],
+    )
+    def test_documented_failure(
+        self,
+        argv_of,
+        code,
+        stderr_fragment,
+        expected_manifest,
+        config_factory,
+        fixtures_dir,
+        tmp_path,
+        monkeypatch,
+        capsys,
+    ) -> None:
+        argv = argv_of(config_factory, fixtures_dir, tmp_path, monkeypatch)
+        assert main(argv) == code
+        assert stderr_fragment in capsys.readouterr().err
         out_dir = tmp_path / "out"
+        if expected_manifest is None:
+            assert not out_dir.exists()
+            return
+        error_fragment, digest_prefix = expected_manifest
         assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
         manifest = read_json(out_dir / "manifest.json")
         assert manifest["status"] == "failed"
-        assert "labels" in manifest["error"]
-        assert "error" in capsys.readouterr().err
+        assert error_fragment in manifest["error"]
+        if digest_prefix is None:
+            assert manifest["input_digest"] is None
+        else:
+            assert manifest["input_digest"].startswith(digest_prefix)
 
 
 class TestCliRuns:
@@ -218,13 +300,14 @@ class TestCliRuns:
         assert manifest["input_digest"].startswith("sha256:")
         assert manifest["dataset"]["total_kept"] == 43
         stage_names = [stage["name"] for stage in manifest["stages"]]
-        assert stage_names[:2] == ["ingest", "preprocess"]
+        assert stage_names[:3] == ["load", "ingest", "preprocess"]
 
     def test_manifest_stage_records(self, config_factory, tmp_path) -> None:
         assert main(["all", "--config", config_factory()]) == 0
         manifest = read_json(tmp_path / "out" / "manifest.json")
         records = {stage["name"]: stage["records"] for stage in manifest["stages"]}
         assert records == {
+            "load": 5,
             "ingest": 50,
             "preprocess": 43,
             "export": 43,
@@ -252,24 +335,75 @@ class TestCliRuns:
         seconds = {stage["name"]: stage["seconds"] for stage in manifest["stages"]}
         assert seconds["preprocess"] >= 0.05
 
+    def test_stage_seconds_add_up_to_the_total(self, config_factory, tmp_path) -> None:
+        assert main(["all", "--config", config_factory()]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        staged = sum(stage["seconds"] for stage in manifest["stages"])
+        assert 0 <= manifest["total_seconds"] - staged <= 0.05
+
     @pytest.mark.parametrize("args", [["all"], ["topics", "--group", "apga"]])
-    def test_each_record_is_matched_once(self, args, config_factory, monkeypatch) -> None:
-        original = actors_module.match_actors
-        matched_ids = []
-
-        def counting(tweet, actors):
-            matched_ids.append(tweet.id)
-            return original(tweet, actors)
-
-        # Swap every name the package bound match_actors to, not just one.
-        for name, module in list(sys.modules.items()):
-            if name.startswith("electionpulse"):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+    def test_each_record_is_matched_once(
+        self, args, config_factory, records, monkeypatch
+    ) -> None:
+        cleaned = record_calls(monkeypatch, preprocess_module, "clean")
+        matched = record_calls(monkeypatch, actors_module, "match_actors")
         assert main([*args, "--config", config_factory()]) == 0
-        assert len(matched_ids) == 50
-        assert len(set(matched_ids)) == 50
+        assert sorted(cleaned) == sorted(record.text for record in records)
+        assert len(matched) == len(records) == 50
+
+    def test_each_distinct_token_is_stemmed_once(
+        self, config_factory, records, pipeline, actor_set, monkeypatch
+    ) -> None:
+        stemmed = record_calls(monkeypatch, stemming_module, "porter_stem")
+        assert main(["all", "--config", config_factory()]) == 0
+        assert len(stemmed) == len(set(stemmed))
+        unstemmed = replace(pipeline, stemming=False)
+        stemmable = {
+            token
+            for record in records
+            if not is_retweet(record)
+            for token in process_tokens(text_tokens(record.text), unstemmed)
+            if token.isascii() and token.isalpha()
+        }
+        # The kept tokens, plus the alias words the clouds leave out.
+        assert set(stemmed) == stemmable | actor_set.alias_words()
+
+    @pytest.mark.parametrize("engine", ["pattern", "swn"])
+    def test_each_engine_scores_once_per_run(self, engine, config_factory, monkeypatch) -> None:
+        scored = record_calls(monkeypatch, sentiment_module, "score_all", keep=lambda a, k: a[1])
+        assert main(["all", "--config", config_factory(), "--engine", engine]) == 0
+        # The configured engine first (scores.csv), the other for compare.csv.
+        assert scored[0] == engine
+        assert sorted(scored) == ["pattern", "swn"]
+
+    def test_manifest_counts_exclusions_by_reason(self, config_factory, records, tmp_path) -> None:
+        assert main(["counts", "--config", config_factory()]) == 0
+        dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
+        excluded = dataset["excluded"]
+        assert set(excluded) == {"retweet", "empty_after_filtering"}
+        assert dataset["total_kept"] + sum(excluded.values()) == dataset["total_raw"] == 50
+        assert excluded["retweet"] == sum(is_retweet(record) for record in records)
+
+    @pytest.mark.parametrize(
+        "flags,hits",
+        [([], {"pattern": 40, "swn": 39}), (["--no-stem"], {"pattern": 20, "swn": 19})],
+    )
+    def test_manifest_lexicon_coverage(self, flags, hits, config_factory, tmp_path) -> None:
+        assert main(["all", "--config", config_factory(), *flags]) == 0
+        dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
+        assert dataset["total_kept"] == 43
+        coverage = dataset["lexicon"]
+        assert {engine: entry["tweets_hit"] for engine, entry in coverage.items()} == hits
+        for entry in coverage.values():
+            assert 0.0 < entry["token_hit_rate"] < 1.0
+
+    def test_manifest_lexicon_lists_only_engines_scored(self, config_factory, tmp_path) -> None:
+        assert main(["sentiment", "--config", config_factory(), "--engine", "swn"]) == 0
+        dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
+        assert list(dataset["lexicon"]) == ["swn"]
+        assert main(["counts", "--config", config_factory(), "--output", str(tmp_path / "c")]) == 0
+        dataset = read_json(tmp_path / "c" / "manifest.json")["dataset"]
+        assert list(dataset["lexicon"]) == ["pattern"]
 
     def test_input_digest_is_of_the_parsed_bytes(
         self, config_factory, fixtures_dir, tmp_path

@@ -18,6 +18,7 @@ from electionpulse.ingest import (
     export_records,
     parse_tweet_stream,
 )
+from electionpulse.preprocess import text_tokens
 
 LAGOS = timezone(timedelta(hours=1))
 
@@ -240,7 +241,7 @@ class TestExport:
         with open(path, encoding="utf-8", newline="") as handle:
             header, *body = list(csv.reader(handle))
         for tweet, row in zip(kept, body):
-            named = match_actors(tweet.record.text, actor_set)
+            named = match_actors(text_tokens(tweet.record.text), actor_set)
             assert {a for a, flag in zip(header[4:], row[4:]) if flag == "true"} == named
 
     def test_tweet_missing_from_the_table_raises(self, kept, actor_set, tmp_path) -> None:

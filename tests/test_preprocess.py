@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electionpulse.ingest import TweetRecord
+from electionpulse.actors import ActorSet
+from electionpulse.ingest import TweetRecord, preprocess_records
 from electionpulse.preprocess import (
     PipelineConfig,
     StopwordSet,
     clean,
     is_retweet,
     preprocess_pipeline,
-    process_text,
+    process_tokens,
     stem,
+    text_tokens,
     tokenize,
 )
 
@@ -124,7 +126,7 @@ class TestIsRetweet:
 class TestPipeline:
     def test_reference_sentence(self, pipeline: PipelineConfig) -> None:
         record = make_record("INEC card readers failing in Awka #AnambraDecides")
-        out = preprocess_pipeline(record, pipeline)
+        out = preprocess_pipeline(record, text_tokens(record.text), pipeline)
         assert out is not None
         assert list(out.tokens) == ["inec", "card", "reader", "fail", "awka", "anambradecid"]
         assert out.raw_token_count == 7  # "in" still counted before filtering
@@ -132,18 +134,25 @@ class TestPipeline:
         assert out.record is record
 
     def test_rejects_retweets(self, pipeline: PipelineConfig) -> None:
-        assert preprocess_pipeline(make_record("RT @x: obiano wins"), pipeline) is None
-        assert preprocess_pipeline(make_record("obiano wins", retweet=True), pipeline) is None
+        records = [
+            make_record("RT @x: obiano wins", record_id="t1"),
+            make_record("obiano wins", retweet=True, record_id="t2"),
+        ]
+        done = preprocess_records(records, pipeline, ActorSet())
+        assert done.kept == []
+        assert done.excluded == {"retweet": 2, "empty_after_filtering": 0}
+        assert set(done.mentions) == {"t1", "t2"}
 
     def test_rejects_tweets_with_nothing_left(self, pipeline: PipelineConfig) -> None:
-        assert preprocess_pipeline(make_record("https://t.co/abc"), pipeline) is None
-        assert preprocess_pipeline(make_record("the of and"), pipeline) is None
+        for text in ("https://t.co/abc", "the of and"):
+            record = make_record(text)
+            assert preprocess_pipeline(record, text_tokens(text), pipeline) is None
 
     def test_spellcheck_needs_minimum_length(self, dictionary) -> None:
         config = PipelineConfig(stopwords=StopwordSet(), dictionary=dictionary)
         # "electin" (7 letters, out of dictionary) is corrected; a 3-letter
         # unknown token is left alone.
-        tokens, _ = process_text("electin xqz", config)
+        tokens = process_tokens(text_tokens("electin xqz"), config)
         assert tokens[0] == "elect"  # corrected to "election", then stemmed
         assert tokens[1] == "xqz"
 
@@ -151,17 +160,24 @@ class TestPipeline:
         config = PipelineConfig(
             stopwords=StopwordSet(), dictionary=dictionary, stemming=False
         )
-        tokens, _ = process_text("election voting", config)
+        tokens = process_tokens(text_tokens("election voting"), config)
         assert tokens == ["election", "voting"]
 
     def test_empty_dictionary_disables_correction(self) -> None:
         config = PipelineConfig(stopwords=StopwordSet(), dictionary={})
-        tokens, _ = process_text("electin ballott", config)
+        tokens = process_tokens(text_tokens("electin ballott"), config)
         assert tokens == [stem("electin"), stem("ballott")]
+
+    def test_stem_memo_belongs_to_one_pipeline(self) -> None:
+        first = PipelineConfig(spellcheck=False)
+        second = PipelineConfig(spellcheck=False)
+        assert process_tokens(["voting", "voting", "awka"], first) == ["vote", "vote", "awka"]
+        assert first.stems == {"voting": "vote", "awka": "awka"}
+        assert second.stems == {}
 
     def test_raw_count_is_before_filtering(self, pipeline: PipelineConfig) -> None:
         record = make_record("the result is out in awka")
-        out = preprocess_pipeline(record, pipeline)
+        out = preprocess_pipeline(record, text_tokens(record.text), pipeline)
         assert out is not None
         assert out.raw_token_count == 6
         assert len(out.tokens) < 6
@@ -175,7 +191,7 @@ class TestPipeline:
         # Feeding a kept tweet's tokens back through the pipeline must
         # reproduce the same token multiset.
         for tweet in kept:
-            again, _ = process_text(" ".join(tweet.tokens), pipeline)
+            again = process_tokens(text_tokens(" ".join(tweet.tokens)), pipeline)
             assert Counter(again) == Counter(tweet.tokens), tweet.record_id
 
     def test_corpus_keeps_expected_population(self, records, kept) -> None:

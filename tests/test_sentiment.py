@@ -8,10 +8,13 @@ import math
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electionpulse._util import ConsistencyError
+from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
+    ENGINES,
     NBCModel,
     PatternEntry,
     PolarityDistribution,
@@ -27,8 +30,7 @@ from electionpulse.sentiment import (
     polarity_class,
     score_all,
     subjectivity_class,
-    swn_polarity,
-    swn_subjectivity,
+    swn_score,
     swn_word_sentiment,
 )
 
@@ -44,6 +46,47 @@ PATTERN = {
 
 def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) -> str:
     return f"{pos_tag}\t{synset}\t{pos}\t{neg}\t{terms}\tgloss text"
+
+
+# The swn scorer as it was before the lexicon computed each lemma's
+# weighted pair at load time and one pass gave both scores: the per-call
+# weighting over the senses, then one pass per score. The real path must
+# agree with it bit for bit.
+def oracle_word_sentiment(lexicon, lemma: str) -> tuple[float, float] | None:
+    senses = lexicon.senses(lemma)
+    if not senses:
+        return None
+    total_weight = 0.0
+    pos = 0.0
+    neg = 0.0
+    for sense in senses:
+        weight = 1.0 / sense.sense_rank
+        total_weight += weight
+        pos += sense.pos_score * weight
+        neg += sense.neg_score * weight
+    return pos / total_weight, neg / total_weight
+
+
+def swn_polarity(tokens, lexicon) -> float:
+    values = []
+    for token in tokens:
+        scores = oracle_word_sentiment(lexicon, token)
+        if scores is not None:
+            values.append(scores[0] - scores[1])
+    if not values:
+        return 0.0
+    return max(-1.0, min(1.0, sum(values) / len(values)))
+
+
+def swn_subjectivity(tokens, lexicon) -> float:
+    values = []
+    for token in tokens:
+        scores = oracle_word_sentiment(lexicon, token)
+        if scores is not None:
+            values.append(scores[0] + scores[1])
+    if not values:
+        return 0.0
+    return max(0.0, min(1.0, sum(values) / len(values)))
 
 
 class TestScoreTypes:
@@ -103,6 +146,9 @@ class TestSenseLexicon:
         assert lexicon.senses("HAPPY")[0].pos_score == 0.5
 
 
+SWN_LEMMAS = ("fine", "awful", "mixed", "good", "plain")
+
+
 class TestSwnScoring:
     def test_single_sense_is_identity(self) -> None:
         lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.75, 0.0, "fine#1")])
@@ -131,21 +177,60 @@ class TestSwnScoring:
             sense_line("a", "00000001", 0.8, 0.0, "fine#1"),
             sense_line("a", "00000002", 0.0, 0.6, "awful#1"),
         ])
-        assert swn_polarity(["fine"], lexicon) == pytest.approx(0.8)
-        assert swn_polarity(["fine", "awful"], lexicon) == pytest.approx((0.8 - 0.6) / 2)
-        assert swn_polarity(["fine", "zzz"], lexicon) == pytest.approx(0.8)
+        assert swn_score(["fine"], lexicon).polarity == pytest.approx(0.8)
+        assert swn_score(["fine", "awful"], lexicon).polarity == pytest.approx((0.8 - 0.6) / 2)
+        assert swn_score(["fine", "zzz"], lexicon).polarity == pytest.approx(0.8)
 
     def test_no_match_scores_zero(self, sense_lexicon) -> None:
-        assert swn_polarity(["zzqqx"], sense_lexicon) == 0.0
-        assert swn_subjectivity(["zzqqx"], sense_lexicon) == 0.0
+        assert swn_score(["zzqqx"], sense_lexicon) == SentimentScore(0.0, 0.0)
 
     def test_subjectivity_is_one_minus_mean_objectivity(self) -> None:
         lexicon = load_sense_lexicon([
             sense_line("a", "00000001", 0.6, 0.2, "loaded#1"),  # obj 0.2
             sense_line("a", "00000002", 0.0, 0.0, "plain#1"),   # obj 1.0
         ])
-        assert swn_subjectivity(["loaded"], lexicon) == pytest.approx(0.8)
-        assert swn_subjectivity(["loaded", "plain"], lexicon) == pytest.approx(0.4)
+        assert swn_score(["loaded"], lexicon).subjectivity == pytest.approx(0.8)
+        assert swn_score(["loaded", "plain"], lexicon).subjectivity == pytest.approx(0.4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("navr"),
+                st.integers(0, 1000),
+                st.integers(0, 1000),
+                st.lists(
+                    st.tuples(st.sampled_from(SWN_LEMMAS), st.integers(1, 12)),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            max_size=12,
+        ),
+        st.lists(st.sampled_from(SWN_LEMMAS + ("zzz", "FINE")), max_size=10),
+    )
+    def test_one_pass_equals_the_two_pass_oracle(self, rows, tokens) -> None:
+        lines = []
+        for index, (tag, pos_milli, neg_milli, terms) in enumerate(rows):
+            # Thousandths with pos + neg <= 1; a row that float rounding still
+            # rejects is absent from the real path and the oracle alike.
+            pos, neg = pos_milli / 1000, min(neg_milli, 1000 - pos_milli) / 1000
+            joined = " ".join(f"{lemma}#{rank}" for lemma, rank in terms)
+            lines.append(sense_line(tag, f"{index:08d}", pos, neg, joined))
+        lexicon = load_sense_lexicon(lines)
+        for lemma in SWN_LEMMAS + ("zzz", "FINE"):
+            assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(lexicon, lemma)
+        score = swn_score(tokens, lexicon)
+        assert score.polarity == swn_polarity(tokens, lexicon)
+        assert score.subjectivity == swn_subjectivity(tokens, lexicon)
+        tweet = ProcessedTweet("t1", tuple(tokens), len(tokens))
+        scored = score_all([tweet], "swn", sense_lexicon=lexicon)
+        assert (scored.polarity, scored.subjectivity) == ([score.polarity], [score.subjectivity])
+
+    def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon) -> None:
+        scored = score_all(kept, "swn", sense_lexicon=sense_lexicon)
+        assert scored.polarity == [swn_polarity(t.tokens, sense_lexicon) for t in kept]
+        assert scored.subjectivity == [swn_subjectivity(t.tokens, sense_lexicon) for t in kept]
 
 
 class TestPatternLexicon:
@@ -260,19 +345,32 @@ class TestClasses:
 class TestScoreAll:
     def test_alignment_and_ranges(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
         for engine in ("pattern", "swn"):
-            polarity, subjectivity = score_all(
+            scored = score_all(
                 kept,
                 engine,
                 pattern_lexicon=pattern_lexicon,
                 negators=negators,
                 sense_lexicon=sense_lexicon,
             )
+            polarity, subjectivity = scored.polarity, scored.subjectivity
             assert len(polarity) == len(subjectivity) == len(kept)
             assert all(-1.0 <= value <= 1.0 for value in polarity)
             assert all(0.0 <= value <= 1.0 for value in subjectivity)
 
     def test_empty_population(self, pattern_lexicon) -> None:
-        assert score_all([], "pattern", pattern_lexicon=pattern_lexicon) == ([], [])
+        scored = score_all([], "pattern", pattern_lexicon=pattern_lexicon)
+        assert (scored.polarity, scored.subjectivity) == ([], [])
+        assert scored.coverage() == {"tweets_hit": 0, "token_hit_rate": 0.0}
+
+    def test_coverage_counts_lexicon_hits(self) -> None:
+        tweets = [
+            ProcessedTweet("a", ("great", "crowd", "not", "bad"), 4),
+            ProcessedTweet("b", ("queue", "crowd"), 2),
+        ]
+        scored = score_all(tweets, "pattern", pattern_lexicon=PATTERN, negators=NEGATORS)
+        # Negators are not lexicon hits; "great" and "bad" are.
+        assert (scored.tweets_hit, scored.tokens_hit, scored.tokens) == (1, 2, 6)
+        assert scored.coverage() == {"tweets_hit": 1, "token_hit_rate": round(2 / 6, 6)}
 
     def test_unknown_engine(self, kept, pattern_lexicon) -> None:
         with pytest.raises(ValueError):
@@ -407,23 +505,30 @@ class TestDistribution:
         assert sum(dist.percentages) == pytest.approx(100.0, abs=0.03)
 
 
-class TestCompare:
-    def test_both_engines_cover_everyone(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
-        table = compare_classifiers(
+def polarities_of(kept, pattern_lexicon, negators, sense_lexicon) -> dict[str, list[float]]:
+    return {
+        engine: score_all(
             kept,
+            engine,
             pattern_lexicon=pattern_lexicon,
             negators=negators,
             sense_lexicon=sense_lexicon,
-        )
+        ).polarity
+        for engine in ENGINES
+    }
+
+
+class TestCompare:
+    def test_both_engines_cover_everyone(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
+        table = compare_classifiers(polarities_of(kept, pattern_lexicon, negators, sense_lexicon))
         assert set(table) == {"pattern", "swn"}
         assert table["pattern"].total == len(kept)
         assert table["swn"].total == len(kept)
 
     def test_fixture_pattern_distribution(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
-        table = compare_classifiers(
-            kept,
-            pattern_lexicon=pattern_lexicon,
-            negators=negators,
-            sense_lexicon=sense_lexicon,
-        )
+        table = compare_classifiers(polarities_of(kept, pattern_lexicon, negators, sense_lexicon))
         assert table["pattern"].counts == (26, 7, 10)
+
+    def test_populations_must_match(self) -> None:
+        with pytest.raises(ConsistencyError):
+            compare_classifiers({"pattern": [0.5, 0.0], "swn": [0.5]})
