@@ -7,17 +7,18 @@ tweet (stems mangle proper names, so matching never runs on stems). A
 combined actor matches exactly when both of its components match.
 
 A run matches each raw record once, on the surface tokens it shares with
-preprocessing (``ingest.preprocess_records``); every count, export column
-and analytics filter then reads that mention table.
+preprocessing (``ingest.preprocess_records``). Each kept tweet carries its
+matched set as ``ProcessedTweet.actors``, which every kept count, export
+column and analytics filter reads; the raw counts are tallied in the same
+loop, retweets included.
 """
 
 from __future__ import annotations
 
 import configparser
-from collections.abc import Iterable, Iterator, Mapping, Sequence, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
 
-from ._util import ConsistencyError
 from .preprocess import stem
 
 KINDS = ("candidate", "party", "combined")
@@ -190,11 +191,6 @@ def load_actor_file(path: str) -> ActorSet:
     return ActorSet(actors)
 
 
-# Record id -> ids of the actors that record mentions: the mention table,
-# built once per run by ingest.preprocess_records.
-Mentions = Mapping[str, frozenset[str]]
-
-
 def _contains_phrase(
     tokens: Sequence[str], present: AbstractSet[str], phrase: tuple[str, ...]
 ) -> bool:
@@ -250,21 +246,11 @@ def sole_mention(
     return None
 
 
-def mentions_of(mentions: Mentions, tweet_id: str) -> frozenset[str]:
-    """The matched actor ids of one tweet; a tweet absent from the table
-    raises ConsistencyError."""
-    try:
-        return mentions[tweet_id]
-    except KeyError:
-        raise ConsistencyError(
-            f"tweet {tweet_id!r} is missing from the mention table"
-        ) from None
-
-
-def group_counts(mentions: Mentions, actors: ActorSet) -> dict[str, int]:
-    """Tweets mentioning each actor; actors with no mentions count zero."""
+def group_counts(matched_sets: Iterable[AbstractSet[str]], actors: ActorSet) -> dict[str, int]:
+    """Tweets mentioning each actor, given each tweet's matched actor ids;
+    actors with no mentions count zero."""
     counts = {actor.id: 0 for actor in actors}
-    for matched in mentions.values():
+    for matched in matched_sets:
         for actor_id in matched:
             if actor_id in counts:
                 counts[actor_id] += 1

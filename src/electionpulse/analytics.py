@@ -6,9 +6,9 @@ end of the day. Earlier times are out of range. Bucket cells with no
 tweets are emitted as explicit empty markers (None), never as zero means:
 a fabricated zero would read as neutral sentiment.
 
-Which actors a tweet mentions is read from the run's mention table
-(``ingest.preprocess_records``), keyed by record id; a tweet missing
-from it raises ConsistencyError.
+Which actors a tweet mentions is read from the tweet itself
+(``ProcessedTweet.actors``, matched once per run by
+``ingest.preprocess_records``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from datetime import datetime, time
 from typing import NamedTuple
 
 from ._util import ConsistencyError
-from .actors import Actor, ActorSet, Mentions, mentions_of, sole_mention
+from .actors import Actor, ActorSet, sole_mention
 from .preprocess import ProcessedTweet
 from .sentiment import SentimentScore
 
@@ -90,16 +90,27 @@ class FrequencyTable:
     rows: list[tuple[str, int]]
 
 
-def _require_record(tweet: ProcessedTweet):
-    if tweet.record is None:
-        raise ValueError(f"tweet {tweet.record_id!r} lacks its source record")
-    return tweet.record
+def _sole_mention_cells(
+    tweets: Sequence[ProcessedTweet], values: Iterable, actors: ActorSet, scope: Sequence[str]
+) -> dict[tuple[str, str], list]:
+    """``values`` (aligned with ``tweets``) grouped by (scope actor, bucket
+    label), for the tweets that name exactly one scope actor; tweets before
+    06:00 are left out. Each cell keeps tweet order."""
+    cells: dict[tuple[str, str], list] = {}
+    for tweet, value in zip(tweets, values):
+        bucket = bucket_of(tweet.record.created_at)
+        if bucket is None:
+            continue
+        actor_id = sole_mention(tweet.actors, actors, scope)
+        if actor_id is None:
+            continue
+        cells.setdefault((actor_id, bucket.label), []).append(value)
+    return cells
 
 
 def avg_sentiment_series(
     tweets: Sequence[ProcessedTweet],
     scores: Sequence[SentimentScore],
-    mentions: Mentions,
     actors: ActorSet,
     scope: Sequence[str],
     scale: float = 100.0,
@@ -113,30 +124,19 @@ def avg_sentiment_series(
         raise ConsistencyError(
             f"{len(tweets)} tweets but {len(scores)} scores; inputs must align one-to-one"
         )
-    sums: dict[tuple[str, str], list[float]] = {}
-    for tweet, score in zip(tweets, scores):
-        record = _require_record(tweet)
-        matched = mentions_of(mentions, tweet.record_id)
-        bucket = bucket_of(record.created_at)
-        if bucket is None:
-            continue
-        actor_id = sole_mention(matched, actors, scope)
-        if actor_id is None:
-            continue
-        cell = sums.setdefault((actor_id, bucket.label), [0, 0.0, 0.0])
-        cell[0] += 1
-        cell[1] += score.polarity
-        cell[2] += score.subjectivity
+    grouped = _sole_mention_cells(tweets, scores, actors, scope)
     series = []
     for actor_id in scope:
         cells: dict[str, SeriesCell | None] = {}
         for label in BUCKET_LABELS:
-            acc = sums.get((actor_id, label))
-            if acc is None:
+            cell_scores = grouped.get((actor_id, label))
+            if cell_scores is None:
                 cells[label] = None
             else:
-                count = int(acc[0])
-                cells[label] = SeriesCell(count, acc[1] / count * scale, acc[2] / count)
+                count = len(cell_scores)
+                polarity = sum(score.polarity for score in cell_scores)
+                subjectivity = sum(score.subjectivity for score in cell_scores)
+                cells[label] = SeriesCell(count, polarity / count * scale, subjectivity / count)
         series.append(SentimentSeries(actor_id, cells))
     return series
 
@@ -166,16 +166,13 @@ def _as_exclusion_set(exclusions: Iterable[str] | None) -> set[str]:
 def cooccurrence_cloud(
     tweets: Sequence[ProcessedTweet],
     actor: Actor,
-    mentions: Mentions,
     actors: ActorSet,
     exclusions: Iterable[str] | None = None,
     top_n: int | None = None,
 ) -> FrequencyTable:
     """Term counts over tweets mentioning the actor, actor names excluded."""
     excluded = _as_exclusion_set(exclusions) | actors.exclusion_words()
-    matching = [
-        tweet for tweet in tweets if actor.id in mentions_of(mentions, tweet.record_id)
-    ]
+    matching = [tweet for tweet in tweets if actor.id in tweet.actors]
     table = term_frequencies(matching, excluded, top_n)
     table.key = actor.id
     return table
@@ -183,7 +180,6 @@ def cooccurrence_cloud(
 
 def frequency_heatmap(
     tweets: Sequence[ProcessedTweet],
-    mentions: Mentions,
     actors: ActorSet,
     scope: Sequence[str],
     top_n: int | None = None,
@@ -191,17 +187,7 @@ def frequency_heatmap(
 ) -> dict[str, dict[str, FrequencyTable | None]]:
     """One frequency table per (scope actor, bucket) over sole-mention
     tweets; cells with no tweets are None."""
-    grouped: dict[tuple[str, str], list[ProcessedTweet]] = {}
-    for tweet in tweets:
-        record = _require_record(tweet)
-        matched = mentions_of(mentions, tweet.record_id)
-        bucket = bucket_of(record.created_at)
-        if bucket is None:
-            continue
-        actor_id = sole_mention(matched, actors, scope)
-        if actor_id is None:
-            continue
-        grouped.setdefault((actor_id, bucket.label), []).append(tweet)
+    grouped = _sole_mention_cells(tweets, tweets, actors, scope)
     matrix: dict[str, dict[str, FrequencyTable | None]] = {}
     for actor_id in scope:
         row: dict[str, FrequencyTable | None] = {}
@@ -220,7 +206,6 @@ def frequency_heatmap(
 def combined_avg_polarity(
     tweets: Sequence[ProcessedTweet],
     scores: Sequence[SentimentScore],
-    mentions: Mentions,
     actors: ActorSet,
     pair_ids: Sequence[str] | None = None,
 ) -> dict[str, float | None]:
@@ -235,9 +220,8 @@ def combined_avg_polarity(
             raise ValueError(f"{actor_id!r} is not a configured combined actor")
     sums = {actor_id: [0, 0.0] for actor_id in ids}
     for tweet, score in zip(tweets, scores):
-        matched = mentions_of(mentions, tweet.record_id)
         for actor_id in ids:
-            if actor_id in matched:
+            if actor_id in tweet.actors:
                 sums[actor_id][0] += 1
                 sums[actor_id][1] += score.polarity
     return {

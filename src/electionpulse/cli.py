@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, analytics, topics
-from .actors import mentions_of
 from .config import ConfigError, RunConfig, validate_config
 from .ingest import (
     DatasetStats,
@@ -66,7 +66,6 @@ class _RunState:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     records: list = field(default_factory=list)
     report: ParseReport | None = None
-    mentions: dict[str, frozenset[str]] = field(default_factory=dict)
     kept: list[ProcessedTweet] = field(default_factory=list)
     excluded: dict[str, int] = field(default_factory=dict)
     stats: DatasetStats | None = None
@@ -126,12 +125,10 @@ def _ingest(state: _RunState) -> None:
     _timed(state, "ingest", worker)
 
     def preprocess_worker():
-        state.kept, state.mentions, state.excluded = preprocess_records(
+        state.kept, raw_counts, state.excluded = preprocess_records(
             state.records, state.pipeline, config.actor_set
         )
-        state.stats = dataset_stats(
-            state.records, state.kept, state.mentions, config.actor_set
-        )
+        state.stats = dataset_stats(state.records, state.kept, raw_counts, config.actor_set)
         return len(state.kept)
 
     _timed(state, "preprocess", preprocess_worker)
@@ -166,9 +163,7 @@ def _write_json(path: str, payload) -> None:
 
 
 def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
-    export_records(
-        state.kept, os.path.join(staging, "tweets.csv"), state.mentions, state.config.actor_set
-    )
+    export_records(state.kept, os.path.join(staging, "tweets.csv"), state.config.actor_set)
     return len(state.kept)
 
 
@@ -181,7 +176,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
         for tweet, score in zip(state.kept, scores):
             writer.writerow(
                 [
-                    tweet.record_id,
+                    tweet.record.id,
                     repr(score.polarity),
                     repr(score.subjectivity),
                     polarity_class(score.polarity),
@@ -218,9 +213,7 @@ def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
-    combined = analytics.combined_avg_polarity(
-        state.kept, scores, state.mentions, state.config.actor_set
-    )
+    combined = analytics.combined_avg_polarity(state.kept, scores, state.config.actor_set)
     stats = state.stats
     payload = {
         "total_raw": stats.total_raw,
@@ -250,7 +243,7 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
         chosen = [actor for actor in actor_set if actor.kind == "candidate"]
     payload = {}
     for actor in chosen:
-        table = analytics.cooccurrence_cloud(state.kept, actor, state.mentions, actor_set)
+        table = analytics.cooccurrence_cloud(state.kept, actor, actor_set)
         payload[actor.id] = [[term, count] for term, count in table.rows]
     _write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
@@ -261,7 +254,6 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     series = analytics.avg_sentiment_series(
         state.kept,
         scores,
-        state.mentions,
         state.config.actor_set,
         state.config.scope,
         scale=state.config.polarity_scale,
@@ -290,7 +282,6 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
 def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
     matrix = analytics.frequency_heatmap(
         state.kept,
-        state.mentions,
         state.config.actor_set,
         state.config.scope,
         top_n=state.config.heatmap_top_n,
@@ -311,9 +302,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     group = options.get("group")
     tweets = state.kept
     if group:
-        tweets = [
-            tweet for tweet in tweets if group in mentions_of(state.mentions, tweet.record_id)
-        ]
+        tweets = [tweet for tweet in tweets if group in tweet.actors]
     corpus = topics.build_corpus(
         tweets, min_doc_len=config.min_doc_len, provenance=group or "all"
     )
@@ -359,7 +348,7 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
             label, text = row[0].strip(), row[1]
             tokens = process_tokens(text_tokens(text), state.pipeline)
             docs.append((tokens, label))
-    model = nbc_train(docs, options.get("alpha") or 1.0)
+    model = nbc_train(docs, options.get("alpha", 1.0))
     payload = {
         "alpha": model.alpha,
         "labels": model.labels,
@@ -558,6 +547,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if options["group"] and options["group"] not in config.actor_set:
         print(f"config error: --group {options['group']!r} is not configured", file=sys.stderr)
+        return 2
+    alpha = options["alpha"]
+    if alpha is not None and not 0 < alpha < math.inf:
+        print(f"config error: --alpha must be positive and finite, got {alpha}", file=sys.stderr)
         return 2
     if args.subcommand == "train-nbc" and not config.nbc_corpus_path:
         print("config error: [lexicons] nbc_corpus is required for train-nbc", file=sys.stderr)

@@ -5,8 +5,9 @@ locations are configurable through a dot-path table with "|"-separated
 alternatives (default fits Twitter's classic payload shape).
 
 Preprocesses: one pass over the parsed records cleans and tokenizes each
-record once, matches its actors on those tokens and, unless it is a
-retweet, runs the rest of the token pipeline on them.
+record once, matches its actors on those tokens, tallies the raw
+per-actor counts and, unless it is a retweet, runs the rest of the token
+pipeline on them; each kept tweet carries its matched actor ids.
 
 Writes: an RFC-4180 CSV export of preprocessed tweets with one boolean
 column per configured actor.
@@ -26,16 +27,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from typing import IO, NamedTuple
 
-from ._util import ConsistencyError, parse_timestamp, pct
-from .actors import ActorSet, Mentions, group_counts, match_actors, mentions_of
+from ._util import parse_timestamp, pct
+from .actors import ActorSet, group_counts, match_actors
 from .analytics import bucket_label
-from .preprocess import (
-    PipelineConfig,
-    ProcessedTweet,
-    is_retweet,
-    preprocess_pipeline,
-    text_tokens,
-)
+from .preprocess import PipelineConfig, ProcessedTweet, preprocess_pipeline, text_tokens
 
 # Dot paths into the line's JSON object; "|" separates alternatives tried
 # in order. id, created_at and text are required for a line to count.
@@ -73,11 +68,11 @@ class ParseReport:
 
 
 class Preprocessed(NamedTuple):
-    """The one pass's output: kept tweets in record order, the mention
-    table of every record (retweets included), and rejections by reason."""
+    """The one pass's output: kept tweets in record order, tweets per actor
+    over every record (retweets included), and rejections by reason."""
 
     kept: list[ProcessedTweet]
-    mentions: dict[str, frozenset[str]]
+    raw_counts: dict[str, int]
     excluded: dict[str, int]
 
 
@@ -188,54 +183,48 @@ def preprocess_records(
 ) -> Preprocessed:
     """Clean and tokenize each record once; match and preprocess from those tokens.
 
-    Every record gets a mention-table entry; equal matched sets share one
-    interned frozenset, so the table costs a pointer per record however
-    many records name the same actors. Retweets stop there. The rest go
-    through ``preprocess_pipeline`` and are kept unless no token survives
-    filtering. ``excluded`` counts both rejections: ``retweet`` and
-    ``empty_after_filtering``.
+    Every record's matched actors count towards ``raw_counts``. Retweets
+    stop there. The rest go through ``preprocess_pipeline`` and are kept
+    unless no token survives filtering; equal matched sets share one
+    interned frozenset, so ``ProcessedTweet.actors`` costs a pointer per
+    tweet however many tweets name the same actors. ``excluded`` counts
+    both rejections: ``retweet`` and ``empty_after_filtering``.
     """
     interned: dict[frozenset[str], frozenset[str]] = {}
-    mentions: dict[str, frozenset[str]] = {}
+    raw_counts = {actor.id: 0 for actor in actors}
     kept: list[ProcessedTweet] = []
     excluded = {"retweet": 0, "empty_after_filtering": 0}
     for record in records:
         tokens = text_tokens(record.text)
         matched = frozenset(match_actors(tokens, actors))
-        mentions[record.id] = interned.setdefault(matched, matched)
-        if is_retweet(record):
+        matched = interned.setdefault(matched, matched)
+        for actor_id in matched:
+            raw_counts[actor_id] += 1
+        if record.is_retweet:
             excluded["retweet"] += 1
             continue
-        tweet = preprocess_pipeline(record, tokens, pipeline)
+        tweet = preprocess_pipeline(record, tokens, matched, pipeline)
         if tweet is None:
             excluded["empty_after_filtering"] += 1
         else:
             kept.append(tweet)
-    return Preprocessed(kept, mentions, excluded)
+    return Preprocessed(kept, raw_counts, excluded)
 
 
 def dataset_stats(
     records: Sequence[TweetRecord],
     kept: Sequence[ProcessedTweet],
-    mentions: Mentions,
+    raw_counts: dict[str, int],
     groups: ActorSet,
 ) -> DatasetStats:
     """Per-actor raw/kept mention counts plus kept-population coverage.
 
-    ``mentions`` is the mention table of exactly ``records``. Group rows
-    overlap (a tweet can mention several actors), so the totals are
-    population sizes, not column sums.
+    ``raw_counts`` are the per-actor counts over ``records`` that
+    ``preprocess_records`` tallied. Group rows overlap (a tweet can mention
+    several actors), so the totals are population sizes, not column sums.
     """
-    record_ids = {record.id for record in records}
-    for tweet in kept:
-        if tweet.record_id not in record_ids:
-            raise ConsistencyError(f"kept tweet {tweet.record_id!r} has no raw record")
-    if mentions.keys() != record_ids:
-        raise ConsistencyError("the mention table does not cover exactly the raw records")
-    kept_mentions = {tweet.record_id: mentions[tweet.record_id] for tweet in kept}
-    raw_counts = group_counts(mentions, groups)
-    kept_counts = group_counts(kept_mentions, groups)
-    matched_kept = sum(1 for matched in kept_mentions.values() if matched)
+    kept_counts = group_counts((tweet.actors for tweet in kept), groups)
+    matched_kept = sum(1 for tweet in kept if tweet.actors)
     per_group = {
         actor.id: GroupCount(raw_counts[actor.id], kept_counts[actor.id])
         for actor in groups
@@ -248,25 +237,20 @@ def dataset_stats(
     )
 
 
-def export_records(
-    records: Sequence[ProcessedTweet], path: str, mentions: Mentions, actors: ActorSet
-) -> None:
+def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSet) -> None:
     """Write one CSV row per kept tweet: id, timestamp, bucket, tokens,
-    then a true/false column per configured actor, read from ``mentions``."""
+    then a true/false column per configured actor, read from ``tweet.actors``."""
     ids = [actor.id for actor in actors]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
         for tweet in records:
-            if tweet.record is None:
-                raise ValueError(f"tweet {tweet.record_id!r} lacks its source record")
-            matched = mentions_of(mentions, tweet.record_id)
             writer.writerow(
                 [
-                    tweet.record_id,
+                    tweet.record.id,
                     tweet.record.created_at.isoformat(),
                     bucket_label(tweet.record.created_at),
                     " ".join(tweet.tokens),
                 ]
-                + ["true" if actor_id in matched else "false" for actor_id in ids]
+                + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
             )

@@ -5,7 +5,7 @@ correction sees surface words (never stems) and stemming sees only
 dictionary-corrected, stopword-free tokens. A run cleans and tokenizes
 each record once (``text_tokens``); actor matching and, for records that
 are not retweets, the token steps (``preprocess_pipeline``) share those
-tokens.
+tokens, and each kept tweet carries the actors its text names.
 """
 
 from __future__ import annotations
@@ -32,33 +32,30 @@ MIN_CORRECTION_LENGTH = 4
 
 @dataclass(frozen=True)
 class ProcessedTweet:
-    """Final token list for one kept tweet plus its source record."""
+    """Final token list for one kept tweet, its source record and the ids
+    of the actors its text names (``actors.match_actors``)."""
 
-    record_id: str
+    record: "TweetRecord"
     tokens: tuple[str, ...]
     raw_token_count: int
-    record: "TweetRecord | None" = None
+    actors: frozenset[str]
 
 
 @dataclass
 class StopwordSet:
-    """Base function words plus optional per-analysis extra words.
-
-    Lookup is case-insensitive. The extra set (typically actor and party
-    names) participates only when ``include_extra`` is set.
-    """
+    """Base function words plus per-analysis extra words (typically actor
+    and party names). Lookup is case-insensitive."""
 
     base: frozenset[str] = frozenset()
     extra: frozenset[str] = frozenset()
-    include_extra: bool = False
 
     def __contains__(self, token: str) -> bool:
         folded = token.lower()
-        return folded in self.base or (self.include_extra and folded in self.extra)
+        return folded in self.base or folded in self.extra
 
-    def with_extra(self, words: Iterable[str], include: bool = True) -> "StopwordSet":
+    def with_extra(self, words: Iterable[str]) -> "StopwordSet":
         extra = frozenset(w.lower() for w in words)
-        return StopwordSet(self.base, self.extra | extra, include)
+        return StopwordSet(self.base, self.extra | extra)
 
 
 def load_stopwords(path: str) -> StopwordSet:
@@ -88,11 +85,6 @@ def clean(text: str) -> str:
         if ch.isspace() or unicodedata.category(ch)[0] in "LMNP"
     ]
     return " ".join("".join(kept).lower().split())
-
-
-def is_retweet(record: "TweetRecord") -> bool:
-    """True when the source marked a retweet or the text is an "RT @..."."""
-    return bool(record.is_retweet) or record.text.lstrip().startswith("RT @")
 
 
 def _strip_edge_punctuation(token: str) -> str:
@@ -167,10 +159,13 @@ def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
 
 
 def preprocess_pipeline(
-    record: "TweetRecord", tokens: Sequence[str], config: PipelineConfig
+    record: "TweetRecord",
+    tokens: Sequence[str],
+    actors: frozenset[str],
+    config: PipelineConfig,
 ) -> ProcessedTweet | None:
     """Correct -> filter -> stem one non-retweet record's surface tokens
-    (``text_tokens(record.text)``).
+    (``text_tokens(record.text)``); ``actors`` are the ids matched on them.
 
     Returns None (rejected) when no token is left after filtering.
     """
@@ -178,8 +173,8 @@ def preprocess_pipeline(
     if not final:
         return None
     return ProcessedTweet(
-        record_id=record.id,
+        record=record,
         tokens=tuple(final),
         raw_token_count=len(tokens),
-        record=record,
+        actors=actors,
     )

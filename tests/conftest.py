@@ -86,8 +86,8 @@ def preprocessed(records, pipeline, actor_set) -> Preprocessed:
 
 
 @pytest.fixture(scope="session")
-def mentions(preprocessed) -> dict[str, frozenset[str]]:
-    return preprocessed.mentions
+def raw_counts(preprocessed) -> dict[str, int]:
+    return preprocessed.raw_counts
 
 
 @pytest.fixture(scope="session")

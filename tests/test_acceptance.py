@@ -46,7 +46,7 @@ from electionpulse.sentiment import (
 from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
 
-from test_analytics import make_tweet, mention_table, named
+from test_analytics import make_tweet, named, with_actors
 from test_sentiment import load_micro
 from test_stemming import VECTORS
 
@@ -174,7 +174,7 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
                 text=" ".join(tokens),
                 is_retweet=False,
             )
-            tweets.append(ProcessedTweet(f"s{i}", tokens, len(tokens), record))
+            tweets.append(ProcessedTweet(record, tokens, len(tokens), frozenset()))
 
         for engine in ("pattern", "swn"):
             scored = score_all(
@@ -266,9 +266,9 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                 SentimentScore(rng.uniform(-1, 1), rng.uniform(0, 1))
             )
 
-        mentions = mention_table(tweets, actor_set)
-        series = avg_sentiment_series(tweets, scores, mentions, actor_set, scope, scale=100.0)
-        heatmap = frequency_heatmap(tweets, mentions, actor_set, scope, top_n=5)
+        tweets = with_actors(tweets, actor_set)
+        series = avg_sentiment_series(tweets, scores, actor_set, scope, scale=100.0)
+        heatmap = frequency_heatmap(tweets, actor_set, scope, top_n=5)
 
         grouped: dict[tuple[str, str], list[int]] = {}
         for index, tweet in enumerate(tweets):

@@ -180,8 +180,8 @@ class TestMatching:
     def test_matches_in_retweet_text(self) -> None:
         assert "willie_obiano" in match_actors(text_tokens("RT @x: obiano wins"), small_set())
 
-    def test_fixture_group_counts(self, mentions, actor_set) -> None:
-        counts = group_counts(mentions, actor_set)
+    def test_fixture_group_counts(self, raw_counts) -> None:
+        counts = raw_counts
         assert counts["willie_obiano"] == 10
         assert counts["apga"] == 12
         assert counts["willie_obiano_apga"] == 9
@@ -197,23 +197,22 @@ class TestMatching:
     def test_adding_an_alias_never_shrinks_a_group(self, records) -> None:
         base = ActorSet([Actor("x", "candidate", ("obiano",))])
         wider = ActorSet([Actor("x", "candidate", ("obiano", "nwoye"))])
-        base_table = preprocess_records(records, PipelineConfig(), base).mentions
-        wider_table = preprocess_records(records, PipelineConfig(), wider).mentions
-        count_base = group_counts(base_table, base)["x"]
-        count_wider = group_counts(wider_table, wider)["x"]
+        count_base = preprocess_records(records, PipelineConfig(), base).raw_counts["x"]
+        count_wider = preprocess_records(records, PipelineConfig(), wider).raw_counts["x"]
         assert count_wider >= count_base
 
-    def test_combined_never_exceeds_either_component(self, mentions, actor_set) -> None:
-        counts = group_counts(mentions, actor_set)
+    def test_combined_never_exceeds_either_component(self, raw_counts, actor_set) -> None:
+        counts = raw_counts
         for actor in actor_set.combined():
             candidate, party = actor.components
             assert counts[actor.id] <= min(counts[candidate], counts[party])
 
-    def test_fixture_table_is_interned(self, records, mentions) -> None:
-        assert list(mentions) == [record.id for record in records]
+    def test_fixture_table_is_interned(self, kept) -> None:
+        # Kept tweets that name the same actors share one frozenset.
         by_value: dict[frozenset[str], frozenset[str]] = {}
-        for matched in mentions.values():
-            assert by_value.setdefault(matched, matched) is matched
+        for tweet in kept:
+            assert by_value.setdefault(tweet.actors, tweet.actors) is tweet.actors
+        assert len(by_value) < len(kept)
 
 
 class TestSoleMention:
@@ -349,18 +348,28 @@ tweet_texts = st.lists(st.sampled_from(TWEET_WORDS), max_size=7).map(" ".join)
 
 
 @settings(max_examples=150, deadline=None)
-@given(rosters(), st.lists(tweet_texts, min_size=1, max_size=4))
-def test_set_based_sole_mention_matches_the_text_oracle(actors, texts) -> None:
+@given(rosters(), st.lists(st.tuples(tweet_texts, st.booleans()), min_size=1, max_size=4))
+def test_set_based_sole_mention_matches_the_text_oracle(actors, drawn) -> None:
     stamp = datetime(2017, 11, 18, 10, tzinfo=timezone.utc)
     records = [
-        TweetRecord(f"t{i}", stamp, "someone", text, False) for i, text in enumerate(texts)
+        TweetRecord(f"t{i}", stamp, "someone", text, retweet)
+        for i, (text, retweet) in enumerate(drawn)
     ]
-    mentions = preprocess_records(records, PipelineConfig(), actors).mentions
+    done = preprocess_records(records, PipelineConfig(), actors)
+    # Raw counts cover every record, retweets included.
+    oracle_sets = [_oracle_match(record.text, actors) for record in records]
+    assert done.raw_counts == group_counts(oracle_sets, actors)
+    # With no stopwords, exactly the non-retweets with a token are kept.
+    assert [tweet.record for tweet in done.kept] == [
+        record for record in records if not record.is_retweet and text_tokens(record.text)
+    ]
     ids = actors.ids()
     scopes = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
-    for record in records:
-        assert mentions[record.id] == _oracle_match(record.text, actors)
+    for tweet in done.kept:
+        text = tweet.record.text
+        assert tweet.actors == match_actors(text_tokens(text), actors)
+        assert tweet.actors == _oracle_match(text, actors)
         for scope in scopes:
-            assert sole_mention(mentions[record.id], actors, scope) == _oracle_sole_mention(
-                record.text, actors, scope
-            ), (record.text, scope)
+            assert sole_mention(tweet.actors, actors, scope) == _oracle_sole_mention(
+                text, actors, scope
+            ), (text, scope)

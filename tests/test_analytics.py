@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, time, timedelta, timezone
 
 import pytest
@@ -44,7 +45,7 @@ def make_tweet(
         text=text,
         is_retweet=False,
     )
-    return ProcessedTweet(record_id, tokens, len(tokens), record)
+    return ProcessedTweet(record, tokens, len(tokens), frozenset())
 
 
 def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:
@@ -52,9 +53,10 @@ def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:
     return match_actors(text_tokens(tweet.record.text), actors)
 
 
-def mention_table(tweets, actors: ActorSet) -> dict[str, frozenset[str]]:
-    """The mention table of synthetic tweets, whose tokens are not their text's."""
-    return {tweet.record_id: frozenset(named(tweet, actors)) for tweet in tweets}
+def with_actors(tweets, actors: ActorSet) -> list[ProcessedTweet]:
+    """Synthetic tweets, whose tokens are not their text's, carrying the
+    actors their text names."""
+    return [replace(tweet, actors=frozenset(named(tweet, actors))) for tweet in tweets]
 
 
 def pair_set() -> ActorSet:
@@ -114,10 +116,10 @@ class TestBuckets:
 class TestSentimentSeries:
     def test_single_tweet_cell(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13)]
+        tweet = make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13)
+        tweets = with_actors([tweet], actors)
         scores = [SentimentScore(0.25, 0.6)]
-        mentions = mention_table(tweets, actors)
-        series = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"])
+        series = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])
         assert len(series) == 1
         cell = series[0].cells["12-14"]
         assert cell.count == 1
@@ -126,10 +128,9 @@ class TestSentimentSeries:
 
     def test_empty_cells_are_none_not_zero(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano visits awka", ("visit",), 13)]
-        mentions = mention_table(tweets, actors)
+        tweets = with_actors([make_tweet("t1", "obiano visits awka", ("visit",), 13)], actors)
         series = avg_sentiment_series(
-            tweets, [SentimentScore(0.25, 0.6)], mentions, actors, ["willie_obiano"]
+            tweets, [SentimentScore(0.25, 0.6)], actors, ["willie_obiano"]
         )
         cells = series[0].cells
         assert set(cells) == set(BUCKET_LABELS)
@@ -137,40 +138,39 @@ class TestSentimentSeries:
 
     def test_out_of_range_tweets_never_contribute(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano early start", ("earli", "start"), 5)]
-        mentions = mention_table(tweets, actors)
+        tweet = make_tweet("t1", "obiano early start", ("earli", "start"), 5)
+        tweets = with_actors([tweet], actors)
         series = avg_sentiment_series(
-            tweets, [SentimentScore(1.0, 1.0)], mentions, actors, ["willie_obiano"]
+            tweets, [SentimentScore(1.0, 1.0)], actors, ["willie_obiano"]
         )
         assert all(cell is None for cell in series[0].cells.values())
 
     def test_non_sole_tweets_never_contribute(self) -> None:
         actors = pair_set()
         # Mentions two scoped identities, so it belongs to nobody.
-        tweets = [make_tweet("t1", "obiano against apga rebels", ("rebel",), 13)]
+        tweet = make_tweet("t1", "obiano against apga rebels", ("rebel",), 13)
+        tweets = with_actors([tweet], actors)
         scope = ["willie_obiano", "apga"]
-        mentions = mention_table(tweets, actors)
-        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], mentions, actors, scope)
+        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, scope)
         for row in series:
             assert all(cell is None for cell in row.cells.values())
 
-    def test_misaligned_scores_raise(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
+    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set, scope) -> None:
         with pytest.raises(ConsistencyError):
-            avg_sentiment_series(kept, pattern_scores[:-1], mentions, actor_set, scope)
+            avg_sentiment_series(kept, pattern_scores[:-1], actor_set, scope)
 
     def test_scale_is_linear(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano wins", ("win",), 13)]
+        tweets = with_actors([make_tweet("t1", "obiano wins", ("win",), 13)], actors)
         scores = [SentimentScore(0.3, 0.5)]
-        mentions = mention_table(tweets, actors)
-        x100 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=100.0)
-        x1 = avg_sentiment_series(tweets, scores, mentions, actors, ["willie_obiano"], scale=1.0)
+        x100 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=100.0)
+        x1 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=1.0)
         assert x100[0].cells["12-14"].mean_polarity_x100 == pytest.approx(
             100.0 * x1[0].cells["12-14"].mean_polarity_x100
         )
 
-    def test_fixture_matches_brute_force(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, mentions, actor_set, scope)
+    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set, scope) -> None:
+        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
         assert [row.actor_id for row in series] == scope
         groups: dict[tuple[str, str], list[SentimentScore]] = {}
         for tweet, score in zip(kept, pattern_scores):
@@ -194,8 +194,8 @@ class TestSentimentSeries:
                 assert cell.mean_polarity_x100 == pytest.approx(100 * mean_polarity, abs=1e-9)
                 assert cell.mean_subjectivity == pytest.approx(mean_subjectivity, abs=1e-9)
 
-    def test_bucket_counts_sum_to_sole_totals(self, kept, mentions, pattern_scores, actor_set, scope) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, mentions, actor_set, scope)
+    def test_bucket_counts_sum_to_sole_totals(self, kept, pattern_scores, actor_set, scope) -> None:
+        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
         sole_totals = Counter()
         for tweet in kept:
             owner = sole_mention(named(tweet, actor_set), actor_set, scope)
@@ -258,48 +258,49 @@ class TestCooccurrence:
         actors = pair_set()
         # Tokens deliberately retain the alias word to prove the cloud
         # itself drops it.
-        tweets = [make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)]
-        mentions = mention_table(tweets, actors)
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
+        tweet = make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)
+        tweets = with_actors([tweet], actors)
+        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
         assert table.key == "willie_obiano"
         assert dict(table.rows) == {"cheer": 1, "crowd": 1}
 
     def test_only_matching_tweets_count(self) -> None:
         actors = pair_set()
-        tweets = [
-            make_tweet("t1", "obiano cheers", ("cheer",), 10),
-            make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11),
-        ]
-        mentions = mention_table(tweets, actors)
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
+        tweets = with_actors(
+            [
+                make_tweet("t1", "obiano cheers", ("cheer",), 10),
+                make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11),
+            ],
+            actors,
+        )
+        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
         assert dict(table.rows) == {"cheer": 1}
 
     def test_no_matching_tweets_is_empty(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "quiet day", ("quiet", "dai"), 10)]
-        mentions = mention_table(tweets, actors)
-        assert cooccurrence_cloud(tweets, actors["apga"], mentions, actors).rows == []
+        tweets = with_actors([make_tweet("t1", "quiet day", ("quiet", "dai"), 10)], actors)
+        assert cooccurrence_cloud(tweets, actors["apga"], actors).rows == []
 
-    def test_fixture_running_mate_count(self, kept, mentions, actor_set) -> None:
+    def test_fixture_running_mate_count(self, kept, actor_set) -> None:
         # Three fixture tweets pair "ojukwu" with the apga alias.
-        table = cooccurrence_cloud(kept, actor_set["apga"], mentions, actor_set)
+        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set)
         assert dict(table.rows)["ojukwu"] == 3
         assert "apga" not in dict(table.rows)
 
-    def test_top_n_applies_after_exclusions(self, kept, mentions, actor_set) -> None:
-        table = cooccurrence_cloud(kept, actor_set["apga"], mentions, actor_set, top_n=3)
+    def test_top_n_applies_after_exclusions(self, kept, actor_set) -> None:
+        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set, top_n=3)
         assert len(table.rows) == 3
 
 
 class TestHeatmap:
-    def test_shape_covers_scope_and_buckets(self, kept, mentions, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, mentions, actor_set, scope, top_n=10)
+    def test_shape_covers_scope_and_buckets(self, kept, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
         assert list(matrix) == scope
         for row in matrix.values():
             assert tuple(row) == BUCKET_LABELS
 
-    def test_cells_match_sole_mention_recount(self, kept, mentions, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, mentions, actor_set, scope, top_n=10)
+    def test_cells_match_sole_mention_recount(self, kept, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
         grouped: dict[tuple[str, str], list] = {}
         for tweet in kept:
             label = bucket_label(tweet.record.created_at)
@@ -319,8 +320,8 @@ class TestHeatmap:
                     assert cell.rows == expected.rows
                     assert cell.key == f"{actor_id}/{label}"
 
-    def test_fixture_has_known_empty_cells(self, kept, mentions, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, mentions, actor_set, scope)
+    def test_fixture_has_known_empty_cells(self, kept, actor_set, scope) -> None:
+        matrix = frequency_heatmap(kept, actor_set, scope)
         empties = {
             actor_id: [label for label, cell in row.items() if cell is None]
             for actor_id, row in matrix.items()
@@ -333,30 +334,28 @@ class TestHeatmap:
 class TestCombinedPolarity:
     def test_single_matching_tweet(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10)]
-        mentions = mention_table(tweets, actors)
-        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
+        tweets = with_actors([make_tweet("t1", "obiano thanks apga", ("thank",), 10)], actors)
+        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": pytest.approx(0.5)}
 
     def test_no_matching_tweet_is_none(self) -> None:
         actors = pair_set()
-        tweets = [make_tweet("t1", "obiano alone", ("alone",), 10)]
-        mentions = mention_table(tweets, actors)
-        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], mentions, actors)
+        tweets = with_actors([make_tweet("t1", "obiano alone", ("alone",), 10)], actors)
+        means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": None}
 
-    def test_unknown_or_plain_actor_rejected(self, kept, mentions, pattern_scores, actor_set) -> None:
+    def test_unknown_or_plain_actor_rejected(self, kept, pattern_scores, actor_set) -> None:
         with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, mentions, actor_set, ["nobody"])
+            combined_avg_polarity(kept, pattern_scores, actor_set, ["nobody"])
         with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, mentions, actor_set, ["willie_obiano"])
+            combined_avg_polarity(kept, pattern_scores, actor_set, ["willie_obiano"])
 
-    def test_misaligned_scores_raise(self, kept, mentions, pattern_scores, actor_set) -> None:
+    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set) -> None:
         with pytest.raises(ConsistencyError):
-            combined_avg_polarity(kept[:-1], pattern_scores, mentions, actor_set)
+            combined_avg_polarity(kept[:-1], pattern_scores, actor_set)
 
-    def test_fixture_matches_brute_force(self, kept, mentions, pattern_scores, actor_set) -> None:
-        means = combined_avg_polarity(kept, pattern_scores, mentions, actor_set)
+    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set) -> None:
+        means = combined_avg_polarity(kept, pattern_scores, actor_set)
         assert set(means) == {actor.id for actor in actor_set.combined()}
         for actor in actor_set.combined():
             values = [
@@ -371,28 +370,14 @@ class TestCombinedPolarity:
 
 
 class TestMentionTable:
-    def test_tweet_missing_from_the_table_raises(self) -> None:
-        actors = pair_set()
-        tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10)]
-        scores = [SentimentScore(0.5, 0.5)]
-        calls = [
-            lambda: avg_sentiment_series(tweets, scores, {}, actors, ["willie_obiano"]),
-            lambda: frequency_heatmap(tweets, {}, actors, ["willie_obiano"]),
-            lambda: cooccurrence_cloud(tweets, actors["apga"], {}, actors),
-            lambda: combined_avg_polarity(tweets, scores, {}, actors),
-        ]
-        for call in calls:
-            with pytest.raises(ConsistencyError):
-                call()
-
     def test_the_table_is_read_not_the_text(self) -> None:
-        # The text names nobody; the table alone attributes the tweet.
+        # The text names nobody; the tweet's matched set alone attributes it.
         actors = pair_set()
-        tweets = [make_tweet("t1", "quiet day", ("quiet",), 10)]
-        mentions = {"t1": frozenset({"willie_obiano"})}
-        cloud = cooccurrence_cloud(tweets, actors["willie_obiano"], mentions, actors)
+        tweet = make_tweet("t1", "quiet day", ("quiet",), 10)
+        tweets = [replace(tweet, actors=frozenset({"willie_obiano"}))]
+        cloud = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
         assert cloud.rows == [("quiet", 1)]
         series = avg_sentiment_series(
-            tweets, [SentimentScore(0.5, 0.5)], mentions, actors, ["willie_obiano"]
+            tweets, [SentimentScore(0.5, 0.5)], actors, ["willie_obiano"]
         )
         assert series[0].cells["10-12"].count == 1

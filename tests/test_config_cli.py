@@ -23,7 +23,6 @@ from electionpulse.ingest import parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
     clean,
-    is_retweet,
     process_tokens,
     text_tokens,
     tokenize,
@@ -188,6 +187,18 @@ def _train_nbc_without_corpus(config_factory, fixtures_dir, tmp_path, monkeypatc
     return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": None})]
 
 
+def _train_nbc_zero_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(), "--alpha", "0"]
+
+
+def _train_nbc_negative_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(), "--alpha", "-1"]
+
+
+def _train_nbc_infinite_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(), "--alpha", "inf"]
+
+
 def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     corpus = tmp_path / "single_label.csv"
     corpus.write_text("label,text\npos,good win\npos,great turnout\n", encoding="utf-8")
@@ -217,6 +228,9 @@ EXIT_CODE_MATRIX = [
     ("unknown_actor", _unknown_actor, 2, "peter_obi", None),
     ("unknown_group", _unknown_group, 2, "nobody", None),
     ("train_nbc_without_corpus", _train_nbc_without_corpus, 2, "nbc_corpus", None),
+    ("train_nbc_zero_alpha", _train_nbc_zero_alpha, 2, "--alpha", None),
+    ("train_nbc_negative_alpha", _train_nbc_negative_alpha, 2, "--alpha", None),
+    ("train_nbc_infinite_alpha", _train_nbc_infinite_alpha, 2, "--alpha", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
 ]
@@ -361,7 +375,7 @@ class TestCliRuns:
         stemmable = {
             token
             for record in records
-            if not is_retweet(record)
+            if not record.is_retweet
             for token in process_tokens(text_tokens(record.text), unstemmed)
             if token.isascii() and token.isalpha()
         }
@@ -382,7 +396,7 @@ class TestCliRuns:
         excluded = dataset["excluded"]
         assert set(excluded) == {"retweet", "empty_after_filtering"}
         assert dataset["total_kept"] + sum(excluded.values()) == dataset["total_raw"] == 50
-        assert excluded["retweet"] == sum(is_retweet(record) for record in records)
+        assert excluded["retweet"] == sum(record.is_retweet for record in records)
 
     @pytest.mark.parametrize(
         "flags,hits",
@@ -420,7 +434,7 @@ class TestCliRuns:
         looked_up = [
             token
             for record in records
-            if not is_retweet(record)
+            if not record.is_retweet
             for token in tokenize(clean(record.text))
             if len(token) >= MIN_CORRECTION_LENGTH and token not in dictionary
         ]

@@ -10,15 +10,15 @@ from datetime import timedelta, timezone
 
 import pytest
 
-from electionpulse._util import ConsistencyError
 from electionpulse.actors import match_actors
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
     dataset_stats,
     export_records,
     parse_tweet_stream,
+    preprocess_records,
 )
-from electionpulse.preprocess import text_tokens
+from electionpulse.preprocess import PipelineConfig, text_tokens
 
 LAGOS = timezone(timedelta(hours=1))
 
@@ -108,12 +108,13 @@ class TestParsing:
     def test_retweet_detection_from_payload_and_prefix(self) -> None:
         records, _ = parse_tweet_stream(
             [
-                line(id_str="a", retweeted_status={"id_str": "x"}),
+                line(id_str="a", text="anything", retweeted_status={"id_str": "x"}),
                 line(id_str="b", text="RT @someone: obiano wins"),
                 line(id_str="c"),
+                line(id_str="d", text="great RT @someone"),
             ]
         )
-        assert [record.is_retweet for record in records] == [True, True, False]
+        assert [record.is_retweet for record in records] == [True, True, False, False]
 
     def test_accepts_byte_lines(self) -> None:
         records, report = parse_tweet_stream([line().encode("utf-8")])
@@ -143,8 +144,8 @@ class TestParsing:
 
 
 class TestDatasetStats:
-    def test_fixture_counts(self, records, kept, mentions, actor_set) -> None:
-        stats = dataset_stats(records, kept, mentions, actor_set)
+    def test_fixture_counts(self, records, kept, raw_counts, actor_set) -> None:
+        stats = dataset_stats(records, kept, raw_counts, actor_set)
         assert stats.total_raw == 50
         assert stats.total_kept == 43
         group = stats.per_group
@@ -156,16 +157,16 @@ class TestDatasetStats:
         # 27 of 43 kept tweets mention at least one actor.
         assert stats.coverage_pct == 62.79
 
-    def test_order_invariance(self, records, kept, mentions, actor_set) -> None:
+    def test_order_invariance(self, records, kept, raw_counts, actor_set) -> None:
         shuffled_records = list(records)
         shuffled_kept = list(kept)
         random.Random(7).shuffle(shuffled_records)
         random.Random(8).shuffle(shuffled_kept)
-        stats = dataset_stats(shuffled_records, shuffled_kept, mentions, actor_set)
-        assert stats == dataset_stats(records, kept, mentions, actor_set)
+        stats = dataset_stats(shuffled_records, shuffled_kept, raw_counts, actor_set)
+        assert stats == dataset_stats(records, kept, raw_counts, actor_set)
 
-    def test_combined_never_exceeds_components(self, records, kept, mentions, actor_set) -> None:
-        stats = dataset_stats(records, kept, mentions, actor_set)
+    def test_combined_never_exceeds_components(self, records, kept, raw_counts, actor_set) -> None:
+        stats = dataset_stats(records, kept, raw_counts, actor_set)
         for actor in actor_set:
             if actor.components is None:
                 continue
@@ -178,34 +179,17 @@ class TestDatasetStats:
                 stats.per_group[candidate].kept, stats.per_group[party].kept
             )
 
-    def test_kept_must_be_subset_of_records(self, records, kept, mentions, actor_set) -> None:
-        stranger = kept[0].__class__(
-            record_id="not-a-real-id", tokens=("x",), raw_token_count=1
-        )
-        with pytest.raises(ConsistencyError):
-            dataset_stats(records, list(kept) + [stranger], mentions, actor_set)
-
     def test_empty_population(self, actor_set) -> None:
-        stats = dataset_stats([], [], {}, actor_set)
+        done = preprocess_records([], PipelineConfig(), actor_set)
+        stats = dataset_stats([], done.kept, done.raw_counts, actor_set)
         assert stats.total_raw == 0
         assert stats.coverage_pct == 0.0
 
-    def test_mention_table_must_cover_exactly_the_records(
-        self, records, kept, mentions, actor_set
-    ) -> None:
-        missing = dict(mentions)
-        del missing[kept[0].record_id]
-        with pytest.raises(ConsistencyError):
-            dataset_stats(records, kept, missing, actor_set)
-        extra = dict(mentions, stranger=frozenset({"apga"}))
-        with pytest.raises(ConsistencyError):
-            dataset_stats(records, kept, extra, actor_set)
-
 
 class TestExport:
-    def test_round_trip(self, kept, mentions, actor_set, tmp_path) -> None:
+    def test_round_trip(self, kept, actor_set, tmp_path) -> None:
         path = tmp_path / "tweets.csv"
-        export_records(kept, str(path), mentions, actor_set)
+        export_records(kept, str(path), actor_set)
         with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
         header, body = rows[0], rows[1:]
@@ -214,7 +198,7 @@ class TestExport:
         assert len(body) == len(kept)
         by_id = {row[0]: row for row in body}
         for tweet in kept:
-            row = by_id[tweet.record_id]
+            row = by_id[tweet.record.id]
             assert row[3] == " ".join(tweet.tokens)
             flags = {
                 actor_id: value == "true"
@@ -222,28 +206,19 @@ class TestExport:
             }
             assert set(flags.values()) <= {True, False}
 
-    def test_requires_source_records(self, kept, mentions, actor_set, tmp_path) -> None:
-        orphan = kept[0].__class__(record_id="x", tokens=("a",), raw_token_count=1)
-        with pytest.raises(ValueError):
-            export_records([orphan], str(tmp_path / "x.csv"), mentions, actor_set)
-
-    def test_uses_crlf_line_endings(self, kept, mentions, actor_set, tmp_path) -> None:
+    def test_uses_crlf_line_endings(self, kept, actor_set, tmp_path) -> None:
         path = tmp_path / "tweets.csv"
-        export_records(kept, str(path), mentions, actor_set)
+        export_records(kept, str(path), actor_set)
         raw = path.read_bytes()
         assert raw.count(b"\r\n") == len(kept) + 1
 
     def test_flags_are_the_actors_named_in_the_text(
-        self, kept, mentions, actor_set, tmp_path
+        self, kept, actor_set, tmp_path
     ) -> None:
         path = tmp_path / "tweets.csv"
-        export_records(kept, str(path), mentions, actor_set)
+        export_records(kept, str(path), actor_set)
         with open(path, encoding="utf-8", newline="") as handle:
             header, *body = list(csv.reader(handle))
         for tweet, row in zip(kept, body):
             named = match_actors(text_tokens(tweet.record.text), actor_set)
             assert {a for a, flag in zip(header[4:], row[4:]) if flag == "true"} == named
-
-    def test_tweet_missing_from_the_table_raises(self, kept, actor_set, tmp_path) -> None:
-        with pytest.raises(ConsistencyError):
-            export_records(kept, str(tmp_path / "x.csv"), {}, actor_set)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -9,13 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electionpulse.actors import ActorSet
-from electionpulse.ingest import TweetRecord, preprocess_records
+from electionpulse.ingest import TweetRecord, parse_tweet_stream, preprocess_records
 from electionpulse.preprocess import (
     PipelineConfig,
     StopwordSet,
     clean,
-    is_retweet,
     preprocess_pipeline,
     process_tokens,
     stem,
@@ -105,48 +104,66 @@ class TestStopwordSet:
         assert "obiano" not in stops
         enabled = stops.with_extra({"Obiano"})
         assert "obiano" in enabled
-        disabled = stops.with_extra({"Obiano"}, include=False)
-        assert "obiano" not in disabled
+        assert "Obiano" in enabled
+
+
+def parse_one(text: str, **fields) -> TweetRecord:
+    payload = {"id_str": "1", "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": text}
+    payload.update(fields)
+    records, _ = parse_tweet_stream([json.dumps(payload)])
+    return records[0]
 
 
 class TestIsRetweet:
-    def test_flagged_record(self) -> None:
-        assert is_retweet(make_record("anything", retweet=True))
+    # The parser sets the flag once; preprocessing excludes on it alone.
+    def test_flagged_record(self, pipeline: PipelineConfig, actor_set) -> None:
+        record = parse_one("anything", retweeted_status={"id_str": "x"})
+        assert record.is_retweet
+        assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 1
 
-    def test_rt_prefix(self) -> None:
-        assert is_retweet(make_record("RT @someone: obiano wins"))
+    def test_rt_prefix(self, pipeline: PipelineConfig, actor_set) -> None:
+        record = parse_one("RT @someone: obiano wins")
+        assert record.is_retweet
+        assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 1
 
-    def test_plain_tweet(self) -> None:
-        assert not is_retweet(make_record("obiano wins"))
+    def test_plain_tweet(self, pipeline: PipelineConfig, actor_set) -> None:
+        record = parse_one("obiano wins")
+        assert not record.is_retweet
+        assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 0
 
-    def test_rt_mid_text_is_not_a_retweet(self) -> None:
-        assert not is_retweet(make_record("great RT @someone"))
+    def test_rt_mid_text_is_not_a_retweet(self, pipeline: PipelineConfig, actor_set) -> None:
+        record = parse_one("great RT @someone")
+        assert not record.is_retweet
+        assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 0
 
 
 class TestPipeline:
     def test_reference_sentence(self, pipeline: PipelineConfig) -> None:
         record = make_record("INEC card readers failing in Awka #AnambraDecides")
-        out = preprocess_pipeline(record, text_tokens(record.text), pipeline)
+        matched = frozenset({"some_actor"})  # carried as given, never re-matched
+        out = preprocess_pipeline(record, text_tokens(record.text), matched, pipeline)
         assert out is not None
         assert list(out.tokens) == ["inec", "card", "reader", "fail", "awka", "anambradecid"]
         assert out.raw_token_count == 7  # "in" still counted before filtering
-        assert out.record_id == "t1"
         assert out.record is record
+        assert out.actors is matched
 
-    def test_rejects_retweets(self, pipeline: PipelineConfig) -> None:
+    def test_rejects_retweets(self, pipeline: PipelineConfig, actor_set) -> None:
         records = [
-            make_record("RT @x: obiano wins", record_id="t1"),
+            make_record("RT @x: obiano wins", retweet=True, record_id="t1"),
             make_record("obiano wins", retweet=True, record_id="t2"),
         ]
-        done = preprocess_records(records, pipeline, ActorSet())
+        done = preprocess_records(records, pipeline, actor_set)
         assert done.kept == []
         assert done.excluded == {"retweet": 2, "empty_after_filtering": 0}
-        assert set(done.mentions) == {"t1", "t2"}
+        # Raw per-actor counts still include the retweets.
+        assert done.raw_counts["willie_obiano"] == 2
+        assert sum(done.raw_counts.values()) == 2
 
     def test_rejects_tweets_with_nothing_left(self, pipeline: PipelineConfig) -> None:
         for text in ("https://t.co/abc", "the of and"):
             record = make_record(text)
-            assert preprocess_pipeline(record, text_tokens(text), pipeline) is None
+            assert preprocess_pipeline(record, text_tokens(text), frozenset(), pipeline) is None
 
     def test_spellcheck_needs_minimum_length(self, dictionary) -> None:
         config = PipelineConfig(stopwords=StopwordSet(), dictionary=dictionary)
@@ -177,7 +194,7 @@ class TestPipeline:
 
     def test_raw_count_is_before_filtering(self, pipeline: PipelineConfig) -> None:
         record = make_record("the result is out in awka")
-        out = preprocess_pipeline(record, text_tokens(record.text), pipeline)
+        out = preprocess_pipeline(record, text_tokens(record.text), frozenset(), pipeline)
         assert out is not None
         assert out.raw_token_count == 6
         assert len(out.tokens) < 6
@@ -192,10 +209,10 @@ class TestPipeline:
         # reproduce the same token multiset.
         for tweet in kept:
             again = process_tokens(text_tokens(" ".join(tweet.tokens)), pipeline)
-            assert Counter(again) == Counter(tweet.tokens), tweet.record_id
+            assert Counter(again) == Counter(tweet.tokens), tweet.record.id
 
     def test_corpus_keeps_expected_population(self, records, kept) -> None:
         assert len(records) == 50
         assert len(kept) == 43
-        kept_ids = {tweet.record_id for tweet in kept}
+        kept_ids = {tweet.record.id for tweet in kept}
         assert len(kept_ids) == 43

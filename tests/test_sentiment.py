@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electionpulse._util import ConsistencyError
+from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
     ENGINES,
@@ -42,6 +43,12 @@ PATTERN = {
     "bad": PatternEntry("bad", -0.7, 0.6),
     "vote": PatternEntry("vote", 0.0, 0.1),
 }
+
+
+def kept_tweet(record_id: str, tokens) -> ProcessedTweet:
+    """A kept tweet for the scorers, which read its tokens only."""
+    record = TweetRecord(record_id, None, "", " ".join(tokens), False)
+    return ProcessedTweet(record, tuple(tokens), len(tokens), frozenset())
 
 
 def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) -> str:
@@ -223,7 +230,7 @@ class TestSwnScoring:
         score = swn_score(tokens, lexicon)
         assert score.polarity == swn_polarity(tokens, lexicon)
         assert score.subjectivity == swn_subjectivity(tokens, lexicon)
-        tweet = ProcessedTweet("t1", tuple(tokens), len(tokens))
+        tweet = kept_tweet("t1", tokens)
         scored = score_all([tweet], "swn", sense_lexicon=lexicon)
         assert (scored.polarity, scored.subjectivity) == ([score.polarity], [score.subjectivity])
 
@@ -364,8 +371,8 @@ class TestScoreAll:
 
     def test_coverage_counts_lexicon_hits(self) -> None:
         tweets = [
-            ProcessedTweet("a", ("great", "crowd", "not", "bad"), 4),
-            ProcessedTweet("b", ("queue", "crowd"), 2),
+            kept_tweet("a", ("great", "crowd", "not", "bad")),
+            kept_tweet("b", ("queue", "crowd")),
         ]
         scored = score_all(tweets, "pattern", pattern_lexicon=PATTERN, negators=NEGATORS)
         # Negators are not lexicon hits; "great" and "bad" are.
