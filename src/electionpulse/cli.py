@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import shutil
 import sys
@@ -303,9 +302,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     tweets = state.kept
     if group:
         tweets = [tweet for tweet in tweets if group in tweet.actors]
-    corpus = topics.build_corpus(
-        tweets, min_doc_len=config.min_doc_len, provenance=group or "all"
-    )
+    corpus = topics.build_corpus(tweets, min_doc_len=config.min_doc_len)
     model = topics.lda_fit(
         corpus,
         k=config.lda_k,
@@ -314,7 +311,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
         iterations=config.lda_iterations,
         seed=config.seed,
     )
-    report = topics.topic_report(model, config.top_words, config.topic_labels)
+    entries = topics.topic_report(model, config.top_words, config.topic_labels)
     payload = {
         "group": group or "all",
         "k": config.lda_k,
@@ -330,11 +327,11 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
                 "label": entry.label,
                 "keywords": [[term, weight] for term, weight in entry.keywords],
             }
-            for entry in report.entries
+            for entry in entries
         ],
     }
     _write_json(os.path.join(staging, "topics.json"), payload)
-    return len(report.entries)
+    return len(entries)
 
 
 def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
@@ -448,20 +445,32 @@ def _dataset_section(state: _RunState) -> dict | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # A flag whose dest is "section.key" overrides that config key; the
+    # rest (--config, --field-map, --actor, --group, train-nbc --alpha)
+    # are read by ``main`` itself.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
-    common.add_argument("--input", help="override the input JSON-lines path")
-    common.add_argument("--timezone", help="override the dataset timezone")
+    common.add_argument("--input", dest="input.path", metavar="INPUT",
+                        help="override the input JSON-lines path")
+    common.add_argument("--timezone", dest="input.timezone", metavar="TIMEZONE",
+                        help="override the dataset timezone")
     common.add_argument("--field-map", action="append", default=[], metavar="FIELD=PATH",
                         help="override one ingest field path (repeatable)")
-    common.add_argument("--stopwords", help="override the stopword list path")
-    common.add_argument("--extra-stopwords-from-actors", action="store_true", default=None,
+    common.add_argument("--stopwords", dest="preprocess.stopwords", metavar="STOPWORDS",
+                        help="override the stopword list path")
+    common.add_argument("--extra-stopwords-from-actors", action="store_const", const="true",
+                        dest="preprocess.extra_stopwords_from_actors",
                         help="also treat actor and party names as stopwords")
-    common.add_argument("--no-spellcheck", action="store_true", help="skip spelling correction")
-    common.add_argument("--no-stem", action="store_true", help="skip stemming")
-    common.add_argument("--engine", choices=["pattern", "swn"], help="sentiment engine")
-    common.add_argument("--output", help="override the output directory")
-    common.add_argument("--seed", type=int, help="override the random seed")
+    common.add_argument("--no-spellcheck", action="store_const", const="false",
+                        dest="preprocess.spellcheck", help="skip spelling correction")
+    common.add_argument("--no-stem", action="store_const", const="false",
+                        dest="preprocess.stem", help="skip stemming")
+    common.add_argument("--engine", choices=["pattern", "swn"], dest="sentiment.engine",
+                        help="sentiment engine")
+    common.add_argument("--output", dest="output.dir", metavar="OUTPUT",
+                        help="override the output directory")
+    common.add_argument("--seed", type=int, dest="run.seed", metavar="SEED",
+                        help="override the random seed")
 
     parser = argparse.ArgumentParser(
         prog="electionpulse",
@@ -477,85 +486,43 @@ def _build_parser() -> argparse.ArgumentParser:
     cloud.add_argument("--actor", help="emit the cloud for this actor only")
     subparsers.add_parser("timeseries", parents=[common], help="bucketed sentiment series")
     heatmap = subparsers.add_parser("heatmap", parents=[common], help="per-actor per-bucket term tables")
-    heatmap.add_argument("--top-n", type=int, help="rows per heatmap cell")
+    heatmap.add_argument("--top-n", type=int, dest="analytics.top_n", metavar="TOP_N",
+                         help="rows per heatmap cell")
     topics_cmd = subparsers.add_parser("topics", parents=[common], help="LDA topic report")
     topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
-    topics_cmd.add_argument("--k", type=int, help="topic count")
-    topics_cmd.add_argument("--alpha", type=float, help="doc-topic smoothing")
-    topics_cmd.add_argument("--beta", type=float, help="topic-word smoothing")
-    topics_cmd.add_argument("--iters", type=int, help="Gibbs sweeps")
-    topics_cmd.add_argument("--top-words", type=int, help="keywords per topic")
+    topics_cmd.add_argument("--k", type=int, dest="topics.k", metavar="K", help="topic count")
+    topics_cmd.add_argument("--alpha", type=float, dest="topics.alpha", metavar="ALPHA",
+                            help="doc-topic smoothing")
+    topics_cmd.add_argument("--beta", type=float, dest="topics.beta", metavar="BETA",
+                            help="topic-word smoothing")
+    topics_cmd.add_argument("--iters", type=int, dest="topics.iterations", metavar="ITERS",
+                            help="Gibbs sweeps")
+    topics_cmd.add_argument("--top-words", type=int, dest="topics.top_words", metavar="TOP_WORDS",
+                            help="keywords per topic")
     train = subparsers.add_parser("train-nbc", parents=[common], help="train the Naive Bayes model")
     train.add_argument("--alpha", type=float, default=1.0, help="Laplace smoothing constant")
     subparsers.add_parser("all", parents=[common], help="run the full pipeline")
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.input:
-        overrides["input.path"] = args.input
-    if args.timezone:
-        overrides["input.timezone"] = args.timezone
-    if args.stopwords:
-        overrides["preprocess.stopwords"] = args.stopwords
-    if args.extra_stopwords_from_actors:
-        overrides["preprocess.extra_stopwords_from_actors"] = "true"
-    if args.no_spellcheck:
-        overrides["preprocess.spellcheck"] = "false"
-    if args.no_stem:
-        overrides["preprocess.stem"] = "false"
-    if args.engine:
-        overrides["sentiment.engine"] = args.engine
-    if args.output:
-        overrides["output.dir"] = args.output
-    if args.seed is not None:
-        overrides["run.seed"] = str(args.seed)
-    for item in getattr(args, "field_map", []):
+def main(argv: list[str] | None = None) -> int:
+    args = vars(_build_parser().parse_args(argv))
+    overrides = {key: str(value) for key, value in args.items() if "." in key and value is not None}
+    for item in args["field_map"]:
         name, _, dotted = item.partition("=")
         overrides[f"fields.{name.strip()}"] = dotted.strip()
-    if getattr(args, "top_n", None) is not None:
-        overrides["analytics.top_n"] = str(args.top_n)
-    if getattr(args, "k", None) is not None:
-        overrides["topics.k"] = str(args.k)
-    if getattr(args, "alpha", None) is not None and args.subcommand == "topics":
-        overrides["topics.alpha"] = str(args.alpha)
-    if getattr(args, "beta", None) is not None:
-        overrides["topics.beta"] = str(args.beta)
-    if getattr(args, "iters", None) is not None:
-        overrides["topics.iterations"] = str(args.iters)
-    if getattr(args, "top_words", None) is not None:
-        overrides["topics.top_words"] = str(args.top_words)
-    return overrides
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    options = {
+        key: value
+        for key, value in args.items()
+        if key in ("actor", "group", "alpha") and value is not None
+    }
     try:
-        config = validate_config(args.config, _overrides_from_args(args))
+        config = validate_config(args["config"], overrides, args["subcommand"], options)
     except ConfigError as exc:
         for diagnostic in exc.diagnostics:
             print(f"config error: {diagnostic}", file=sys.stderr)
         return 2
-    options = {
-        "actor": getattr(args, "actor", None),
-        "group": getattr(args, "group", None),
-        "alpha": getattr(args, "alpha", None) if args.subcommand == "train-nbc" else None,
-    }
-    if options["actor"] and options["actor"] not in config.actor_set:
-        print(f"config error: --actor {options['actor']!r} is not configured", file=sys.stderr)
-        return 2
-    if options["group"] and options["group"] not in config.actor_set:
-        print(f"config error: --group {options['group']!r} is not configured", file=sys.stderr)
-        return 2
-    alpha = options["alpha"]
-    if alpha is not None and not 0 < alpha < math.inf:
-        print(f"config error: --alpha must be positive and finite, got {alpha}", file=sys.stderr)
-        return 2
-    if args.subcommand == "train-nbc" and not config.nbc_corpus_path:
-        print("config error: [lexicons] nbc_corpus is required for train-nbc", file=sys.stderr)
-        return 2
-    return run(args.subcommand, config, options)
+    return run(args["subcommand"], config, options)
 
 
 if __name__ == "__main__":

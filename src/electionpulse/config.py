@@ -1,15 +1,21 @@
 """Run configuration: one INI file drives every subcommand.
 
 All paths in the file are resolved relative to the file's own directory,
-so a config travels with its fixtures. Validation is exhaustive: every
-violation is collected and reported together, not just the first one.
-Precedence for the random seed is CLI flag, then the ELECTIONPULSE_SEED
-environment variable, then the config file.
+so a config travels with its fixtures. Command-line flags arrive as
+"section.key" overrides of the file's keys; the subcommand and its own
+options (`--actor`, `--group`, `train-nbc --alpha`) are checked in the
+same pass. Validation is exhaustive: every usage error, in the file, the
+overrides or the options, is collected and reported together, not just
+the first one. Actor ids are checked only when the roster itself loaded,
+since a roster that failed is already reported. Precedence for the
+random seed is CLI flag, then the ELECTIONPULSE_SEED environment
+variable, then the config file.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field
 from datetime import tzinfo
@@ -17,6 +23,7 @@ from typing import Any
 
 from ._util import parse_timezone
 from .actors import ActorConfigError, ActorSet, load_actor_file
+from .ingest import DEFAULT_FIELD_MAP
 from .sentiment import ENGINES
 
 ENV_SEED = "ELECTIONPULSE_SEED"
@@ -64,13 +71,20 @@ class RunConfig:
     snapshot: dict[str, Any] = field(default_factory=dict)
 
 
-def validate_config(path: str, overrides: dict[str, Any] | None = None) -> RunConfig:
+def validate_config(
+    path: str,
+    overrides: dict[str, Any] | None = None,
+    subcommand: str | None = None,
+    options: dict[str, Any] | None = None,
+) -> RunConfig:
     """Load and validate a config file, applying CLI overrides first.
 
-    Raises ConfigError listing every violation; an unreadable file is a
-    single-diagnostic ConfigError.
+    ``subcommand`` and its ``options`` (``actor``, ``group``, ``alpha``)
+    are checked alongside the file. Raises ConfigError listing every
+    violation; an unreadable file is a single-diagnostic ConfigError.
     """
     overrides = dict(overrides or {})
+    options = options or {}
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -118,10 +132,15 @@ def validate_config(path: str, overrides: dict[str, Any] | None = None) -> RunCo
         diagnostics.append(f"[{section}] {key} = {raw!r} is not a boolean")
         return fallback
 
-    def require_path(section: str, key: str, label: str) -> str | None:
+    def positive_finite(value: float) -> bool:
+        return 0 < value < math.inf
+
+    def require_path(section: str, key: str, label: str | None) -> str | None:
+        """The key's resolved file path; a None label makes the key optional."""
         value = get(section, key)
         if not value:
-            diagnostics.append(f"[{section}] {key} is required ({label})")
+            if label is not None:
+                diagnostics.append(f"[{section}] {key} is required ({label})")
             return None
         resolved = resolve(value)
         if not os.path.isfile(resolved):
@@ -136,9 +155,17 @@ def validate_config(path: str, overrides: dict[str, Any] | None = None) -> RunCo
     except Exception as exc:  # bad offset syntax or unknown zone name
         diagnostics.append(f"[input] timezone = {timezone_name!r} is not recognized: {exc}")
 
-    field_map = {}
-    if parser.has_section("fields"):
-        field_map = dict(parser.items("fields"))
+    field_map = dict(parser.items("fields")) if parser.has_section("fields") else {}
+    for key, value in overrides.items():
+        if key.startswith("fields."):
+            field_map[key[len("fields."):]] = str(value).strip()
+    for name, dotted in field_map.items():
+        if name not in DEFAULT_FIELD_MAP:
+            diagnostics.append(
+                f"[fields] {name!r} is not a field; fields are {', '.join(DEFAULT_FIELD_MAP)}"
+            )
+        elif not dotted:
+            diagnostics.append(f"[fields] {name} has an empty path")
 
     actors_path = require_path("actors", "path", "actor definitions")
     actor_set = None
@@ -151,33 +178,31 @@ def validate_config(path: str, overrides: dict[str, Any] | None = None) -> RunCo
             diagnostics.append(f"[actors] cannot load {actors_path}: {exc}")
 
     scope = [item.strip() for item in (get("actors", "scope", "") or "").split(",") if item.strip()]
+    named = [("[actors] scope id", actor_id) for actor_id in scope]
+    named += [(f"--{name}", options[name]) for name in ("actor", "group") if name in options]
     if actor_set is not None:
-        for actor_id in scope:
+        for label, actor_id in named:
             if actor_id not in actor_set:
-                diagnostics.append(f"[actors] scope id {actor_id!r} is not a configured actor")
+                diagnostics.append(f"{label} {actor_id!r} is not a configured actor")
     if not scope and actor_set is not None:
         scope = [actor.id for actor in actor_set.combined()]
 
     pattern_path = require_path("lexicons", "pattern", "pattern lexicon CSV")
     senses_path = require_path("lexicons", "senses", "sense lexicon TSV")
     negators_path = require_path("lexicons", "negators", "negator word list")
-    nbc_corpus_path = get("lexicons", "nbc_corpus")
-    if nbc_corpus_path:
-        nbc_corpus_path = resolve(nbc_corpus_path)
-        if not os.path.isfile(nbc_corpus_path):
-            diagnostics.append(f"[lexicons] nbc_corpus: no such file: {nbc_corpus_path}")
+    nbc_label = "labelled corpus for train-nbc" if subcommand == "train-nbc" else None
+    nbc_corpus_path = require_path("lexicons", "nbc_corpus", nbc_label)
+    alpha = options.get("alpha")
+    if alpha is not None and not positive_finite(alpha):
+        diagnostics.append(f"--alpha must be positive and finite, got {alpha}")
 
     stopwords_path = require_path("preprocess", "stopwords", "stopword list")
     spellcheck = get_bool("preprocess", "spellcheck", True)
     stemming = get_bool("preprocess", "stem", True)
     extra_stop = get_bool("preprocess", "extra_stopwords_from_actors", False)
-    dictionary_path = get("preprocess", "dictionary")
-    if dictionary_path:
-        dictionary_path = resolve(dictionary_path)
-        if not os.path.isfile(dictionary_path):
-            diagnostics.append(f"[preprocess] dictionary: no such file: {dictionary_path}")
-    elif spellcheck:
-        diagnostics.append("[preprocess] dictionary is required when spellcheck is on")
+    dictionary_path = require_path(
+        "preprocess", "dictionary", "when spellcheck is on" if spellcheck else None
+    )
 
     engine = (get("sentiment", "engine", "pattern") or "pattern").lower()
     if engine not in ENGINES:
@@ -188,12 +213,16 @@ def validate_config(path: str, overrides: dict[str, Any] | None = None) -> RunCo
     )
     scale = get_number(
         "sentiment", "polarity_scale", "100", float,
-        lambda v: v > 0, "must be positive",
+        positive_finite, "must be positive and finite",
     )
 
     lda_k = get_number("topics", "k", "5", int, lambda v: v >= 1, "must be at least 1")
-    lda_alpha = get_number("topics", "alpha", "0.1", float, lambda v: v > 0, "must be positive")
-    lda_beta = get_number("topics", "beta", "0.01", float, lambda v: v > 0, "must be positive")
+    lda_alpha = get_number(
+        "topics", "alpha", "0.1", float, positive_finite, "must be positive and finite"
+    )
+    lda_beta = get_number(
+        "topics", "beta", "0.01", float, positive_finite, "must be positive and finite"
+    )
     lda_iterations = get_number(
         "topics", "iterations", "500", int, lambda v: v >= 1, "must be at least 1"
     )

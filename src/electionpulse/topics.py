@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -21,15 +21,10 @@ class Corpus:
 
     vocabulary: list[str]
     docs: list[list[int]]
-    provenance: str = ""
     dropped_docs: int = 0
 
 
-def build_corpus(
-    documents: Iterable,
-    min_doc_len: int = 1,
-    provenance: str = "",
-) -> Corpus:
+def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
     """Build a corpus from token lists (or objects with a .tokens field).
 
     Documents shorter than min_doc_len are dropped and counted; an empty
@@ -50,7 +45,7 @@ def build_corpus(
     vocabulary = sorted({token for tokens in token_docs for token in tokens})
     index = {token: i for i, token in enumerate(vocabulary)}
     docs = [[index[token] for token in tokens] for tokens in token_docs]
-    return Corpus(vocabulary=vocabulary, docs=docs, provenance=provenance, dropped_docs=dropped)
+    return Corpus(vocabulary=vocabulary, docs=docs, dropped_docs=dropped)
 
 
 @dataclass
@@ -98,17 +93,11 @@ class TopicModel:
 
 @dataclass
 class TopicReportEntry:
+    """One topic's top-n keywords and its configured label, if any."""
+
     topic_id: int
     label: str
     keywords: list[tuple[str, float]]
-
-
-@dataclass
-class TopicReport:
-    """Top-n keyword lists per topic, optionally with configured labels."""
-
-    entries: list[TopicReportEntry] = field(default_factory=list)
-    top_n: int = 0
 
 
 def lda_fit(
@@ -215,24 +204,17 @@ def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float
     return ranked[:n]
 
 
-def doc_topics(model: TopicModel, doc: int) -> list[float]:
-    """Topic mixture theta of one document."""
-    if not 0 <= doc < len(model.doc_topic_counts):
-        raise ValueError(f"doc {doc} outside 0..{len(model.doc_topic_counts) - 1}")
-    return model.theta(doc)
-
-
 def topic_report(
     model: TopicModel,
     n: int,
     labels: dict[int, str] | None = None,
-) -> TopicReport:
+) -> list[TopicReportEntry]:
     """Top keywords for every topic; labels come from config, never inference."""
     labels = labels or {}
     bad = [topic for topic in labels if not 0 <= topic < model.k]
     if bad:
         raise ValueError(f"labels reference nonexistent topics: {sorted(bad)}")
-    entries = [
+    return [
         TopicReportEntry(
             topic_id=topic,
             label=labels.get(topic, ""),
@@ -240,4 +222,3 @@ def topic_report(
         )
         for topic in range(model.k)
     ]
-    return TopicReport(entries=entries, top_n=n)

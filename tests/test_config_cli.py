@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -153,6 +154,13 @@ class TestValidateConfig:
             }))
         assert len(err.value.diagnostics) == 4
 
+    @pytest.mark.parametrize("key", ["topics.alpha", "topics.beta", "sentiment.polarity_scale"])
+    def test_infinite_constants_rejected(self, key, config_factory) -> None:
+        section, _, name = key.partition(".")
+        with pytest.raises(ConfigError) as err:
+            validate_config(config_factory(**{key: "inf"}))
+        assert err.value.diagnostics == [f"[{section}] {name} = inf must be positive and finite"]
+
     def test_bad_timezone(self, config_factory) -> None:
         with pytest.raises(ConfigError) as err:
             validate_config(config_factory(**{"input.timezone": "+25:99"}))
@@ -199,6 +207,26 @@ def _train_nbc_infinite_alpha(config_factory, fixtures_dir, tmp_path, monkeypatc
     return ["train-nbc", "--config", config_factory(), "--alpha", "inf"]
 
 
+def _unknown_group_and_bad_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(), "--group", "nobody", "--alpha", "-1"]
+
+
+def _zero_alpha_and_bad_timezone(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(), "--alpha", "0", "--timezone", "+99:00"]
+
+
+def _unknown_actor_and_bad_top_n(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["cloud", "--config", config_factory(**{"analytics.top_n": "0"}), "--actor", "nobody"]
+
+
+def _unknown_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["counts", "--config", config_factory(), "--field-map", "txet=body"]
+
+
+def _empty_field_path(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["counts", "--config", config_factory(), "--field-map", "text"]
+
+
 def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     corpus = tmp_path / "single_label.csv"
     corpus.write_text("label,text\npos,good win\npos,great turnout\n", encoding="utf-8")
@@ -220,9 +248,11 @@ def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list
 
 
 # One row per documented failure: (id, argv maker, exit code, stderr
-# fragment, manifest). Usage errors (2) stop before any output, so they
-# expect no manifest; runtime failures (1) leave a failed manifest and
-# nothing else, expected as (error fragment, input_digest prefix or None).
+# fragment or tuple of fragments, manifest). Usage errors (2) stop before
+# any output, so they expect no manifest; runtime failures (1) leave a
+# failed manifest and nothing else, expected as (error fragment,
+# input_digest prefix or None). A row with several usage errors names
+# each one: all of them are reported, not just the first.
 EXIT_CODE_MATRIX = [
     ("missing_config", _missing_config, 2, "config error", None),
     ("unknown_actor", _unknown_actor, 2, "peter_obi", None),
@@ -231,6 +261,14 @@ EXIT_CODE_MATRIX = [
     ("train_nbc_zero_alpha", _train_nbc_zero_alpha, 2, "--alpha", None),
     ("train_nbc_negative_alpha", _train_nbc_negative_alpha, 2, "--alpha", None),
     ("train_nbc_infinite_alpha", _train_nbc_infinite_alpha, 2, "--alpha", None),
+    ("unknown_group_and_bad_alpha", _unknown_group_and_bad_alpha, 2,
+     ("--group 'nobody'", "[topics] alpha = -1.0"), None),
+    ("zero_alpha_and_bad_timezone", _zero_alpha_and_bad_timezone, 2,
+     ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
+    ("unknown_actor_and_bad_top_n", _unknown_actor_and_bad_top_n, 2,
+     ("--actor 'nobody'", "[analytics] top_n = 0"), None),
+    ("unknown_field", _unknown_field, 2, "'txet' is not a field", None),
+    ("empty_field_path", _empty_field_path, 2, "text has an empty path", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
 ]
@@ -256,7 +294,10 @@ class TestCliExitCodes:
     ) -> None:
         argv = argv_of(config_factory, fixtures_dir, tmp_path, monkeypatch)
         assert main(argv) == code
-        assert stderr_fragment in capsys.readouterr().err
+        err = capsys.readouterr().err
+        fragments = stderr_fragment if isinstance(stderr_fragment, tuple) else (stderr_fragment,)
+        for fragment in fragments:
+            assert fragment in err
         out_dir = tmp_path / "out"
         if expected_manifest is None:
             assert not out_dir.exists()
@@ -270,6 +311,84 @@ class TestCliExitCodes:
             assert manifest["input_digest"] is None
         else:
             assert manifest["input_digest"].startswith(digest_prefix)
+
+
+# One row per config-overriding flag: (subcommand, flag, value or None for
+# a switch, the manifest ``config`` path the value must reach, the value
+# found there). "{tmp}" stands for the test's directory. FLAG_BASE makes
+# every key in the config file differ from the row's value, so a flag that
+# never reaches its key fails its row.
+FLAG_ROWS = [
+    ("ingest", "--input", "{tmp}/tweets_50.jsonl", "input.path", "{tmp}/tweets_50.jsonl"),
+    ("ingest", "--timezone", "Africa/Lagos", "input.timezone", "Africa/Lagos"),
+    ("ingest", "--field-map", "text=text", "input.field_map", {"text": "text"}),
+    ("ingest", "--stopwords", "{tmp}/stopwords.txt", "preprocess.stopwords", "{tmp}/stopwords.txt"),
+    ("ingest", "--extra-stopwords-from-actors", None, "preprocess.extra_stopwords_from_actors", True),
+    ("ingest", "--no-spellcheck", None, "preprocess.spellcheck", False),
+    ("ingest", "--no-stem", None, "preprocess.stem", False),
+    ("ingest", "--engine", "swn", "sentiment.engine", "swn"),
+    ("ingest", "--output", "{tmp}/elsewhere", "output.dir", "{tmp}/elsewhere"),
+    ("ingest", "--seed", "7", "run.seed", 7),
+    ("heatmap", "--top-n", "3", "analytics.top_n", 3),
+    ("topics", "--k", "6", "topics.k", 6),
+    ("topics", "--alpha", "0.5", "topics.alpha", 0.5),
+    ("topics", "--beta", "0.2", "topics.beta", 0.2),
+    ("topics", "--iters", "7", "topics.iterations", 7),
+    ("topics", "--top-words", "3", "topics.top_words", 3),
+]
+FLAG_BASE = {"preprocess.extra_stopwords_from_actors": "false", "topics.iterations": "5"}
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize(
+        "subcommand,flag,value,key,expected", FLAG_ROWS, ids=[row[1] for row in FLAG_ROWS]
+    )
+    def test_flag_reaches_its_config_key(
+        self, subcommand, flag, value, key, expected, config_factory, fixtures_dir, tmp_path
+    ) -> None:
+        for name in ("tweets_50.jsonl", "stopwords.txt"):
+            (tmp_path / name).write_bytes((fixtures_dir / name).read_bytes())
+
+        def fill(item):
+            return item.format(tmp=tmp_path) if isinstance(item, str) else item
+
+        argv = [subcommand, "--config", config_factory(**FLAG_BASE), flag]
+        if value is not None:
+            argv.append(fill(value))
+        assert main(argv) == 0
+        out_dir = Path(fill(value)) if flag == "--output" else tmp_path / "out"
+        found = read_json(out_dir / "manifest.json")["config"]
+        for part in key.split("."):
+            found = found[part]
+        assert found == fill(expected)
+
+    def test_every_override_flag_has_a_row(self) -> None:
+        parser = cli_module._build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            action.option_strings[0]
+            for subparser in subparsers.choices.values()
+            for action in subparser._actions
+            if "." in action.dest
+        }
+        assert flags | {"--field-map"} == {row[1] for row in FLAG_ROWS}
+
+    def test_field_map_flag_moves_a_field(self, config_factory, fixtures_dir, tmp_path) -> None:
+        moved = []
+        for line in (fixtures_dir / "tweets_50.jsonl").read_text(encoding="utf-8").splitlines():
+            payload = json.loads(line)
+            texts = [payload.pop(key) for key in ("full_text", "text") if key in payload]
+            payload["body"] = texts[0]
+            moved.append(json.dumps(payload))
+        tweets = tmp_path / "body.jsonl"
+        tweets.write_text("\n".join(moved) + "\n", encoding="utf-8")
+        path = config_factory(**{"input.path": str(tweets)})
+        assert main(["counts", "--config", path, "--field-map", "text=body"]) == 0
+        counts = read_json(tmp_path / "out" / "counts.json")
+        assert counts["parse"] == {"lines_read": 50, "records": 50, "skipped": 0}
+        assert counts["total_kept"] == 43
 
 
 class TestCliRuns:

@@ -11,7 +11,6 @@ from electionpulse.topics import (
     Corpus,
     TopicModel,
     build_corpus,
-    doc_topics,
     lda_fit,
     top_keywords,
     topic_report,
@@ -86,10 +85,6 @@ class TestBuildCorpus:
         direct = sorted({token for tweet in kept for token in tweet.tokens})
         assert corpus.vocabulary == direct
         assert len(corpus.docs) == len(kept)
-
-    def test_provenance_is_carried(self) -> None:
-        corpus = build_corpus([["a", "b"]], provenance="everything")
-        assert corpus.provenance == "everything"
 
 
 class TestFitValidation:
@@ -169,7 +164,7 @@ class TestTheta:
             seed=0,
             iterations=0,
         )
-        theta = doc_topics(model, 0)
+        theta = model.theta(0)
         assert theta[2] == pytest.approx(10.1 / 10.5)
         assert theta[2] == pytest.approx(0.9619047619047619, abs=1e-12)
         assert sum(theta) == pytest.approx(1.0, abs=1e-9)
@@ -182,13 +177,7 @@ class TestTheta:
                 (count + model.alpha) / (model.doc_lengths[doc] + model.alpha * model.k)
                 for count in counts
             ]
-            assert doc_topics(model, doc) == pytest.approx(expected)
-
-    def test_doc_index_checked(self) -> None:
-        corpus = build_corpus([["a", "b"]])
-        model = lda_fit(corpus, k=1, iterations=1, seed=0)
-        with pytest.raises(ValueError):
-            doc_topics(model, 1)
+            assert model.theta(doc) == pytest.approx(expected)
 
 
 class TestKeywords:
@@ -244,18 +233,16 @@ class TestReport:
     def test_shape_and_labels(self) -> None:
         corpus, _, _ = planted_corpus(docs_count=20, doc_len=8)
         model = lda_fit(corpus, k=2, iterations=10, seed=4)
-        report = topic_report(model, 5, {0: "ground game", 1: "air war"})
-        assert report.top_n == 5
-        assert [entry.topic_id for entry in report.entries] == [0, 1]
-        assert [entry.label for entry in report.entries] == ["ground game", "air war"]
-        for entry in report.entries:
+        entries = topic_report(model, 5, {0: "ground game", 1: "air war"})
+        assert [entry.topic_id for entry in entries] == [0, 1]
+        assert [entry.label for entry in entries] == ["ground game", "air war"]
+        for entry in entries:
             assert len(entry.keywords) == 5
 
     def test_missing_labels_default_to_empty(self) -> None:
         corpus = build_corpus([["a", "b"]])
         model = lda_fit(corpus, k=1, iterations=1, seed=0)
-        report = topic_report(model, 1)
-        assert report.entries[0].label == ""
+        assert topic_report(model, 1)[0].label == ""
 
     def test_label_for_nonexistent_topic_rejected(self) -> None:
         corpus = build_corpus([["a", "b"]])
