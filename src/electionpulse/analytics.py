@@ -26,46 +26,16 @@ from .sentiment import SentimentScore
 
 OUT_OF_RANGE = "out_of_range"
 
-
-@dataclass(frozen=True)
-class TimeBucket:
-    label: str
-    start: time
-    end: time  # exclusive, except the final bucket which runs to day end
-    final: bool = False
-
-    def contains(self, value: time) -> bool:
-        if value < self.start:
-            return False
-        return self.final or value < self.end
-
-
-BUCKETS: tuple[TimeBucket, ...] = (
-    TimeBucket("6-8", time(6), time(8)),
-    TimeBucket("8-10", time(8), time(10)),
-    TimeBucket("10-12", time(10), time(12)),
-    TimeBucket("12-14", time(12), time(14)),
-    TimeBucket("14-16", time(14), time(16)),
-    TimeBucket("16-18", time(16), time(18)),
-    TimeBucket("18-20", time(18), time(20)),
-    TimeBucket("20-00", time(20), time(23, 59, 59), final=True),
+BUCKET_LABELS: tuple[str, ...] = (
+    "6-8", "8-10", "10-12", "12-14", "14-16", "16-18", "18-20", "20-00",
 )
-
-BUCKET_LABELS: tuple[str, ...] = tuple(bucket.label for bucket in BUCKETS)
-
-
-def bucket_of(timestamp: datetime | time) -> TimeBucket | None:
-    """The bucket containing a local-time instant, or None before 06:00."""
-    value = timestamp.time() if isinstance(timestamp, datetime) else timestamp
-    for bucket in BUCKETS:
-        if bucket.contains(value):
-            return bucket
-    return None
 
 
 def bucket_label(timestamp: datetime | time) -> str:
-    bucket = bucket_of(timestamp)
-    return bucket.label if bucket is not None else OUT_OF_RANGE
+    """The label of the bucket holding a local-time instant; OUT_OF_RANGE before 06:00."""
+    if timestamp.hour < 6:
+        return OUT_OF_RANGE
+    return BUCKET_LABELS[min((timestamp.hour - 6) // 2, 7)]
 
 
 class SeriesCell(NamedTuple):
@@ -98,13 +68,13 @@ def _sole_mention_cells(
     06:00 are left out. Each cell keeps tweet order."""
     cells: dict[tuple[str, str], list] = {}
     for tweet, value in zip(tweets, values):
-        bucket = bucket_of(tweet.record.created_at)
-        if bucket is None:
+        label = bucket_label(tweet.record.created_at)
+        if label == OUT_OF_RANGE:
             continue
         actor_id = sole_mention(tweet.actors, actors, scope)
         if actor_id is None:
             continue
-        cells.setdefault((actor_id, bucket.label), []).append(value)
+        cells.setdefault((actor_id, label), []).append(value)
     return cells
 
 

@@ -432,15 +432,20 @@ def _input_digest(state: _RunState) -> str | None:
 def _dataset_section(state: _RunState) -> dict | None:
     if state.stats is None:
         return None
+    lexicon = {engine: scored.coverage() for engine, scored in state.scored.items()}
+    if "swn" in lexicon:
+        senses = state.sense_lexicon
+        lexicon["swn"].update(rows_read=senses.rows_read, rows_rejected=senses.rows_rejected)
     return {
         "lines_read": state.report.lines_read,
         "lines_skipped": state.report.lines_skipped,
+        "skipped": state.report.skipped,
         "total_raw": state.stats.total_raw,
         "total_kept": state.stats.total_kept,
         "coverage_pct": state.stats.coverage_pct,
         "excluded": state.excluded,
         "spelling": state.pipeline.dictionary.activity(),
-        "lexicon": {engine: scored.coverage() for engine, scored in state.scored.items()},
+        "lexicon": lexicon,
     }
 
 

@@ -10,6 +10,10 @@ the first one. Actor ids are checked only when the roster itself loaded,
 since a roster that failed is already reported. Precedence for the
 random seed is CLI flag, then the ELECTIONPULSE_SEED environment
 variable, then the config file.
+
+Each key is read once, and the call that reads it also records its final
+value in the manifest's ``config`` snapshot and in its RunConfig field, so
+a key cannot be used without being recorded.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class RunConfig:
     timezone_name: str
     tz: tzinfo
     field_map: dict[str, str]
-    actors_path: str
     actor_set: ActorSet
     scope: list[str]
     pattern_lexicon_path: str
@@ -96,10 +99,10 @@ def validate_config(
 
     base_dir = os.path.dirname(os.path.abspath(path))
     diagnostics: list[str] = []
+    fields: dict[str, Any] = {}
+    snapshot: dict[str, dict[str, Any]] = {}
 
-    def resolve(value: str | None) -> str | None:
-        if value is None:
-            return None
+    def resolve(value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(base_dir, value)
 
     def get(section: str, key: str, fallback: str | None = None) -> str | None:
@@ -109,46 +112,55 @@ def validate_config(
         raw = parser.get(section, key, fallback=fallback)
         return raw.strip() if isinstance(raw, str) else raw
 
-    def get_number(section: str, key: str, fallback: str, cast, constraint, description: str):
+    def keep(field: str | None, section: str, key: str, value):
+        """Record a key's final value in the snapshot and, if named, its RunConfig field."""
+        snapshot.setdefault(section, {})[key] = value
+        if field is not None:
+            fields[field] = value
+        return value
+
+    def get_number(
+        field: str, section: str, key: str, fallback: str, cast, constraint, description: str
+    ):
         raw = get(section, key, fallback)
         try:
             value = cast(raw)
         except (TypeError, ValueError):
             diagnostics.append(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}")
-            return cast(fallback)
+            return keep(field, section, key, cast(fallback))
         if not constraint(value):
             diagnostics.append(f"[{section}] {key} = {value} {description}")
-        return value
+        return keep(field, section, key, value)
 
-    def get_bool(section: str, key: str, fallback: bool) -> bool:
+    def get_bool(field: str, section: str, key: str, fallback: bool) -> bool:
         raw = get(section, key, None)
-        if raw is None:
-            return fallback
-        lowered = str(raw).strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        diagnostics.append(f"[{section}] {key} = {raw!r} is not a boolean")
-        return fallback
+        value = fallback
+        if raw is not None:
+            lowered = str(raw).strip().lower()
+            if lowered in ("1", "true", "yes", "on"):
+                value = True
+            elif lowered in ("0", "false", "no", "off"):
+                value = False
+            else:
+                diagnostics.append(f"[{section}] {key} = {raw!r} is not a boolean")
+        return keep(field, section, key, value)
 
     def positive_finite(value: float) -> bool:
         return 0 < value < math.inf
 
-    def require_path(section: str, key: str, label: str | None) -> str | None:
+    def require_path(field: str | None, section: str, key: str, label: str | None) -> str | None:
         """The key's resolved file path; a None label makes the key optional."""
         value = get(section, key)
+        resolved = resolve(value) if value else None
         if not value:
             if label is not None:
                 diagnostics.append(f"[{section}] {key} is required ({label})")
-            return None
-        resolved = resolve(value)
-        if not os.path.isfile(resolved):
+        elif not os.path.isfile(resolved):
             diagnostics.append(f"[{section}] {key}: no such file: {resolved}")
-        return resolved
+        return keep(field, section, key, resolved)
 
-    input_path = require_path("input", "path", "JSON-lines tweet stream")
-    timezone_name = get("input", "timezone", "+01:00")
+    require_path("input_path", "input", "path", "JSON-lines tweet stream")
+    timezone_name = keep("timezone_name", "input", "timezone", get("input", "timezone", "+01:00"))
     tz = None
     try:
         tz = parse_timezone(timezone_name)
@@ -159,7 +171,7 @@ def validate_config(
     for key, value in overrides.items():
         if key.startswith("fields."):
             field_map[key[len("fields."):]] = str(value).strip()
-    for name, dotted in field_map.items():
+    for name, dotted in keep("field_map", "input", "field_map", field_map).items():
         if name not in DEFAULT_FIELD_MAP:
             diagnostics.append(
                 f"[fields] {name!r} is not a field; fields are {', '.join(DEFAULT_FIELD_MAP)}"
@@ -167,7 +179,7 @@ def validate_config(
         elif not dotted:
             diagnostics.append(f"[fields] {name} has an empty path")
 
-    actors_path = require_path("actors", "path", "actor definitions")
+    actors_path = require_path(None, "actors", "path", "actor definitions")
     actor_set = None
     if actors_path and os.path.isfile(actors_path):
         try:
@@ -186,50 +198,44 @@ def validate_config(
                 diagnostics.append(f"{label} {actor_id!r} is not a configured actor")
     if not scope and actor_set is not None:
         scope = [actor.id for actor in actor_set.combined()]
+    keep("scope", "actors", "scope", scope)
 
-    pattern_path = require_path("lexicons", "pattern", "pattern lexicon CSV")
-    senses_path = require_path("lexicons", "senses", "sense lexicon TSV")
-    negators_path = require_path("lexicons", "negators", "negator word list")
+    require_path("pattern_lexicon_path", "lexicons", "pattern", "pattern lexicon CSV")
+    require_path("sense_lexicon_path", "lexicons", "senses", "sense lexicon TSV")
+    require_path("negators_path", "lexicons", "negators", "negator word list")
     nbc_label = "labelled corpus for train-nbc" if subcommand == "train-nbc" else None
-    nbc_corpus_path = require_path("lexicons", "nbc_corpus", nbc_label)
+    require_path("nbc_corpus_path", "lexicons", "nbc_corpus", nbc_label)
     alpha = options.get("alpha")
     if alpha is not None and not positive_finite(alpha):
         diagnostics.append(f"--alpha must be positive and finite, got {alpha}")
 
-    stopwords_path = require_path("preprocess", "stopwords", "stopword list")
-    spellcheck = get_bool("preprocess", "spellcheck", True)
-    stemming = get_bool("preprocess", "stem", True)
-    extra_stop = get_bool("preprocess", "extra_stopwords_from_actors", False)
-    dictionary_path = require_path(
-        "preprocess", "dictionary", "when spellcheck is on" if spellcheck else None
+    require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
+    spellcheck = get_bool("spellcheck", "preprocess", "spellcheck", True)
+    get_bool("stemming", "preprocess", "stem", True)
+    get_bool("extra_stopwords_from_actors", "preprocess", "extra_stopwords_from_actors", False)
+    require_path(
+        "dictionary_path", "preprocess", "dictionary",
+        "when spellcheck is on" if spellcheck else None,
     )
 
     engine = (get("sentiment", "engine", "pattern") or "pattern").lower()
+    keep("engine", "sentiment", "engine", engine)
     if engine not in ENGINES:
         diagnostics.append(f"[sentiment] engine = {engine!r} must be one of {', '.join(ENGINES)}")
-    threshold = get_number(
-        "sentiment", "subjectivity_threshold", "0.5", float,
+    finite = (positive_finite, "must be positive and finite")
+    at_least_one = (lambda v: v >= 1, "must be at least 1")
+    get_number(
+        "subjectivity_threshold", "sentiment", "subjectivity_threshold", "0.5", float,
         lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
     )
-    scale = get_number(
-        "sentiment", "polarity_scale", "100", float,
-        positive_finite, "must be positive and finite",
-    )
+    get_number("polarity_scale", "sentiment", "polarity_scale", "100", float, *finite)
 
-    lda_k = get_number("topics", "k", "5", int, lambda v: v >= 1, "must be at least 1")
-    lda_alpha = get_number(
-        "topics", "alpha", "0.1", float, positive_finite, "must be positive and finite"
-    )
-    lda_beta = get_number(
-        "topics", "beta", "0.01", float, positive_finite, "must be positive and finite"
-    )
-    lda_iterations = get_number(
-        "topics", "iterations", "500", int, lambda v: v >= 1, "must be at least 1"
-    )
-    top_words = get_number("topics", "top_words", "10", int, lambda v: v >= 1, "must be at least 1")
-    min_doc_len = get_number(
-        "topics", "min_doc_len", "1", int, lambda v: v >= 1, "must be at least 1"
-    )
+    lda_k = get_number("lda_k", "topics", "k", "5", int, *at_least_one)
+    get_number("lda_alpha", "topics", "alpha", "0.1", float, *finite)
+    get_number("lda_beta", "topics", "beta", "0.01", float, *finite)
+    get_number("lda_iterations", "topics", "iterations", "500", int, *at_least_one)
+    get_number("top_words", "topics", "top_words", "10", int, *at_least_one)
+    get_number("min_doc_len", "topics", "min_doc_len", "1", int, *at_least_one)
 
     topic_labels: dict[int, str] = {}
     if parser.has_section("topic_labels"):
@@ -245,12 +251,11 @@ def validate_config(
                 )
                 continue
             topic_labels[topic_id] = value.strip()
+    keep(None, "topics", "labels", {str(k): v for k, v in sorted(topic_labels.items())})
 
-    heatmap_top_n = get_number(
-        "analytics", "top_n", "10", int, lambda v: v >= 1, "must be at least 1"
-    )
+    get_number("heatmap_top_n", "analytics", "top_n", "10", int, *at_least_one)
 
-    output_dir = resolve(get("output", "dir", "out") or "out")
+    keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
 
     seed_raw = get("run", "seed", "0")
     if "run.seed" not in overrides and os.environ.get(ENV_SEED):
@@ -260,73 +265,10 @@ def validate_config(
     except (TypeError, ValueError):
         diagnostics.append(f"seed {seed_raw!r} is not an integer")
         seed = 0
+    keep("seed", "run", "seed", seed)
 
     if diagnostics:
         raise ConfigError(diagnostics)
-
-    snapshot = {
-        "input": {"path": input_path, "timezone": timezone_name, "field_map": field_map},
-        "actors": {"path": actors_path, "scope": scope},
-        "lexicons": {
-            "pattern": pattern_path,
-            "senses": senses_path,
-            "negators": negators_path,
-            "nbc_corpus": nbc_corpus_path,
-        },
-        "preprocess": {
-            "stopwords": stopwords_path,
-            "dictionary": dictionary_path,
-            "spellcheck": spellcheck,
-            "stem": stemming,
-            "extra_stopwords_from_actors": extra_stop,
-        },
-        "sentiment": {
-            "engine": engine,
-            "subjectivity_threshold": threshold,
-            "polarity_scale": scale,
-        },
-        "topics": {
-            "k": lda_k,
-            "alpha": lda_alpha,
-            "beta": lda_beta,
-            "iterations": lda_iterations,
-            "top_words": top_words,
-            "min_doc_len": min_doc_len,
-            "labels": {str(k): v for k, v in sorted(topic_labels.items())},
-        },
-        "analytics": {"top_n": heatmap_top_n},
-        "output": {"dir": output_dir},
-        "run": {"seed": seed},
-    }
     return RunConfig(
-        input_path=input_path,
-        timezone_name=timezone_name,
-        tz=tz,
-        field_map=field_map,
-        actors_path=actors_path,
-        actor_set=actor_set,
-        scope=scope,
-        pattern_lexicon_path=pattern_path,
-        sense_lexicon_path=senses_path,
-        negators_path=negators_path,
-        nbc_corpus_path=nbc_corpus_path,
-        stopwords_path=stopwords_path,
-        dictionary_path=dictionary_path,
-        spellcheck=spellcheck,
-        stemming=stemming,
-        extra_stopwords_from_actors=extra_stop,
-        engine=engine,
-        subjectivity_threshold=threshold,
-        polarity_scale=scale,
-        lda_k=lda_k,
-        lda_alpha=lda_alpha,
-        lda_beta=lda_beta,
-        lda_iterations=lda_iterations,
-        top_words=top_words,
-        min_doc_len=min_doc_len,
-        topic_labels=topic_labels,
-        heatmap_top_n=heatmap_top_n,
-        output_dir=output_dir,
-        seed=seed,
-        snapshot=snapshot,
+        **fields, tz=tz, actor_set=actor_set, topic_labels=topic_labels, snapshot=snapshot
     )

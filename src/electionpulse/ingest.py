@@ -59,12 +59,27 @@ class TweetRecord:
     is_retweet: bool
 
 
+# Why a line was skipped; each skipped line counts under exactly one cause.
+SKIP_CAUSES = (
+    "invalid_json",
+    "missing_field",
+    "duplicate_id",
+    "empty_text",
+    "oversized_text",
+    "bad_timestamp",
+)
+
+
 @dataclass(frozen=True)
 class ParseReport:
     lines_read: int
     records_produced: int
-    lines_skipped: int
+    skipped: dict[str, int]  # lines skipped per cause, every cause in SKIP_CAUSES
     sha256: str | None = None  # hex digest of the bytes parsed from a path source
+
+    @property
+    def lines_skipped(self) -> int:
+        return sum(self.skipped.values())
 
 
 class Preprocessed(NamedTuple):
@@ -112,6 +127,54 @@ def _read_lines(path: str | bytes, digest) -> Iterable[bytes]:
             yield line
 
 
+def _record_or_cause(
+    raw_line: bytes | str, fields: dict[str, str], seen_ids: set[str], tz: tzinfo
+) -> TweetRecord | str:
+    """The line's record, or the SKIP_CAUSES entry that rejects it."""
+    try:
+        line = raw_line.decode("utf-8") if isinstance(raw_line, bytes) else raw_line
+        payload = json.loads(line)
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return "invalid_json"
+    if not isinstance(payload, dict):
+        return "invalid_json"
+    tweet_id = _lookup(payload, fields["id"])
+    created_raw = _lookup(payload, fields["created_at"])
+    text = _lookup(payload, fields["text"])
+    if tweet_id is None or created_raw is None or text is None:
+        return "missing_field"
+    tweet_id = str(tweet_id)
+    if not tweet_id:
+        return "missing_field"
+    if tweet_id in seen_ids:
+        return "duplicate_id"
+    text = unicodedata.normalize("NFC", str(text))
+    if not text.strip():
+        return "empty_text"
+    author = _lookup(payload, fields["author"])
+    author = str(author) if author is not None else ""
+    try:
+        text_bytes = len(text.encode("utf-8"))
+        tweet_id.encode("utf-8")
+        author.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate escape such as \ud800
+        return "invalid_json"
+    if text_bytes > MAX_TEXT_BYTES:
+        return "oversized_text"
+    try:
+        created_at = parse_timestamp(str(created_raw)).astimezone(tz).replace(microsecond=0)
+    except (ValueError, KeyError, OverflowError):  # an unknown month; a year out of range
+        return "bad_timestamp"
+    retweeted = _lookup(payload, fields["retweeted"]) is not None
+    return TweetRecord(
+        id=tweet_id,
+        created_at=created_at,
+        author=author,
+        text=text,
+        is_retweet=retweeted or text.lstrip().startswith("RT @"),
+    )
+
+
 def parse_tweet_stream(
     source: str | IO[bytes] | IO[str] | Iterable[bytes | str],
     *,
@@ -120,11 +183,14 @@ def parse_tweet_stream(
 ) -> tuple[list[TweetRecord], ParseReport]:
     """Parse a JSON-lines stream into records plus a totality report.
 
-    A line is skipped (never fatal) when it is not valid JSON, misses a
-    required field, carries an id already seen, exceeds the text byte
-    limit, or has no text left after unicode normalization. An unreadable
-    source path still raises the underlying OSError. For a path source the
-    report carries the sha256 of exactly the bytes that were parsed.
+    A line is skipped (never fatal) when it is not a valid JSON object
+    (an id, text or author holding a lone surrogate escape is not valid
+    Unicode and could not be written out), misses a required field (an
+    empty id counts as missing), carries an id already seen, has no text
+    left after unicode normalization, exceeds the text byte limit, or has
+    an unparseable timestamp; the report counts each skip under its cause. An unreadable source path still
+    raises the underlying OSError. For a path source the report carries
+    the sha256 of exactly the bytes that were parsed.
     """
     fields = dict(DEFAULT_FIELD_MAP)
     if field_map:
@@ -132,7 +198,7 @@ def parse_tweet_stream(
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     lines_read = 0
-    skipped = 0
+    skipped = dict.fromkeys(SKIP_CAUSES, 0)
     digest = None
     lines = source
     if isinstance(source, (str, bytes)):
@@ -140,36 +206,9 @@ def parse_tweet_stream(
         lines = _read_lines(source, digest)
     for raw_line in lines:
         lines_read += 1
-        try:
-            line = raw_line.decode("utf-8") if isinstance(raw_line, bytes) else raw_line
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError("line is not a JSON object")
-            tweet_id = _lookup(payload, fields["id"])
-            created_raw = _lookup(payload, fields["created_at"])
-            text = _lookup(payload, fields["text"])
-            if tweet_id is None or created_raw is None or text is None:
-                raise ValueError("missing required field")
-            tweet_id = str(tweet_id)
-            if not tweet_id or tweet_id in seen_ids:
-                raise ValueError("empty or duplicate id")
-            text = unicodedata.normalize("NFC", str(text))
-            if not text.strip():
-                raise ValueError("empty text")
-            if len(text.encode("utf-8")) > MAX_TEXT_BYTES:
-                raise ValueError("oversized text")
-            created_at = parse_timestamp(str(created_raw)).astimezone(tz).replace(microsecond=0)
-            author = _lookup(payload, fields["author"])
-            retweeted = _lookup(payload, fields["retweeted"]) is not None
-            record = TweetRecord(
-                id=tweet_id,
-                created_at=created_at,
-                author=str(author) if author is not None else "",
-                text=text,
-                is_retweet=retweeted or text.lstrip().startswith("RT @"),
-            )
-        except (ValueError, UnicodeDecodeError, TypeError, KeyError):
-            skipped += 1
+        record = _record_or_cause(raw_line, fields, seen_ids, tz)
+        if isinstance(record, str):
+            skipped[record] += 1
             continue
         seen_ids.add(record.id)
         records.append(record)

@@ -22,7 +22,6 @@ import pytest
 
 from electionpulse.analytics import (
     BUCKET_LABELS,
-    BUCKETS,
     avg_sentiment_series,
     bucket_label,
     frequency_heatmap,
@@ -46,7 +45,7 @@ from electionpulse.sentiment import (
 from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
 
-from test_analytics import make_tweet, named, with_actors
+from test_analytics import buckets_containing, make_tweet, named, with_actors
 from test_sentiment import load_micro
 from test_stemming import VECTORS
 
@@ -214,7 +213,7 @@ def test_05_bucket_partition() -> None:
         rng = random.Random(17)
         for _ in range(10_000):
             value = dtime(rng.randrange(24), rng.randrange(60), rng.randrange(60))
-            containing = [bucket.label for bucket in BUCKETS if bucket.contains(value)]
+            containing = buckets_containing(value)
             if value < dtime(6):
                 assert containing == []
                 assert bucket_label(value) == "out_of_range"

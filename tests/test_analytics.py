@@ -14,11 +14,9 @@ from electionpulse._util import ConsistencyError
 from electionpulse.actors import Actor, ActorSet, match_actors, sole_mention
 from electionpulse.analytics import (
     BUCKET_LABELS,
-    BUCKETS,
     OUT_OF_RANGE,
     avg_sentiment_series,
     bucket_label,
-    bucket_of,
     combined_avg_polarity,
     cooccurrence_cloud,
     frequency_heatmap,
@@ -74,6 +72,27 @@ def pair_set() -> ActorSet:
     )
 
 
+# The hour-range table that ``bucket_label`` replaced, kept as its oracle:
+# (label, start, end), end exclusive; the last bucket runs to day end.
+HOUR_RANGES = (
+    ("6-8", time(6), time(8)),
+    ("8-10", time(8), time(10)),
+    ("10-12", time(10), time(12)),
+    ("12-14", time(12), time(14)),
+    ("14-16", time(14), time(16)),
+    ("16-18", time(16), time(18)),
+    ("18-20", time(18), time(20)),
+    ("20-00", time(20), None),
+)
+
+
+def buckets_containing(value: time) -> list[str]:
+    return [
+        label for label, start, end in HOUR_RANGES
+        if start <= value and (end is None or value < end)
+    ]
+
+
 class TestBuckets:
     def test_eight_labels_in_day_order(self) -> None:
         assert BUCKET_LABELS == (
@@ -99,18 +118,19 @@ class TestBuckets:
     def test_datetime_uses_local_wall_clock(self) -> None:
         stamp = datetime(2017, 11, 18, 14, 30, tzinfo=LAGOS)
         assert bucket_label(stamp) == "14-16"
-        assert bucket_of(stamp).label == "14-16"
+        assert bucket_label(stamp.astimezone(timezone.utc)) == "12-14"
 
     def test_before_window_is_none(self) -> None:
-        assert bucket_of(time(5, 59, 59)) is None
+        assert bucket_label(time(5, 59, 59)) == OUT_OF_RANGE
 
     @given(st.times())
     def test_buckets_partition_the_day(self, value: time) -> None:
-        containing = [bucket for bucket in BUCKETS if bucket.contains(value)]
+        containing = buckets_containing(value)
         if value < time(6):
             assert containing == []
+            assert bucket_label(value) == OUT_OF_RANGE
         else:
-            assert len(containing) == 1
+            assert containing == [bucket_label(value)]
 
 
 class TestSentimentSeries:

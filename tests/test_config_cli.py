@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -20,7 +21,7 @@ from electionpulse import sentiment as sentiment_module
 from electionpulse import stemming as stemming_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
-from electionpulse.ingest import parse_tweet_stream
+from electionpulse.ingest import SKIP_CAUSES, parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
     clean,
@@ -65,7 +66,82 @@ def record_calls(monkeypatch, module, name: str, keep=lambda args, kwargs: args[
     return calls
 
 
+# The fixture config's manifest ``config`` section, paths relative to
+# fixtures/. It holds every key, including the ones only the file can set.
+FIXTURE_SNAPSHOT = {
+    "input": {"path": "tweets_50.jsonl", "timezone": "+01:00", "field_map": {}},
+    "actors": {
+        "path": "actors.ini",
+        "scope": ["willie_obiano_apga", "tony_nwoye_apc", "oseloka_obaze_pdp"],
+    },
+    "lexicons": {
+        "pattern": "pattern_lexicon.csv",
+        "senses": "sense_lexicon.tsv",
+        "negators": "negators.txt",
+        "nbc_corpus": "nbc_corpus.csv",
+    },
+    "preprocess": {
+        "stopwords": "stopwords.txt",
+        "dictionary": "dictionary.txt",
+        "spellcheck": True,
+        "stem": True,
+        "extra_stopwords_from_actors": True,
+    },
+    "sentiment": {"engine": "pattern", "subjectivity_threshold": 0.5, "polarity_scale": 100.0},
+    "topics": {
+        "k": 5,
+        "alpha": 0.1,
+        "beta": 0.01,
+        "iterations": 500,
+        "top_words": 10,
+        "min_doc_len": 1,
+        "labels": {"0": "logistics", "1": "results", "2": "security", "3": "turnout", "4": "mood"},
+    },
+    "analytics": {"top_n": 10},
+    "output": {"dir": "../out"},
+    "run": {"seed": 42},
+}
+
+
 class TestValidateConfig:
+    def test_fixture_snapshot_is_pinned(self, fixtures_dir, monkeypatch) -> None:
+        monkeypatch.delenv("ELECTIONPULSE_SEED", raising=False)
+        snapshot = validate_config(str(fixtures_dir / "config.ini")).snapshot
+        relative = {
+            section: {
+                key: os.path.relpath(value, fixtures_dir)
+                if isinstance(value, str) and os.path.isabs(value) else value
+                for key, value in entries.items()
+            }
+            for section, entries in snapshot.items()
+        }
+        assert relative == FIXTURE_SNAPSHOT
+        # JSON types too: 100.0 is not 100, and true is not 1.
+        assert json.dumps(relative, sort_keys=True) == json.dumps(FIXTURE_SNAPSHOT, sort_keys=True)
+
+    def test_diagnostics_are_pinned_in_order(self, config_factory, monkeypatch) -> None:
+        monkeypatch.delenv("ELECTIONPULSE_SEED", raising=False)
+        path = config_factory(**{
+            "actors.scope": "willie_obiano_apga, peter_obi",
+            "lexicons.negators": "/nowhere/negators.txt",
+            "preprocess.stem": "maybe",
+            "sentiment.engine": "vader",
+            "topics.iterations": "many",
+            "run.seed": "x",
+        })
+        with pytest.raises(ConfigError) as err:
+            validate_config(path, {"topics.alpha": "-1"}, "topics", {"group": "nobody"})
+        assert err.value.diagnostics == [
+            "[actors] scope id 'peter_obi' is not a configured actor",
+            "--group 'nobody' is not a configured actor",
+            "[lexicons] negators: no such file: /nowhere/negators.txt",
+            "[preprocess] stem = 'maybe' is not a boolean",
+            "[sentiment] engine = 'vader' must be one of pattern, swn",
+            "[topics] alpha = -1.0 must be positive and finite",
+            "[topics] iterations = 'many' is not a valid int",
+            "seed 'x' is not an integer",
+        ]
+
     def test_fixture_config_loads(self, config_factory) -> None:
         config = validate_config(config_factory())
         assert config.scope == ["willie_obiano_apga", "tony_nwoye_apc", "oseloka_obaze_pdp"]
@@ -529,6 +605,33 @@ class TestCliRuns:
         assert {engine: entry["tweets_hit"] for engine, entry in coverage.items()} == hits
         for entry in coverage.values():
             assert 0.0 < entry["token_hit_rate"] < 1.0
+
+    def test_manifest_reports_rejected_sense_rows(self, fixtures_dir, tmp_path) -> None:
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(fixtures_dir, fixtures)
+        senses = fixtures / "sense_lexicon.tsv"
+        rows = []
+        for row in senses.read_text(encoding="utf-8").splitlines():
+            if row.strip() and not row.startswith("#"):
+                parts = row.split("\t")
+                parts[2:4] = ["0.9", "0.9"]  # PosScore + NegScore > 1: every row is invalid
+                row = "\t".join(parts)
+            rows.append(row)
+        senses.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["compare", "--config", str(fixtures / "config.ini")]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        assert manifest["status"] == "ok"
+        swn = manifest["dataset"]["lexicon"]["swn"]
+        assert swn["tweets_hit"] == 0
+        assert swn["rows_read"] == swn["rows_rejected"] == 50
+        assert "rows_read" not in manifest["dataset"]["lexicon"]["pattern"]
+
+    def test_manifest_counts_parse_skips_by_cause(self, config_factory, tmp_path) -> None:
+        argv = ["counts", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
+        assert main(argv) == 0
+        dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
+        assert dataset["skipped"] == {**dict.fromkeys(SKIP_CAUSES, 0), "missing_field": 50}
+        assert dataset["lines_read"] == dataset["total_raw"] + dataset["lines_skipped"] == 50
 
     def test_manifest_lexicon_lists_only_engines_scored(self, config_factory, tmp_path) -> None:
         assert main(["sentiment", "--config", config_factory(), "--engine", "swn"]) == 0

@@ -13,6 +13,7 @@ import pytest
 from electionpulse.actors import match_actors
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
+    SKIP_CAUSES,
     dataset_stats,
     export_records,
     parse_tweet_stream,
@@ -54,6 +55,44 @@ class TestParsing:
         assert report.lines_read == len(lines)
         assert report.lines_read == report.records_produced + report.lines_skipped
         assert [record.id for record in records] == ["1", "2"]
+
+    def test_each_skip_cause_counted_once(self) -> None:
+        lines = [
+            line(),
+            "not json at all {",
+            json.dumps({"id_str": "3", "text": "no timestamp"}),
+            line(text="duplicate id"),
+            line(id_str="4", text="   "),
+            line(id_str="5", text="x" * (MAX_TEXT_BYTES + 1)),
+            line(id_str="6", created_at="2017-11-18T09:31:00"),
+        ]
+        records, report = parse_tweet_stream(lines)
+        assert len(records) == 1
+        assert report.skipped == dict.fromkeys(SKIP_CAUSES, 1)
+        assert report.lines_read == len(records) + sum(report.skipped.values())
+        assert report.lines_skipped == len(SKIP_CAUSES)
+
+    @pytest.mark.parametrize(
+        "raw,cause",
+        [
+            (json.dumps(["a", "list"]), "invalid_json"),
+            (b"\xff\xfe", "invalid_json"),
+            (line(text="\ud800 hi"), "invalid_json"),
+            (line(id_str="\ud800"), "invalid_json"),
+            (line(user={"screen_name": "a\udc00"}), "invalid_json"),
+            (line(id_str=""), "missing_field"),
+            (line(created_at="Sat Foo 18 09:31:00 +0000 2017"), "bad_timestamp"),
+            (line(created_at="0001-01-01T00:30:00+02:00"), "bad_timestamp"),
+        ],
+        ids=[
+            "not_an_object", "not_utf8",
+            "surrogate_text", "surrogate_id", "surrogate_author",
+            "empty_id", "unknown_month", "before_year_one",
+        ],
+    )
+    def test_skip_cause_of_edge_lines(self, raw, cause) -> None:
+        _, report = parse_tweet_stream([raw])
+        assert report.skipped == {**dict.fromkeys(SKIP_CAUSES, 0), cause: 1}
 
     def test_timestamps_move_into_dataset_timezone(self) -> None:
         records, _ = parse_tweet_stream([line()], tz=LAGOS)
