@@ -74,9 +74,6 @@ class ActorSet:
     def __contains__(self, actor_id: str) -> bool:
         return actor_id in self._by_id
 
-    def ids(self) -> list[str]:
-        return [actor.id for actor in self.actors]
-
     def combined(self) -> list[Actor]:
         return [actor for actor in self.actors if actor.kind == "combined"]
 

@@ -6,6 +6,12 @@ end of the day. Earlier times are out of range. Bucket cells with no
 tweets are emitted as explicit empty markers (None), never as zero means:
 a fabricated zero would read as neutral sentiment.
 
+The sentiment series and the frequency heatmap are two views of one grid,
+``{scope actor: {bucket label: cell}}``, built by one function over the
+tweets that name exactly one scope actor. Frequency tables and clouds are
+plain ``(term, count)`` rows. Both shapes are what the CLI writes, as
+they are.
+
 Which actors a tweet mentions is read from the tweet itself
 (``ProcessedTweet.actors``, matched once per run by
 ``ingest.preprocess_records``).
@@ -14,10 +20,9 @@ Which actors a tweet mentions is read from the tweet itself
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from datetime import datetime, time
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from ._util import ConsistencyError
 from .actors import Actor, ActorSet, sole_mention
@@ -44,28 +49,18 @@ class SeriesCell(NamedTuple):
     mean_subjectivity: float
 
 
-@dataclass
-class SentimentSeries:
-    """Per-bucket sentiment for one actor; None cells mean no tweets."""
-
-    actor_id: str
-    cells: dict[str, SeriesCell | None]
-
-
-@dataclass
-class FrequencyTable:
-    """Ranked (term, count) rows, counts descending, ties lexicographic."""
-
-    key: str
-    rows: list[tuple[str, int]]
-
-
-def _sole_mention_cells(
-    tweets: Sequence[ProcessedTweet], values: Iterable, actors: ActorSet, scope: Sequence[str]
-) -> dict[tuple[str, str], list]:
-    """``values`` (aligned with ``tweets``) grouped by (scope actor, bucket
-    label), for the tweets that name exactly one scope actor; tweets before
-    06:00 are left out. Each cell keeps tweet order."""
+def _sole_mention_grid(
+    tweets: Sequence[ProcessedTweet],
+    values: Iterable,
+    actors: ActorSet,
+    scope: Sequence[str],
+    summarize: Callable[[list], Any],
+) -> dict[str, dict[str, Any]]:
+    """``{scope actor: {bucket label: summarize(cell) or None}}`` in scope
+    and ``BUCKET_LABELS`` order. A cell holds the ``values`` (aligned with
+    ``tweets``) of the tweets that name exactly that one scope actor, in
+    tweet order; tweets before 06:00 are left out, and a cell with no
+    tweets is None."""
     cells: dict[tuple[str, str], list] = {}
     for tweet, value in zip(tweets, values):
         label = bucket_label(tweet.record.created_at)
@@ -75,7 +70,13 @@ def _sole_mention_cells(
         if actor_id is None:
             continue
         cells.setdefault((actor_id, label), []).append(value)
-    return cells
+    return {
+        actor_id: {
+            label: summarize(cells[actor_id, label]) if (actor_id, label) in cells else None
+            for label in BUCKET_LABELS
+        }
+        for actor_id in scope
+    }
 
 
 def avg_sentiment_series(
@@ -84,7 +85,7 @@ def avg_sentiment_series(
     actors: ActorSet,
     scope: Sequence[str],
     scale: float = 100.0,
-) -> list[SentimentSeries]:
+) -> dict[str, dict[str, SeriesCell | None]]:
     """Mean polarity (scaled) and subjectivity per scope actor per bucket.
 
     Only sole mentions count: a tweet contributes to exactly the one
@@ -94,58 +95,39 @@ def avg_sentiment_series(
         raise ConsistencyError(
             f"{len(tweets)} tweets but {len(scores)} scores; inputs must align one-to-one"
         )
-    grouped = _sole_mention_cells(tweets, scores, actors, scope)
-    series = []
-    for actor_id in scope:
-        cells: dict[str, SeriesCell | None] = {}
-        for label in BUCKET_LABELS:
-            cell_scores = grouped.get((actor_id, label))
-            if cell_scores is None:
-                cells[label] = None
-            else:
-                count = len(cell_scores)
-                polarity = sum(score.polarity for score in cell_scores)
-                subjectivity = sum(score.subjectivity for score in cell_scores)
-                cells[label] = SeriesCell(count, polarity / count * scale, subjectivity / count)
-        series.append(SentimentSeries(actor_id, cells))
-    return series
+
+    def summarize(cell_scores: list[SentimentScore]) -> SeriesCell:
+        count = len(cell_scores)
+        polarity = sum(score.polarity for score in cell_scores)
+        subjectivity = sum(score.subjectivity for score in cell_scores)
+        return SeriesCell(count, polarity / count * scale, subjectivity / count)
+
+    return _sole_mention_grid(tweets, scores, actors, scope, summarize)
 
 
 def term_frequencies(
     tweets: Iterable[ProcessedTweet],
     exclusions: Iterable[str] | None = None,
     top_n: int | None = None,
-) -> FrequencyTable:
-    """Descending term counts over the group's stemmed tokens."""
+) -> list[tuple[str, int]]:
+    """(term, count) rows over the group's stemmed tokens, counts
+    descending, ties lexicographic."""
     if top_n is not None and top_n < 1:
         raise ValueError("top_n must be at least 1")
-    excluded = _as_exclusion_set(exclusions)
+    excluded = {word.lower() for word in exclusions or ()}
     counts: Counter[str] = Counter()
     for tweet in tweets:
         counts.update(token for token in tweet.tokens if token.lower() not in excluded)
     rows = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    return FrequencyTable(key="", rows=rows[:top_n] if top_n else rows)
-
-
-def _as_exclusion_set(exclusions: Iterable[str] | None) -> set[str]:
-    if exclusions is None:
-        return set()
-    return {word.lower() for word in exclusions}
+    return rows[:top_n] if top_n else rows
 
 
 def cooccurrence_cloud(
-    tweets: Sequence[ProcessedTweet],
-    actor: Actor,
-    actors: ActorSet,
-    exclusions: Iterable[str] | None = None,
-    top_n: int | None = None,
-) -> FrequencyTable:
-    """Term counts over tweets mentioning the actor, actor names excluded."""
-    excluded = _as_exclusion_set(exclusions) | actors.exclusion_words()
+    tweets: Sequence[ProcessedTweet], actor: Actor, actors: ActorSet
+) -> list[tuple[str, int]]:
+    """Term rows over tweets mentioning the actor, actor names excluded."""
     matching = [tweet for tweet in tweets if actor.id in tweet.actors]
-    table = term_frequencies(matching, excluded, top_n)
-    table.key = actor.id
-    return table
+    return term_frequencies(matching, actors.exclusion_words())
 
 
 def frequency_heatmap(
@@ -153,47 +135,30 @@ def frequency_heatmap(
     actors: ActorSet,
     scope: Sequence[str],
     top_n: int | None = None,
-    exclusions: Iterable[str] | None = None,
-) -> dict[str, dict[str, FrequencyTable | None]]:
-    """One frequency table per (scope actor, bucket) over sole-mention
-    tweets; cells with no tweets are None."""
-    grouped = _sole_mention_cells(tweets, tweets, actors, scope)
-    matrix: dict[str, dict[str, FrequencyTable | None]] = {}
-    for actor_id in scope:
-        row: dict[str, FrequencyTable | None] = {}
-        for label in BUCKET_LABELS:
-            cell_tweets = grouped.get((actor_id, label))
-            if not cell_tweets:
-                row[label] = None
-            else:
-                table = term_frequencies(cell_tweets, exclusions, top_n)
-                table.key = f"{actor_id}/{label}"
-                row[label] = table
-        matrix[actor_id] = row
-    return matrix
+) -> dict[str, dict[str, list[tuple[str, int]] | None]]:
+    """Term rows per (scope actor, bucket) over sole-mention tweets; the
+    same grid as ``avg_sentiment_series``."""
+    return _sole_mention_grid(
+        tweets, tweets, actors, scope, lambda cell: term_frequencies(cell, top_n=top_n)
+    )
 
 
 def combined_avg_polarity(
     tweets: Sequence[ProcessedTweet],
     scores: Sequence[SentimentScore],
     actors: ActorSet,
-    pair_ids: Sequence[str] | None = None,
 ) -> dict[str, float | None]:
     """Unscaled mean polarity over tweets matching each combined actor."""
     if len(tweets) != len(scores):
         raise ConsistencyError(
             f"{len(tweets)} tweets but {len(scores)} scores; inputs must align one-to-one"
         )
-    ids = list(pair_ids) if pair_ids is not None else [a.id for a in actors.combined()]
-    for actor_id in ids:
-        if actor_id not in actors or actors[actor_id].kind != "combined":
-            raise ValueError(f"{actor_id!r} is not a configured combined actor")
-    sums = {actor_id: [0, 0.0] for actor_id in ids}
+    sums = {actor.id: [0, 0.0] for actor in actors.combined()}
     for tweet, score in zip(tweets, scores):
-        for actor_id in ids:
+        for actor_id, entry in sums.items():
             if actor_id in tweet.actors:
-                sums[actor_id][0] += 1
-                sums[actor_id][1] += score.polarity
+                entry[0] += 1
+                entry[1] += score.polarity
     return {
         actor_id: (total / count if count else None)
         for actor_id, (count, total) in sums.items()

@@ -72,7 +72,6 @@ class _RunState:
     negators: frozenset = frozenset()
     sense_lexicon: SenseLexicon | None = None
     scored: dict[str, EngineScores] = field(default_factory=dict)
-    scores: list[SentimentScore] = field(default_factory=list)
     stages: list[dict] = field(default_factory=list)
 
 
@@ -147,12 +146,7 @@ def _scored(state: _RunState, engine: str) -> EngineScores:
 
 
 def _score(state: _RunState) -> list[SentimentScore]:
-    if not state.scores:
-        scored = _scored(state, state.config.engine)
-        state.scores = [
-            SentimentScore(p, s) for p, s in zip(scored.polarity, scored.subjectivity)
-        ]
-    return state.scores
+    return _scored(state, state.config.engine).scores
 
 
 def _write_json(path: str, payload) -> None:
@@ -186,9 +180,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
 
 
 def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
-    table = compare_classifiers(
-        {engine: _scored(state, engine).polarity for engine in ENGINES}
-    )
+    table = compare_classifiers({engine: _scored(state, engine).scores for engine in ENGINES})
     with open(os.path.join(staging, "compare.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -240,10 +232,9 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
         chosen = [actor_set[actor_id]]
     else:
         chosen = [actor for actor in actor_set if actor.kind == "candidate"]
-    payload = {}
-    for actor in chosen:
-        table = analytics.cooccurrence_cloud(state.kept, actor, actor_set)
-        payload[actor.id] = [[term, count] for term, count in table.rows]
+    payload = {
+        actor.id: analytics.cooccurrence_cloud(state.kept, actor, actor_set) for actor in chosen
+    }
     _write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
 
@@ -260,15 +251,14 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     with open(os.path.join(staging, "timeseries.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["actor", "bucket", "count", "mean_polarity_x100", "mean_subjectivity"])
-        for row in series:
-            for label in analytics.BUCKET_LABELS:
-                cell = row.cells[label]
+        for actor_id, cells in series.items():
+            for label, cell in cells.items():
                 if cell is None:
-                    writer.writerow([row.actor_id, label, 0, "", ""])
+                    writer.writerow([actor_id, label, 0, "", ""])
                 else:
                     writer.writerow(
                         [
-                            row.actor_id,
+                            actor_id,
                             label,
                             cell.count,
                             repr(cell.mean_polarity_x100),
@@ -285,15 +275,8 @@ def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
         state.config.scope,
         top_n=state.config.heatmap_top_n,
     )
-    payload = {
-        actor_id: {
-            label: None if table is None else [[term, count] for term, count in table.rows]
-            for label, table in row.items()
-        }
-        for actor_id, row in matrix.items()
-    }
-    _write_json(os.path.join(staging, "heatmap.json"), payload)
-    return len(payload)
+    _write_json(os.path.join(staging, "heatmap.json"), matrix)
+    return len(matrix)
 
 
 def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
@@ -342,6 +325,10 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
         for row in reader:
             if not row or row[0].strip().lower() == "label":
                 continue
+            if len(row) < 2:
+                raise ValueError(
+                    f"{corpus_path} line {reader.line_num}: expected label,text, got {row!r}"
+                )
             label, text = row[0].strip(), row[1]
             tokens = process_tokens(text_tokens(text), state.pipeline)
             docs.append((tokens, label))

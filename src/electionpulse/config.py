@@ -190,6 +190,8 @@ def validate_config(
             diagnostics.append(f"[actors] cannot load {actors_path}: {exc}")
 
     scope = [item.strip() for item in (get("actors", "scope", "") or "").split(",") if item.strip()]
+    for actor_id in sorted({actor_id for actor_id in scope if scope.count(actor_id) > 1}):
+        diagnostics.append(f"[actors] scope id {actor_id!r} is repeated")
     named = [("[actors] scope id", actor_id) for actor_id in scope]
     named += [(f"--{name}", options[name]) for name in ("actor", "group") if name in options]
     if actor_set is not None:
@@ -255,7 +257,9 @@ def validate_config(
 
     get_number("heatmap_top_n", "analytics", "top_n", "10", int, *at_least_one)
 
-    keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
+    output_dir = keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
+    if os.path.exists(output_dir) and not os.path.isdir(output_dir):
+        diagnostics.append(f"[output] dir: not a directory: {output_dir}")
 
     seed_raw = get("run", "seed", "0")
     if "run.seed" not in overrides and os.environ.get(ENV_SEED):

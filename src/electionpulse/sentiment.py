@@ -13,7 +13,7 @@ Two lexicon engines share one scoring contract:
 
 ``score_all`` scores a tweet population with one engine and counts the
 engine's lexicon coverage on the same pass; ``compare_classifiers`` turns
-the per-engine polarities into distributions without scoring again.
+the per-engine score lists into distributions without scoring again.
 
 The Naive Bayes classifier is the multinomial, Laplace-smoothed textbook
 construction and exists alongside the lexicon engines because label
@@ -313,8 +313,7 @@ class EngineScores(NamedTuple):
     lexicon coverage: tweets with at least one matched token, and matched
     tokens out of all tokens scored."""
 
-    polarity: list[float]
-    subjectivity: list[float]
+    scores: list[SentimentScore]
     tweets_hit: int
     tokens_hit: int
     tokens: int
@@ -334,29 +333,26 @@ def score_all(
     sense_lexicon: SenseLexicon | None = None,
 ) -> EngineScores:
     """Score every tweet with one engine, counting lexicon coverage on the
-    same pass; the score lists align with the input."""
+    same pass; the score list aligns with the input."""
     if engine not in ENGINES:
         raise ValueError(f"engine {engine!r} not one of {ENGINES}")
     if engine == "pattern" and pattern_lexicon is None:
         raise ValueError("pattern engine needs a pattern lexicon")
     if engine == "swn" and sense_lexicon is None:
         raise ValueError("swn engine needs a sense lexicon")
-    polarity_vals: list[float] = []
-    subjectivity_vals: list[float] = []
+    scores: list[SentimentScore] = []
     tweets_hit = tokens_hit = tokens = 0
     for tweet in tweets:
         if engine == "pattern":
             values = _pattern_matches(tweet.tokens, pattern_lexicon, negators)
         else:
             values = _swn_matches(tweet.tokens, sense_lexicon)
-        score = _mean_score(*values)
-        polarity_vals.append(score.polarity)
-        subjectivity_vals.append(score.subjectivity)
+        scores.append(_mean_score(*values))
         hits = len(values[0])
         tweets_hit += hits > 0
         tokens_hit += hits
         tokens += len(tweet.tokens)
-    return EngineScores(polarity_vals, subjectivity_vals, tweets_hit, tokens_hit, tokens)
+    return EngineScores(scores, tweets_hit, tokens_hit, tokens)
 
 
 def polarity_class(score: float) -> str:
@@ -478,10 +474,6 @@ class PolarityDistribution:
     counts: tuple[int, int, int]
     percentages: tuple[float, float, float]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def distribution(labels: Iterable[str]) -> PolarityDistribution:
     """Tally polarity classes into counts and percentages."""
@@ -498,15 +490,15 @@ def distribution(labels: Iterable[str]) -> PolarityDistribution:
 
 
 def compare_classifiers(
-    polarities: Mapping[str, Sequence[float]],
+    scores: Mapping[str, Sequence[SentimentScore]],
 ) -> dict[str, PolarityDistribution]:
-    """Polarity distribution of each engine, from the per-tweet polarities
-    it gave one tweet population (``score_all(...).polarity``)."""
-    if len({len(values) for values in polarities.values()}) > 1:
+    """Polarity distribution of each engine, from the per-tweet scores it
+    gave one tweet population (``score_all(...).scores``)."""
+    if len({len(values) for values in scores.values()}) > 1:
         raise ConsistencyError("the engines scored tweet populations of different sizes")
     return {
-        engine: distribution(polarity_class(value) for value in values)
-        for engine, values in polarities.items()
+        engine: distribution(polarity_class(score.polarity) for score in values)
+        for engine, values in scores.items()
     }
 
 

@@ -97,8 +97,7 @@ def kept(preprocessed) -> list[ProcessedTweet]:
 
 @pytest.fixture(scope="session")
 def pattern_scores(kept, pattern_lexicon, negators) -> list[SentimentScore]:
-    scored = score_all(kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators)
-    return [SentimentScore(p, s) for p, s in zip(scored.polarity, scored.subjectivity)]
+    return score_all(kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators).scores
 
 
 @pytest.fixture()

@@ -183,7 +183,8 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
                 negators=negators,
                 sense_lexicon=sense_lexicon,
             )
-            polarity, subjectivity = scored.polarity, scored.subjectivity
+            polarity = [score.polarity for score in scored.scores]
+            subjectivity = [score.subjectivity for score in scored.scores]
             assert len(polarity) == len(subjectivity) == 1_000
             for p, s in zip(polarity, subjectivity):
                 assert -1.0 <= p <= 1.0
@@ -279,11 +280,11 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                 continue
             grouped.setdefault((owner, label), []).append(index)
 
-        assert [row.actor_id for row in series] == scope
-        for row in series:
+        assert list(series) == scope
+        for actor_id, cells in series.items():
             for label in BUCKET_LABELS:
-                members = grouped.get((row.actor_id, label))
-                cell = row.cells[label]
+                members = grouped.get((actor_id, label))
+                cell = cells[label]
                 if members is None:
                     assert cell is None
                     continue
@@ -302,7 +303,7 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                     assert cell is None
                     continue
                 expected = term_frequencies([tweets[i] for i in members], top_n=5)
-                assert cell.rows == expected.rows
+                assert cell == expected
 
 
 def test_07_lda_planted_recovery() -> None:

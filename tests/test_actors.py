@@ -363,7 +363,7 @@ def test_set_based_sole_mention_matches_the_text_oracle(actors, drawn) -> None:
     assert [tweet.record for tweet in done.kept] == [
         record for record in records if not record.is_retweet and text_tokens(record.text)
     ]
-    ids = actors.ids()
+    ids = [a.id for a in actors]
     scopes = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
     for tweet in done.kept:
         text = tweet.record.text

@@ -141,7 +141,7 @@ class TestSentimentSeries:
         scores = [SentimentScore(0.25, 0.6)]
         series = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])
         assert len(series) == 1
-        cell = series[0].cells["12-14"]
+        cell = series["willie_obiano"]["12-14"]
         assert cell.count == 1
         assert cell.mean_polarity_x100 == pytest.approx(25.0)
         assert cell.mean_subjectivity == pytest.approx(0.6)
@@ -152,7 +152,7 @@ class TestSentimentSeries:
         series = avg_sentiment_series(
             tweets, [SentimentScore(0.25, 0.6)], actors, ["willie_obiano"]
         )
-        cells = series[0].cells
+        cells = series["willie_obiano"]
         assert set(cells) == set(BUCKET_LABELS)
         assert [label for label, cell in cells.items() if cell is not None] == ["12-14"]
 
@@ -163,7 +163,7 @@ class TestSentimentSeries:
         series = avg_sentiment_series(
             tweets, [SentimentScore(1.0, 1.0)], actors, ["willie_obiano"]
         )
-        assert all(cell is None for cell in series[0].cells.values())
+        assert all(cell is None for cell in series["willie_obiano"].values())
 
     def test_non_sole_tweets_never_contribute(self) -> None:
         actors = pair_set()
@@ -172,8 +172,8 @@ class TestSentimentSeries:
         tweets = with_actors([tweet], actors)
         scope = ["willie_obiano", "apga"]
         series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, scope)
-        for row in series:
-            assert all(cell is None for cell in row.cells.values())
+        for cells in series.values():
+            assert all(cell is None for cell in cells.values())
 
     def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set, scope) -> None:
         with pytest.raises(ConsistencyError):
@@ -185,13 +185,13 @@ class TestSentimentSeries:
         scores = [SentimentScore(0.3, 0.5)]
         x100 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=100.0)
         x1 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=1.0)
-        assert x100[0].cells["12-14"].mean_polarity_x100 == pytest.approx(
-            100.0 * x1[0].cells["12-14"].mean_polarity_x100
+        assert x100["willie_obiano"]["12-14"].mean_polarity_x100 == pytest.approx(
+            100.0 * x1["willie_obiano"]["12-14"].mean_polarity_x100
         )
 
     def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set, scope) -> None:
         series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
-        assert [row.actor_id for row in series] == scope
+        assert list(series) == scope
         groups: dict[tuple[str, str], list[SentimentScore]] = {}
         for tweet, score in zip(kept, pattern_scores):
             label = bucket_label(tweet.record.created_at)
@@ -201,10 +201,10 @@ class TestSentimentSeries:
             if owner is None:
                 continue
             groups.setdefault((owner, label), []).append(score)
-        for row in series:
+        for actor_id, cells in series.items():
             for label in BUCKET_LABELS:
-                cell = row.cells[label]
-                expected = groups.get((row.actor_id, label))
+                cell = cells[label]
+                expected = groups.get((actor_id, label))
                 if expected is None:
                     assert cell is None
                     continue
@@ -221,9 +221,9 @@ class TestSentimentSeries:
             owner = sole_mention(named(tweet, actor_set), actor_set, scope)
             if owner is not None and bucket_label(tweet.record.created_at) != OUT_OF_RANGE:
                 sole_totals[owner] += 1
-        for row in series:
-            total = sum(cell.count for cell in row.cells.values() if cell is not None)
-            assert total == sole_totals[row.actor_id]
+        for actor_id, cells in series.items():
+            total = sum(cell.count for cell in cells.values() if cell is not None)
+            assert total == sole_totals[actor_id]
         # The fixture was built so every sole mention lands inside the window.
         assert sum(sole_totals.values()) == 20
 
@@ -234,33 +234,30 @@ class TestTermFrequencies:
             make_tweet("t1", "", ("win", "close"), 10),
             make_tweet("t2", "", ("win", "ballot"), 10),
         ]
-        table = term_frequencies(tweets)
-        assert table.rows == [("win", 2), ("ballot", 1), ("close", 1)]
+        assert term_frequencies(tweets) == [("win", 2), ("ballot", 1), ("close", 1)]
 
     def test_empty_population(self) -> None:
-        assert term_frequencies([]).rows == []
+        assert term_frequencies([]) == []
 
     def test_exclusions_are_case_insensitive(self) -> None:
         tweets = [make_tweet("t1", "", ("win", "awka"), 10)]
-        table = term_frequencies(tweets, exclusions={"AWKA"})
-        assert table.rows == [("win", 1)]
+        assert term_frequencies(tweets, exclusions={"AWKA"}) == [("win", 1)]
 
     def test_top_n_truncates_after_ranking(self) -> None:
         tweets = [make_tweet("t1", "", ("a", "b", "b", "c", "c", "c"), 10)]
-        table = term_frequencies(tweets, top_n=2)
-        assert table.rows == [("c", 3), ("b", 2)]
+        assert term_frequencies(tweets, top_n=2) == [("c", 3), ("b", 2)]
 
     def test_top_n_must_be_positive(self) -> None:
         with pytest.raises(ValueError):
             term_frequencies([], top_n=0)
 
     def test_fixture_matches_direct_count(self, kept) -> None:
-        table = term_frequencies(kept)
+        rows = term_frequencies(kept)
         direct = Counter()
         for tweet in kept:
             direct.update(tweet.tokens)
-        assert dict(table.rows) == dict(direct)
-        counts = [count for _, count in table.rows]
+        assert dict(rows) == dict(direct)
+        counts = [count for _, count in rows]
         assert counts == sorted(counts, reverse=True)
 
 
@@ -280,9 +277,8 @@ class TestCooccurrence:
         # itself drops it.
         tweet = make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)
         tweets = with_actors([tweet], actors)
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
-        assert table.key == "willie_obiano"
-        assert dict(table.rows) == {"cheer": 1, "crowd": 1}
+        rows = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
+        assert dict(rows) == {"cheer": 1, "crowd": 1}
 
     def test_only_matching_tweets_count(self) -> None:
         actors = pair_set()
@@ -293,23 +289,27 @@ class TestCooccurrence:
             ],
             actors,
         )
-        table = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
-        assert dict(table.rows) == {"cheer": 1}
+        rows = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
+        assert dict(rows) == {"cheer": 1}
 
     def test_no_matching_tweets_is_empty(self) -> None:
         actors = pair_set()
         tweets = with_actors([make_tweet("t1", "quiet day", ("quiet", "dai"), 10)], actors)
-        assert cooccurrence_cloud(tweets, actors["apga"], actors).rows == []
+        assert cooccurrence_cloud(tweets, actors["apga"], actors) == []
 
     def test_fixture_running_mate_count(self, kept, actor_set) -> None:
         # Three fixture tweets pair "ojukwu" with the apga alias.
-        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set)
-        assert dict(table.rows)["ojukwu"] == 3
-        assert "apga" not in dict(table.rows)
+        rows = cooccurrence_cloud(kept, actor_set["apga"], actor_set)
+        assert dict(rows)["ojukwu"] == 3
+        assert "apga" not in dict(rows)
 
     def test_top_n_applies_after_exclusions(self, kept, actor_set) -> None:
-        table = cooccurrence_cloud(kept, actor_set["apga"], actor_set, top_n=3)
-        assert len(table.rows) == 3
+        matching = [tweet for tweet in kept if "apga" in tweet.actors]
+        excluded = actor_set.exclusion_words()
+        rows = term_frequencies(matching, exclusions=excluded, top_n=3)
+        assert len(rows) == 3
+        assert not {term for term, _ in rows} & excluded
+        assert rows == cooccurrence_cloud(kept, actor_set["apga"], actor_set)[:3]
 
 
 class TestHeatmap:
@@ -336,9 +336,7 @@ class TestHeatmap:
                 if subset is None:
                     assert cell is None
                 else:
-                    expected = term_frequencies(subset, top_n=10)
-                    assert cell.rows == expected.rows
-                    assert cell.key == f"{actor_id}/{label}"
+                    assert cell == term_frequencies(subset, top_n=10)
 
     def test_fixture_has_known_empty_cells(self, kept, actor_set, scope) -> None:
         matrix = frequency_heatmap(kept, actor_set, scope)
@@ -363,12 +361,6 @@ class TestCombinedPolarity:
         tweets = with_actors([make_tweet("t1", "obiano alone", ("alone",), 10)], actors)
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": None}
-
-    def test_unknown_or_plain_actor_rejected(self, kept, pattern_scores, actor_set) -> None:
-        with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, actor_set, ["nobody"])
-        with pytest.raises(ValueError):
-            combined_avg_polarity(kept, pattern_scores, actor_set, ["willie_obiano"])
 
     def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set) -> None:
         with pytest.raises(ConsistencyError):
@@ -395,9 +387,8 @@ class TestMentionTable:
         actors = pair_set()
         tweet = make_tweet("t1", "quiet day", ("quiet",), 10)
         tweets = [replace(tweet, actors=frozenset({"willie_obiano"}))]
-        cloud = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
-        assert cloud.rows == [("quiet", 1)]
+        assert cooccurrence_cloud(tweets, actors["willie_obiano"], actors) == [("quiet", 1)]
         series = avg_sentiment_series(
             tweets, [SentimentScore(0.5, 0.5)], actors, ["willie_obiano"]
         )
-        assert series[0].cells["10-12"].count == 1
+        assert series["willie_obiano"]["10-12"].count == 1

@@ -309,6 +309,24 @@ def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) ->
     return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
 
 
+def _repeated_scope_id(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    scope = "willie_obiano_apga, willie_obiano_apga"
+    return ["all", "--config", config_factory(**{"actors.scope": scope})]
+
+
+def _output_is_a_file(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    return ["counts", "--config", config_factory(), "--output", str(afile)]
+
+
+def _nbc_row_without_text(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    corpus = tmp_path / "nbc_corpus.csv"
+    text = (fixtures_dir / "nbc_corpus.csv").read_text(encoding="utf-8")
+    corpus.write_text(text + "positive\n", encoding="utf-8")
+    return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
+
+
 def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_bytes((fixtures_dir / "tweets_50.jsonl").read_bytes())
@@ -345,7 +363,12 @@ EXIT_CODE_MATRIX = [
      ("--actor 'nobody'", "[analytics] top_n = 0"), None),
     ("unknown_field", _unknown_field, 2, "'txet' is not a field", None),
     ("empty_field_path", _empty_field_path, 2, "text has an empty path", None),
+    ("repeated_scope_id", _repeated_scope_id, 2,
+     "[actors] scope id 'willie_obiano_apga' is repeated", None),
+    ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
+    ("nbc_row_without_text", _nbc_row_without_text, 1, "nbc_corpus.csv line 10",
+     ("ValueError: ", "sha256:")),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
 ]
 

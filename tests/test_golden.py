@@ -8,6 +8,8 @@ intended output change updates them and says why.
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -30,13 +32,44 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("subcommand", sorted(GOLDEN))
-def test_artifact_digests_match_golden(subcommand, config_factory, tmp_path) -> None:
-    assert main([subcommand, "--config", config_factory()]) == 0
-    out_dir = tmp_path / "out"
-    digests = {
+# Each single-artifact subcommand writes the same bytes as ``all`` does.
+SINGLE = {
+    "ingest": "tweets.csv",
+    "sentiment": "scores.csv",
+    "compare": "compare.csv",
+    "counts": "counts.json",
+    "cloud": "clouds.json",
+    "timeseries": "timeseries.csv",
+    "heatmap": "heatmap.json",
+    "topics": "topics.json",
+}
+
+
+def _digests(out_dir: Path) -> dict[str, str]:
+    return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in out_dir.iterdir()
         if path.name != "manifest.json"
     }
-    assert digests == GOLDEN[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", sorted(GOLDEN))
+def test_artifact_digests_match_golden(subcommand, config_factory, tmp_path) -> None:
+    assert main([subcommand, "--config", config_factory()]) == 0
+    assert _digests(tmp_path / "out") == GOLDEN[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", sorted(SINGLE))
+def test_single_artifact_matches_all(subcommand, config_factory, tmp_path) -> None:
+    assert main([subcommand, "--config", config_factory()]) == 0
+    artifact = SINGLE[subcommand]
+    assert _digests(tmp_path / "out") == {artifact: GOLDEN["all"][artifact]}
+
+
+def test_cloud_for_one_actor_is_its_entry_of_all(config_factory, tmp_path) -> None:
+    config = config_factory()
+    assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
+    clouds = json.loads((tmp_path / "all" / "clouds.json").read_text(encoding="utf-8"))
+    assert main(["cloud", "--config", config, "--actor", "willie_obiano"]) == 0
+    one = json.loads((tmp_path / "out" / "clouds.json").read_text(encoding="utf-8"))
+    assert one == {"willie_obiano": clouds["willie_obiano"]}

@@ -232,12 +232,16 @@ class TestSwnScoring:
         assert score.subjectivity == swn_subjectivity(tokens, lexicon)
         tweet = kept_tweet("t1", tokens)
         scored = score_all([tweet], "swn", sense_lexicon=lexicon)
-        assert (scored.polarity, scored.subjectivity) == ([score.polarity], [score.subjectivity])
+        assert scored.scores == [score]
 
     def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon) -> None:
         scored = score_all(kept, "swn", sense_lexicon=sense_lexicon)
-        assert scored.polarity == [swn_polarity(t.tokens, sense_lexicon) for t in kept]
-        assert scored.subjectivity == [swn_subjectivity(t.tokens, sense_lexicon) for t in kept]
+        assert [s.polarity for s in scored.scores] == [
+            swn_polarity(t.tokens, sense_lexicon) for t in kept
+        ]
+        assert [s.subjectivity for s in scored.scores] == [
+            swn_subjectivity(t.tokens, sense_lexicon) for t in kept
+        ]
 
 
 class TestPatternLexicon:
@@ -359,14 +363,15 @@ class TestScoreAll:
                 negators=negators,
                 sense_lexicon=sense_lexicon,
             )
-            polarity, subjectivity = scored.polarity, scored.subjectivity
+            polarity = [score.polarity for score in scored.scores]
+            subjectivity = [score.subjectivity for score in scored.scores]
             assert len(polarity) == len(subjectivity) == len(kept)
             assert all(-1.0 <= value <= 1.0 for value in polarity)
             assert all(0.0 <= value <= 1.0 for value in subjectivity)
 
     def test_empty_population(self, pattern_lexicon) -> None:
         scored = score_all([], "pattern", pattern_lexicon=pattern_lexicon)
-        assert (scored.polarity, scored.subjectivity) == ([], [])
+        assert scored.scores == []
         assert scored.coverage() == {"tweets_hit": 0, "token_hit_rate": 0.0}
 
     def test_coverage_counts_lexicon_hits(self) -> None:
@@ -479,7 +484,7 @@ class TestDistribution:
         dist = distribution(labels)
         assert dist.counts == (2447, 3971, 1012)
         assert dist.percentages == (32.93, 53.45, 13.62)
-        assert dist.total == 7430
+        assert sum(dist.counts) == 7430
 
     def test_second_row_shape(self) -> None:
         labels = ["positive"] * 2916 + ["neutral"] * 3085 + ["negative"] * 1429
@@ -512,7 +517,7 @@ class TestDistribution:
         assert sum(dist.percentages) == pytest.approx(100.0, abs=0.03)
 
 
-def polarities_of(kept, pattern_lexicon, negators, sense_lexicon) -> dict[str, list[float]]:
+def scores_of(kept, pattern_lexicon, negators, sense_lexicon) -> dict[str, list[SentimentScore]]:
     return {
         engine: score_all(
             kept,
@@ -520,22 +525,27 @@ def polarities_of(kept, pattern_lexicon, negators, sense_lexicon) -> dict[str, l
             pattern_lexicon=pattern_lexicon,
             negators=negators,
             sense_lexicon=sense_lexicon,
-        ).polarity
+        ).scores
         for engine in ENGINES
     }
 
 
 class TestCompare:
     def test_both_engines_cover_everyone(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
-        table = compare_classifiers(polarities_of(kept, pattern_lexicon, negators, sense_lexicon))
+        table = compare_classifiers(scores_of(kept, pattern_lexicon, negators, sense_lexicon))
         assert set(table) == {"pattern", "swn"}
-        assert table["pattern"].total == len(kept)
-        assert table["swn"].total == len(kept)
+        assert sum(table["pattern"].counts) == len(kept)
+        assert sum(table["swn"].counts) == len(kept)
 
     def test_fixture_pattern_distribution(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
-        table = compare_classifiers(polarities_of(kept, pattern_lexicon, negators, sense_lexicon))
+        table = compare_classifiers(scores_of(kept, pattern_lexicon, negators, sense_lexicon))
         assert table["pattern"].counts == (26, 7, 10)
 
     def test_populations_must_match(self) -> None:
         with pytest.raises(ConsistencyError):
-            compare_classifiers({"pattern": [0.5, 0.0], "swn": [0.5]})
+            compare_classifiers(
+                {
+                    "pattern": [SentimentScore(0.5, 0.0), SentimentScore(0.0, 0.0)],
+                    "swn": [SentimentScore(0.5, 0.0)],
+                }
+            )
