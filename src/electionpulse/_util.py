@@ -1,4 +1,4 @@
-"""Shared helpers: percentage rounding, timestamp and timezone parsing."""
+"""Shared helpers: percentage rounding, word lists, timestamp and timezone parsing."""
 
 from __future__ import annotations
 
@@ -32,6 +32,17 @@ def pct(count: int, total: int) -> float:
         return 0.0
     share = Decimal(count) * 100 / Decimal(total)
     return float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def read_word_list(path: str) -> frozenset[str]:
+    """One word per line, stripped and lowercased; skips blanks and '#' lines."""
+    words = set()
+    with open(path, encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                words.add(line.lower())
+    return frozenset(words)
 
 
 def parse_timezone(value: str) -> timezone | ZoneInfo:

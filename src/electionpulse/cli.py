@@ -27,7 +27,6 @@ from datetime import datetime, timezone
 from . import __version__, analytics, topics
 from .config import ConfigError, RunConfig, validate_config
 from .ingest import (
-    DatasetStats,
     ParseReport,
     dataset_stats,
     export_records,
@@ -67,7 +66,7 @@ class _RunState:
     report: ParseReport | None = None
     kept: list[ProcessedTweet] = field(default_factory=list)
     excluded: dict[str, int] = field(default_factory=dict)
-    stats: DatasetStats | None = None
+    stats: dict | None = None
     pattern_lexicon: dict = field(default_factory=dict)
     negators: frozenset = frozenset()
     sense_lexicon: SenseLexicon | None = None
@@ -80,7 +79,7 @@ def _load(state: _RunState) -> int:
     config = state.config
     stopwords = load_stopwords(config.stopwords_path)
     if config.extra_stopwords_from_actors:
-        stopwords = stopwords.with_extra(config.actor_set.alias_words())
+        stopwords |= config.actor_set.alias_words()
     if config.dictionary_path:
         dictionary = load_dictionary(config.dictionary_path)
     else:
@@ -92,8 +91,15 @@ def _load(state: _RunState) -> int:
         stemming=config.stemming,
     )
     state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
+    if not state.pattern_lexicon:
+        raise ValueError(f"pattern lexicon {config.pattern_lexicon_path} has no entry")
     state.negators = load_negators(config.negators_path)
-    state.sense_lexicon = load_sense_lexicon(config.sense_lexicon_path)
+    senses = state.sense_lexicon = load_sense_lexicon(config.sense_lexicon_path)
+    if not senses.entries:
+        raise ValueError(
+            f"sense lexicon {config.sense_lexicon_path} has no usable entry: "
+            f"{senses.rows_rejected} of {senses.rows_read} rows rejected"
+        )
     # stopwords, pattern lexicon, negators, senses, and the dictionary if any
     return 4 + bool(config.dictionary_path)
 
@@ -205,24 +211,17 @@ def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
 def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
     combined = analytics.combined_avg_polarity(state.kept, scores, state.config.actor_set)
-    stats = state.stats
     payload = {
-        "total_raw": stats.total_raw,
-        "total_kept": stats.total_kept,
-        "coverage_pct": stats.coverage_pct,
-        "per_group": {
-            actor_id: {"raw": group.raw, "kept": group.kept}
-            for actor_id, group in stats.per_group.items()
-        },
+        **state.stats,
         "combined_avg_polarity": combined,
         "parse": {
             "lines_read": state.report.lines_read,
-            "records": state.report.records_produced,
+            "records": len(state.records),
             "skipped": state.report.lines_skipped,
         },
     }
     _write_json(os.path.join(staging, "counts.json"), payload)
-    return len(stats.per_group)
+    return len(state.stats["per_group"])
 
 
 def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
@@ -304,14 +303,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
         "seed": config.seed,
         "top_words": config.top_words,
         "dropped_docs": corpus.dropped_docs,
-        "topics": [
-            {
-                "id": entry.topic_id,
-                "label": entry.label,
-                "keywords": [[term, weight] for term, weight in entry.keywords],
-            }
-            for entry in entries
-        ],
+        "topics": entries,
     }
     _write_json(os.path.join(staging, "topics.json"), payload)
     return len(entries)
@@ -329,7 +321,9 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
                 raise ValueError(
                     f"{corpus_path} line {reader.line_num}: expected label,text, got {row!r}"
                 )
-            label, text = row[0].strip(), row[1]
+            label, text = row[0].strip().lower(), row[1]
+            if not label:
+                raise ValueError(f"{corpus_path} line {reader.line_num}: empty label")
             tokens = process_tokens(text_tokens(text), state.pipeline)
             docs.append((tokens, label))
     model = nbc_train(docs, options.get("alpha", 1.0))
@@ -427,9 +421,9 @@ def _dataset_section(state: _RunState) -> dict | None:
         "lines_read": state.report.lines_read,
         "lines_skipped": state.report.lines_skipped,
         "skipped": state.report.skipped,
-        "total_raw": state.stats.total_raw,
-        "total_kept": state.stats.total_kept,
-        "coverage_pct": state.stats.coverage_pct,
+        "total_raw": state.stats["total_raw"],
+        "total_kept": state.stats["total_kept"],
+        "coverage_pct": state.stats["coverage_pct"],
         "excluded": state.excluded,
         "spelling": state.pipeline.dictionary.activity(),
         "lexicon": lexicon,

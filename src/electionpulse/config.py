@@ -13,7 +13,8 @@ variable, then the config file.
 
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
-a key cannot be used without being recorded.
+a key cannot be used without being recorded. The snapshot is thus also the
+list of known keys: a file key it lacks is a usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     input_path: str
-    timezone_name: str
     tz: tzinfo
     field_map: dict[str, str]
     actor_set: ActorSet
@@ -160,7 +160,7 @@ def validate_config(
         return keep(field, section, key, resolved)
 
     require_path("input_path", "input", "path", "JSON-lines tweet stream")
-    timezone_name = keep("timezone_name", "input", "timezone", get("input", "timezone", "+01:00"))
+    timezone_name = keep(None, "input", "timezone", get("input", "timezone", "+01:00"))
     tz = None
     try:
         tz = parse_timezone(timezone_name)
@@ -270,6 +270,22 @@ def validate_config(
         diagnostics.append(f"seed {seed_raw!r} is not an integer")
         seed = 0
     keep("seed", "run", "seed", seed)
+
+    # A file key that no read above recorded is a typo or a stray ([fields]
+    # and [topic_labels] were checked key by key). [DEFAULT] keys show up in
+    # every section, so each is reported once, under [DEFAULT].
+    defaults = parser.defaults()
+    recorded = {key for keys in snapshot.values() for key in keys}
+    unknown = [f"[DEFAULT] {key}" for key in defaults if key not in recorded]
+    for section in parser.sections():
+        if section not in ("fields", "topic_labels"):
+            known = snapshot.get(section, {})
+            unknown += [
+                f"[{section}] {key}"
+                for key in parser.options(section)
+                if key not in known and key not in defaults
+            ]
+    diagnostics.extend(f"{name} is not a configuration key" for name in unknown)
 
     if diagnostics:
         raise ConfigError(diagnostics)

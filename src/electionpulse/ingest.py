@@ -8,6 +8,7 @@ Preprocesses: one pass over the parsed records cleans and tokenizes each
 record once, matches its actors on those tokens, tallies the raw
 per-actor counts and, unless it is a retweet, runs the rest of the token
 pipeline on them; each kept tweet carries its matched actor ids.
+``dataset_stats`` returns the dict that ``counts.json`` holds.
 
 Writes: an RFC-4180 CSV export of preprocessed tweets with one boolean
 column per configured actor.
@@ -73,7 +74,6 @@ SKIP_CAUSES = (
 @dataclass(frozen=True)
 class ParseReport:
     lines_read: int
-    records_produced: int
     skipped: dict[str, int]  # lines skipped per cause, every cause in SKIP_CAUSES
     sha256: str | None = None  # hex digest of the bytes parsed from a path source
 
@@ -89,20 +89,6 @@ class Preprocessed(NamedTuple):
     kept: list[ProcessedTweet]
     raw_counts: dict[str, int]
     excluded: dict[str, int]
-
-
-@dataclass(frozen=True)
-class GroupCount:
-    raw: int
-    kept: int
-
-
-@dataclass(frozen=True)
-class DatasetStats:
-    total_raw: int
-    total_kept: int
-    per_group: dict[str, GroupCount]
-    coverage_pct: float
 
 
 def _lookup(obj: dict, path: str):
@@ -212,9 +198,7 @@ def parse_tweet_stream(
             continue
         seen_ids.add(record.id)
         records.append(record)
-    return records, ParseReport(
-        lines_read, len(records), skipped, digest.hexdigest() if digest else None
-    )
+    return records, ParseReport(lines_read, skipped, digest.hexdigest() if digest else None)
 
 
 def preprocess_records(
@@ -255,8 +239,9 @@ def dataset_stats(
     kept: Sequence[ProcessedTweet],
     raw_counts: dict[str, int],
     groups: ActorSet,
-) -> DatasetStats:
-    """Per-actor raw/kept mention counts plus kept-population coverage.
+) -> dict:
+    """``{"total_raw", "total_kept", "coverage_pct", "per_group": {actor id:
+    {"raw", "kept"}}}``: per-actor mention counts plus kept-population coverage.
 
     ``raw_counts`` are the per-actor counts over ``records`` that
     ``preprocess_records`` tallied. Group rows overlap (a tweet can mention
@@ -264,16 +249,15 @@ def dataset_stats(
     """
     kept_counts = group_counts((tweet.actors for tweet in kept), groups)
     matched_kept = sum(1 for tweet in kept if tweet.actors)
-    per_group = {
-        actor.id: GroupCount(raw_counts[actor.id], kept_counts[actor.id])
-        for actor in groups
+    return {
+        "total_raw": len(records),
+        "total_kept": len(kept),
+        "coverage_pct": pct(matched_kept, len(kept)),
+        "per_group": {
+            actor.id: {"raw": raw_counts[actor.id], "kept": kept_counts[actor.id]}
+            for actor in groups
+        },
     }
-    return DatasetStats(
-        total_raw=len(records),
-        total_kept=len(kept),
-        per_group=per_group,
-        coverage_pct=pct(matched_kept, len(kept)),
-    )
 
 
 def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSet) -> None:

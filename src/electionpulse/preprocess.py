@@ -6,16 +6,18 @@ dictionary-corrected, stopword-free tokens. A run cleans and tokenizes
 each record once (``text_tokens``); actor matching and, for records that
 are not retweets, the token steps (``preprocess_pipeline``) share those
 tokens, and each kept tweet carries the actors its text names.
+Stopwords are a plain frozenset: ``clean`` lowercases every token first.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._util import read_word_list
 from .spelling import correct_spelling
 from .stemming import porter_stem
 
@@ -37,36 +39,12 @@ class ProcessedTweet:
 
     record: "TweetRecord"
     tokens: tuple[str, ...]
-    raw_token_count: int
     actors: frozenset[str]
 
 
-@dataclass
-class StopwordSet:
-    """Base function words plus per-analysis extra words (typically actor
-    and party names). Lookup is case-insensitive."""
-
-    base: frozenset[str] = frozenset()
-    extra: frozenset[str] = frozenset()
-
-    def __contains__(self, token: str) -> bool:
-        folded = token.lower()
-        return folded in self.base or folded in self.extra
-
-    def with_extra(self, words: Iterable[str]) -> "StopwordSet":
-        extra = frozenset(w.lower() for w in words)
-        return StopwordSet(self.base, self.extra | extra)
-
-
-def load_stopwords(path: str) -> StopwordSet:
-    """One lowercase word per line; blank lines and '#' comments allowed."""
-    words = set()
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
-    return StopwordSet(base=frozenset(words))
+def load_stopwords(path: str) -> frozenset[str]:
+    """One word per line, lowercased; blank lines and '#' comments allowed."""
+    return read_word_list(path)
 
 
 def clean(text: str) -> str:
@@ -129,7 +107,7 @@ class PipelineConfig:
     plus the run's stem memo (token -> stem), so each distinct token is
     stemmed once per run."""
 
-    stopwords: StopwordSet = field(default_factory=StopwordSet)
+    stopwords: frozenset[str] = frozenset()
     dictionary: Mapping[str, int] = field(default_factory=dict)
     spellcheck: bool = True
     stemming: bool = True
@@ -172,9 +150,4 @@ def preprocess_pipeline(
     final = process_tokens(tokens, config)
     if not final:
         return None
-    return ProcessedTweet(
-        record=record,
-        tokens=tuple(final),
-        raw_token_count=len(tokens),
-        actors=actors,
-    )
+    return ProcessedTweet(record=record, tokens=tuple(final), actors=actors)

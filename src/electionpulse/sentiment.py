@@ -30,7 +30,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import IO, NamedTuple
 
-from ._util import ConsistencyError, pct
+from ._util import ConsistencyError, pct, read_word_list
 from .preprocess import ProcessedTweet
 
 ENGINES = ("pattern", "swn")
@@ -256,14 +256,8 @@ def _parse_pattern_rows(lines) -> dict[str, PatternEntry]:
 
 
 def load_negators(path: str) -> frozenset[str]:
-    """One negator word per line; blank lines and '#' comments allowed."""
-    words = set()
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
-    return frozenset(words)
+    """One negator word per line, lowercased; blank lines and '#' comments allowed."""
+    return read_word_list(path)
 
 
 def pattern_score(

@@ -4,7 +4,8 @@ The sampler is deliberately plain Python over integer count lists: every
 quantity the model exposes (phi, theta, the per-sweep invariants) is an
 exact function of those counts, and a fixed seed makes the whole fit
 bit-reproducible. One final sample is taken; there is no averaging over
-sweeps.
+sweeps. ``topic_report`` returns the ``topics`` list of ``topics.json``
+as plain dicts.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class TopicModel:
     topic_totals: list[int]
     assignments: list[list[int]]
     doc_lengths: list[int]
-    seed: int
     iterations: int
 
     def phi(self, topic: int) -> list[float]:
@@ -89,15 +89,6 @@ class TopicModel:
             assert abs(sum(self.phi(t)) - 1.0) <= tolerance, f"phi({t}) does not sum to 1"
         for d in range(len(self.doc_topic_counts)):
             assert abs(sum(self.theta(d)) - 1.0) <= tolerance, f"theta({d}) does not sum to 1"
-
-
-@dataclass
-class TopicReportEntry:
-    """One topic's top-n keywords and its configured label, if any."""
-
-    topic_id: int
-    label: str
-    keywords: list[tuple[str, float]]
 
 
 def lda_fit(
@@ -143,7 +134,6 @@ def lda_fit(
         topic_totals=[0] * k,
         assignments=[],
         doc_lengths=[len(doc) for doc in docs],
-        seed=seed,
         iterations=iterations,
     )
     topic_word = model.topic_word_counts
@@ -208,17 +198,14 @@ def topic_report(
     model: TopicModel,
     n: int,
     labels: dict[int, str] | None = None,
-) -> list[TopicReportEntry]:
-    """Top keywords for every topic; labels come from config, never inference."""
+) -> list[dict]:
+    """One ``{"id", "label", "keywords": top_keywords(...)}`` dict per topic,
+    as ``topics.json`` lists them; labels come from config, never inference."""
     labels = labels or {}
     bad = [topic for topic in labels if not 0 <= topic < model.k]
     if bad:
         raise ValueError(f"labels reference nonexistent topics: {sorted(bad)}")
     return [
-        TopicReportEntry(
-            topic_id=topic,
-            label=labels.get(topic, ""),
-            keywords=top_keywords(model, topic, n),
-        )
+        {"id": topic, "label": labels.get(topic, ""), "keywords": top_keywords(model, topic, n)}
         for topic in range(model.k)
     ]

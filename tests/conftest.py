@@ -69,7 +69,7 @@ def sense_lexicon() -> SenseLexicon:
 def pipeline(actor_set, dictionary) -> PipelineConfig:
     # Mirrors the bundled config: actor aliases join the stopword list.
     stopwords = load_stopwords(str(FIXTURES / "stopwords.txt"))
-    stopwords = stopwords.with_extra(actor_set.alias_words())
+    stopwords |= actor_set.alias_words()
     return PipelineConfig(stopwords=stopwords, dictionary=dictionary)
 
 

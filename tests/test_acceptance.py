@@ -173,7 +173,7 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
                 text=" ".join(tokens),
                 is_retweet=False,
             )
-            tweets.append(ProcessedTweet(record, tokens, len(tokens), frozenset()))
+            tweets.append(ProcessedTweet(record, tokens, frozenset()))
 
         for engine in ("pattern", "swn"):
             scored = score_all(

@@ -43,7 +43,7 @@ def make_tweet(
         text=text,
         is_retweet=False,
     )
-    return ProcessedTweet(record, tokens, len(tokens), frozenset())
+    return ProcessedTweet(record, tokens, frozenset())
 
 
 def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:

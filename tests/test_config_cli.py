@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -244,7 +245,7 @@ class TestValidateConfig:
 
     def test_iana_timezone_accepted(self, config_factory) -> None:
         config = validate_config(config_factory(**{"input.timezone": "Africa/Lagos"}))
-        assert config.timezone_name == "Africa/Lagos"
+        assert config.snapshot["input"]["timezone"] == "Africa/Lagos"
 
     def test_seed_precedence(self, config_factory, monkeypatch) -> None:
         path = config_factory()
@@ -253,6 +254,14 @@ class TestValidateConfig:
         assert validate_config(path).seed == 7
         # An explicit override (the CLI flag) beats the environment.
         assert validate_config(path, {"run.seed": "9"}).seed == 9
+
+    def test_unknown_default_key_is_reported_once(self, config_factory) -> None:
+        path = Path(config_factory())
+        path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(str(path))
+        unknown = [d for d in err.value.diagnostics if "is not a configuration key" in d]
+        assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
 
 def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -327,6 +336,28 @@ def _nbc_row_without_text(config_factory, fixtures_dir, tmp_path, monkeypatch) -
     return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
 
 
+def _nbc_empty_label(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    corpus = tmp_path / "nbc_corpus.csv"
+    text = (fixtures_dir / "nbc_corpus.csv").read_text(encoding="utf-8")
+    corpus.write_text(text + ",good win today\n", encoding="utf-8")
+    return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
+
+
+def _misspelled_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    typo = {"topics.iterations": None, "topics.iteration": "5"}
+    return ["topics", "--config", config_factory(**typo)]
+
+
+def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(**{"topcs.iterations": "5"})]
+
+
+def _header_only_pattern_lexicon(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    lexicon = tmp_path / "pattern_lexicon.csv"
+    lexicon.write_text("lemma,polarity,subjectivity\n", encoding="utf-8")
+    return ["counts", "--config", config_factory(**{"lexicons.pattern": str(lexicon)})]
+
+
 def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_bytes((fixtures_dir / "tweets_50.jsonl").read_bytes())
@@ -366,9 +397,17 @@ EXIT_CODE_MATRIX = [
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
+    ("misspelled_key", _misspelled_key, 2,
+     "[topics] iteration is not a configuration key", None),
+    ("unknown_section", _unknown_section, 2,
+     "[topcs] iterations is not a configuration key", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("nbc_row_without_text", _nbc_row_without_text, 1, "nbc_corpus.csv line 10",
      ("ValueError: ", "sha256:")),
+    ("nbc_empty_label", _nbc_empty_label, 1, "nbc_corpus.csv line 10: empty label",
+     ("ValueError: ", "sha256:")),
+    ("header_only_pattern_lexicon", _header_only_pattern_lexicon, 1,
+     "pattern_lexicon.csv has no entry", ("ValueError: ", None)),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
 ]
 
@@ -508,6 +547,25 @@ class TestCliRuns:
             "osita_chidoka_upp",
         }
 
+    def test_nbc_labels_fold_to_lowercase(self, config_factory, fixtures_dir, tmp_path) -> None:
+        corpus = tmp_path / "nbc_corpus.csv"
+        text = (fixtures_dir / "nbc_corpus.csv").read_text(encoding="utf-8")
+        corpus.write_text(text + "Positive,great day\n", encoding="utf-8")
+        argv = ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": str(corpus)})]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "out" / "nbc_model.json")["labels"] == ["negative", "positive"]
+
+    def test_alias_words_are_stopwords_only_when_enabled(self, config_factory, tmp_path) -> None:
+        tokens = {}
+        for enabled in ("false", "true"):
+            config = config_factory(**{"preprocess.extra_stopwords_from_actors": enabled})
+            assert main(["ingest", "--config", config]) == 0
+            with open(tmp_path / "out" / "tweets.csv", encoding="utf-8", newline="") as handle:
+                rows = csv.DictReader(handle)
+                tokens[enabled] = {token for row in rows for token in row["tokens"].split()}
+        assert "obiano" in tokens["false"]
+        assert "obiano" not in tokens["true"]
+
     def test_empty_input_succeeds_with_headers_only(self, config_factory, tmp_path) -> None:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -629,24 +687,38 @@ class TestCliRuns:
         for entry in coverage.values():
             assert 0.0 < entry["token_hit_rate"] < 1.0
 
-    def test_manifest_reports_rejected_sense_rows(self, fixtures_dir, tmp_path) -> None:
+    @staticmethod
+    def _reject_sense_rows(fixtures_dir, tmp_path, count: int) -> str:
+        """A fixtures copy whose first ``count`` sense rows are invalid; its config path."""
         fixtures = tmp_path / "fixtures"
         shutil.copytree(fixtures_dir, fixtures)
         senses = fixtures / "sense_lexicon.tsv"
         rows = []
         for row in senses.read_text(encoding="utf-8").splitlines():
-            if row.strip() and not row.startswith("#"):
+            if row.strip() and not row.startswith("#") and count > 0:
                 parts = row.split("\t")
-                parts[2:4] = ["0.9", "0.9"]  # PosScore + NegScore > 1: every row is invalid
+                parts[2:4] = ["0.9", "0.9"]  # PosScore + NegScore > 1: the row is invalid
                 row = "\t".join(parts)
+                count -= 1
             rows.append(row)
         senses.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        assert main(["compare", "--config", str(fixtures / "config.ini")]) == 0
+        return str(fixtures / "config.ini")
+
+    def test_manifest_reports_rejected_sense_rows(self, fixtures_dir, tmp_path, capsys) -> None:
+        config = self._reject_sense_rows(fixtures_dir, tmp_path, 50)
+        assert main(["compare", "--config", config]) == 1
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert "sense_lexicon.tsv has no usable entry: 50 of 50 rows rejected" in manifest["error"]
+        assert "50 of 50 rows rejected" in capsys.readouterr().err
+
+    def test_manifest_counts_one_rejected_sense_row(self, fixtures_dir, tmp_path) -> None:
+        config = self._reject_sense_rows(fixtures_dir, tmp_path, 1)
+        assert main(["compare", "--config", config]) == 0
         manifest = read_json(tmp_path / "out" / "manifest.json")
         assert manifest["status"] == "ok"
         swn = manifest["dataset"]["lexicon"]["swn"]
-        assert swn["tweets_hit"] == 0
-        assert swn["rows_read"] == swn["rows_rejected"] == 50
+        assert (swn["rows_read"], swn["rows_rejected"]) == (50, 1)
         assert "rows_read" not in manifest["dataset"]["lexicon"]["pattern"]
 
     def test_manifest_counts_parse_skips_by_cause(self, config_factory, tmp_path) -> None:

@@ -11,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from electionpulse.ingest import TweetRecord, parse_tweet_stream, preprocess_records
+from electionpulse.sentiment import load_negators
 from electionpulse.preprocess import (
     PipelineConfig,
-    StopwordSet,
     clean,
+    load_stopwords,
     preprocess_pipeline,
     process_tokens,
     stem,
@@ -92,26 +93,18 @@ class TestStem:
         assert stem("don't") == "don't"
 
 
-class TestStopwordSet:
-    def test_lookup_is_case_insensitive(self) -> None:
-        stops = StopwordSet(base=frozenset({"the"}))
-        assert "the" in stops
-        assert "The" in stops
-        assert "THE" in stops
-
-    def test_extra_words_count_only_when_enabled(self) -> None:
-        stops = StopwordSet(base=frozenset({"the"}))
-        assert "obiano" not in stops
-        enabled = stops.with_extra({"Obiano"})
-        assert "obiano" in enabled
-        assert "Obiano" in enabled
-
-
 def parse_one(text: str, **fields) -> TweetRecord:
     payload = {"id_str": "1", "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": text}
     payload.update(fields)
     records, _ = parse_tweet_stream([json.dumps(payload)])
     return records[0]
+
+
+@pytest.mark.parametrize("loader", [load_stopwords, load_negators])
+def test_word_list_loaders(loader, tmp_path) -> None:
+    path = tmp_path / "words.txt"
+    path.write_text("# a comment\n\n  The \nNOT\n\t# indented comment\nthe\n", encoding="utf-8")
+    assert loader(str(path)) == frozenset({"the", "not"})
 
 
 class TestIsRetweet:
@@ -144,7 +137,7 @@ class TestPipeline:
         out = preprocess_pipeline(record, text_tokens(record.text), matched, pipeline)
         assert out is not None
         assert list(out.tokens) == ["inec", "card", "reader", "fail", "awka", "anambradecid"]
-        assert out.raw_token_count == 7  # "in" still counted before filtering
+        assert len(text_tokens(record.text)) == 7  # "in" is there before filtering
         assert out.record is record
         assert out.actors is matched
 
@@ -166,7 +159,7 @@ class TestPipeline:
             assert preprocess_pipeline(record, text_tokens(text), frozenset(), pipeline) is None
 
     def test_spellcheck_needs_minimum_length(self, dictionary) -> None:
-        config = PipelineConfig(stopwords=StopwordSet(), dictionary=dictionary)
+        config = PipelineConfig(stopwords=frozenset(), dictionary=dictionary)
         # "electin" (7 letters, out of dictionary) is corrected; a 3-letter
         # unknown token is left alone.
         tokens = process_tokens(text_tokens("electin xqz"), config)
@@ -175,13 +168,13 @@ class TestPipeline:
 
     def test_spellcheck_never_touches_dictionary_words(self, dictionary) -> None:
         config = PipelineConfig(
-            stopwords=StopwordSet(), dictionary=dictionary, stemming=False
+            stopwords=frozenset(), dictionary=dictionary, stemming=False
         )
         tokens = process_tokens(text_tokens("election voting"), config)
         assert tokens == ["election", "voting"]
 
     def test_empty_dictionary_disables_correction(self) -> None:
-        config = PipelineConfig(stopwords=StopwordSet(), dictionary={})
+        config = PipelineConfig(stopwords=frozenset(), dictionary={})
         tokens = process_tokens(text_tokens("electin ballott"), config)
         assert tokens == [stem("electin"), stem("ballott")]
 
@@ -196,7 +189,7 @@ class TestPipeline:
         record = make_record("the result is out in awka")
         out = preprocess_pipeline(record, text_tokens(record.text), frozenset(), pipeline)
         assert out is not None
-        assert out.raw_token_count == 6
+        assert len(text_tokens(record.text)) == 6
         assert len(out.tokens) < 6
 
     def test_no_output_token_is_a_stopword(self, kept, pipeline: PipelineConfig) -> None:

@@ -48,7 +48,7 @@ PATTERN = {
 def kept_tweet(record_id: str, tokens) -> ProcessedTweet:
     """A kept tweet for the scorers, which read its tokens only."""
     record = TweetRecord(record_id, None, "", " ".join(tokens), False)
-    return ProcessedTweet(record, tuple(tokens), len(tokens), frozenset())
+    return ProcessedTweet(record, tuple(tokens), frozenset())
 
 
 def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) -> str:

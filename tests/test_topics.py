@@ -161,7 +161,6 @@ class TestTheta:
             topic_totals=[0, 0, 10, 0, 0],
             assignments=[[2] * 10],
             doc_lengths=[10],
-            seed=0,
             iterations=0,
         )
         theta = model.theta(0)
@@ -234,15 +233,15 @@ class TestReport:
         corpus, _, _ = planted_corpus(docs_count=20, doc_len=8)
         model = lda_fit(corpus, k=2, iterations=10, seed=4)
         entries = topic_report(model, 5, {0: "ground game", 1: "air war"})
-        assert [entry.topic_id for entry in entries] == [0, 1]
-        assert [entry.label for entry in entries] == ["ground game", "air war"]
+        assert [entry["id"] for entry in entries] == [0, 1]
+        assert [entry["label"] for entry in entries] == ["ground game", "air war"]
         for entry in entries:
-            assert len(entry.keywords) == 5
+            assert len(entry["keywords"]) == 5
 
     def test_missing_labels_default_to_empty(self) -> None:
         corpus = build_corpus([["a", "b"]])
         model = lda_fit(corpus, k=1, iterations=1, seed=0)
-        assert topic_report(model, 1)[0].label == ""
+        assert topic_report(model, 1)[0]["label"] == ""
 
     def test_label_for_nonexistent_topic_rejected(self) -> None:
         corpus = build_corpus([["a", "b"]])
