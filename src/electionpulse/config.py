@@ -13,8 +13,11 @@ variable, then the config file.
 
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
-a key cannot be used without being recorded. The snapshot is thus also the
-list of known keys: a file key it lacks is a usage error.
+a key cannot be used without being recorded. The keys read are the known
+keys: a file key never read is a usage error. The snapshot's
+``input.field_map`` and ``topics.labels`` are no keys: they record the
+``[fields]`` and ``[topic_labels]`` sections, whose own keys (never the
+``[DEFAULT]`` ones) are checked one by one.
 """
 
 from __future__ import annotations
@@ -98,14 +101,23 @@ def validate_config(
         raise ConfigError([f"cannot parse config file {path!r}: {exc}"]) from exc
 
     base_dir = os.path.dirname(os.path.abspath(path))
+    defaults = parser.defaults()
     diagnostics: list[str] = []
     fields: dict[str, Any] = {}
     snapshot: dict[str, dict[str, Any]] = {}
+    read: dict[str, set[str]] = {}
 
     def resolve(value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(base_dir, value)
 
+    def own_items(section: str) -> list[tuple[str, str]]:
+        """The section's own key-value pairs, without the [DEFAULT] ones."""
+        if not parser.has_section(section):
+            return []
+        return [(key, value) for key, value in parser.items(section) if key not in defaults]
+
     def get(section: str, key: str, fallback: str | None = None) -> str | None:
+        read.setdefault(section, set()).add(key)
         value = overrides.get(f"{section}.{key}")
         if value is not None:
             return str(value)
@@ -167,7 +179,7 @@ def validate_config(
     except Exception as exc:  # bad offset syntax or unknown zone name
         diagnostics.append(f"[input] timezone = {timezone_name!r} is not recognized: {exc}")
 
-    field_map = dict(parser.items("fields")) if parser.has_section("fields") else {}
+    field_map = dict(own_items("fields"))
     for key, value in overrides.items():
         if key.startswith("fields."):
             field_map[key[len("fields."):]] = str(value).strip()
@@ -240,19 +252,18 @@ def validate_config(
     get_number("min_doc_len", "topics", "min_doc_len", "1", int, *at_least_one)
 
     topic_labels: dict[int, str] = {}
-    if parser.has_section("topic_labels"):
-        for key, value in parser.items("topic_labels"):
-            try:
-                topic_id = int(key)
-            except ValueError:
-                diagnostics.append(f"[topic_labels] key {key!r} is not a topic id")
-                continue
-            if not 0 <= topic_id < lda_k:
-                diagnostics.append(
-                    f"[topic_labels] topic {topic_id} does not exist (k = {lda_k})"
-                )
-                continue
-            topic_labels[topic_id] = value.strip()
+    for key, value in own_items("topic_labels"):
+        try:
+            topic_id = int(key)
+        except ValueError:
+            diagnostics.append(f"[topic_labels] key {key!r} is not a topic id")
+            continue
+        if not 0 <= topic_id < lda_k:
+            diagnostics.append(
+                f"[topic_labels] topic {topic_id} does not exist (k = {lda_k})"
+            )
+            continue
+        topic_labels[topic_id] = value.strip()
     keep(None, "topics", "labels", {str(k): v for k, v in sorted(topic_labels.items())})
 
     get_number("heatmap_top_n", "analytics", "top_n", "10", int, *at_least_one)
@@ -271,20 +282,15 @@ def validate_config(
         seed = 0
     keep("seed", "run", "seed", seed)
 
-    # A file key that no read above recorded is a typo or a stray ([fields]
+    # A file key that no read above asked for is a typo or a stray ([fields]
     # and [topic_labels] were checked key by key). [DEFAULT] keys show up in
     # every section, so each is reported once, under [DEFAULT].
-    defaults = parser.defaults()
-    recorded = {key for keys in snapshot.values() for key in keys}
-    unknown = [f"[DEFAULT] {key}" for key in defaults if key not in recorded]
+    known_anywhere = set().union(*read.values())
+    unknown = [f"[DEFAULT] {key}" for key in defaults if key not in known_anywhere]
     for section in parser.sections():
         if section not in ("fields", "topic_labels"):
-            known = snapshot.get(section, {})
-            unknown += [
-                f"[{section}] {key}"
-                for key in parser.options(section)
-                if key not in known and key not in defaults
-            ]
+            known = read.get(section, set())
+            unknown += [f"[{section}] {key}" for key, _ in own_items(section) if key not in known]
     diagnostics.extend(f"{name} is not a configuration key" for name in unknown)
 
     if diagnostics:

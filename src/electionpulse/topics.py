@@ -3,9 +3,15 @@
 The sampler is deliberately plain Python over integer count lists: every
 quantity the model exposes (phi, theta, the per-sweep invariants) is an
 exact function of those counts, and a fixed seed makes the whole fit
-bit-reproducible. One final sample is taken; there is no averaging over
-sweeps. ``topic_report`` returns the ``topics`` list of ``topics.json``
-as plain dicts.
+bit-reproducible. The sweeps keep the word-topic counts word-major, so a
+token-sample reads one row, and cache each topic's denominator
+``topic_total + beta * V``, recomputing the two a move changes; each float
+is the expression the formula names, so the fit is bit-identical to the
+plain topic-major loop. The model's topic-major ``topic_word_counts`` is
+built from the working counts after the last sweep and before each sweep
+hook. One final sample is taken; there is no averaging over sweeps.
+``topic_report`` returns the ``topics`` list of ``topics.json`` as plain
+dicts.
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
     """Build a corpus from token lists (or objects with a .tokens field).
 
     Documents shorter than min_doc_len are dropped and counted; an empty
-    result is an error because a topic model over nothing is meaningless.
+    result is an error because a topic model over nothing is meaningless,
+    and its message gives both counts, so "no documents arrived" and "every
+    document was too short" read apart.
     """
     if min_doc_len < 1:
         raise ValueError("min_doc_len must be at least 1")
@@ -42,7 +50,10 @@ def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
             continue
         token_docs.append(tokens)
     if not token_docs:
-        raise ValueError("corpus is empty after dropping short documents")
+        raise ValueError(
+            f"corpus is empty: {dropped} documents reached the topic model and {dropped} were "
+            f"dropped as shorter than min_doc_len = {min_doc_len}"
+        )
     vocabulary = sorted({token for tokens in token_docs for token in tokens})
     index = {token: i for i, token in enumerate(vocabulary)}
     docs = [[index[token] for token in tokens] for tokens in token_docs]
@@ -106,8 +117,9 @@ def lda_fit(
     p(z = t) proportional to (doc_topic[d][t] + alpha)
     * (topic_word[t][w] + beta) / (topic_total[t] + beta * V)
     with the token's own assignment removed from the counts first.
-    sweep_hook, when given, observes the live model after each sweep (it
-    must not mutate it). Identical inputs and seed give identical output.
+    sweep_hook, when given, observes the model after each sweep, with
+    topic_word_counts rebuilt for it (it must not mutate the model).
+    Identical inputs and seed give identical output.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -124,60 +136,73 @@ def lda_fit(
         )
     rng = random.Random(seed)
     docs = corpus.docs
+    # Working counts are word-major: one token-sample reads one row.
+    word_topic = [[0] * k for _ in range(vocab_size)]
+    doc_topic_counts = [[0] * k for _ in range(len(docs))]
+    topic_totals = [0] * k
+    assignments = []
+    for doc, doc_counts in zip(docs, doc_topic_counts):
+        assigned = []
+        for word in doc:
+            topic = rng.randrange(k)
+            assigned.append(topic)
+            word_topic[word][topic] += 1
+            doc_counts[topic] += 1
+            topic_totals[topic] += 1
+        assignments.append(assigned)
     model = TopicModel(
         k=k,
         alpha=alpha,
         beta=beta,
         vocabulary=list(corpus.vocabulary),
-        topic_word_counts=[[0] * vocab_size for _ in range(k)],
-        doc_topic_counts=[[0] * k for _ in range(len(docs))],
-        topic_totals=[0] * k,
-        assignments=[],
+        topic_word_counts=[],
+        doc_topic_counts=doc_topic_counts,
+        topic_totals=topic_totals,
+        assignments=assignments,
         doc_lengths=[len(doc) for doc in docs],
         iterations=iterations,
     )
-    topic_word = model.topic_word_counts
-    topic_totals = model.topic_totals
-    for d, doc in enumerate(docs):
-        doc_counts = model.doc_topic_counts[d]
-        assigned = []
-        for word in doc:
-            topic = rng.randrange(k)
-            assigned.append(topic)
-            topic_word[topic][word] += 1
-            doc_counts[topic] += 1
-            topic_totals[topic] += 1
-        model.assignments.append(assigned)
     beta_v = beta * vocab_size
+    # denominators[t] is always topic_totals[t] + beta_v, the same float the
+    # formula would compute; a move changes only the two entries it touches.
+    denominators = [total + beta_v for total in topic_totals]
+    thresholds = [0.0] * k
+    topic_ids = range(k)
+    last = k - 1
     for sweep in range(1, iterations + 1):
-        for d, doc in enumerate(docs):
-            doc_counts = model.doc_topic_counts[d]
-            assigned = model.assignments[d]
-            for i, word in enumerate(doc):
+        for doc, doc_counts, assigned in zip(docs, doc_topic_counts, assignments):
+            i = 0
+            for word in doc:
+                row = word_topic[word]
                 old = assigned[i]
-                topic_word[old][word] -= 1
+                row[old] -= 1
                 doc_counts[old] -= 1
                 topic_totals[old] -= 1
+                denominators[old] = topic_totals[old] + beta_v
                 cumulative = 0.0
-                thresholds = []
-                for t in range(k):
-                    cumulative += (
-                        (doc_counts[t] + alpha)
-                        * (topic_word[t][word] + beta)
-                        / (topic_totals[t] + beta_v)
-                    )
-                    thresholds.append(cumulative)
+                for t in topic_ids:
+                    cumulative += (doc_counts[t] + alpha) * (row[t] + beta) / denominators[t]
+                    thresholds[t] = cumulative
                 draw = rng.random() * cumulative
                 new = 0
-                while new < k - 1 and thresholds[new] < draw:
+                while new < last and thresholds[new] < draw:
                     new += 1
                 assigned[i] = new
-                topic_word[new][word] += 1
+                row[new] += 1
                 doc_counts[new] += 1
                 topic_totals[new] += 1
+                denominators[new] = topic_totals[new] + beta_v
+                i += 1
         if sweep_hook is not None:
+            model.topic_word_counts = _topic_major(word_topic, k)
             sweep_hook(sweep, model)
+    model.topic_word_counts = _topic_major(word_topic, k)
     return model
+
+
+def _topic_major(word_topic: list[list[int]], k: int) -> list[list[int]]:
+    """The topic-major ``topic_word_counts`` table of word-major counts."""
+    return [[row[t] for row in word_topic] for t in range(k)]
 
 
 def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:

@@ -263,6 +263,23 @@ class TestValidateConfig:
         unknown = [d for d in err.value.diagnostics if "is not a configuration key" in d]
         assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
+    def test_known_default_key_is_no_label_or_field(self, config_factory) -> None:
+        # [DEFAULT] keys reach every section's reads, but [topic_labels] and
+        # [fields] list only their own keys.
+        path = Path(config_factory(**{"run.seed": None, "fields.text": "text"}))
+        path.write_text("[DEFAULT]\nseed = 1\n" + path.read_text(encoding="utf-8"))
+        config = validate_config(str(path))
+        assert config.seed == 1
+        assert config.field_map == {"text": "text"}
+        assert sorted(config.topic_labels) == [0, 1, 2, 3, 4]
+
+    def test_stray_default_key_is_one_diagnostic(self, config_factory) -> None:
+        path = Path(config_factory(**{"fields.text": "text"}))
+        path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(str(path))
+        assert err.value.diagnostics == ["[DEFAULT] stray is not a configuration key"]
+
 
 def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["counts", "--config", str(tmp_path / "none.ini")]
@@ -352,6 +369,20 @@ def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
     return ["topics", "--config", config_factory(**{"topcs.iterations": "5"})]
 
 
+def _field_map_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # input.field_map is a manifest snapshot entry, built from [fields].
+    return ["ingest", "--config", config_factory(**{"input.field_map": "text=body"})]
+
+
+def _labels_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # topics.labels is a manifest snapshot entry, built from [topic_labels].
+    return ["topics", "--config", config_factory(**{"topics.labels": "a"})]
+
+
+def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["all", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
+
+
 def _header_only_pattern_lexicon(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     lexicon = tmp_path / "pattern_lexicon.csv"
     lexicon.write_text("lemma,polarity,subjectivity\n", encoding="utf-8")
@@ -401,6 +432,9 @@ EXIT_CODE_MATRIX = [
      "[topics] iteration is not a configuration key", None),
     ("unknown_section", _unknown_section, 2,
      "[topcs] iterations is not a configuration key", None),
+    ("snapshot_only_field_map", _field_map_key, 2,
+     "[input] field_map is not a configuration key", None),
+    ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("nbc_row_without_text", _nbc_row_without_text, 1, "nbc_corpus.csv line 10",
      ("ValueError: ", "sha256:")),
@@ -409,6 +443,9 @@ EXIT_CODE_MATRIX = [
     ("header_only_pattern_lexicon", _header_only_pattern_lexicon, 1,
      "pattern_lexicon.csv has no entry", ("ValueError: ", None)),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
+    ("all_lines_skipped", _all_lines_skipped, 1,
+     "0 documents reached the topic model and 0 were dropped as shorter than min_doc_len = 1",
+     ("ValueError: corpus is empty: 0 documents", "sha256:")),
 ]
 
 

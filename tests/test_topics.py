@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -71,10 +73,10 @@ class TestBuildCorpus:
         assert corpus.vocabulary == ["b", "c"]  # dropped docs add no words
 
     def test_empty_corpus_is_an_error(self) -> None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 documents reached .* and 0 were dropped"):
             build_corpus([])
-        with pytest.raises(ValueError):
-            build_corpus([["a"]], min_doc_len=5)
+        with pytest.raises(ValueError, match="2 documents reached .* and 2 were dropped .* = 5"):
+            build_corpus([["a"], ["b", "c"]], min_doc_len=5)
 
     def test_min_doc_len_must_be_positive(self) -> None:
         with pytest.raises(ValueError):
@@ -132,6 +134,46 @@ class TestDeterminism:
         first = lda_fit(corpus, k=2, iterations=5, seed=5)
         second = lda_fit(corpus, k=2, iterations=5, seed=6)
         assert first.assignments != second.assignments
+
+
+def state_digest(model: TopicModel) -> str:
+    """sha256 of the sampler state: assignments and both count tables."""
+    payload = json.dumps(
+        [model.assignments, model.topic_word_counts, model.doc_topic_counts]
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestSamplerPin:
+    """Exact sampler state on planted fits, pinned so a rewrite of the sweep
+    loop must reproduce every draw. k = 1 covers the single-topic scan, and
+    the hook fit pins the state every sweep hands to its observer."""
+
+    FITS = {
+        1: "597facb9015aa6c649448c0aac904caff484c08b77f3228e39620732c474adeb",
+        3: "46664031eb3bb3a21b9479dff67801257e4a5b255a010f12884f3ff88999178a",
+        7: "32f8a2e13a9812f50a61fe6181ece1e4a7bc299615b00440757717e796b246c7",
+    }
+    HOOK_FINAL = "09188172a58eff7fc30ca9c0ed813c60e0e5f36ed1a05f434edabcc9eff2ea74"
+    HOOK_SWEEPS = "647d5c32cad2799853fba16add3c5d303ffbdeed7ddd56b90dd181e9c62a4103"
+
+    @pytest.mark.parametrize("k", sorted(FITS))
+    def test_fit_state_is_pinned(self, k: int) -> None:
+        corpus, _, _ = planted_corpus(docs_count=40, doc_len=10)
+        model = lda_fit(corpus, k=k, iterations=30, seed=11)
+        assert state_digest(model) == self.FITS[k]
+
+    def test_hooked_fit_state_is_pinned_every_sweep(self) -> None:
+        corpus, _, _ = planted_corpus(docs_count=40, doc_len=10)
+        seen: list[str] = []
+
+        def hook(sweep: int, model: TopicModel) -> None:
+            seen.append(state_digest(model))
+
+        model = lda_fit(corpus, k=3, iterations=12, seed=11, sweep_hook=hook)
+        assert len(seen) == 12
+        assert state_digest(model) == self.HOOK_FINAL
+        assert hashlib.sha256("".join(seen).encode()).hexdigest() == self.HOOK_SWEEPS
 
 
 class TestSweepHook:
