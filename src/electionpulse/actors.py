@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .preprocess import stem
 
@@ -32,21 +32,19 @@ class ActorConfigError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Actor:
+class Actor(NamedTuple):
     id: str
     kind: str
     aliases: tuple[str, ...]
     components: tuple[str, str] | None = None
 
 
-@dataclass
 class ActorSet:
-    """Ordered, validated collection of actors."""
+    """Ordered, validated collection of actors; raises ActorConfigError
+    listing every violation."""
 
-    actors: list[Actor] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, actors: list[Actor]) -> None:
+        self.actors = actors
         diagnostics = self.validate()
         if diagnostics:
             raise ActorConfigError(diagnostics)

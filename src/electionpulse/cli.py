@@ -21,7 +21,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__, analytics, topics
@@ -56,22 +55,24 @@ from .sentiment import (
 )
 from .spelling import SpellingDictionary, load_dictionary
 
-@dataclass
+
 class _RunState:
     """Everything a stage needs, loaded or computed once per run."""
 
-    config: RunConfig
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    records: list = field(default_factory=list)
-    report: ParseReport | None = None
-    kept: list[ProcessedTweet] = field(default_factory=list)
-    excluded: dict[str, int] = field(default_factory=dict)
-    stats: dict | None = None
-    pattern_lexicon: dict = field(default_factory=dict)
-    negators: frozenset = frozenset()
-    sense_lexicon: SenseLexicon | None = None
-    scored: dict[str, EngineScores] = field(default_factory=dict)
-    stages: list[dict] = field(default_factory=list)
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        self.pipeline = PipelineConfig()
+        self.records: list = []
+        self.report: ParseReport | None = None
+        self.kept: list[ProcessedTweet] = []
+        self.excluded: dict[str, int] = {}
+        self.stats: dict | None = None
+        self.pattern_lexicon: dict = {}
+        self.negators: frozenset = frozenset()
+        self.sense_lexicon: SenseLexicon | None = None
+        self.scored: dict[str, EngineScores] = {}
+        self.topics: dict | None = None
+        self.stages: list[dict] = []
 
 
 def _load(state: _RunState) -> int:
@@ -285,6 +286,13 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     if group:
         tweets = [tweet for tweet in tweets if group in tweet.actors]
     corpus = topics.build_corpus(tweets, min_doc_len=config.min_doc_len)
+    state.topics = {"documents": len(corpus.docs), "dropped_docs": corpus.dropped_docs}
+    if len(corpus.vocabulary) < config.top_words:
+        name = f"group {group!r}" if group else "all tweets"
+        raise ValueError(
+            f"the topic corpus of {name} has a vocabulary of {len(corpus.vocabulary)} words, "
+            f"fewer than [topics] top_words = {config.top_words}"
+        )
     model = topics.lda_fit(
         corpus,
         k=config.lda_k,
@@ -417,7 +425,7 @@ def _dataset_section(state: _RunState) -> dict | None:
     if "swn" in lexicon:
         senses = state.sense_lexicon
         lexicon["swn"].update(rows_read=senses.rows_read, rows_rejected=senses.rows_rejected)
-    return {
+    dataset = {
         "lines_read": state.report.lines_read,
         "lines_skipped": state.report.lines_skipped,
         "skipped": state.report.skipped,
@@ -428,6 +436,9 @@ def _dataset_section(state: _RunState) -> dict | None:
         "spelling": state.pipeline.dictionary.activity(),
         "lexicon": lexicon,
     }
+    if state.topics is not None:
+        dataset["topics"] = state.topics
+    return dataset
 
 
 def _build_parser() -> argparse.ArgumentParser:

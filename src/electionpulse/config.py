@@ -25,9 +25,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
 from datetime import tzinfo
-from typing import Any
+from typing import Any, NamedTuple
 
 from ._util import parse_timezone
 from .actors import ActorConfigError, ActorSet, load_actor_file
@@ -45,8 +44,7 @@ class ConfigError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     input_path: str
     tz: tzinfo
     field_map: dict[str, str]
@@ -74,7 +72,7 @@ class RunConfig:
     heatmap_top_n: int
     output_dir: str
     seed: int
-    snapshot: dict[str, Any] = field(default_factory=dict)
+    snapshot: dict[str, Any]
 
 
 def validate_config(

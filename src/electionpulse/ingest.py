@@ -24,7 +24,6 @@ import hashlib
 import json
 import unicodedata
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from typing import IO, NamedTuple
 
@@ -49,8 +48,7 @@ MAX_TEXT_BYTES = 1120
 DEFAULT_TIMEZONE = timezone(timedelta(hours=1))
 
 
-@dataclass(frozen=True)
-class TweetRecord:
+class TweetRecord(NamedTuple):
     """One raw tweet, timestamp already normalized to the dataset timezone."""
 
     id: str
@@ -71,8 +69,7 @@ SKIP_CAUSES = (
 )
 
 
-@dataclass(frozen=True)
-class ParseReport:
+class ParseReport(NamedTuple):
     lines_read: int
     skipped: dict[str, int]  # lines skipped per cause, every cause in SKIP_CAUSES
     sha256: str | None = None  # hex digest of the bytes parsed from a path source

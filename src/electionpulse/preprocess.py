@@ -14,8 +14,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._util import read_word_list
 from .spelling import correct_spelling
@@ -32,12 +31,11 @@ _MENTION_RE = re.compile(r"@\w+")
 MIN_CORRECTION_LENGTH = 4
 
 
-@dataclass(frozen=True)
-class ProcessedTweet:
+class ProcessedTweet(NamedTuple):
     """Final token list for one kept tweet, its source record and the ids
     of the actors its text names (``actors.match_actors``)."""
 
-    record: "TweetRecord"
+    record: TweetRecord
     tokens: tuple[str, ...]
     actors: frozenset[str]
 
@@ -101,17 +99,23 @@ def text_tokens(text: str) -> list[str]:
     return tokenize(clean(text))
 
 
-@dataclass
 class PipelineConfig:
     """Knobs the preprocessing pipeline needs from the run configuration,
     plus the run's stem memo (token -> stem), so each distinct token is
-    stemmed once per run."""
+    stemmed once per run. No dictionary means an empty one."""
 
-    stopwords: frozenset[str] = frozenset()
-    dictionary: Mapping[str, int] = field(default_factory=dict)
-    spellcheck: bool = True
-    stemming: bool = True
-    stems: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        stopwords: frozenset[str] = frozenset(),
+        dictionary: Mapping[str, int] | None = None,
+        spellcheck: bool = True,
+        stemming: bool = True,
+    ) -> None:
+        self.stopwords = stopwords
+        self.dictionary = {} if dictionary is None else dictionary
+        self.spellcheck = spellcheck
+        self.stemming = stemming
+        self.stems: dict[str, str] = {}
 
 
 def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:

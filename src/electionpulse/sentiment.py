@@ -15,19 +15,20 @@ Two lexicon engines share one scoring contract:
 engine's lexicon coverage on the same pass; ``compare_classifiers`` turns
 the per-engine score lists into distributions without scoring again.
 
-The Naive Bayes classifier is the multinomial, Laplace-smoothed textbook
-construction and exists alongside the lexicon engines because label
-assignment and continuous scoring serve different analyses; the two are
-never derived from each other.
+The Naive Bayes model (``nbc_train``, written by ``train-nbc``) is the
+multinomial, Laplace-smoothed textbook construction and exists alongside
+the lexicon engines because label assignment and continuous scoring serve
+different analyses; the two are never derived from each other.
+
+Records are NamedTuples. The loaders and ``nbc_train`` check what they
+build, so a record is valid by the time anything reads it.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import IO, NamedTuple
 
 from ._util import ConsistencyError, pct, read_word_list
@@ -45,22 +46,15 @@ _SUM_TOLERANCE = 1e-6
 _POS_TAGS = frozenset("navr")
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    """Polarity in [-1, 1] and subjectivity in [0, 1]; checked on construction."""
+class SentimentScore(NamedTuple):
+    """Polarity in [-1, 1] and subjectivity in [0, 1]: ``_mean_score``,
+    which makes every score, clamps both."""
 
     polarity: float
     subjectivity: float
 
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.polarity <= 1.0:
-            raise ValueError(f"polarity {self.polarity} outside [-1, 1]")
-        if not 0.0 <= self.subjectivity <= 1.0:
-            raise ValueError(f"subjectivity {self.subjectivity} outside [0, 1]")
 
-
-@dataclass(frozen=True)
-class SenseEntry:
+class SenseEntry(NamedTuple):
     """One sense of one lemma; Pos + Neg + Obj = 1 within 1e-6."""
 
     lemma: str
@@ -70,73 +64,33 @@ class SenseEntry:
     neg_score: float
     obj_score: float
 
-    def __post_init__(self) -> None:
-        if self.pos_tag not in _POS_TAGS:
-            raise ValueError(f"pos_tag {self.pos_tag!r} not one of n, v, a, r")
-        if self.sense_rank < 1:
-            raise ValueError(f"sense_rank {self.sense_rank} must be positive")
-        for name, score in (
-            ("pos_score", self.pos_score),
-            ("neg_score", self.neg_score),
-            ("obj_score", self.obj_score),
-        ):
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"{name} {score} outside [0, 1]")
-        total = self.pos_score + self.neg_score + self.obj_score
-        if abs(total - 1.0) > _SUM_TOLERANCE:
-            raise ValueError(f"scores sum to {total}, not 1")
 
-
-@dataclass(frozen=True)
-class PatternEntry:
-    lemma: str
+class PatternEntry(NamedTuple):
     polarity: float
     subjectivity: float
 
-    def __post_init__(self) -> None:
-        if not -1.0 <= self.polarity <= 1.0:
-            raise ValueError(f"polarity {self.polarity} outside [-1, 1]")
-        if not 0.0 <= self.subjectivity <= 1.0:
-            raise ValueError(f"subjectivity {self.subjectivity} outside [0, 1]")
 
-
-@dataclass
 class SenseLexicon:
-    """Sense entries indexed by lemma, plus load-time rejection counts.
+    """Sense entries in file order and by lemma, each lemma's rank-weighted
+    (pos, neg) for ``swn_word_sentiment`` to look up, and the loader's row
+    counts."""
 
-    Each lemma's rank-weighted (pos, neg) over all its senses, each sense
-    weighted 1/sense_rank and the sums normalized by the total weight, is
-    computed here, once, for ``swn_word_sentiment`` to look up.
-    """
-
-    entries: list[SenseEntry] = field(default_factory=list)
-    rows_read: int = 0
-    rows_rejected: int = 0
-
-    def __post_init__(self) -> None:
-        self._by_lemma: dict[str, list[SenseEntry]] = defaultdict(list)
-        for entry in self.entries:
-            self._by_lemma[entry.lemma].append(entry)
-        self._word_scores: dict[str, tuple[float, float]] = {}
-        for lemma, senses in self._by_lemma.items():
-            total_weight = 0.0
-            pos = 0.0
-            neg = 0.0
-            for sense in senses:
-                weight = 1.0 / sense.sense_rank
-                total_weight += weight
-                pos += sense.pos_score * weight
-                neg += sense.neg_score * weight
-            self._word_scores[lemma] = (pos / total_weight, neg / total_weight)
+    def __init__(
+        self,
+        entries: list[SenseEntry],
+        by_lemma: dict[str, list[SenseEntry]],
+        word_scores: dict[str, tuple[float, float]],
+        rows_read: int,
+        rows_rejected: int,
+    ) -> None:
+        self.entries = entries
+        self._by_lemma = by_lemma
+        self._word_scores = word_scores
+        self.rows_read = rows_read
+        self.rows_rejected = rows_rejected
 
     def senses(self, lemma: str) -> list[SenseEntry]:
         return self._by_lemma.get(lemma.lower(), [])
-
-    def __contains__(self, lemma: str) -> bool:
-        return lemma.lower() in self._by_lemma
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
@@ -144,9 +98,12 @@ def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
 
     Columns: pos tag, synset id, PosScore, NegScore, space-separated
     "lemma#rank" terms, gloss. Obj is derived as 1 - Pos - Neg. A row
-    whose scores break the sum-to-1 invariant, or that is otherwise
-    malformed, is rejected whole and counted; loading never aborts on a
-    bad row.
+    whose pos tag is not one of n, v, a, r, whose rank is below 1, whose
+    scores leave [0, 1] or break the sum-to-1 invariant, or that is
+    otherwise malformed, is rejected whole and counted; loading never
+    aborts on a bad row. Each lemma's rank-weighted (pos, neg) over all
+    its senses, each weighted 1/sense_rank and normalized by the total
+    weight, is computed here, once.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
@@ -168,30 +125,48 @@ def _parse_sense_rows(lines: Iterable[str]) -> SenseLexicon:
             if len(parts) < 5:
                 raise ValueError("too few columns")
             pos_tag = parts[0].strip()
+            if pos_tag not in _POS_TAGS:
+                raise ValueError(f"pos_tag {pos_tag!r} not one of n, v, a, r")
             pos_score = float(parts[2])
             neg_score = float(parts[3])
             obj_score = 1.0 - pos_score - neg_score
+            for score in (pos_score, neg_score, obj_score):
+                if not 0.0 <= score <= 1.0:
+                    raise ValueError(f"score {score} outside [0, 1]")
+            total = pos_score + neg_score + obj_score
+            if abs(total - 1.0) > _SUM_TOLERANCE:
+                raise ValueError(f"scores sum to {total}, not 1")
             terms = parts[4].split()
             if not terms:
                 raise ValueError("no terms")
             row_entries = []
             for term in terms:
                 lemma, _, rank = term.rpartition("#")
+                sense_rank = int(rank)
+                if sense_rank < 1:
+                    raise ValueError(f"sense_rank {sense_rank} must be positive")
                 row_entries.append(
-                    SenseEntry(
-                        lemma=lemma.lower(),
-                        pos_tag=pos_tag,
-                        sense_rank=int(rank),
-                        pos_score=pos_score,
-                        neg_score=neg_score,
-                        obj_score=obj_score,
-                    )
+                    SenseEntry(lemma.lower(), pos_tag, sense_rank, pos_score, neg_score, obj_score)
                 )
         except ValueError:
             rejected += 1
             continue
         entries.extend(row_entries)
-    return SenseLexicon(entries=entries, rows_read=rows_read, rows_rejected=rejected)
+    by_lemma: dict[str, list[SenseEntry]] = defaultdict(list)
+    for entry in entries:
+        by_lemma[entry.lemma].append(entry)
+    word_scores: dict[str, tuple[float, float]] = {}
+    for lemma, senses in by_lemma.items():
+        total_weight = 0.0
+        pos = 0.0
+        neg = 0.0
+        for sense in senses:
+            weight = 1.0 / sense.sense_rank
+            total_weight += weight
+            pos += sense.pos_score * weight
+            neg += sense.neg_score * weight
+        word_scores[lemma] = (pos / total_weight, neg / total_weight)
+    return SenseLexicon(entries, by_lemma, word_scores, rows_read, rejected)
 
 
 def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float] | None:
@@ -202,12 +177,6 @@ def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float]
     pair was computed when the lexicon loaded.
     """
     return lexicon._word_scores.get(lemma.lower())
-
-
-def swn_score(tokens: Sequence[str], lexicon: SenseLexicon) -> SentimentScore:
-    """Mean (pos - neg) and mean (pos + neg), i.e. 1 - mean objectivity,
-    over tokens found in the lexicon; (0, 0) if none."""
-    return _mean_score(*_swn_matches(tokens, lexicon))
 
 
 def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[float], list[float]]:
@@ -224,7 +193,9 @@ def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[flo
 def load_pattern_lexicon(source: str | IO[str] | Iterable[str]) -> dict[str, PatternEntry]:
     """Read a "lemma,polarity,subjectivity" CSV (header optional).
 
-    Duplicate lemma rows are averaged into a single entry.
+    Duplicate lemma rows are averaged into a single entry; an averaged
+    polarity outside [-1, 1] or subjectivity outside [0, 1] raises
+    ValueError.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8", newline="") as handle:
@@ -251,7 +222,11 @@ def _parse_pattern_rows(lines) -> dict[str, PatternEntry]:
     for lemma, pairs in collected.items():
         polarity = sum(p for p, _ in pairs) / len(pairs)
         subjectivity = sum(s for _, s in pairs) / len(pairs)
-        lexicon[lemma] = PatternEntry(lemma, polarity, subjectivity)
+        if not -1.0 <= polarity <= 1.0:
+            raise ValueError(f"polarity {polarity} outside [-1, 1]")
+        if not 0.0 <= subjectivity <= 1.0:
+            raise ValueError(f"subjectivity {subjectivity} outside [0, 1]")
+        lexicon[lemma] = PatternEntry(polarity, subjectivity)
     return lexicon
 
 
@@ -369,8 +344,7 @@ def subjectivity_class(score: float, threshold: float = 0.5) -> str:
     return SUBJECTIVE if score > threshold else OBJECTIVE
 
 
-@dataclass
-class NBCModel:
+class NBCModel(NamedTuple):
     """Multinomial Naive Bayes with Laplace smoothing.
 
     likelihoods[label][word] = (count(word, label) + alpha) /
@@ -383,15 +357,6 @@ class NBCModel:
     vocabulary: frozenset[str]
     alpha: float
 
-    def __post_init__(self) -> None:
-        prior_sum = sum(self.class_priors.values())
-        if abs(prior_sum - 1.0) > 1e-9:
-            raise ValueError(f"priors sum to {prior_sum}, not 1")
-        for label, table in self.word_likelihoods.items():
-            total = sum(table.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"likelihoods for {label!r} sum to {total}, not 1")
-
     @property
     def labels(self) -> list[str]:
         return sorted(self.class_priors)
@@ -401,7 +366,8 @@ def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> 
     """Train from (tokens, label) pairs.
 
     Requires a positive smoothing constant and at least two distinct
-    labels with at least one document each.
+    labels with at least one document each, and checks that the priors
+    and each label's likelihoods sum to 1 within 1e-9.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -429,40 +395,17 @@ def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> 
             word: (word_counts[label][word] + alpha) / denominator
             for word in vocabulary
         }
-    return NBCModel(
-        class_priors=priors,
-        word_likelihoods=likelihoods,
-        vocabulary=frozenset(vocabulary),
-        alpha=alpha,
-    )
+    prior_sum = sum(priors.values())
+    if abs(prior_sum - 1.0) > 1e-9:
+        raise ValueError(f"priors sum to {prior_sum}, not 1")
+    for label, table in likelihoods.items():
+        total = sum(table.values())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"likelihoods for {label!r} sum to {total}, not 1")
+    return NBCModel(priors, likelihoods, frozenset(vocabulary), alpha)
 
 
-def nbc_classify(model: NBCModel, tokens: Sequence[str]) -> tuple[str, float]:
-    """Argmax label under log prior plus log likelihoods, with its
-    normalized posterior.
-
-    Out-of-vocabulary tokens are skipped; an empty or fully unknown token
-    list reduces to the prior. Exact score ties go to the
-    lexicographically smallest label.
-    """
-    labels = model.labels
-    log_scores = []
-    for label in labels:
-        score = math.log(model.class_priors[label])
-        table = model.word_likelihoods[label]
-        for token in tokens:
-            if token in model.vocabulary:
-                score += math.log(table[token])
-        log_scores.append(score)
-    peak = max(log_scores)
-    weights = [math.exp(score - peak) for score in log_scores]
-    total = sum(weights)
-    best_index = log_scores.index(peak)
-    return labels[best_index], weights[best_index] / total
-
-
-@dataclass(frozen=True)
-class PolarityDistribution:
+class PolarityDistribution(NamedTuple):
     """(positive, neutral, negative) counts with half-up 2-decimal percentages."""
 
     counts: tuple[int, int, int]

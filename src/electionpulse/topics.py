@@ -1,7 +1,7 @@
 """LDA topic extraction by collapsed Gibbs sampling.
 
 The sampler is deliberately plain Python over integer count lists: every
-quantity the model exposes (phi, theta, the per-sweep invariants) is an
+quantity the model exposes (phi and theta) is an
 exact function of those counts, and a fixed seed makes the whole fit
 bit-reproducible. The sweeps keep the word-topic counts word-major, so a
 token-sample reads one row, and cache each topic's denominator
@@ -19,11 +19,10 @@ from __future__ import annotations
 import random
 import warnings
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     """Integer-coded documents over a sorted vocabulary."""
 
     vocabulary: list[str]
@@ -60,8 +59,7 @@ def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
     return Corpus(vocabulary=vocabulary, docs=docs, dropped_docs=dropped)
 
 
-@dataclass
-class TopicModel:
+class TopicModel(NamedTuple):
     """Fitted sampler state: counts, assignments and hyperparameters."""
 
     k: int
@@ -87,20 +85,6 @@ class TopicModel:
         denominator = self.doc_lengths[doc] + self.alpha * self.k
         return [(count + self.alpha) / denominator for count in counts]
 
-    def check_invariants(self, tolerance: float = 1e-9) -> None:
-        """Raise AssertionError if any count or distribution is inconsistent."""
-        for d, row in enumerate(self.doc_topic_counts):
-            assert all(c >= 0 for c in row), f"negative doc-topic count in doc {d}"
-            assert sum(row) == self.doc_lengths[d], f"doc {d} counts do not sum to its length"
-        token_total = sum(self.doc_lengths)
-        assert sum(self.topic_totals) == token_total, "topic totals do not cover all tokens"
-        for t, row in enumerate(self.topic_word_counts):
-            assert all(c >= 0 for c in row), f"negative topic-word count in topic {t}"
-            assert sum(row) == self.topic_totals[t], f"topic {t} word counts do not match its total"
-            assert abs(sum(self.phi(t)) - 1.0) <= tolerance, f"phi({t}) does not sum to 1"
-        for d in range(len(self.doc_topic_counts)):
-            assert abs(sum(self.theta(d)) - 1.0) <= tolerance, f"theta({d}) does not sum to 1"
-
 
 def lda_fit(
     corpus: Corpus,
@@ -118,7 +102,7 @@ def lda_fit(
     * (topic_word[t][w] + beta) / (topic_total[t] + beta * V)
     with the token's own assignment removed from the counts first.
     sweep_hook, when given, observes the model after each sweep, with
-    topic_word_counts rebuilt for it (it must not mutate the model).
+    topic_word_counts built for that sweep (it must not mutate the counts).
     Identical inputs and seed give identical output.
     """
     if k < 1:
@@ -194,10 +178,8 @@ def lda_fit(
                 denominators[new] = topic_totals[new] + beta_v
                 i += 1
         if sweep_hook is not None:
-            model.topic_word_counts = _topic_major(word_topic, k)
-            sweep_hook(sweep, model)
-    model.topic_word_counts = _topic_major(word_topic, k)
-    return model
+            sweep_hook(sweep, model._replace(topic_word_counts=_topic_major(word_topic, k)))
+    return model._replace(topic_word_counts=_topic_major(word_topic, k))
 
 
 def _topic_major(word_topic: list[list[int]], k: int) -> list[list[int]]:

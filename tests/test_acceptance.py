@@ -35,7 +35,6 @@ from electionpulse.sentiment import (
     SentimentScore,
     distribution,
     load_sense_lexicon,
-    nbc_classify,
     nbc_train,
     pattern_score,
     polarity_class,
@@ -46,7 +45,8 @@ from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
 
 from test_analytics import buckets_containing, make_tweet, named, with_actors
-from test_sentiment import load_micro
+from test_sentiment import load_micro, nbc_classify
+from test_topics import check_invariants
 from test_stemming import VECTORS
 
 
@@ -123,7 +123,7 @@ def test_02_sense_lexicon_at_scale(fixtures_dir) -> None:
         lexicon = load_sense_lexicon(lines)
         assert lexicon.rows_read == 10_020
         assert lexicon.rows_rejected == 20
-        assert len(lexicon) == 10_000
+        assert len(lexicon.entries) == 10_000
         for entry in lexicon.entries:
             total = entry.pos_score + entry.neg_score + entry.obj_score
             assert abs(total - 1.0) <= 1e-6
@@ -322,7 +322,7 @@ def test_07_lda_planted_recovery() -> None:
         def hook(sweep: int, model: TopicModel) -> None:
             if sweep % 50 == 0:
                 sweeps_checked.append(sweep)
-                model.check_invariants()
+                check_invariants(model)
 
         model = lda_fit(corpus, k=2, alpha=0.1, beta=0.01, iterations=500, seed=13, sweep_hook=hook)
         assert sweeps_checked == list(range(50, 501, 50))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from datetime import datetime, time, timedelta, timezone
 
 import pytest
@@ -54,7 +53,7 @@ def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:
 def with_actors(tweets, actors: ActorSet) -> list[ProcessedTweet]:
     """Synthetic tweets, whose tokens are not their text's, carrying the
     actors their text names."""
-    return [replace(tweet, actors=frozenset(named(tweet, actors))) for tweet in tweets]
+    return [tweet._replace(actors=frozenset(named(tweet, actors))) for tweet in tweets]
 
 
 def pair_set() -> ActorSet:
@@ -386,7 +385,7 @@ class TestMentionTable:
         # The text names nobody; the tweet's matched set alone attributes it.
         actors = pair_set()
         tweet = make_tweet("t1", "quiet day", ("quiet",), 10)
-        tweets = [replace(tweet, actors=frozenset({"willie_obiano"}))]
+        tweets = [tweet._replace(actors=frozenset({"willie_obiano"}))]
         assert cooccurrence_cloud(tweets, actors["willie_obiano"], actors) == [("quiet", 1)]
         series = avg_sentiment_series(
             tweets, [SentimentScore(0.5, 0.5)], actors, ["willie_obiano"]

@@ -10,7 +10,6 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +24,7 @@ from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import SKIP_CAUSES, parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
+    PipelineConfig,
     clean,
     process_tokens,
     text_tokens,
@@ -383,6 +383,11 @@ def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> l
     return ["all", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
 
 
+def _narrow_topic_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # The group's two tweets hold 9 distinct terms; the fixture asks for 10.
+    return ["topics", "--config", config_factory(), "--group", "osita_chidoka"]
+
+
 def _header_only_pattern_lexicon(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     lexicon = tmp_path / "pattern_lexicon.csv"
     lexicon.write_text("lemma,polarity,subjectivity\n", encoding="utf-8")
@@ -446,6 +451,9 @@ EXIT_CODE_MATRIX = [
     ("all_lines_skipped", _all_lines_skipped, 1,
      "0 documents reached the topic model and 0 were dropped as shorter than min_doc_len = 1",
      ("ValueError: corpus is empty: 0 documents", "sha256:")),
+    ("narrow_topic_group", _narrow_topic_group, 1,
+     "group 'osita_chidoka' has a vocabulary of 9 words, fewer than [topics] top_words = 10",
+     ("ValueError: the topic corpus of group 'osita_chidoka'", "sha256:")),
 ]
 
 
@@ -684,7 +692,9 @@ class TestCliRuns:
         stemmed = record_calls(monkeypatch, stemming_module, "porter_stem")
         assert main(["all", "--config", config_factory()]) == 0
         assert len(stemmed) == len(set(stemmed))
-        unstemmed = replace(pipeline, stemming=False)
+        unstemmed = PipelineConfig(
+            pipeline.stopwords, pipeline.dictionary, pipeline.spellcheck, stemming=False
+        )
         stemmable = {
             token
             for record in records
@@ -710,6 +720,25 @@ class TestCliRuns:
         assert set(excluded) == {"retweet", "empty_after_filtering"}
         assert dataset["total_kept"] + sum(excluded.values()) == dataset["total_raw"] == 50
         assert excluded["retweet"] == sum(record.is_retweet for record in records)
+
+    def test_manifest_counts_the_topic_corpus(self, config_factory, tmp_path) -> None:
+        ledgers = []
+        for min_doc_len in (1, 7):
+            out = tmp_path / f"min_doc_len_{min_doc_len}"
+            path = config_factory(**{"topics.min_doc_len": min_doc_len, "topics.iterations": 5})
+            assert main(["topics", "--config", path, "--output", str(out)]) == 0
+            dataset = read_json(out / "manifest.json")["dataset"]
+            ledger = dataset["topics"]
+            assert ledger["documents"] + ledger["dropped_docs"] == dataset["total_kept"]
+            assert ledger["dropped_docs"] == read_json(out / "topics.json")["dropped_docs"]
+            ledgers.append(ledger)
+        # Raising min_doc_len moves the fixture's 23 tweets of 4-6 tokens.
+        assert ledgers == [
+            {"documents": 43, "dropped_docs": 0},
+            {"documents": 20, "dropped_docs": 23},
+        ]
+        assert main(["counts", "--config", config_factory()]) == 0
+        assert "topics" not in read_json(tmp_path / "out" / "manifest.json")["dataset"]
 
     @pytest.mark.parametrize(
         "flags,hits",

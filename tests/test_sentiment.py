@@ -19,29 +19,26 @@ from electionpulse.sentiment import (
     NBCModel,
     PatternEntry,
     PolarityDistribution,
-    SenseEntry,
     SentimentScore,
     compare_classifiers,
     distribution,
     load_pattern_lexicon,
     load_sense_lexicon,
-    nbc_classify,
     nbc_train,
     pattern_score,
     polarity_class,
     score_all,
     subjectivity_class,
-    swn_score,
     swn_word_sentiment,
 )
 
 NEGATORS = frozenset({"not", "no", "never"})
 
 PATTERN = {
-    "great": PatternEntry("great", 0.8, 0.75),
-    "good": PatternEntry("good", 0.7, 0.6),
-    "bad": PatternEntry("bad", -0.7, 0.6),
-    "vote": PatternEntry("vote", 0.0, 0.1),
+    "great": PatternEntry(0.8, 0.75),
+    "good": PatternEntry(0.7, 0.6),
+    "bad": PatternEntry(-0.7, 0.6),
+    "vote": PatternEntry(0.0, 0.1),
 }
 
 
@@ -96,32 +93,82 @@ def swn_subjectivity(tokens, lexicon) -> float:
     return max(0.0, min(1.0, sum(values) / len(values)))
 
 
+def swn_score(tokens, lexicon) -> SentimentScore:
+    """The oracle's score: polarity and subjectivity, one pass each."""
+    return SentimentScore(swn_polarity(tokens, lexicon), swn_subjectivity(tokens, lexicon))
+
+
+RANGE_WORDS = ("fine", "awful", "mixed", "plain", "never")
+
+
 class TestScoreTypes:
     def test_valid_score(self) -> None:
         score = SentimentScore(-1.0, 1.0)
         assert (score.polarity, score.subjectivity) == (-1.0, 1.0)
 
+    # A score outside its range can only come from a lexicon value outside
+    # it, and the pattern loader rejects those.
     @pytest.mark.parametrize("polarity,subjectivity", [(1.5, 0.5), (-1.01, 0.0), (0.0, -0.1), (0.0, 1.2)])
     def test_out_of_range_rejected(self, polarity: float, subjectivity: float) -> None:
-        with pytest.raises(ValueError):
-            SentimentScore(polarity, subjectivity)
+        with pytest.raises(ValueError, match="outside"):
+            load_pattern_lexicon([f"word,{polarity},{subjectivity}"])
 
-    def test_sense_entry_sum_invariant(self) -> None:
-        with pytest.raises(ValueError):
-            SenseEntry("word", "a", 1, 0.9, 0.3, 0.1)
-
-    def test_sense_entry_tag_and_rank(self) -> None:
-        with pytest.raises(ValueError):
-            SenseEntry("word", "x", 1, 0.5, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            SenseEntry("word", "a", 0, 0.5, 0.0, 0.5)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(RANGE_WORDS), st.floats(-1, 1), st.floats(0, 1)),
+            max_size=8,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from("navr"),
+                st.one_of(st.floats(0, 1), st.floats()),
+                st.one_of(st.floats(0, 1), st.floats()),
+                st.lists(
+                    st.tuples(st.sampled_from(RANGE_WORDS), st.integers(1, 5)),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            max_size=8,
+        ),
+        st.lists(st.lists(st.sampled_from(RANGE_WORDS + ("not", "zzz")), max_size=8), max_size=5),
+    )
+    def test_any_lexicon_scores_in_range(self, pattern_rows, sense_rows, token_lists) -> None:
+        # Pattern rows may repeat a lemma (averaged); sense rows may carry NaN,
+        # infinities or scores past 1, which the loader must reject.
+        pattern = load_pattern_lexicon([f"{lemma},{p!r},{s!r}" for lemma, p, s in pattern_rows])
+        senses = load_sense_lexicon(
+            [
+                sense_line(tag, f"{index:08d}", pos, neg, " ".join(f"{w}#{r}" for w, r in terms))
+                for index, (tag, pos, neg, terms) in enumerate(sense_rows)
+            ]
+        )
+        assert all(
+            0.0 <= score <= 1.0
+            for entry in senses.entries
+            for score in (entry.pos_score, entry.neg_score, entry.obj_score)
+        )
+        tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
+        for engine in ENGINES:
+            scored = score_all(
+                tweets,
+                engine,
+                pattern_lexicon=pattern,
+                negators=NEGATORS,
+                sense_lexicon=senses,
+            )
+            assert len(scored.scores) == len(tweets)
+            assert all(
+                -1.0 <= s.polarity <= 1.0 and 0.0 <= s.subjectivity <= 1.0 for s in scored.scores
+            )
 
 
 class TestSenseLexicon:
     def test_fixture_loads_cleanly(self, sense_lexicon) -> None:
         assert sense_lexicon.rows_read == 50
         assert sense_lexicon.rows_rejected == 0
-        assert len(sense_lexicon) == 52  # multi-term rows fan out
+        assert len(sense_lexicon.entries) == 52  # multi-term rows fan out
 
     def test_estimable_rows_are_exact(self, sense_lexicon) -> None:
         senses = {s.sense_rank: s for s in sense_lexicon.senses("estimable")}
@@ -135,13 +182,18 @@ class TestSenseLexicon:
             sense_line("a", "00000002", 0.9, 0.3, "broken#1"),  # sums past 1
             "a\t00000003\tnot_a_number\t0\tbad#1\tgloss",
             "too\tfew",
+            sense_line("x", "00000005", 0.5, 0.0, "tagged#1"),  # no such pos tag
+            sense_line("a", "00000006", 0.5, 0.0, "ranked#0"),  # rank below 1
             sense_line("v", "00000004", 0.0, 0.0, "plain#2"),
         ]
         lexicon = load_sense_lexicon(lines)
-        assert lexicon.rows_read == 5
-        assert lexicon.rows_rejected == 3
-        assert "fine" in lexicon and "plain" in lexicon
-        assert "broken" not in lexicon
+        assert lexicon.rows_read == 7
+        assert lexicon.rows_rejected == 5
+        assert lexicon.senses("fine") and lexicon.senses("plain")
+        for lemma in ("broken", "bad", "tagged", "ranked"):
+            assert lexicon.senses(lemma) == []
+            assert swn_word_sentiment(lexicon, lemma) is None
+        assert [entry.lemma for entry in lexicon.entries] == ["fine", "plain"]
 
     def test_multi_term_row_fans_out(self) -> None:
         lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.5, 0.0, "happy#1 glad#2")])
@@ -184,20 +236,27 @@ class TestSwnScoring:
             sense_line("a", "00000001", 0.8, 0.0, "fine#1"),
             sense_line("a", "00000002", 0.0, 0.6, "awful#1"),
         ])
-        assert swn_score(["fine"], lexicon).polarity == pytest.approx(0.8)
-        assert swn_score(["fine", "awful"], lexicon).polarity == pytest.approx((0.8 - 0.6) / 2)
-        assert swn_score(["fine", "zzz"], lexicon).polarity == pytest.approx(0.8)
+        token_lists = (["fine"], ["fine", "awful"], ["fine", "zzz"])
+        tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
+        scored = score_all(tweets, "swn", sense_lexicon=lexicon)
+        polarity = [score.polarity for score in scored.scores]
+        assert polarity == pytest.approx([0.8, (0.8 - 0.6) / 2, 0.8])
 
     def test_no_match_scores_zero(self, sense_lexicon) -> None:
-        assert swn_score(["zzqqx"], sense_lexicon) == SentimentScore(0.0, 0.0)
+        scored = score_all([kept_tweet("a", ["zzqqx"])], "swn", sense_lexicon=sense_lexicon)
+        assert scored.scores == [SentimentScore(0.0, 0.0)]
 
     def test_subjectivity_is_one_minus_mean_objectivity(self) -> None:
         lexicon = load_sense_lexicon([
             sense_line("a", "00000001", 0.6, 0.2, "loaded#1"),  # obj 0.2
             sense_line("a", "00000002", 0.0, 0.0, "plain#1"),   # obj 1.0
         ])
-        assert swn_score(["loaded"], lexicon).subjectivity == pytest.approx(0.8)
-        assert swn_score(["loaded", "plain"], lexicon).subjectivity == pytest.approx(0.4)
+        scored = score_all(
+            [kept_tweet("a", ["loaded"]), kept_tweet("b", ["loaded", "plain"])],
+            "swn",
+            sense_lexicon=lexicon,
+        )
+        assert [score.subjectivity for score in scored.scores] == pytest.approx([0.8, 0.4])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -227,12 +286,9 @@ class TestSwnScoring:
         lexicon = load_sense_lexicon(lines)
         for lemma in SWN_LEMMAS + ("zzz", "FINE"):
             assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(lexicon, lemma)
-        score = swn_score(tokens, lexicon)
-        assert score.polarity == swn_polarity(tokens, lexicon)
-        assert score.subjectivity == swn_subjectivity(tokens, lexicon)
         tweet = kept_tweet("t1", tokens)
         scored = score_all([tweet], "swn", sense_lexicon=lexicon)
-        assert scored.scores == [score]
+        assert scored.scores == [swn_score(tokens, lexicon)]
 
     def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon) -> None:
         scored = score_all(kept, "swn", sense_lexicon=sense_lexicon)
@@ -317,7 +373,7 @@ class TestPatternScoring:
     def test_negator_itself_can_be_scored(self) -> None:
         # A lexicon word that is also a negator still gets its own score.
         lexicon = dict(PATTERN)
-        lexicon["never"] = PatternEntry("never", -0.2, 0.5)
+        lexicon["never"] = PatternEntry(-0.2, 0.5)
         score = pattern_score(["never", "great"], lexicon, NEGATORS)
         assert score.polarity == pytest.approx((-0.2 + -0.4) / 2)
 
@@ -418,6 +474,31 @@ def brute_force_classify(model: NBCModel, tokens: list[str]) -> tuple[str, float
     best = max(model.labels, key=lambda label: (raw[label], ))
     # max() keeps the first (lexicographically smallest) label on ties
     return best, raw[best] / total
+
+
+def nbc_classify(model: NBCModel, tokens: list[str]) -> tuple[str, float]:
+    """Argmax label under log prior plus log likelihoods, with its
+    normalized posterior: the classifier a trained model is for, checked
+    against ``brute_force_classify``.
+
+    Out-of-vocabulary tokens are skipped; an empty or fully unknown token
+    list reduces to the prior. Exact score ties go to the
+    lexicographically smallest label.
+    """
+    labels = model.labels
+    log_scores = []
+    for label in labels:
+        score = math.log(model.class_priors[label])
+        table = model.word_likelihoods[label]
+        for token in tokens:
+            if token in model.vocabulary:
+                score += math.log(table[token])
+        log_scores.append(score)
+    peak = max(log_scores)
+    weights = [math.exp(score - peak) for score in log_scores]
+    total = sum(weights)
+    best_index = log_scores.index(peak)
+    return labels[best_index], weights[best_index] / total
 
 
 class TestNaiveBayes:

@@ -36,6 +36,21 @@ def planted_corpus(
     return corpus, planted_a, planted_b
 
 
+def check_invariants(model: TopicModel) -> None:
+    """Raise AssertionError if any count or distribution is inconsistent."""
+    for d, row in enumerate(model.doc_topic_counts):
+        assert all(c >= 0 for c in row), f"negative doc-topic count in doc {d}"
+        assert sum(row) == model.doc_lengths[d], f"doc {d} counts do not sum to its length"
+    token_total = sum(model.doc_lengths)
+    assert sum(model.topic_totals) == token_total, "topic totals do not cover all tokens"
+    for t, row in enumerate(model.topic_word_counts):
+        assert all(c >= 0 for c in row), f"negative topic-word count in topic {t}"
+        assert sum(row) == model.topic_totals[t], f"topic {t} word counts do not match its total"
+        assert abs(sum(model.phi(t)) - 1.0) <= 1e-9, f"phi({t}) does not sum to 1"
+    for d in range(len(model.doc_topic_counts)):
+        assert abs(sum(model.theta(d)) - 1.0) <= 1e-9, f"theta({d}) does not sum to 1"
+
+
 def tv_distance(model: TopicModel, topic: int, planted: dict[str, float]) -> float:
     phi = model.phi(topic)
     return 0.5 * sum(
@@ -183,7 +198,7 @@ class TestSweepHook:
 
         def hook(sweep: int, model: TopicModel) -> None:
             seen.append(sweep)
-            model.check_invariants()
+            check_invariants(model)
 
         lda_fit(corpus, k=2, iterations=7, seed=3, sweep_hook=hook)
         assert seen == list(range(1, 8))
