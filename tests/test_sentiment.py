@@ -163,6 +163,22 @@ class TestScoreTypes:
                 -1.0 <= s.polarity <= 1.0 and 0.0 <= s.subjectivity <= 1.0 for s in scored.scores
             )
 
+    # SenseEntry is a plain record; the sense-lexicon loader holds its
+    # invariants and rejects, whole, a row that breaks one.
+    def test_sense_entry_sum_invariant(self) -> None:
+        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.9, 0.3, "word#1")])
+        assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
+        assert lexicon.entries == []
+
+    def test_sense_entry_tag_and_rank(self) -> None:
+        for line in (
+            sense_line("x", "00000001", 0.5, 0.0, "word#1"),
+            sense_line("a", "00000001", 0.5, 0.0, "word#0"),
+        ):
+            lexicon = load_sense_lexicon([line])
+            assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
+            assert lexicon.senses("word") == []
+
 
 class TestSenseLexicon:
     def test_fixture_loads_cleanly(self, sense_lexicon) -> None:
