@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from zoneinfo import ZoneInfo
@@ -19,6 +20,9 @@ _MONTHS = {
     "Jul": 7, "Aug": 8, "Sep": 9, "Oct": 10, "Nov": 11, "Dec": 12,
 }
 
+# The timezone of each Twitter-format (sign, hh, mm) offset seen so far.
+_OFFSETS: dict[tuple[str, str, str], timezone] = {}
+
 _OFFSET_RE = re.compile(r"^(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})$")
 
 
@@ -32,6 +36,18 @@ def pct(count: int, total: int) -> float:
         return 0.0
     share = Decimal(count) * 100 / Decimal(total)
     return float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """Sum left to right, as ``sum()`` did before Python 3.12.
+
+    From 3.12 on ``sum()`` compensates float rounding, which can move the
+    last bit of a mean and so the bytes of an artifact.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def read_word_list(path: str) -> frozenset[str]:
@@ -65,17 +81,14 @@ def parse_timestamp(value: str) -> datetime:
     """
     m = _TWITTER_TS_RE.match(value.strip())
     if m:
-        offset = timedelta(hours=int(m.group("oh")), minutes=int(m.group("om")))
-        if m.group("sign") == "-":
-            offset = -offset
+        mon, day, hour, minute, second, sign, oh, om, year = m.groups()
+        tz = _OFFSETS.get((sign, oh, om))
+        if tz is None:
+            offset = timedelta(hours=int(oh), minutes=int(om))
+            tz = _OFFSETS[sign, oh, om] = timezone(-offset if sign == "-" else offset)
         return datetime(
-            int(m.group("year")),
-            _MONTHS[m.group("mon").title()],
-            int(m.group("day")),
-            int(m.group("h")),
-            int(m.group("m")),
-            int(m.group("s")),
-            tzinfo=timezone(offset),
+            int(year), _MONTHS[mon.title()], int(day),
+            int(hour), int(minute), int(second), tzinfo=tz,
         )
     iso = value.strip()
     if iso.endswith(("Z", "z")):

@@ -49,12 +49,18 @@ class ActorSet:
         if diagnostics:
             raise ActorConfigError(diagnostics)
         self._by_id = {actor.id: actor for actor in self.actors}
-        # Alias phrases as token tuples, split once here rather than per match.
-        self._phrases = tuple(
-            (actor.id, tuple(tuple(alias.split()) for alias in actor.aliases))
-            for actor in self.actors
-            if actor.kind != "combined"
-        )
+        # Alias phrases by their first token: (actor id, the phrase's other
+        # tokens), so matching checks only the phrases a tweet's token starts.
+        self._by_first_token: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+        for actor in self.actors:
+            if actor.kind == "combined":
+                continue
+            for alias in actor.aliases:
+                words = alias.split()
+                if words:
+                    self._by_first_token.setdefault(words[0], []).append(
+                        (actor.id, tuple(words[1:]))
+                    )
         self._pairs = tuple(
             (actor.id, actor.components) for actor in self.actors if actor.kind == "combined"
         )
@@ -186,31 +192,20 @@ def load_actor_file(path: str) -> ActorSet:
     return ActorSet(actors)
 
 
-def _contains_phrase(
-    tokens: Sequence[str], present: AbstractSet[str], phrase: tuple[str, ...]
-) -> bool:
-    span = len(phrase)
-    if span == 0 or not present.issuperset(phrase):
-        return False
-    if span == 1:
-        return True
-    first = phrase[0]
-    for start in range(len(tokens) - span + 1):
-        if tokens[start] == first and all(
-            tokens[start + offset] == word for offset, word in enumerate(phrase)
-        ):
-            return True
-    return False
-
-
 def match_actors(tokens: Sequence[str], actors: ActorSet) -> set[str]:
     """Actor ids mentioned in a tweet, given its cleaned, unstemmed tokens
-    (``preprocess.text_tokens`` of the raw text)."""
-    present = set(tokens)
+    (``preprocess.text_tokens`` of the raw text).
+
+    One walk over the tokens: at each token only the alias phrases that
+    start with it are compared, so the cost follows the tweet, not the
+    roster (the one-token-ahead case of Aho & Corasick 1975).
+    """
+    index = actors._by_first_token
     matched: set[str] = set()
-    for actor_id, phrases in actors._phrases:
-        if any(_contains_phrase(tokens, present, phrase) for phrase in phrases):
-            matched.add(actor_id)
+    for start, token in enumerate(tokens):
+        for actor_id, rest in index.get(token, ()):
+            if not rest or tuple(tokens[start + 1 : start + 1 + len(rest)]) == rest:
+                matched.add(actor_id)
     for actor_id, (candidate_id, party_id) in actors._pairs:
         if candidate_id in matched and party_id in matched:
             matched.add(actor_id)

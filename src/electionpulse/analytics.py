@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Sequence
 from datetime import datetime, time
 from typing import Any, NamedTuple
 
-from ._util import ConsistencyError
+from ._util import ConsistencyError, float_sum
 from .actors import Actor, ActorSet, sole_mention
 from .preprocess import ProcessedTweet
 from .sentiment import SentimentScore
@@ -98,8 +98,8 @@ def avg_sentiment_series(
 
     def summarize(cell_scores: list[SentimentScore]) -> SeriesCell:
         count = len(cell_scores)
-        polarity = sum(score.polarity for score in cell_scores)
-        subjectivity = sum(score.subjectivity for score in cell_scores)
+        polarity = float_sum(score.polarity for score in cell_scores)
+        subjectivity = float_sum(score.subjectivity for score in cell_scores)
         return SeriesCell(count, polarity / count * scale, subjectivity / count)
 
     return _sole_mention_grid(tweets, scores, actors, scope, summarize)

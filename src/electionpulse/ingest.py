@@ -88,10 +88,15 @@ class Preprocessed(NamedTuple):
     excluded: dict[str, int]
 
 
-def _lookup(obj: dict, path: str):
-    for alternative in path.split("|"):
+def _split_path(path: str) -> tuple[tuple[str, ...], ...]:
+    """A field path's "|" alternatives, each as its tuple of dot keys."""
+    return tuple(tuple(alternative.split(".")) for alternative in path.split("|"))
+
+
+def _lookup(obj: dict, alternatives: tuple[tuple[str, ...], ...]):
+    for keys in alternatives:
         value = obj
-        for key in alternative.split("."):
+        for key in keys:
             if isinstance(value, dict) and key in value:
                 value = value[key]
             else:
@@ -111,7 +116,10 @@ def _read_lines(path: str | bytes, digest) -> Iterable[bytes]:
 
 
 def _record_or_cause(
-    raw_line: bytes | str, fields: dict[str, str], seen_ids: set[str], tz: tzinfo
+    raw_line: bytes | str,
+    fields: dict[str, tuple[tuple[str, ...], ...]],
+    seen_ids: set[str],
+    tz: tzinfo,
 ) -> TweetRecord | str:
     """The line's record, or the SKIP_CAUSES entry that rejects it."""
     try:
@@ -175,9 +183,10 @@ def parse_tweet_stream(
     raises the underlying OSError. For a path source the report carries
     the sha256 of exactly the bytes that were parsed.
     """
-    fields = dict(DEFAULT_FIELD_MAP)
+    paths = dict(DEFAULT_FIELD_MAP)
     if field_map:
-        fields.update(field_map)
+        paths.update(field_map)
+    fields = {name: _split_path(path) for name, path in paths.items()}
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     lines_read = 0
@@ -261,10 +270,18 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
     """Write one CSV row per kept tweet: id, timestamp, bucket, tokens,
     then a true/false column per configured actor, read from ``tweet.actors``."""
     ids = [actor.id for actor in actors]
+    # Flag columns per matched set; ``preprocess_records`` interns equal
+    # sets, so there are few distinct ones.
+    flags: dict[frozenset[str], list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
         for tweet in records:
+            columns = flags.get(tweet.actors)
+            if columns is None:
+                columns = flags[tweet.actors] = [
+                    "true" if actor_id in tweet.actors else "false" for actor_id in ids
+                ]
             writer.writerow(
                 [
                     tweet.record.id,
@@ -272,5 +289,5 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
                     bucket_label(tweet.record.created_at),
                     " ".join(tweet.tokens),
                 ]
-                + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
+                + columns
             )

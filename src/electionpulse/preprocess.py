@@ -45,6 +45,30 @@ def load_stopwords(path: str) -> frozenset[str]:
     return read_word_list(path)
 
 
+class _KeptCodePoints(dict):
+    """Code point -> itself if ``clean`` keeps the character, else None,
+    for ``str.translate``. Filled lazily, so each distinct character costs
+    one ``unicodedata`` lookup per process."""
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        kept = code if ch.isspace() or unicodedata.category(ch)[0] in "LMNP" else None
+        self[code] = kept
+        return kept
+
+
+class _Punctuation(dict):
+    """Character -> whether its Unicode category is punctuation, filled lazily."""
+
+    def __missing__(self, ch: str) -> bool:
+        punct = self[ch] = unicodedata.category(ch)[0] == "P"
+        return punct
+
+
+_KEPT = _KeptCodePoints()
+_PUNCT = _Punctuation()
+
+
 def clean(text: str) -> str:
     """Strip URLs, @mentions, '#' marks and non-text symbols; lowercase.
 
@@ -56,18 +80,14 @@ def clean(text: str) -> str:
     text = _URL_RE.sub("", text)
     text = _MENTION_RE.sub("", text)
     text = text.replace("#", "")
-    kept = [
-        ch for ch in text
-        if ch.isspace() or unicodedata.category(ch)[0] in "LMNP"
-    ]
-    return " ".join("".join(kept).lower().split())
+    return " ".join(text.translate(_KEPT).lower().split())
 
 
 def _strip_edge_punctuation(token: str) -> str:
     start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
+    while start < end and _PUNCT[token[start]]:
         start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+    while end > start and _PUNCT[token[end - 1]]:
         end -= 1
     return token[start:end]
 
@@ -78,11 +98,14 @@ def tokenize(text: str) -> list[str]:
     Interior punctuation (the apostrophe in "don't") is kept; tokens that
     were punctuation-only disappear.
     """
+    punct = _PUNCT
     tokens = []
-    for raw in text.split():
-        token = _strip_edge_punctuation(raw)
-        if token:
-            tokens.append(token)
+    for token in text.split():
+        if punct[token[0]] or punct[token[-1]]:
+            token = _strip_edge_punctuation(token)
+            if not token:
+                continue
+        tokens.append(token)
     return tokens
 
 

@@ -31,7 +31,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from typing import IO, NamedTuple
 
-from ._util import ConsistencyError, pct, read_word_list
+from ._util import ConsistencyError, float_sum, pct, read_word_list
 from .preprocess import ProcessedTweet
 
 ENGINES = ("pattern", "swn")
@@ -220,8 +220,8 @@ def _parse_pattern_rows(lines) -> dict[str, PatternEntry]:
         collected[lemma].append((polarity, subjectivity))
     lexicon = {}
     for lemma, pairs in collected.items():
-        polarity = sum(p for p, _ in pairs) / len(pairs)
-        subjectivity = sum(s for _, s in pairs) / len(pairs)
+        polarity = float_sum(p for p, _ in pairs) / len(pairs)
+        subjectivity = float_sum(s for _, s in pairs) / len(pairs)
         if not -1.0 <= polarity <= 1.0:
             raise ValueError(f"polarity {polarity} outside [-1, 1]")
         if not 0.0 <= subjectivity <= 1.0:
@@ -272,8 +272,8 @@ def _mean_score(polarity_values: list[float], subjectivity_values: list[float]) 
     # One value per matched token, for either engine.
     if not polarity_values:
         return SentimentScore(0.0, 0.0)
-    polarity = _clamp(sum(polarity_values) / len(polarity_values), -1.0, 1.0)
-    subjectivity = _clamp(sum(subjectivity_values) / len(subjectivity_values), 0.0, 1.0)
+    polarity = _clamp(float_sum(polarity_values) / len(polarity_values), -1.0, 1.0)
+    subjectivity = _clamp(float_sum(subjectivity_values) / len(subjectivity_values), 0.0, 1.0)
     return SentimentScore(polarity, subjectivity)
 
 
@@ -395,11 +395,11 @@ def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> 
             word: (word_counts[label][word] + alpha) / denominator
             for word in vocabulary
         }
-    prior_sum = sum(priors.values())
+    prior_sum = float_sum(priors.values())
     if abs(prior_sum - 1.0) > 1e-9:
         raise ValueError(f"priors sum to {prior_sum}, not 1")
     for label, table in likelihoods.items():
-        total = sum(table.values())
+        total = float_sum(table.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"likelihoods for {label!r} sum to {total}, not 1")
     return NBCModel(priors, likelihoods, frozenset(vocabulary), alpha)

@@ -170,6 +170,20 @@ class TestMatching:
         assert match_actors(text_tokens("the card slow reader failed"), actors) == set()
         assert match_actors(text_tokens("reader card failed"), actors) == set()
 
+    def test_phrases_sharing_a_first_token(self) -> None:
+        actors = ActorSet(
+            [
+                Actor("ada", "candidate", ("ada",)),
+                Actor("obi", "candidate", ("ada obi", "obi ike")),
+                Actor("pdp", "party", ("ada obi ike",)),
+            ]
+        )
+        assert match_actors(text_tokens("ada obi ike"), actors) == {"ada", "obi", "pdp"}
+        assert match_actors(text_tokens("ada obi"), actors) == {"ada", "obi"}
+        assert match_actors(text_tokens("obi ada"), actors) == {"ada"}
+        assert match_actors(text_tokens("ada ada ike obi"), actors) == {"ada"}
+        assert match_actors(text_tokens("vote obi ike"), actors) == {"obi"}
+
     def test_matching_is_case_insensitive_on_raw_text(self) -> None:
         assert "willie_obiano" in match_actors(text_tokens("OBIANO WINS"), small_set())
 
@@ -274,7 +288,9 @@ class TestSoleMention:
 
 
 # Reference matcher and sole_mention that work on the raw text of each
-# tweet; the mention table and the set-based sole_mention must agree.
+# tweet, trying every phrase of every actor at every position; the
+# first-token index, the mention table and the set-based sole_mention
+# must agree with them.
 def _oracle_contains_phrase(tokens, phrase) -> bool:
     span = len(phrase)
     if span == 0 or span > len(tokens):
@@ -325,6 +341,11 @@ def rosters(draw) -> ActorSet:
     for kind in ("candidate", "party"):
         count = draw(st.integers(1, 2))
         aliases = draw(st.lists(alias, min_size=count, max_size=2 * count, unique=True))
+        # A longer alias that starts like a drawn one ("ada", "ada obi"), so
+        # the matcher's index holds several phrases under one first token.
+        longer = f"{draw(st.sampled_from(aliases))} {draw(st.sampled_from(ALIAS_WORDS))}"
+        if longer not in aliases:
+            aliases.insert(draw(st.integers(0, len(aliases))), longer)
         ids[kind] = [f"{kind}{i}" for i in range(count)]
         actors += [
             Actor(actor_id, kind, tuple(aliases[i::count]))

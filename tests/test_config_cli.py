@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import os
+import random
 import shutil
 import sys
 import time
@@ -21,7 +22,7 @@ from electionpulse import sentiment as sentiment_module
 from electionpulse import stemming as stemming_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
-from electionpulse.ingest import SKIP_CAUSES, parse_tweet_stream
+from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
     PipelineConfig,
@@ -793,6 +794,55 @@ class TestCliRuns:
         dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
         assert dataset["skipped"] == {**dict.fromkeys(SKIP_CAUSES, 0), "missing_field": 50}
         assert dataset["lines_read"] == dataset["total_raw"] + dataset["lines_skipped"] == 50
+
+    def test_manifest_ledger_balances_on_a_generated_corpus(self, config_factory, tmp_path) -> None:
+        rng = random.Random(2017)
+
+        def tweet(tweet_id: str, text: str, **fields) -> str:
+            stamp = f"Sat Nov 18 {rng.randrange(24):02d}:{rng.randrange(60):02d}:00 +0000 2017"
+            return json.dumps({"id_str": tweet_id, "created_at": stamp, "text": text, **fields})
+
+        def words() -> str:
+            picked = rng.sample(("obiano", "apga", "nwoye", "the", "of", "queue"), 3)
+            return " ".join(picked + [rng.choice(("voters", "awka", "results"))])
+
+        makers = {
+            "invalid_json": lambda i: '{"id_str": "' + i,
+            "missing_field": lambda i: json.dumps({"id_str": i, "text": "no timestamp"}),
+            "duplicate_id": lambda i: tweet("0", words()),
+            "empty_text": lambda i: tweet(i, " \t "),
+            "oversized_text": lambda i: tweet(i, "x" * (MAX_TEXT_BYTES + 1)),
+            "bad_timestamp": lambda i: tweet(
+                i, words(), created_at="Sat Nov 18 09:31:00 +2400 2017"
+            ),
+            "retweet": lambda i: rng.choice(
+                (tweet(i, "RT @inec: " + words()), tweet(i, words(), retweeted_status={}))
+            ),
+            # Actor names and stopwords only, or a bare link: nothing is left.
+            "empty_after_filtering": lambda i: tweet(
+                i, rng.choice(("obiano apga the of", "https://t.co/x #"))
+            ),
+            "kept": lambda i: tweet(i, words()),
+        }
+        kinds = list(makers) + [rng.choice(list(makers)) for _ in range(60)] + ["kept"] * 30
+        rng.shuffle(kinds)
+        lines = [tweet("0", words())] + [makers[kind](str(i)) for i, kind in enumerate(kinds, 1)]
+        path = tmp_path / "generated.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        assert main(["counts", "--config", config_factory(**{"input.path": path})]) == 0
+        dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
+        skipped, excluded = dataset["skipped"], dataset["excluded"]
+        assert dataset["lines_read"] == dataset["total_raw"] + sum(skipped.values())
+        assert dataset["total_raw"] == dataset["total_kept"] + sum(excluded.values())
+        assert dataset["lines_skipped"] == sum(skipped.values())
+        # Each line lands under the cause it was made for, and every cause has one.
+        assert all(skipped.values()) and all(excluded.values())
+        assert dataset["lines_read"] == len(lines)
+        assert skipped == {cause: kinds.count(cause) for cause in SKIP_CAUSES}
+        assert excluded == {cause: kinds.count(cause) for cause in excluded}
+        assert set(excluded) == {"retweet", "empty_after_filtering"}
+        assert dataset["total_kept"] == kinds.count("kept") + 1
 
     def test_manifest_lexicon_lists_only_engines_scored(self, config_factory, tmp_path) -> None:
         assert main(["sentiment", "--config", config_factory(), "--engine", "swn"]) == 0

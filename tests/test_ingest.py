@@ -6,14 +6,19 @@ import csv
 import hashlib
 import json
 import random
-from datetime import timedelta, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from electionpulse._util import parse_timestamp
 from electionpulse.actors import match_actors
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
     SKIP_CAUSES,
+    _lookup,
+    _split_path,
     dataset_stats,
     export_records,
     parse_tweet_stream,
@@ -138,6 +143,41 @@ class TestParsing:
         assert records[0].id == "9"
         assert records[0].text == "obiano wins"
 
+    def test_field_map_alternatives(self) -> None:
+        def tweet(tweet_id, **fields):
+            stamp = "2017-11-18T12:00:00+01:00"
+            return json.dumps({"id_str": tweet_id, "created_at": stamp, **fields})
+
+        records, report = parse_tweet_stream(
+            [
+                tweet("1", a="first", b={"c": "second"}),
+                tweet("2", b={"c": "second"}),
+                tweet("3", a=None, b={"c": "second"}),
+                tweet("4", b="not an object"),
+                tweet("5", a="first"),
+            ],
+            field_map={"text": "a|b.c"},
+        )
+        assert [(record.id, record.text) for record in records] == [
+            ("1", "first"), ("2", "second"), ("3", "second"), ("5", "first"),
+        ]
+        assert report.skipped["missing_field"] == 1
+
+    @given(
+        st.recursive(
+            st.none() | st.integers() | st.text(max_size=3),
+            lambda children: st.dictionaries(st.sampled_from("abc"), children, max_size=3),
+            max_leaves=8,
+        ),
+        st.lists(
+            st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(".".join),
+            min_size=1,
+            max_size=3,
+        ).map("|".join),
+    )
+    def test_presplit_paths_resolve_like_the_path_string(self, payload, path) -> None:
+        assert _lookup(payload, _split_path(path)) == _oracle_lookup(payload, path)
+
     def test_missing_author_becomes_empty_string(self) -> None:
         records, _ = parse_tweet_stream([json.dumps(
             {"id_str": "7", "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": "hi there"}
@@ -180,6 +220,52 @@ class TestParsing:
     def test_non_path_source_has_no_digest(self) -> None:
         _, report = parse_tweet_stream([line()])
         assert report.sha256 is None
+
+
+def _oracle_lookup(obj, path: str):
+    """The field-path rule on the path string, split at every lookup."""
+    for alternative in path.split("|"):
+        value = obj
+        for key in alternative.split("."):
+            if isinstance(value, dict) and key in value:
+                value = value[key]
+            else:
+                value = None
+                break
+        if value is not None:
+            return value
+    return None
+
+
+def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped() -> None:
+    lines, expected = [], []
+    for sign in "+-":
+        for hours in range(100):
+            for minutes in range(100):
+                stamp = f"Sat Nov 18 09:31:00 {sign}{hours:02d}{minutes:02d} 2017"
+                delta = timedelta(hours=hours, minutes=minutes)
+                try:
+                    tz = timezone(-delta if sign == "-" else delta)
+                except ValueError:  # not strictly within a day
+                    tz = None
+                    with pytest.raises(ValueError):
+                        parse_timestamp(stamp)
+                else:
+                    parsed = parse_timestamp(stamp)
+                    assert parsed == datetime(2017, 11, 18, 9, 31, tzinfo=tz)
+                    assert (parsed.tzinfo, parsed.tzname()) == (tz, tz.tzname(None))
+                lines.append(line(id_str=stamp, created_at=stamp))
+                expected.append((stamp, tz))
+    # Through the parser, with every offset already seen once.
+    records, report = parse_tweet_stream(lines, tz=timezone.utc)
+    valid = [(stamp, tz) for stamp, tz in expected if tz is not None]
+    assert report.skipped == {
+        **dict.fromkeys(SKIP_CAUSES, 0), "bad_timestamp": len(expected) - len(valid)
+    }
+    assert [(record.id, record.created_at) for record in records] == [
+        (stamp, datetime(2017, 11, 18, 9, 31, tzinfo=tz).astimezone(timezone.utc))
+        for stamp, tz in valid
+    ]
 
 
 class TestDatasetStats:

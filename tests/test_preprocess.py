@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import unicodedata
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from electionpulse import preprocess as preprocess_module
 from electionpulse.ingest import TweetRecord, parse_tweet_stream, preprocess_records
 from electionpulse.sentiment import load_negators
 from electionpulse.preprocess import (
@@ -80,6 +82,71 @@ class TestTokenize:
 
     def test_empty_text(self) -> None:
         assert tokenize("") == []
+
+
+# The per-character rules that ``clean`` and ``tokenize`` replaced with
+# memos; the fast paths must give the same output on any text.
+def _oracle_clean(text: str) -> str:
+    text = preprocess_module._URL_RE.sub("", text)
+    text = preprocess_module._MENTION_RE.sub("", text)
+    text = text.replace("#", "")
+    kept = [
+        ch for ch in text
+        if ch.isspace() or unicodedata.category(ch)[0] in "LMNP"
+    ]
+    return " ".join("".join(kept).lower().split())
+
+
+def _oracle_strip_edge_punctuation(token: str) -> str:
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
+def _oracle_tokenize(text: str) -> list[str]:
+    return [token for token in map(_oracle_strip_edge_punctuation, text.split()) if token]
+
+
+@pytest.fixture()
+def fresh_memos(monkeypatch):
+    """Empty character memos for one test; the module's own come back after."""
+    kept = preprocess_module._KeptCodePoints()
+    punct = preprocess_module._Punctuation()
+    monkeypatch.setattr(preprocess_module, "_KEPT", kept)
+    monkeypatch.setattr(preprocess_module, "_PUNCT", punct)
+    return kept, punct
+
+
+class TestCharacterMemos:
+    def test_every_code_point_matches_the_per_character_rule(self, fresh_memos) -> None:
+        every = "".join(map(chr, range(0x110000)))
+        assert clean(every) == _oracle_clean(every)
+        # Spaced out, each character is its own token: none is hidden
+        # inside a URL or @mention, and each meets the edge rule.
+        spaced = " ".join(every)
+        cleaned = clean(spaced)
+        assert cleaned == _oracle_clean(spaced)
+        assert tokenize(cleaned) == _oracle_tokenize(cleaned)
+
+    def test_memos_fill_per_character_seen(self, fresh_memos) -> None:
+        kept, punct = fresh_memos
+        assert tokenize(clean("Vote, now✔")) == ["vote", "now"]
+        assert set(kept) == {ord(ch) for ch in "Vote, now✔"}
+        # Each token's edges, plus "e", where the strip stops inside "vote,".
+        assert set(punct) == {"v", ",", "e", "n", "w"}
+
+    @settings(max_examples=300)
+    @given(st.text(max_size=80))
+    def test_text_tokens_match_the_per_character_rule(self, text: str) -> None:
+        assert text_tokens(text) == _oracle_tokenize(_oracle_clean(text))
+
+    @given(st.lists(st.text(alphabet=st.characters(), min_size=1, max_size=6), max_size=8))
+    def test_tokenize_matches_the_edge_rule(self, words) -> None:
+        text = " ".join(words)
+        assert tokenize(text) == _oracle_tokenize(text)
 
 
 class TestStem:

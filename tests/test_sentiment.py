@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
+from functools import reduce
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electionpulse._util import ConsistencyError
+from electionpulse._util import ConsistencyError, float_sum
 from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
@@ -646,3 +648,14 @@ class TestCompare:
                     "swn": [SentimentScore(0.5, 0.0)],
                 }
             )
+
+
+def test_float_sum_rounds_left_to_right_on_every_python() -> None:
+    # A compensated sum (``sum()`` from Python 3.12 on) gives exactly 1.0.
+    assert float_sum([0.1] * 10) == 0.9999999999999999
+    assert float_sum([]) == 0.0
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+def test_float_sum_is_a_left_fold(values) -> None:
+    assert float_sum(values) == reduce(operator.add, values, 0.0)
