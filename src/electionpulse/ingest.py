@@ -270,18 +270,10 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
     """Write one CSV row per kept tweet: id, timestamp, bucket, tokens,
     then a true/false column per configured actor, read from ``tweet.actors``."""
     ids = [actor.id for actor in actors]
-    # Flag columns per matched set; ``preprocess_records`` interns equal
-    # sets, so there are few distinct ones.
-    flags: dict[frozenset[str], list[str]] = {}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
         for tweet in records:
-            columns = flags.get(tweet.actors)
-            if columns is None:
-                columns = flags[tweet.actors] = [
-                    "true" if actor_id in tweet.actors else "false" for actor_id in ids
-                ]
             writer.writerow(
                 [
                     tweet.record.id,
@@ -289,5 +281,5 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
                     bucket_label(tweet.record.created_at),
                     " ".join(tweet.tokens),
                 ]
-                + columns
+                + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
             )

@@ -57,7 +57,8 @@ def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) ->
 # The swn scorer as it was before the lexicon computed each lemma's
 # weighted pair at load time and one pass gave both scores: the per-call
 # weighting over the senses, then one pass per score. The real path must
-# agree with it bit for bit.
+# agree with it bit for bit. The means fold left to right themselves:
+# ``sum()`` compensates float rounding from Python 3.12 on.
 def oracle_word_sentiment(lexicon, lemma: str) -> tuple[float, float] | None:
     senses = lexicon.senses(lemma)
     if not senses:
@@ -81,7 +82,7 @@ def swn_polarity(tokens, lexicon) -> float:
             values.append(scores[0] - scores[1])
     if not values:
         return 0.0
-    return max(-1.0, min(1.0, sum(values) / len(values)))
+    return max(-1.0, min(1.0, reduce(operator.add, values, 0.0) / len(values)))
 
 
 def swn_subjectivity(tokens, lexicon) -> float:
@@ -92,7 +93,7 @@ def swn_subjectivity(tokens, lexicon) -> float:
             values.append(scores[0] + scores[1])
     if not values:
         return 0.0
-    return max(0.0, min(1.0, sum(values) / len(values)))
+    return max(0.0, min(1.0, reduce(operator.add, values, 0.0) / len(values)))
 
 
 def swn_score(tokens, lexicon) -> SentimentScore:
