@@ -31,6 +31,15 @@ GOLDEN = {
     },
 }
 
+# ``all --engine swn``: the artifacts that carry the chosen engine's scores
+# differ from ``GOLDEN["all"]``; the other five are the same bytes.
+SWN_ALL = {
+    **GOLDEN["all"],
+    "counts.json": "f943505bc92b3d48a5f843ad4d8a382729cd232c0e644e02538d6918e4313481",
+    "scores.csv": "ac6ccaf6cbdc0213bdb0898d18bf37f8d1397c2ad70264afaf400a2e94148f2f",
+    "timeseries.csv": "f9681ca3fa6b3961291f5cfb227f16760f48f278807ceb0114b9a5a5d347346e",
+}
+
 
 # Each single-artifact subcommand writes the same bytes as ``all`` does.
 SINGLE = {
@@ -57,6 +66,11 @@ def _digests(out_dir: Path) -> dict[str, str]:
 def test_artifact_digests_match_golden(subcommand, config_factory, tmp_path) -> None:
     assert main([subcommand, "--config", config_factory()]) == 0
     assert _digests(tmp_path / "out") == GOLDEN[subcommand]
+
+
+def test_swn_engine_digests_match_golden(config_factory, tmp_path) -> None:
+    assert main(["all", "--config", config_factory(), "--engine", "swn"]) == 0
+    assert _digests(tmp_path / "out") == SWN_ALL
 
 
 @pytest.mark.parametrize("subcommand", sorted(SINGLE))
