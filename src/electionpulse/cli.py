@@ -96,7 +96,7 @@ def _load(state: _RunState) -> int:
         raise ValueError(f"pattern lexicon {config.pattern_lexicon_path} has no entry")
     state.negators = load_negators(config.negators_path)
     senses = state.sense_lexicon = load_sense_lexicon(config.sense_lexicon_path)
-    if not senses.entries:
+    if not senses.word_scores:
         raise ValueError(
             f"sense lexicon {config.sense_lexicon_path} has no usable entry: "
             f"{senses.rows_rejected} of {senses.rows_read} rows rejected"

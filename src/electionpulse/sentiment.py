@@ -7,9 +7,11 @@ Two lexicon engines share one scoring contract:
   that flips a matched word's polarity sign and halves its magnitude.
 - ``swn``: a SentiWordNet-3.0-format sense lexicon; per-word positive and
   negative scores are rank-weighted averages over senses (weight
-  1/sense_rank), computed once per lemma when the lexicon loads; polarity
-  is the mean of (pos - neg) over matched tokens, and subjectivity is 1
-  minus the mean objectivity of matched tokens, both from one pass.
+  1/sense_rank). The loader folds each valid row into its lemmas'
+  weighted sums as it reads, so the lexicon is one (pos, neg) pair per
+  lemma and keeps no per-sense record; polarity is the mean of
+  (pos - neg) over matched tokens, and subjectivity is 1 minus the mean
+  objectivity of matched tokens, both from one pass.
 
 ``score_all`` scores a tweet population with one engine and counts the
 engine's lexicon coverage on the same pass; ``compare_classifiers`` turns
@@ -42,7 +44,6 @@ NEGATIVE = "negative"
 SUBJECTIVE = "subjective"
 OBJECTIVE = "objective"
 
-_SUM_TOLERANCE = 1e-6
 _POS_TAGS = frozenset("navr")
 
 
@@ -54,43 +55,18 @@ class SentimentScore(NamedTuple):
     subjectivity: float
 
 
-class SenseEntry(NamedTuple):
-    """One sense of one lemma; Pos + Neg + Obj = 1 within 1e-6."""
-
-    lemma: str
-    pos_tag: str
-    sense_rank: int
-    pos_score: float
-    neg_score: float
-    obj_score: float
-
-
 class PatternEntry(NamedTuple):
     polarity: float
     subjectivity: float
 
 
-class SenseLexicon:
-    """Sense entries in file order and by lemma, each lemma's rank-weighted
-    (pos, neg) for ``swn_word_sentiment`` to look up, and the loader's row
-    counts."""
+class SenseLexicon(NamedTuple):
+    """Each lemma's rank-weighted (pos, neg) over all its senses, for
+    ``swn_word_sentiment`` to look up, and the loader's row counts."""
 
-    def __init__(
-        self,
-        entries: list[SenseEntry],
-        by_lemma: dict[str, list[SenseEntry]],
-        word_scores: dict[str, tuple[float, float]],
-        rows_read: int,
-        rows_rejected: int,
-    ) -> None:
-        self.entries = entries
-        self._by_lemma = by_lemma
-        self._word_scores = word_scores
-        self.rows_read = rows_read
-        self.rows_rejected = rows_rejected
-
-    def senses(self, lemma: str) -> list[SenseEntry]:
-        return self._by_lemma.get(lemma.lower(), [])
+    word_scores: dict[str, tuple[float, float]]
+    rows_read: int
+    rows_rejected: int
 
 
 def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
@@ -99,11 +75,11 @@ def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
     Columns: pos tag, synset id, PosScore, NegScore, space-separated
     "lemma#rank" terms, gloss. Obj is derived as 1 - Pos - Neg. A row
     whose pos tag is not one of n, v, a, r, whose rank is below 1, whose
-    scores leave [0, 1] or break the sum-to-1 invariant, or that is
-    otherwise malformed, is rejected whole and counted; loading never
-    aborts on a bad row. Each lemma's rank-weighted (pos, neg) over all
-    its senses, each weighted 1/sense_rank and normalized by the total
-    weight, is computed here, once.
+    Pos, Neg or Obj leaves [0, 1], or that is otherwise malformed, is
+    rejected whole and counted; loading never aborts on a bad row. Each
+    valid row's terms are folded, in file order, into their lemma's
+    weighted sums (weight 1/sense_rank); each lemma's (pos, neg) is its
+    sums divided by its total weight.
     """
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
@@ -112,7 +88,8 @@ def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
 
 
 def _parse_sense_rows(lines: Iterable[str]) -> SenseLexicon:
-    entries: list[SenseEntry] = []
+    # lemma -> (total weight, weighted pos, weighted neg)
+    sums: dict[str, tuple[float, float, float]] = {}
     rows_read = 0
     rejected = 0
     for raw in lines:
@@ -129,44 +106,30 @@ def _parse_sense_rows(lines: Iterable[str]) -> SenseLexicon:
                 raise ValueError(f"pos_tag {pos_tag!r} not one of n, v, a, r")
             pos_score = float(parts[2])
             neg_score = float(parts[3])
-            obj_score = 1.0 - pos_score - neg_score
-            for score in (pos_score, neg_score, obj_score):
+            for score in (pos_score, neg_score, 1.0 - pos_score - neg_score):
                 if not 0.0 <= score <= 1.0:
                     raise ValueError(f"score {score} outside [0, 1]")
-            total = pos_score + neg_score + obj_score
-            if abs(total - 1.0) > _SUM_TOLERANCE:
-                raise ValueError(f"scores sum to {total}, not 1")
             terms = parts[4].split()
             if not terms:
                 raise ValueError("no terms")
-            row_entries = []
+            senses = []
             for term in terms:
                 lemma, _, rank = term.rpartition("#")
                 sense_rank = int(rank)
                 if sense_rank < 1:
                     raise ValueError(f"sense_rank {sense_rank} must be positive")
-                row_entries.append(
-                    SenseEntry(lemma.lower(), pos_tag, sense_rank, pos_score, neg_score, obj_score)
-                )
+                senses.append((lemma.lower(), 1.0 / sense_rank))
         except ValueError:
             rejected += 1
             continue
-        entries.extend(row_entries)
-    by_lemma: dict[str, list[SenseEntry]] = defaultdict(list)
-    for entry in entries:
-        by_lemma[entry.lemma].append(entry)
-    word_scores: dict[str, tuple[float, float]] = {}
-    for lemma, senses in by_lemma.items():
-        total_weight = 0.0
-        pos = 0.0
-        neg = 0.0
-        for sense in senses:
-            weight = 1.0 / sense.sense_rank
-            total_weight += weight
-            pos += sense.pos_score * weight
-            neg += sense.neg_score * weight
-        word_scores[lemma] = (pos / total_weight, neg / total_weight)
-    return SenseLexicon(entries, by_lemma, word_scores, rows_read, rejected)
+        for lemma, weight in senses:
+            total_weight, pos, neg = sums.get(lemma, (0.0, 0.0, 0.0))
+            sums[lemma] = (total_weight + weight, pos + pos_score * weight, neg + neg_score * weight)
+    word_scores = {
+        lemma: (pos / total_weight, neg / total_weight)
+        for lemma, (total_weight, pos, neg) in sums.items()
+    }
+    return SenseLexicon(word_scores, rows_read, rejected)
 
 
 def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float] | None:
@@ -176,7 +139,7 @@ def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float]
     1/sense_rank and the result is normalized by the total weight. The
     pair was computed when the lexicon loaded.
     """
-    return lexicon._word_scores.get(lemma.lower())
+    return lexicon.word_scores.get(lemma.lower())
 
 
 def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[float], list[float]]:

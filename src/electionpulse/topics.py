@@ -3,13 +3,13 @@
 The sampler is deliberately plain Python over integer count lists: every
 quantity the model exposes (phi and theta) is an
 exact function of those counts, and a fixed seed makes the whole fit
-bit-reproducible. The sweeps keep the word-topic counts word-major, so a
-token-sample reads one row, and cache each topic's denominator
-``topic_total + beta * V``, recomputing the two a move changes; each float
-is the expression the formula names, so the fit is bit-identical to the
-plain topic-major loop. The model's topic-major ``topic_word_counts`` is
-built from the working counts after the last sweep and before each sweep
-hook. One final sample is taken; there is no averaging over sweeps.
+bit-reproducible. The word-topic counts are word-major, so a token-sample
+reads one row, and the model holds that same table as
+``word_topic_counts``; ``phi`` reads one column of it. The sweeps cache
+each topic's denominator ``topic_total + beta * V``, recomputing the two a
+move changes; each float is the expression the formula names, so the fit
+is bit-identical to the plain topic-major loop. One final sample is taken;
+there is no averaging over sweeps.
 ``topic_report`` returns the ``topics`` list of ``topics.json`` as plain
 dicts.
 """
@@ -60,13 +60,15 @@ def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
 
 
 class TopicModel(NamedTuple):
-    """Fitted sampler state: counts, assignments and hyperparameters."""
+    """Fitted sampler state: counts, assignments and hyperparameters.
+    ``word_topic_counts`` is word-major: one row per vocabulary word, one
+    count per topic."""
 
     k: int
     alpha: float
     beta: float
     vocabulary: list[str]
-    topic_word_counts: list[list[int]]
+    word_topic_counts: list[list[int]]
     doc_topic_counts: list[list[int]]
     topic_totals: list[int]
     assignments: list[list[int]]
@@ -75,9 +77,8 @@ class TopicModel(NamedTuple):
 
     def phi(self, topic: int) -> list[float]:
         """Smoothed word distribution of one topic; sums to 1."""
-        counts = self.topic_word_counts[topic]
         denominator = self.topic_totals[topic] + self.beta * len(self.vocabulary)
-        return [(count + self.beta) / denominator for count in counts]
+        return [(row[topic] + self.beta) / denominator for row in self.word_topic_counts]
 
     def theta(self, doc: int) -> list[float]:
         """Smoothed topic mixture of one document; sums to 1."""
@@ -99,10 +100,10 @@ def lda_fit(
 
     Each sweep resamples every token's topic from
     p(z = t) proportional to (doc_topic[d][t] + alpha)
-    * (topic_word[t][w] + beta) / (topic_total[t] + beta * V)
+    * (word_topic[w][t] + beta) / (topic_total[t] + beta * V)
     with the token's own assignment removed from the counts first.
-    sweep_hook, when given, observes the model after each sweep, with
-    topic_word_counts built for that sweep (it must not mutate the counts).
+    sweep_hook, when given, observes the model after each sweep: the
+    sampler's live counts, which it must not mutate.
     Identical inputs and seed give identical output.
     """
     if k < 1:
@@ -120,7 +121,7 @@ def lda_fit(
         )
     rng = random.Random(seed)
     docs = corpus.docs
-    # Working counts are word-major: one token-sample reads one row.
+    # Word-major: one token-sample reads one row.
     word_topic = [[0] * k for _ in range(vocab_size)]
     doc_topic_counts = [[0] * k for _ in range(len(docs))]
     topic_totals = [0] * k
@@ -139,7 +140,7 @@ def lda_fit(
         alpha=alpha,
         beta=beta,
         vocabulary=list(corpus.vocabulary),
-        topic_word_counts=[],
+        word_topic_counts=word_topic,
         doc_topic_counts=doc_topic_counts,
         topic_totals=topic_totals,
         assignments=assignments,
@@ -178,13 +179,8 @@ def lda_fit(
                 denominators[new] = topic_totals[new] + beta_v
                 i += 1
         if sweep_hook is not None:
-            sweep_hook(sweep, model._replace(topic_word_counts=_topic_major(word_topic, k)))
-    return model._replace(topic_word_counts=_topic_major(word_topic, k))
-
-
-def _topic_major(word_topic: list[list[int]], k: int) -> list[list[int]]:
-    """The topic-major ``topic_word_counts`` table of word-major counts."""
-    return [[row[t] for row in word_topic] for t in range(k)]
+            sweep_hook(sweep, model)
+    return model
 
 
 def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:

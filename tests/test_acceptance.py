@@ -40,6 +40,7 @@ from electionpulse.sentiment import (
     polarity_class,
     score_all,
     subjectivity_class,
+    swn_word_sentiment,
 )
 from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
@@ -123,15 +124,14 @@ def test_02_sense_lexicon_at_scale(fixtures_dir) -> None:
         lexicon = load_sense_lexicon(lines)
         assert lexicon.rows_read == 10_020
         assert lexicon.rows_rejected == 20
-        assert len(lexicon.entries) == 10_000
-        for entry in lexicon.entries:
-            total = entry.pos_score + entry.neg_score + entry.obj_score
-            assert abs(total - 1.0) <= 1e-6
+        # One rank-1 sense per good row: each lemma's pair is its row's scores.
+        assert lexicon.word_scores == {
+            f"w{i}": ((i % 5) * 0.125, ((i // 5) % 4) * 0.125) for i in range(10_000)
+        }
 
         bundled = load_sense_lexicon(str(fixtures_dir / "sense_lexicon.tsv"))
-        ranked = {s.sense_rank: s for s in bundled.senses("estimable")}
-        assert (ranked[1].pos_score, ranked[1].neg_score, ranked[1].obj_score) == (0.75, 0.0, 0.25)
-        assert (ranked[3].pos_score, ranked[3].neg_score, ranked[3].obj_score) == (0.0, 0.0, 1.0)
+        # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
+        assert swn_word_sentiment(bundled, "estimable") == (0.5625, 0.0)
 
 
 def test_03_nbc_brute_force_equivalence(fixtures_dir) -> None:
@@ -345,7 +345,7 @@ def test_07_lda_planted_recovery() -> None:
 
         again = lda_fit(corpus, k=2, alpha=0.1, beta=0.01, iterations=500, seed=13)
         assert again.assignments == model.assignments
-        assert again.topic_word_counts == model.topic_word_counts
+        assert again.word_topic_counts == model.word_topic_counts
         assert again.doc_topic_counts == model.doc_topic_counts
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import operator
+from collections import defaultdict
 from functools import reduce
 from itertools import permutations
 
@@ -54,30 +55,56 @@ def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) ->
     return f"{pos_tag}\t{synset}\t{pos}\t{neg}\t{terms}\tgloss text"
 
 
-# The swn scorer as it was before the lexicon computed each lemma's
-# weighted pair at load time and one pass gave both scores: the per-call
-# weighting over the senses, then one pass per score. The real path must
+# The swn scorer as it was before the lexicon folded each lemma's weighted
+# pair at load time and one pass gave both scores: the rows read into
+# per-lemma sense lists, the per-call weighting over the senses, then one
+# pass per score. It shares no code with the loader; the real path must
 # agree with it bit for bit. The means fold left to right themselves:
 # ``sum()`` compensates float rounding from Python 3.12 on.
-def oracle_word_sentiment(lexicon, lemma: str) -> tuple[float, float] | None:
-    senses = lexicon.senses(lemma)
-    if not senses:
+def oracle_senses(lines) -> dict[str, list[tuple[int, float, float]]]:
+    """Each lowercased lemma's (rank, pos, neg) senses in file order, from
+    the rows that keep every rule of the format."""
+    senses = defaultdict(list)
+    for line in lines:
+        fields = line.rstrip("\n").split("\t")
+        if not line.strip() or line.lstrip().startswith("#") or len(fields) < 5:
+            continue
+        try:
+            pos, neg = float(fields[2]), float(fields[3])
+            terms = [term.rpartition("#") for term in fields[4].split()]
+            ranks = [int(rank) for _, _, rank in terms]
+        except ValueError:
+            continue
+        if (
+            fields[0].strip() in ("n", "v", "a", "r")
+            and all(0.0 <= score <= 1.0 for score in (pos, neg, 1.0 - pos - neg))
+            and terms
+            and min(ranks) >= 1
+        ):
+            for (lemma, _, _), rank in zip(terms, ranks):
+                senses[lemma.lower()].append((rank, pos, neg))
+    return senses
+
+
+def oracle_word_sentiment(senses, lemma: str) -> tuple[float, float] | None:
+    lemma_senses = senses.get(lemma.lower())
+    if not lemma_senses:
         return None
     total_weight = 0.0
     pos = 0.0
     neg = 0.0
-    for sense in senses:
-        weight = 1.0 / sense.sense_rank
+    for rank, pos_score, neg_score in lemma_senses:
+        weight = 1.0 / rank
         total_weight += weight
-        pos += sense.pos_score * weight
-        neg += sense.neg_score * weight
+        pos += pos_score * weight
+        neg += neg_score * weight
     return pos / total_weight, neg / total_weight
 
 
-def swn_polarity(tokens, lexicon) -> float:
+def swn_polarity(tokens, senses) -> float:
     values = []
     for token in tokens:
-        scores = oracle_word_sentiment(lexicon, token)
+        scores = oracle_word_sentiment(senses, token)
         if scores is not None:
             values.append(scores[0] - scores[1])
     if not values:
@@ -85,10 +112,10 @@ def swn_polarity(tokens, lexicon) -> float:
     return max(-1.0, min(1.0, reduce(operator.add, values, 0.0) / len(values)))
 
 
-def swn_subjectivity(tokens, lexicon) -> float:
+def swn_subjectivity(tokens, senses) -> float:
     values = []
     for token in tokens:
-        scores = oracle_word_sentiment(lexicon, token)
+        scores = oracle_word_sentiment(senses, token)
         if scores is not None:
             values.append(scores[0] + scores[1])
     if not values:
@@ -96,9 +123,9 @@ def swn_subjectivity(tokens, lexicon) -> float:
     return max(0.0, min(1.0, reduce(operator.add, values, 0.0) / len(values)))
 
 
-def swn_score(tokens, lexicon) -> SentimentScore:
+def swn_score(tokens, senses) -> SentimentScore:
     """The oracle's score: polarity and subjectivity, one pass each."""
-    return SentimentScore(swn_polarity(tokens, lexicon), swn_subjectivity(tokens, lexicon))
+    return SentimentScore(swn_polarity(tokens, senses), swn_subjectivity(tokens, senses))
 
 
 RANGE_WORDS = ("fine", "awful", "mixed", "plain", "never")
@@ -147,10 +174,9 @@ class TestScoreTypes:
                 for index, (tag, pos, neg, terms) in enumerate(sense_rows)
             ]
         )
+        assert senses.rows_read == len(sense_rows)
         assert all(
-            0.0 <= score <= 1.0
-            for entry in senses.entries
-            for score in (entry.pos_score, entry.neg_score, entry.obj_score)
+            0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0 for pos, neg in senses.word_scores.values()
         )
         tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
         for engine in ENGINES:
@@ -166,12 +192,12 @@ class TestScoreTypes:
                 -1.0 <= s.polarity <= 1.0 and 0.0 <= s.subjectivity <= 1.0 for s in scored.scores
             )
 
-    # SenseEntry is a plain record; the sense-lexicon loader holds its
-    # invariants and rejects, whole, a row that breaks one.
+    # The sense-lexicon loader holds the row invariants and rejects, whole,
+    # a row that breaks one: Pos 0.9 and Neg 0.3 leave Obj at -0.2.
     def test_sense_entry_sum_invariant(self) -> None:
         lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.9, 0.3, "word#1")])
         assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
-        assert lexicon.entries == []
+        assert lexicon.word_scores == {}
 
     def test_sense_entry_tag_and_rank(self) -> None:
         for line in (
@@ -180,19 +206,19 @@ class TestScoreTypes:
         ):
             lexicon = load_sense_lexicon([line])
             assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
-            assert lexicon.senses("word") == []
+            assert swn_word_sentiment(lexicon, "word") is None
 
 
 class TestSenseLexicon:
     def test_fixture_loads_cleanly(self, sense_lexicon) -> None:
         assert sense_lexicon.rows_read == 50
         assert sense_lexicon.rows_rejected == 0
-        assert len(sense_lexicon.entries) == 52  # multi-term rows fan out
+        assert len(sense_lexicon.word_scores) == 47  # 52 senses: multi-term rows fan out
 
     def test_estimable_rows_are_exact(self, sense_lexicon) -> None:
-        senses = {s.sense_rank: s for s in sense_lexicon.senses("estimable")}
-        assert (senses[1].pos_score, senses[1].neg_score, senses[1].obj_score) == (0.75, 0.0, 0.25)
-        assert (senses[3].pos_score, senses[3].neg_score, senses[3].obj_score) == (0.0, 0.0, 1.0)
+        # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
+        assert swn_word_sentiment(sense_lexicon, "estimable") == (0.75 / (1 + 1 / 3), 0.0)
+        assert swn_word_sentiment(sense_lexicon, "estimable") == (0.5625, 0.0)
 
     def test_bad_rows_are_counted_not_fatal(self) -> None:
         lines = [
@@ -208,20 +234,23 @@ class TestSenseLexicon:
         lexicon = load_sense_lexicon(lines)
         assert lexicon.rows_read == 7
         assert lexicon.rows_rejected == 5
-        assert lexicon.senses("fine") and lexicon.senses("plain")
         for lemma in ("broken", "bad", "tagged", "ranked"):
-            assert lexicon.senses(lemma) == []
             assert swn_word_sentiment(lexicon, lemma) is None
-        assert [entry.lemma for entry in lexicon.entries] == ["fine", "plain"]
+        assert lexicon.word_scores == {"fine": (0.5, 0.25), "plain": (0.0, 0.0)}
 
     def test_multi_term_row_fans_out(self) -> None:
-        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.5, 0.0, "happy#1 glad#2")])
-        assert len(lexicon.senses("happy")) == 1
-        assert lexicon.senses("glad")[0].sense_rank == 2
+        lexicon = load_sense_lexicon([
+            sense_line("a", "00000001", 0.5, 0.0, "happy#1 glad#2"),
+            sense_line("a", "00000002", 0.0, 0.5, "glad#1"),
+        ])
+        assert swn_word_sentiment(lexicon, "happy") == (0.5, 0.0)
+        # glad#2 weighs 1/2 and glad#1 weighs 1.
+        assert swn_word_sentiment(lexicon, "glad") == (0.25 / 1.5, 0.5 / 1.5)
 
     def test_lookup_is_case_insensitive(self) -> None:
-        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.5, 0.0, "happy#1")])
-        assert lexicon.senses("HAPPY")[0].pos_score == 0.5
+        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.5, 0.0, "Happy#1")])
+        assert lexicon.word_scores == {"happy": (0.5, 0.0)}
+        assert swn_word_sentiment(lexicon, "HAPPY") == (0.5, 0.0)
 
 
 SWN_LEMMAS = ("fine", "awful", "mixed", "good", "plain")
@@ -303,19 +332,27 @@ class TestSwnScoring:
             joined = " ".join(f"{lemma}#{rank}" for lemma, rank in terms)
             lines.append(sense_line(tag, f"{index:08d}", pos, neg, joined))
         lexicon = load_sense_lexicon(lines)
+        senses = oracle_senses(lines)
         for lemma in SWN_LEMMAS + ("zzz", "FINE"):
-            assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(lexicon, lemma)
+            assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(senses, lemma)
+        assert lexicon.word_scores.keys() == senses.keys()
         tweet = kept_tweet("t1", tokens)
         scored = score_all([tweet], "swn", sense_lexicon=lexicon)
-        assert scored.scores == [swn_score(tokens, lexicon)]
+        assert scored.scores == [swn_score(tokens, senses)]
 
-    def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon) -> None:
+    def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon, fixtures_dir) -> None:
+        with open(fixtures_dir / "sense_lexicon.tsv", encoding="utf-8") as handle:
+            senses = oracle_senses(handle)
+        assert sum(map(len, senses.values())) == 52
+        assert sense_lexicon.word_scores == {
+            lemma: oracle_word_sentiment(senses, lemma) for lemma in senses
+        }
         scored = score_all(kept, "swn", sense_lexicon=sense_lexicon)
         assert [s.polarity for s in scored.scores] == [
-            swn_polarity(t.tokens, sense_lexicon) for t in kept
+            swn_polarity(t.tokens, senses) for t in kept
         ]
         assert [s.subjectivity for s in scored.scores] == [
-            swn_subjectivity(t.tokens, sense_lexicon) for t in kept
+            swn_subjectivity(t.tokens, senses) for t in kept
         ]
 
 

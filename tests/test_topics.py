@@ -43,9 +43,11 @@ def check_invariants(model: TopicModel) -> None:
         assert sum(row) == model.doc_lengths[d], f"doc {d} counts do not sum to its length"
     token_total = sum(model.doc_lengths)
     assert sum(model.topic_totals) == token_total, "topic totals do not cover all tokens"
-    for t, row in enumerate(model.topic_word_counts):
-        assert all(c >= 0 for c in row), f"negative topic-word count in topic {t}"
-        assert sum(row) == model.topic_totals[t], f"topic {t} word counts do not match its total"
+    assert len(model.word_topic_counts) == len(model.vocabulary), "one count row per word"
+    for t in range(model.k):
+        column = [row[t] for row in model.word_topic_counts]
+        assert all(c >= 0 for c in column), f"negative topic-word count in topic {t}"
+        assert sum(column) == model.topic_totals[t], f"topic {t} word counts do not match its total"
         assert abs(sum(model.phi(t)) - 1.0) <= 1e-9, f"phi({t}) does not sum to 1"
     for d in range(len(model.doc_topic_counts)):
         assert abs(sum(model.theta(d)) - 1.0) <= 1e-9, f"theta({d}) does not sum to 1"
@@ -141,7 +143,7 @@ class TestDeterminism:
         first = lda_fit(corpus, k=2, iterations=40, seed=5)
         second = lda_fit(corpus, k=2, iterations=40, seed=5)
         assert first.assignments == second.assignments
-        assert first.topic_word_counts == second.topic_word_counts
+        assert first.word_topic_counts == second.word_topic_counts
         assert first.doc_topic_counts == second.doc_topic_counts
 
     def test_different_seed_differs(self) -> None:
@@ -152,10 +154,10 @@ class TestDeterminism:
 
 
 def state_digest(model: TopicModel) -> str:
-    """sha256 of the sampler state: assignments and both count tables."""
-    payload = json.dumps(
-        [model.assignments, model.topic_word_counts, model.doc_topic_counts]
-    )
+    """sha256 of the sampler state: assignments and both count tables, the
+    word-topic one transposed to topic-major as the digests were taken."""
+    topic_word_counts = [[row[t] for row in model.word_topic_counts] for t in range(model.k)]
+    payload = json.dumps([model.assignments, topic_word_counts, model.doc_topic_counts])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -213,7 +215,7 @@ class TestTheta:
             alpha=0.1,
             beta=0.01,
             vocabulary=["w"],
-            topic_word_counts=[[0], [0], [10], [0], [0]],
+            word_topic_counts=[[0, 0, 10, 0, 0]],
             doc_topic_counts=[[0, 0, 10, 0, 0]],
             topic_totals=[0, 0, 10, 0, 0],
             assignments=[[2] * 10],
