@@ -203,6 +203,7 @@ class TestScoreTypes:
         for line in (
             sense_line("x", "00000001", 0.5, 0.0, "word#1"),
             sense_line("a", "00000001", 0.5, 0.0, "word#0"),
+            sense_line("a", "00000001", 0.5, 0.0, "word#1 other#0"),  # rejected whole
         ):
             lexicon = load_sense_lexicon([line])
             assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
@@ -217,7 +218,6 @@ class TestSenseLexicon:
 
     def test_estimable_rows_are_exact(self, sense_lexicon) -> None:
         # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
-        assert swn_word_sentiment(sense_lexicon, "estimable") == (0.75 / (1 + 1 / 3), 0.0)
         assert swn_word_sentiment(sense_lexicon, "estimable") == (0.5625, 0.0)
 
     def test_bad_rows_are_counted_not_fatal(self) -> None:
@@ -314,7 +314,7 @@ class TestSwnScoring:
                 st.integers(0, 1000),
                 st.integers(0, 1000),
                 st.lists(
-                    st.tuples(st.sampled_from(SWN_LEMMAS), st.integers(1, 12)),
+                    st.tuples(st.sampled_from(SWN_LEMMAS), st.integers(0, 12)),
                     min_size=1,
                     max_size=3,
                 ),
@@ -327,7 +327,8 @@ class TestSwnScoring:
         lines = []
         for index, (tag, pos_milli, neg_milli, terms) in enumerate(rows):
             # Thousandths with pos + neg <= 1; a row that float rounding still
-            # rejects is absent from the real path and the oracle alike.
+            # rejects, or with a rank-0 term, is absent from the real path and
+            # the oracle alike.
             pos, neg = pos_milli / 1000, min(neg_milli, 1000 - pos_milli) / 1000
             joined = " ".join(f"{lemma}#{rank}" for lemma, rank in terms)
             lines.append(sense_line(tag, f"{index:08d}", pos, neg, joined))
