@@ -4,7 +4,8 @@ Actors come in three kinds: candidates, parties, and candidate+party
 combinations. Candidates and parties match when one of their alias
 phrases appears contiguously in the cleaned, unstemmed token stream of a
 tweet (stems mangle proper names, so matching never runs on stems). A
-combined actor matches exactly when both of its components match.
+combined actor has no aliases of its own: it matches exactly when both of
+its components match.
 
 A run matches each raw record once, on the surface tokens it shares with
 preprocessing (``ingest.preprocess_records``). Each kept tweet carries its
@@ -53,8 +54,6 @@ class ActorSet:
         # tokens), so matching checks only the phrases a tweet's token starts.
         self._by_first_token: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for actor in self.actors:
-            if actor.kind == "combined":
-                continue
             for alias in actor.aliases:
                 words = alias.split()
                 if words:
@@ -110,7 +109,12 @@ class ActorSet:
         for actor in self.actors:
             if actor.kind not in KINDS:
                 problems.append(f"actor {actor.id!r} has unknown kind {actor.kind!r}")
-            if not actor.aliases:
+            if actor.kind == "combined" and actor.aliases:
+                problems.append(
+                    f"combined actor {actor.id!r} cannot have aliases; "
+                    "it matches when both components match"
+                )
+            elif actor.kind != "combined" and not actor.aliases:
                 problems.append(f"actor {actor.id!r} has no aliases")
             for alias in actor.aliases:
                 if alias != alias.lower():
@@ -143,52 +147,26 @@ class ActorSet:
 
 
 def load_actor_file(path: str) -> ActorSet:
-    """Read an INI actor file: one section per actor id, keys ``kind``,
-    ``aliases`` (comma-separated) and, for combined actors, ``components``.
-
-    A combined actor without an explicit alias list inherits the union of
-    its components' aliases.
-    """
+    """Read an INI actor file: one section per actor id, keys ``kind`` and,
+    for candidates and parties, ``aliases`` (comma-separated) or, for
+    combined actors, ``components``."""
     parser = configparser.ConfigParser(interpolation=None)
     with open(path, encoding="utf-8") as handle:
         parser.read_file(handle)
-    raw: list[dict] = []
-    for section in parser.sections():
-        entry = {
-            "id": section.strip(),
-            "kind": parser.get(section, "kind", fallback="").strip(),
-            "aliases": [
-                alias.strip().lower()
-                for alias in parser.get(section, "aliases", fallback="").split(",")
-                if alias.strip()
-            ],
-            "components": [
-                ref.strip()
-                for ref in parser.get(section, "components", fallback="").split(",")
-                if ref.strip()
-            ],
-        }
-        raw.append(entry)
-    by_id = {entry["id"]: entry for entry in raw}
     actors = []
-    for entry in raw:
-        aliases = list(entry["aliases"])
-        components = None
-        if entry["kind"] == "combined" and entry["components"]:
-            components = tuple(entry["components"])
-            if len(components) == 2 and not aliases:
-                derived: list[str] = []
-                for ref in components:
-                    derived.extend(by_id.get(ref, {}).get("aliases", []))
-                aliases = sorted(set(derived))
-        actors.append(
-            Actor(
-                id=entry["id"],
-                kind=entry["kind"],
-                aliases=tuple(aliases),
-                components=components,
-            )
+    for section in parser.sections():
+        kind = parser.get(section, "kind", fallback="").strip()
+        aliases = tuple(
+            alias.strip().lower()
+            for alias in parser.get(section, "aliases", fallback="").split(",")
+            if alias.strip()
         )
+        components = tuple(
+            ref.strip()
+            for ref in parser.get(section, "components", fallback="").split(",")
+            if ref.strip()
+        )
+        actors.append(Actor(section.strip(), kind, aliases, components or None))
     return ActorSet(actors)
 
 

@@ -84,9 +84,8 @@ def avg_sentiment_series(
     scores: Sequence[SentimentScore],
     actors: ActorSet,
     scope: Sequence[str],
-    scale: float = 100.0,
 ) -> dict[str, dict[str, SeriesCell | None]]:
-    """Mean polarity (scaled) and subjectivity per scope actor per bucket.
+    """Mean polarity times 100 and mean subjectivity per scope actor per bucket.
 
     Only sole mentions count: a tweet contributes to exactly the one
     scoped actor it names alone, in the bucket of its local timestamp.
@@ -100,7 +99,7 @@ def avg_sentiment_series(
         count = len(cell_scores)
         polarity = float_sum(score.polarity for score in cell_scores)
         subjectivity = float_sum(score.subjectivity for score in cell_scores)
-        return SeriesCell(count, polarity / count * scale, subjectivity / count)
+        return SeriesCell(count, polarity / count * 100.0, subjectivity / count)
 
     return _sole_mention_grid(tweets, scores, actors, scope, summarize)
 

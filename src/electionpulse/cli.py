@@ -89,7 +89,6 @@ def _load(state: _RunState) -> int:
         stopwords=stopwords,
         dictionary=dictionary,
         spellcheck=config.spellcheck,
-        stemming=config.stemming,
     )
     state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
     if not state.pattern_lexicon:
@@ -242,11 +241,7 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
 def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
     series = analytics.avg_sentiment_series(
-        state.kept,
-        scores,
-        state.config.actor_set,
-        state.config.scope,
-        scale=state.config.polarity_scale,
+        state.kept, scores, state.config.actor_set, state.config.scope
     )
     with open(os.path.join(staging, "timeseries.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -460,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="also treat actor and party names as stopwords")
     common.add_argument("--no-spellcheck", action="store_const", const="false",
                         dest="preprocess.spellcheck", help="skip spelling correction")
-    common.add_argument("--no-stem", action="store_const", const="false",
-                        dest="preprocess.stem", help="skip stemming")
     common.add_argument("--engine", choices=["pattern", "swn"], dest="sentiment.engine",
                         help="sentiment engine")
     common.add_argument("--output", dest="output.dir", metavar="OUTPUT",

@@ -7,9 +7,8 @@ options (`--actor`, `--group`, `train-nbc --alpha`) are checked in the
 same pass. Validation is exhaustive: every usage error, in the file, the
 overrides or the options, is collected and reported together, not just
 the first one. Actor ids are checked only when the roster itself loaded,
-since a roster that failed is already reported. Precedence for the
-random seed is CLI flag, then the ELECTIONPULSE_SEED environment
-variable, then the config file.
+since a roster that failed is already reported. The random seed comes
+from the ``--seed`` flag, else from ``[run] seed``.
 
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
@@ -33,8 +32,6 @@ from .actors import ActorConfigError, ActorSet, load_actor_file
 from .ingest import DEFAULT_FIELD_MAP
 from .sentiment import ENGINES
 
-ENV_SEED = "ELECTIONPULSE_SEED"
-
 
 class ConfigError(Exception):
     """Invalid run configuration; carries every diagnostic found."""
@@ -57,11 +54,9 @@ class RunConfig(NamedTuple):
     stopwords_path: str
     dictionary_path: str | None
     spellcheck: bool
-    stemming: bool
     extra_stopwords_from_actors: bool
     engine: str
     subjectivity_threshold: float
-    polarity_scale: float
     lda_k: int
     lda_alpha: float
     lda_beta: float
@@ -223,7 +218,6 @@ def validate_config(
 
     require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
     spellcheck = get_bool("spellcheck", "preprocess", "spellcheck", True)
-    get_bool("stemming", "preprocess", "stem", True)
     get_bool("extra_stopwords_from_actors", "preprocess", "extra_stopwords_from_actors", False)
     require_path(
         "dictionary_path", "preprocess", "dictionary",
@@ -240,7 +234,6 @@ def validate_config(
         "subjectivity_threshold", "sentiment", "subjectivity_threshold", "0.5", float,
         lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
     )
-    get_number("polarity_scale", "sentiment", "polarity_scale", "100", float, *finite)
 
     lda_k = get_number("lda_k", "topics", "k", "5", int, *at_least_one)
     get_number("lda_alpha", "topics", "alpha", "0.1", float, *finite)
@@ -271,8 +264,6 @@ def validate_config(
         diagnostics.append(f"[output] dir: not a directory: {output_dir}")
 
     seed_raw = get("run", "seed", "0")
-    if "run.seed" not in overrides and os.environ.get(ENV_SEED):
-        seed_raw = os.environ[ENV_SEED]
     try:
         seed = int(seed_raw)
     except (TypeError, ValueError):

@@ -38,7 +38,6 @@ DEFAULT_FIELD_MAP: dict[str, str] = {
     "id": "id_str|id",
     "created_at": "created_at",
     "text": "full_text|text",
-    "author": "user.screen_name",
     "retweeted": "retweeted_status",
 }
 
@@ -53,7 +52,6 @@ class TweetRecord(NamedTuple):
 
     id: str
     created_at: datetime
-    author: str
     text: str
     is_retweet: bool
 
@@ -142,12 +140,9 @@ def _record_or_cause(
     text = unicodedata.normalize("NFC", str(text))
     if not text.strip():
         return "empty_text"
-    author = _lookup(payload, fields["author"])
-    author = str(author) if author is not None else ""
     try:
         text_bytes = len(text.encode("utf-8"))
         tweet_id.encode("utf-8")
-        author.encode("utf-8")
     except UnicodeEncodeError:  # a lone surrogate escape such as \ud800
         return "invalid_json"
     if text_bytes > MAX_TEXT_BYTES:
@@ -160,7 +155,6 @@ def _record_or_cause(
     return TweetRecord(
         id=tweet_id,
         created_at=created_at,
-        author=author,
         text=text,
         is_retweet=retweeted or text.lstrip().startswith("RT @"),
     )
@@ -175,13 +169,14 @@ def parse_tweet_stream(
     """Parse a JSON-lines stream into records plus a totality report.
 
     A line is skipped (never fatal) when it is not a valid JSON object
-    (an id, text or author holding a lone surrogate escape is not valid
-    Unicode and could not be written out), misses a required field (an
-    empty id counts as missing), carries an id already seen, has no text
-    left after unicode normalization, exceeds the text byte limit, or has
-    an unparseable timestamp; the report counts each skip under its cause. An unreadable source path still
-    raises the underlying OSError. For a path source the report carries
-    the sha256 of exactly the bytes that were parsed.
+    (an id or text holding a lone surrogate escape is not valid Unicode
+    and could not be written out), misses a required field (an empty id
+    counts as missing), carries an id already seen, has no text left after
+    unicode normalization, exceeds the text byte limit, or has an
+    unparseable timestamp; the report counts each skip under its cause.
+    An unreadable source path still raises the underlying OSError. For a
+    path source the report carries the sha256 of exactly the bytes that
+    were parsed.
     """
     paths = dict(DEFAULT_FIELD_MAP)
     if field_map:

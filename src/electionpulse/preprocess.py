@@ -132,12 +132,10 @@ class PipelineConfig:
         stopwords: frozenset[str] = frozenset(),
         dictionary: Mapping[str, int] | None = None,
         spellcheck: bool = True,
-        stemming: bool = True,
     ) -> None:
         self.stopwords = stopwords
         self.dictionary = {} if dictionary is None else dictionary
         self.spellcheck = spellcheck
-        self.stemming = stemming
         self.stems: dict[str, str] = {}
 
 
@@ -151,16 +149,14 @@ def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
             for tok in tokens
         ]
     tokens = [tok for tok in tokens if tok not in config.stopwords]
-    if config.stemming:
-        stems = config.stems
-        stemmed = []
-        for tok in tokens:
-            result = stems.get(tok)
-            if result is None:
-                result = stems[tok] = stem(tok)
-            stemmed.append(result)
-        tokens = stemmed
-    return tokens
+    stems = config.stems
+    stemmed = []
+    for tok in tokens:
+        result = stems.get(tok)
+        if result is None:
+            result = stems[tok] = stem(tok)
+        stemmed.append(result)
+    return stemmed
 
 
 def preprocess_pipeline(

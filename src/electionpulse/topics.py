@@ -1,17 +1,16 @@
 """LDA topic extraction by collapsed Gibbs sampling.
 
-The sampler is deliberately plain Python over integer count lists: every
-quantity the model exposes (phi and theta) is an
-exact function of those counts, and a fixed seed makes the whole fit
-bit-reproducible. The word-topic counts are word-major, so a token-sample
-reads one row, and the model holds that same table as
-``word_topic_counts``; ``phi`` reads one column of it. The sweeps cache
-each topic's denominator ``topic_total + beta * V``, recomputing the two a
-move changes; each float is the expression the formula names, so the fit
-is bit-identical to the plain topic-major loop. One final sample is taken;
-there is no averaging over sweeps.
-``topic_report`` returns the ``topics`` list of ``topics.json`` as plain
-dicts.
+The sampler is deliberately plain Python over integer count lists: the
+one distribution the model exposes, phi, is an exact function of those
+counts, and a fixed seed makes the whole fit bit-reproducible. The
+word-topic counts are word-major, so a token-sample reads one row, and
+the model holds that same table as ``word_topic_counts``; ``phi`` reads
+one column of it. The sweeps cache each topic's denominator
+``topic_total + beta * V``, recomputing the two a move changes; each float
+is the expression the formula names, so the fit is bit-identical to the
+plain topic-major loop. One final sample is taken; there is no averaging
+over sweeps. ``topic_report`` returns the ``topics`` list of
+``topics.json`` as plain dicts.
 """
 
 from __future__ import annotations
@@ -79,12 +78,6 @@ class TopicModel(NamedTuple):
         """Smoothed word distribution of one topic; sums to 1."""
         denominator = self.topic_totals[topic] + self.beta * len(self.vocabulary)
         return [(row[topic] + self.beta) / denominator for row in self.word_topic_counts]
-
-    def theta(self, doc: int) -> list[float]:
-        """Smoothed topic mixture of one document; sums to 1."""
-        counts = self.doc_topic_counts[doc]
-        denominator = self.doc_lengths[doc] + self.alpha * self.k
-        return [(count + self.alpha) / denominator for count in counts]
 
 
 def lda_fit(

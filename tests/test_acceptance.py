@@ -169,7 +169,6 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
             record = TweetRecord(
                 id=f"s{i}",
                 created_at=None,  # never consulted by the scorers
-                author="",
                 text=" ".join(tokens),
                 is_retweet=False,
             )
@@ -267,7 +266,7 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
             )
 
         tweets = with_actors(tweets, actor_set)
-        series = avg_sentiment_series(tweets, scores, actor_set, scope, scale=100.0)
+        series = avg_sentiment_series(tweets, scores, actor_set, scope)
         heatmap = frequency_heatmap(tweets, actor_set, scope, top_n=5)
 
         grouped: dict[tuple[str, str], list[int]] = {}

@@ -29,12 +29,7 @@ def small_set() -> ActorSet:
             Actor("tony_nwoye", "candidate", ("nwoye",)),
             Actor("apga", "party", ("apga",)),
             Actor("pdp", "party", ("pdp",)),
-            Actor(
-                "willie_obiano_apga",
-                "combined",
-                ("obiano", "willie obiano", "apga"),
-                components=("willie_obiano", "apga"),
-            ),
+            Actor("willie_obiano_apga", "combined", (), components=("willie_obiano", "apga")),
         ]
     )
 
@@ -46,11 +41,24 @@ class TestLoading:
         assert kinds == {"candidate", "party", "combined"}
         assert len(actor_set.combined()) == 5
 
-    def test_combined_inherits_component_aliases(self, actor_set) -> None:
-        combined = actor_set["willie_obiano_apga"]
-        candidate = set(actor_set["willie_obiano"].aliases)
-        party = set(actor_set["apga"].aliases)
-        assert set(combined.aliases) == candidate | party
+    def test_combined_actors_have_no_aliases(self, actor_set) -> None:
+        assert all(actor.aliases == () for actor in actor_set.combined())
+        assert actor_set["willie_obiano_apga"].components == ("willie_obiano", "apga")
+
+    def test_candidate_in_two_pairs_loads_and_matches_by_party(self, tmp_path) -> None:
+        path = tmp_path / "actors.ini"
+        path.write_text(
+            "[willie_obiano]\nkind = candidate\naliases = obiano\n"
+            "[apga]\nkind = party\naliases = apga\n"
+            "[pdp]\nkind = party\naliases = pdp\n"
+            "[willie_obiano_apga]\nkind = combined\ncomponents = willie_obiano, apga\n"
+            "[willie_obiano_pdp]\nkind = combined\ncomponents = willie_obiano, pdp\n",
+            encoding="utf-8",
+        )
+        actors = load_actor_file(str(path))
+        matched = match_actors(text_tokens("obiano pdp"), actors)
+        assert "willie_obiano_pdp" in matched
+        assert "willie_obiano_apga" not in matched
 
     def test_alias_words_split_multiword_aliases(self, actor_set) -> None:
         words = actor_set.alias_words()
@@ -99,12 +107,7 @@ class TestValidation:
         with pytest.raises(ActorConfigError) as err:
             ActorSet([
                 Actor("willie_obiano", "candidate", ("obiano",)),
-                Actor(
-                    "willie_obiano_apga",
-                    "combined",
-                    ("obiano",),
-                    components=("willie_obiano", "apga"),
-                ),
+                Actor("willie_obiano_apga", "combined", (), components=("willie_obiano", "apga")),
             ])
         assert any(
             "willie_obiano_apga" in d and "apga" in d for d in err.value.diagnostics
@@ -115,13 +118,38 @@ class TestValidation:
             ActorSet([
                 Actor("a", "candidate", ("a",)),
                 Actor("b", "candidate", ("b",)),
-                Actor("ab", "combined", ("a", "b"), components=("a", "b")),
+                Actor("ab", "combined", (), components=("a", "b")),
             ])
         assert any("expected party" in d for d in err.value.diagnostics)
 
+    def test_combined_section_with_aliases_is_rejected(self, tmp_path) -> None:
+        path = tmp_path / "actors.ini"
+        path.write_text(
+            "[willie_obiano]\nkind = candidate\naliases = obiano\n"
+            "[apga]\nkind = party\naliases = apga\n"
+            "[willie_obiano_apga]\nkind = combined\naliases = obiano apga ticket\n"
+            "components = willie_obiano, apga\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ActorConfigError) as err:
+            load_actor_file(str(path))
+        assert err.value.diagnostics == [
+            "combined actor 'willie_obiano_apga' cannot have aliases; "
+            "it matches when both components match"
+        ]
+
+    def test_loader_passes_components_of_any_kind_to_validation(self, tmp_path) -> None:
+        path = tmp_path / "actors.ini"
+        path.write_text(
+            "[apga]\nkind = party\naliases = apga\ncomponents = apga, apga\n", encoding="utf-8"
+        )
+        with pytest.raises(ActorConfigError) as err:
+            load_actor_file(str(path))
+        assert err.value.diagnostics == ["actor 'apga' of kind 'party' cannot have components"]
+
     def test_combined_needs_two_components(self) -> None:
         with pytest.raises(ActorConfigError):
-            ActorSet([Actor("ab", "combined", ("a",), components=None)])
+            ActorSet([Actor("ab", "combined", (), components=None)])
 
     def test_plain_actor_cannot_have_components(self) -> None:
         with pytest.raises(ActorConfigError):
@@ -359,7 +387,7 @@ def rosters(draw) -> ActorSet:
         )
     )
     actors += [
-        Actor(f"pair{i}", "combined", (f"pair{i}",), components=pair)
+        Actor(f"pair{i}", "combined", (), components=pair)
         for i, pair in enumerate(pairs)
     ]
     return ActorSet(actors)
@@ -373,7 +401,7 @@ tweet_texts = st.lists(st.sampled_from(TWEET_WORDS), max_size=7).map(" ".join)
 def test_set_based_sole_mention_matches_the_text_oracle(actors, drawn) -> None:
     stamp = datetime(2017, 11, 18, 10, tzinfo=timezone.utc)
     records = [
-        TweetRecord(f"t{i}", stamp, "someone", text, retweet)
+        TweetRecord(f"t{i}", stamp, text, retweet)
         for i, (text, retweet) in enumerate(drawn)
     ]
     done = preprocess_records(records, PipelineConfig(), actors)

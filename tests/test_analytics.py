@@ -38,7 +38,6 @@ def make_tweet(
     record = TweetRecord(
         id=record_id,
         created_at=datetime(2017, 11, 18, hour, minute, tzinfo=LAGOS),
-        author="someone",
         text=text,
         is_retweet=False,
     )
@@ -61,12 +60,7 @@ def pair_set() -> ActorSet:
         [
             Actor("willie_obiano", "candidate", ("obiano",)),
             Actor("apga", "party", ("apga",)),
-            Actor(
-                "willie_obiano_apga",
-                "combined",
-                ("obiano", "apga"),
-                components=("willie_obiano", "apga"),
-            ),
+            Actor("willie_obiano_apga", "combined", (), components=("willie_obiano", "apga")),
         ]
     )
 
@@ -179,14 +173,15 @@ class TestSentimentSeries:
             avg_sentiment_series(kept, pattern_scores[:-1], actor_set, scope)
 
     def test_scale_is_linear(self) -> None:
+        # The series column is mean_polarity_x100: the mean polarity times 100.
         actors = pair_set()
-        tweets = with_actors([make_tweet("t1", "obiano wins", ("win",), 13)], actors)
-        scores = [SentimentScore(0.3, 0.5)]
-        x100 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=100.0)
-        x1 = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"], scale=1.0)
-        assert x100["willie_obiano"]["12-14"].mean_polarity_x100 == pytest.approx(
-            100.0 * x1["willie_obiano"]["12-14"].mean_polarity_x100
+        tweets = with_actors(
+            [make_tweet(f"t{i}", "obiano wins", ("win",), 13) for i in range(2)], actors
         )
+        scores = [SentimentScore(0.3, 0.5), SentimentScore(-0.1, 0.7)]
+        cell = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])["willie_obiano"]
+        assert cell["12-14"].mean_polarity_x100 == pytest.approx(100.0 * (0.3 - 0.1) / 2)
+        assert cell["12-14"].mean_subjectivity == pytest.approx((0.5 + 0.7) / 2)
 
     def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set, scope) -> None:
         series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)

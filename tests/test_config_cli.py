@@ -25,9 +25,7 @@ from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
-    PipelineConfig,
     clean,
-    process_tokens,
     text_tokens,
     tokenize,
 )
@@ -86,10 +84,9 @@ FIXTURE_SNAPSHOT = {
         "stopwords": "stopwords.txt",
         "dictionary": "dictionary.txt",
         "spellcheck": True,
-        "stem": True,
         "extra_stopwords_from_actors": True,
     },
-    "sentiment": {"engine": "pattern", "subjectivity_threshold": 0.5, "polarity_scale": 100.0},
+    "sentiment": {"engine": "pattern", "subjectivity_threshold": 0.5},
     "topics": {
         "k": 5,
         "alpha": 0.1,
@@ -106,8 +103,7 @@ FIXTURE_SNAPSHOT = {
 
 
 class TestValidateConfig:
-    def test_fixture_snapshot_is_pinned(self, fixtures_dir, monkeypatch) -> None:
-        monkeypatch.delenv("ELECTIONPULSE_SEED", raising=False)
+    def test_fixture_snapshot_is_pinned(self, fixtures_dir) -> None:
         snapshot = validate_config(str(fixtures_dir / "config.ini")).snapshot
         relative = {
             section: {
@@ -121,12 +117,11 @@ class TestValidateConfig:
         # JSON types too: 100.0 is not 100, and true is not 1.
         assert json.dumps(relative, sort_keys=True) == json.dumps(FIXTURE_SNAPSHOT, sort_keys=True)
 
-    def test_diagnostics_are_pinned_in_order(self, config_factory, monkeypatch) -> None:
-        monkeypatch.delenv("ELECTIONPULSE_SEED", raising=False)
+    def test_diagnostics_are_pinned_in_order(self, config_factory) -> None:
         path = config_factory(**{
             "actors.scope": "willie_obiano_apga, peter_obi",
             "lexicons.negators": "/nowhere/negators.txt",
-            "preprocess.stem": "maybe",
+            "preprocess.spellcheck": "maybe",
             "sentiment.engine": "vader",
             "topics.iterations": "many",
             "run.seed": "x",
@@ -137,7 +132,7 @@ class TestValidateConfig:
             "[actors] scope id 'peter_obi' is not a configured actor",
             "--group 'nobody' is not a configured actor",
             "[lexicons] negators: no such file: /nowhere/negators.txt",
-            "[preprocess] stem = 'maybe' is not a boolean",
+            "[preprocess] spellcheck = 'maybe' is not a boolean",
             "[sentiment] engine = 'vader' must be one of pattern, swn",
             "[topics] alpha = -1.0 must be positive and finite",
             "[topics] iterations = 'many' is not a valid int",
@@ -204,7 +199,7 @@ class TestValidateConfig:
         actors = tmp_path / "broken_actors.ini"
         actors.write_text(
             "[willie_obiano]\nkind = candidate\naliases = obiano\n"
-            "[willie_obiano_apga]\nkind = combined\naliases = obiano\n"
+            "[willie_obiano_apga]\nkind = combined\n"
             "components = willie_obiano, apga\n",
             encoding="utf-8",
         )
@@ -232,7 +227,7 @@ class TestValidateConfig:
             }))
         assert len(err.value.diagnostics) == 4
 
-    @pytest.mark.parametrize("key", ["topics.alpha", "topics.beta", "sentiment.polarity_scale"])
+    @pytest.mark.parametrize("key", ["topics.alpha", "topics.beta"])
     def test_infinite_constants_rejected(self, key, config_factory) -> None:
         section, _, name = key.partition(".")
         with pytest.raises(ConfigError) as err:
@@ -248,13 +243,18 @@ class TestValidateConfig:
         config = validate_config(config_factory(**{"input.timezone": "Africa/Lagos"}))
         assert config.snapshot["input"]["timezone"] == "Africa/Lagos"
 
-    def test_seed_precedence(self, config_factory, monkeypatch) -> None:
+    def test_seed_precedence(self, config_factory) -> None:
         path = config_factory()
         assert validate_config(path).seed == 42
-        monkeypatch.setenv("ELECTIONPULSE_SEED", "7")
-        assert validate_config(path).seed == 7
-        # An explicit override (the CLI flag) beats the environment.
+        # An explicit override (the CLI flag) beats the file.
         assert validate_config(path, {"run.seed": "9"}).seed == 9
+
+    def test_seed_environment_variable_is_ignored(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        monkeypatch.setenv("ELECTIONPULSE_SEED", "7")
+        assert main(["counts", "--config", config_factory()]) == 0
+        assert read_json(tmp_path / "out" / "manifest.json")["seed"] == 42
 
     def test_unknown_default_key_is_reported_once(self, config_factory) -> None:
         path = Path(config_factory())
@@ -380,6 +380,30 @@ def _labels_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str
     return ["topics", "--config", config_factory(**{"topics.labels": "a"})]
 
 
+def _stem_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["ingest", "--config", config_factory(**{"preprocess.stem": "false"})]
+
+
+def _polarity_scale_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["timeseries", "--config", config_factory(**{"sentiment.polarity_scale": "1"})]
+
+
+def _author_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["ingest", "--config", config_factory(**{"fields.author": "user.screen_name"})]
+
+
+def _author_field_flag(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["ingest", "--config", config_factory(), "--field-map", "author=x"]
+
+
+def _aliases_on_combined_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    roster = (fixtures_dir / "actors.ini").read_text(encoding="utf-8")
+    head, marker, tail = roster.partition("[willie_obiano_apga]\n")
+    actors = tmp_path / "actors.ini"
+    actors.write_text(head + marker + "aliases = obiano apga ticket\n" + tail, encoding="utf-8")
+    return ["counts", "--config", config_factory(**{"actors.path": str(actors)})]
+
+
 def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["all", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
 
@@ -441,6 +465,13 @@ EXIT_CODE_MATRIX = [
     ("snapshot_only_field_map", _field_map_key, 2,
      "[input] field_map is not a configuration key", None),
     ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
+    ("removed_stem_key", _stem_key, 2, "[preprocess] stem is not a configuration key", None),
+    ("removed_polarity_scale_key", _polarity_scale_key, 2,
+     "[sentiment] polarity_scale is not a configuration key", None),
+    ("removed_author_field", _author_field, 2, "'author' is not a field", None),
+    ("removed_author_field_flag", _author_field_flag, 2, "'author' is not a field", None),
+    ("aliases_on_combined_actor", _aliases_on_combined_actor, 2,
+     "[actors] combined actor 'willie_obiano_apga' cannot have aliases", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("nbc_row_without_text", _nbc_row_without_text, 1, "nbc_corpus.csv line 10",
      ("ValueError: ", "sha256:")),
@@ -496,6 +527,13 @@ class TestCliExitCodes:
         else:
             assert manifest["input_digest"].startswith(digest_prefix)
 
+    def test_removed_no_stem_flag_is_a_usage_error(self, config_factory, tmp_path, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", "--config", config_factory(), "--no-stem"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-stem" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # One row per config-overriding flag: (subcommand, flag, value or None for
 # a switch, the manifest ``config`` path the value must reach, the value
@@ -509,7 +547,6 @@ FLAG_ROWS = [
     ("ingest", "--stopwords", "{tmp}/stopwords.txt", "preprocess.stopwords", "{tmp}/stopwords.txt"),
     ("ingest", "--extra-stopwords-from-actors", None, "preprocess.extra_stopwords_from_actors", True),
     ("ingest", "--no-spellcheck", None, "preprocess.spellcheck", False),
-    ("ingest", "--no-stem", None, "preprocess.stem", False),
     ("ingest", "--engine", "swn", "sentiment.engine", "swn"),
     ("ingest", "--output", "{tmp}/elsewhere", "output.dir", "{tmp}/elsewhere"),
     ("ingest", "--seed", "7", "run.seed", 7),
@@ -693,15 +730,19 @@ class TestCliRuns:
         stemmed = record_calls(monkeypatch, stemming_module, "porter_stem")
         assert main(["all", "--config", config_factory()]) == 0
         assert len(stemmed) == len(set(stemmed))
-        unstemmed = PipelineConfig(
-            pipeline.stopwords, pipeline.dictionary, pipeline.spellcheck, stemming=False
-        )
-        stemmable = {
-            token
+        plain = dict(pipeline.dictionary)
+        corrected = [
+            correct_spelling(token, plain)
+            if len(token) >= MIN_CORRECTION_LENGTH and token not in plain
+            else token
             for record in records
             if not record.is_retweet
-            for token in process_tokens(text_tokens(record.text), unstemmed)
-            if token.isascii() and token.isalpha()
+            for token in text_tokens(record.text)
+        ]
+        stemmable = {
+            token
+            for token in corrected
+            if token not in pipeline.stopwords and token.isascii() and token.isalpha()
         }
         # The kept tokens, plus the alias words the clouds leave out.
         assert set(stemmed) == stemmable | actor_set.alias_words()
@@ -741,16 +782,13 @@ class TestCliRuns:
         assert main(["counts", "--config", config_factory()]) == 0
         assert "topics" not in read_json(tmp_path / "out" / "manifest.json")["dataset"]
 
-    @pytest.mark.parametrize(
-        "flags,hits",
-        [([], {"pattern": 40, "swn": 39}), (["--no-stem"], {"pattern": 20, "swn": 19})],
-    )
-    def test_manifest_lexicon_coverage(self, flags, hits, config_factory, tmp_path) -> None:
-        assert main(["all", "--config", config_factory(), *flags]) == 0
+    def test_manifest_lexicon_coverage(self, config_factory, tmp_path) -> None:
+        assert main(["all", "--config", config_factory()]) == 0
         dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
         assert dataset["total_kept"] == 43
         coverage = dataset["lexicon"]
-        assert {engine: entry["tweets_hit"] for engine, entry in coverage.items()} == hits
+        hits = {engine: entry["tweets_hit"] for engine, entry in coverage.items()}
+        assert hits == {"pattern": 40, "swn": 39}
         for entry in coverage.values():
             assert 0.0 < entry["token_hit_rate"] < 1.0
 
@@ -958,9 +996,3 @@ class TestCliRuns:
         assert main(["all", "--config", path]) == 0
         for name in ALL_ARTIFACTS:
             assert (out_dir / name).read_bytes() == first[name], name
-
-    def test_no_stem_flag_changes_tokens(self, config_factory, tmp_path) -> None:
-        rc = main(["ingest", "--config", config_factory(), "--no-stem"])
-        assert rc == 0
-        tweets = (tmp_path / "out" / "tweets.csv").read_text(encoding="utf-8")
-        assert "polling" in tweets  # stemming would have cut this to "poll"

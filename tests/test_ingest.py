@@ -84,14 +84,13 @@ class TestParsing:
             (b"\xff\xfe", "invalid_json"),
             (line(text="\ud800 hi"), "invalid_json"),
             (line(id_str="\ud800"), "invalid_json"),
-            (line(user={"screen_name": "a\udc00"}), "invalid_json"),
             (line(id_str=""), "missing_field"),
             (line(created_at="Sat Foo 18 09:31:00 +0000 2017"), "bad_timestamp"),
             (line(created_at="0001-01-01T00:30:00+02:00"), "bad_timestamp"),
         ],
         ids=[
             "not_an_object", "not_utf8",
-            "surrogate_text", "surrogate_id", "surrogate_author",
+            "surrogate_text", "surrogate_id",
             "empty_id", "unknown_month", "before_year_one",
         ],
     )
@@ -178,11 +177,11 @@ class TestParsing:
     def test_presplit_paths_resolve_like_the_path_string(self, payload, path) -> None:
         assert _lookup(payload, _split_path(path)) == _oracle_lookup(payload, path)
 
-    def test_missing_author_becomes_empty_string(self) -> None:
-        records, _ = parse_tweet_stream([json.dumps(
-            {"id_str": "7", "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": "hi there"}
-        )])
-        assert records[0].author == ""
+    def test_surrogate_author_line_is_kept(self) -> None:
+        # No field reads the author, so a lone surrogate there rejects nothing.
+        records, report = parse_tweet_stream([line(user={"screen_name": "a\udc00"})])
+        assert report.lines_skipped == 0
+        assert [record.id for record in records] == ["1"]
 
     def test_retweet_detection_from_payload_and_prefix(self) -> None:
         records, _ = parse_tweet_stream(

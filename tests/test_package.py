@@ -1,15 +1,24 @@
-"""The package as a user meets it: a fresh import, and README's library example."""
+"""The package as a user meets it: a fresh import, README's library example, and
+README's configuration and flag tables checked against the code."""
 
 from __future__ import annotations
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import electionpulse
+from electionpulse.cli import _build_parser
+from electionpulse.config import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The manifest's names for the [fields] and [topic_labels] sections, which
+# README's Configuration table lists as sections, not as keys.
+SECTION_SNAPSHOTS = {("input", "field_map"), ("topics", "labels")}
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -47,3 +56,50 @@ def test_readme_library_example_runs() -> None:
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert "{'raw': " in done.stdout  # the example's per-group count line
+
+
+def _readme_section(heading: str) -> str:
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _table_rows(text: str) -> list[list[str]]:
+    """The cells of each Markdown table row in ``text``; ``\\|`` stays in its cell."""
+    return [
+        [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+        for line in text.splitlines()
+        if line.startswith("| `")
+    ]
+
+
+def test_readme_config_table_lists_exactly_the_configuration_keys() -> None:
+    snapshot = validate_config(str(ROOT / "fixtures" / "config.ini")).snapshot
+    keys = {
+        section: {key for key in entries if (section, key) not in SECTION_SNAPSHOTS}
+        for section, entries in snapshot.items()
+    }
+    documented = {}
+    for section, cell in _table_rows(_readme_section("## Configuration")):
+        section = section.strip("`")
+        if section not in ("fields", "topic_labels"):
+            documented[section] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+    assert documented == keys
+
+
+def test_readme_flag_table_names_only_defined_flags() -> None:
+    parser = _build_parser()
+    (subparsers,) = [
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    ]
+    defined = {
+        flag
+        for subparser in [parser, *subparsers.choices.values()]
+        for action in subparser._actions
+        for flag in action.option_strings
+    }
+    section = _readme_section("## CLI")
+    named = {flag for row in _table_rows(section) for flag in re.findall(r"--[\w-]+", row[0])}
+    listed = section.split("Common flags", 1)[1].split("|", 1)[0]
+    named |= set(re.findall(r"--[\w-]+", listed))
+    assert "--seed" in named
+    assert named <= defined, sorted(named - defined)

@@ -32,7 +32,6 @@ def make_record(text: str, *, retweet: bool = False, record_id: str = "t1") -> T
     return TweetRecord(
         id=record_id,
         created_at=datetime(2017, 11, 18, 12, 0, 0, tzinfo=TZ),
-        author="someone",
         text=text,
         is_retweet=retweet,
     )
@@ -234,11 +233,10 @@ class TestPipeline:
         assert tokens[1] == "xqz"
 
     def test_spellcheck_never_touches_dictionary_words(self, dictionary) -> None:
-        config = PipelineConfig(
-            stopwords=frozenset(), dictionary=dictionary, stemming=False
-        )
+        config = PipelineConfig(stopwords=frozenset(), dictionary=dictionary)
         tokens = process_tokens(text_tokens("election voting"), config)
-        assert tokens == ["election", "voting"]
+        # Both words are in the dictionary, so only the stemmer changes them.
+        assert tokens == [stem("election"), stem("voting")]
 
     def test_empty_dictionary_disables_correction(self) -> None:
         config = PipelineConfig(stopwords=frozenset(), dictionary={})

@@ -47,7 +47,7 @@ PATTERN = {
 
 def kept_tweet(record_id: str, tokens) -> ProcessedTweet:
     """A kept tweet for the scorers, which read its tokens only."""
-    record = TweetRecord(record_id, None, "", " ".join(tokens), False)
+    record = TweetRecord(record_id, None, " ".join(tokens), False)
     return ProcessedTweet(record, tuple(tokens), frozenset())
 
 
