@@ -105,16 +105,20 @@ def _load(state: _RunState) -> int:
 
 
 def _timed(state: _RunState, name: str, worker) -> None:
-    """Run ``worker`` and record its stage: the count it returns and its time."""
+    """Run ``worker`` and record its stage: the count it returns and its time.
+    A worker that raises is recorded too, with ``records`` null."""
     started = time.perf_counter()
-    records = worker()
-    state.stages.append(
-        {
-            "name": name,
-            "records": records,
-            "seconds": round(time.perf_counter() - started, 6),
-        }
-    )
+    records = None
+    try:
+        records = worker()
+    finally:
+        state.stages.append(
+            {
+                "name": name,
+                "records": records,
+                "seconds": round(time.perf_counter() - started, 6),
+            }
+        )
 
 
 def _ingest(state: _RunState) -> None:
@@ -296,7 +300,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
         iterations=config.lda_iterations,
         seed=config.seed,
     )
-    entries = topics.topic_report(model, config.top_words, config.topic_labels)
+    entries = topics.topic_report(model, config.top_words)
     payload = {
         "group": group or "all",
         "k": config.lda_k,
@@ -370,6 +374,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     staging = tempfile.mkdtemp(prefix=".staging-", dir=config.output_dir)
     status = "ok"
     error = None
+    interrupt = None
     state = _RunState(config=config)
     try:
         _timed(state, "load", lambda: _load(state))
@@ -383,6 +388,10 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     except Exception as exc:  # pipeline failure: no partial artifacts, manifest only
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
+    except KeyboardInterrupt as exc:  # Ctrl-C: manifest only, then re-raise
+        status = "interrupted"
+        error = "KeyboardInterrupt"
+        interrupt = exc
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     manifest = {
@@ -400,6 +409,8 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         "dataset": _dataset_section(state),
     }
     _write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
+    if interrupt is not None:
+        raise interrupt
     if status != "ok":
         print(f"error: {error}", file=sys.stderr)
         return 1

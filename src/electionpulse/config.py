@@ -14,9 +14,8 @@ Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
 a key cannot be used without being recorded. The keys read are the known
 keys: a file key never read is a usage error. The snapshot's
-``input.field_map`` and ``topics.labels`` are no keys: they record the
-``[fields]`` and ``[topic_labels]`` sections, whose own keys (never the
-``[DEFAULT]`` ones) are checked one by one.
+``input.field_map`` is no key: it records the ``[fields]`` section, whose
+own keys (never the ``[DEFAULT]`` ones) are checked one by one.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ class RunConfig(NamedTuple):
     lda_iterations: int
     top_words: int
     min_doc_len: int
-    topic_labels: dict[int, str]
     heatmap_top_n: int
     output_dir: str
     seed: int
@@ -235,27 +233,12 @@ def validate_config(
         lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
     )
 
-    lda_k = get_number("lda_k", "topics", "k", "5", int, *at_least_one)
+    get_number("lda_k", "topics", "k", "5", int, *at_least_one)
     get_number("lda_alpha", "topics", "alpha", "0.1", float, *finite)
     get_number("lda_beta", "topics", "beta", "0.01", float, *finite)
     get_number("lda_iterations", "topics", "iterations", "500", int, *at_least_one)
     get_number("top_words", "topics", "top_words", "10", int, *at_least_one)
     get_number("min_doc_len", "topics", "min_doc_len", "1", int, *at_least_one)
-
-    topic_labels: dict[int, str] = {}
-    for key, value in own_items("topic_labels"):
-        try:
-            topic_id = int(key)
-        except ValueError:
-            diagnostics.append(f"[topic_labels] key {key!r} is not a topic id")
-            continue
-        if not 0 <= topic_id < lda_k:
-            diagnostics.append(
-                f"[topic_labels] topic {topic_id} does not exist (k = {lda_k})"
-            )
-            continue
-        topic_labels[topic_id] = value.strip()
-    keep(None, "topics", "labels", {str(k): v for k, v in sorted(topic_labels.items())})
 
     get_number("heatmap_top_n", "analytics", "top_n", "10", int, *at_least_one)
 
@@ -272,18 +255,16 @@ def validate_config(
     keep("seed", "run", "seed", seed)
 
     # A file key that no read above asked for is a typo or a stray ([fields]
-    # and [topic_labels] were checked key by key). [DEFAULT] keys show up in
-    # every section, so each is reported once, under [DEFAULT].
+    # was checked key by key). [DEFAULT] keys show up in every section, so
+    # each is reported once, under [DEFAULT].
     known_anywhere = set().union(*read.values())
     unknown = [f"[DEFAULT] {key}" for key in defaults if key not in known_anywhere]
     for section in parser.sections():
-        if section not in ("fields", "topic_labels"):
+        if section != "fields":
             known = read.get(section, set())
             unknown += [f"[{section}] {key}" for key, _ in own_items(section) if key not in known]
     diagnostics.extend(f"{name} is not a configuration key" for name in unknown)
 
     if diagnostics:
         raise ConfigError(diagnostics)
-    return RunConfig(
-        **fields, tz=tz, actor_set=actor_set, topic_labels=topic_labels, snapshot=snapshot
-    )
+    return RunConfig(**fields, tz=tz, actor_set=actor_set, snapshot=snapshot)

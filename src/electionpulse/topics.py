@@ -190,18 +190,8 @@ def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float
     return ranked[:n]
 
 
-def topic_report(
-    model: TopicModel,
-    n: int,
-    labels: dict[int, str] | None = None,
-) -> list[dict]:
-    """One ``{"id", "label", "keywords": top_keywords(...)}`` dict per topic,
-    as ``topics.json`` lists them; labels come from config, never inference."""
-    labels = labels or {}
-    bad = [topic for topic in labels if not 0 <= topic < model.k]
-    if bad:
-        raise ValueError(f"labels reference nonexistent topics: {sorted(bad)}")
-    return [
-        {"id": topic, "label": labels.get(topic, ""), "keywords": top_keywords(model, topic, n)}
-        for topic in range(model.k)
-    ]
+def topic_report(model: TopicModel, n: int) -> list[dict]:
+    """One ``{"id", "keywords": top_keywords(...)}`` dict per topic, as
+    ``topics.json`` lists them. Topics are unnamed: which theme lands on which
+    index depends on the seed, the corpus, k and the sweep count."""
+    return [{"id": topic, "keywords": top_keywords(model, topic, n)} for topic in range(model.k)]

@@ -20,6 +20,7 @@ from electionpulse import actors as actors_module
 from electionpulse import preprocess as preprocess_module
 from electionpulse import sentiment as sentiment_module
 from electionpulse import stemming as stemming_module
+from electionpulse import topics as topics_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, parse_tweet_stream
@@ -94,7 +95,6 @@ FIXTURE_SNAPSHOT = {
         "iterations": 500,
         "top_words": 10,
         "min_doc_len": 1,
-        "labels": {"0": "logistics", "1": "results", "2": "security", "3": "turnout", "4": "mood"},
     },
     "analytics": {"top_n": 10},
     "output": {"dir": "../out"},
@@ -145,9 +145,6 @@ class TestValidateConfig:
         assert config.engine == "pattern"
         assert config.seed == 42
         assert config.lda_k == 5
-        assert config.topic_labels == {
-            0: "logistics", 1: "results", 2: "security", 3: "turnout", 4: "mood",
-        }
         assert os.path.isabs(config.input_path)
         assert os.path.isfile(config.pattern_lexicon_path)
         assert config.snapshot["run"]["seed"] == 42
@@ -211,12 +208,6 @@ class TestValidateConfig:
             for d in err.value.diagnostics
         )
 
-    def test_topic_labels_must_reference_live_topics(self, config_factory) -> None:
-        with pytest.raises(ConfigError) as err:
-            validate_config(config_factory(**{"topics.k": "2"}))
-        complaints = [d for d in err.value.diagnostics if "topic" in d]
-        assert len(complaints) == 3  # labels 2, 3 and 4 point past k = 2
-
     def test_numeric_constraints(self, config_factory) -> None:
         with pytest.raises(ConfigError) as err:
             validate_config(config_factory(**{
@@ -265,14 +256,13 @@ class TestValidateConfig:
         assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
     def test_known_default_key_is_no_label_or_field(self, config_factory) -> None:
-        # [DEFAULT] keys reach every section's reads, but [topic_labels] and
-        # [fields] list only their own keys.
+        # [DEFAULT] keys reach every section's reads, but [fields] lists only
+        # its own keys.
         path = Path(config_factory(**{"run.seed": None, "fields.text": "text"}))
         path.write_text("[DEFAULT]\nseed = 1\n" + path.read_text(encoding="utf-8"))
         config = validate_config(str(path))
         assert config.seed == 1
         assert config.field_map == {"text": "text"}
-        assert sorted(config.topic_labels) == [0, 1, 2, 3, 4]
 
     def test_stray_default_key_is_one_diagnostic(self, config_factory) -> None:
         path = Path(config_factory(**{"fields.text": "text"}))
@@ -376,8 +366,14 @@ def _field_map_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[
 
 
 def _labels_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # topics.labels is a manifest snapshot entry, built from [topic_labels].
+    # Topics carry no names: a topic's index depends on the seed, the corpus,
+    # k and the sweep count, so no [topics] key can name it.
     return ["topics", "--config", config_factory(**{"topics.labels": "a"})]
+
+
+def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # A [topic_labels] section left from an old config is a stray section.
+    return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
 
 
 def _stem_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -411,6 +407,11 @@ def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> l
 def _narrow_topic_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     # The group's two tweets hold 9 distinct terms; the fixture asks for 10.
     return ["topics", "--config", config_factory(), "--group", "osita_chidoka"]
+
+
+def _interrupt(*args, **kwargs):
+    """Stands in for a Ctrl-C during the topic fit."""
+    raise KeyboardInterrupt
 
 
 def _header_only_pattern_lexicon(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -465,6 +466,8 @@ EXIT_CODE_MATRIX = [
     ("snapshot_only_field_map", _field_map_key, 2,
      "[input] field_map is not a configuration key", None),
     ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
+    ("leftover_topic_labels", _topic_labels_section, 2,
+     "[topic_labels] 0 is not a configuration key", None),
     ("removed_stem_key", _stem_key, 2, "[preprocess] stem is not a configuration key", None),
     ("removed_polarity_scale_key", _polarity_scale_key, 2,
      "[sentiment] polarity_scale is not a configuration key", None),
@@ -708,11 +711,34 @@ class TestCliRuns:
         seconds = {stage["name"]: stage["seconds"] for stage in manifest["stages"]}
         assert seconds["preprocess"] >= 0.05
 
-    def test_stage_seconds_add_up_to_the_total(self, config_factory, tmp_path) -> None:
-        assert main(["all", "--config", config_factory()]) == 0
-        manifest = read_json(tmp_path / "out" / "manifest.json")
-        staged = sum(stage["seconds"] for stage in manifest["stages"])
-        assert 0 <= manifest["total_seconds"] - staged <= 0.05
+    def test_stage_seconds_add_up_to_the_total(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        # A stage that fails or is interrupted is timed too, with no records.
+        config = config_factory()
+        assert main(["all", "--config", config, "--output", str(tmp_path / "ok")]) == 0
+        narrow = ["topics", "--group", "osita_chidoka", "--output", str(tmp_path / "narrow")]
+        assert main([*narrow, "--config", config]) == 1
+        monkeypatch.setattr(topics_module, "lda_fit", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["all", "--config", config, "--output", str(tmp_path / "interrupted")])
+        for name in ("ok", "narrow", "interrupted"):
+            manifest = read_json(tmp_path / name / "manifest.json")
+            staged = sum(stage["seconds"] for stage in manifest["stages"])
+            assert 0 <= manifest["total_seconds"] - staged <= 0.05, name
+            last = manifest["stages"][-1]
+            assert last["name"] == "topics"
+            assert (last["records"] is None) == (name != "ok"), name
+
+    def test_interrupt_leaves_only_a_manifest(self, config_factory, tmp_path, monkeypatch) -> None:
+        monkeypatch.setattr(topics_module, "lda_fit", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["all", "--config", config_factory()])
+        out_dir = tmp_path / "out"
+        assert [path.name for path in out_dir.iterdir()] == ["manifest.json"]
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["status"] == "interrupted"
+        assert manifest["error"] == "KeyboardInterrupt"
 
     @pytest.mark.parametrize("args", [["all"], ["topics", "--group", "apga"]])
     def test_each_record_is_matched_once(
@@ -953,20 +979,9 @@ class TestCliRuns:
             "tony_nwoye", "willie_obiano",
         ]
 
-    def test_shrinking_k_invalidates_configured_labels(self, config_factory, capsys) -> None:
-        # Overrides validate against the same rules as the file itself.
-        rc = main(["topics", "--config", config_factory(), "--k", "2"])
-        assert rc == 2
-        assert "topic_labels" in capsys.readouterr().err
-
     def test_topics_group_restricts_corpus(self, config_factory, tmp_path) -> None:
-        path = config_factory(**{
-            "topic_labels.2": None,
-            "topic_labels.3": None,
-            "topic_labels.4": None,
-        })
         rc = main([
-            "topics", "--config", path,
+            "topics", "--config", config_factory(),
             "--group", "apga", "--k", "2", "--iters", "50", "--top-words", "3",
         ])
         assert rc == 0

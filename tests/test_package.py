@@ -6,19 +6,20 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import electionpulse
-from electionpulse.cli import _build_parser
+from electionpulse.cli import _build_parser, main
 from electionpulse.config import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The manifest's names for the [fields] and [topic_labels] sections, which
-# README's Configuration table lists as sections, not as keys.
-SECTION_SNAPSHOTS = {("input", "field_map"), ("topics", "labels")}
+# The manifest's name for the [fields] section, which README's Configuration
+# table lists as a section, not as a key.
+SECTION_SNAPSHOTS = {("input", "field_map")}
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -58,6 +59,22 @@ def test_readme_library_example_runs() -> None:
     assert "{'raw': " in done.stdout  # the example's per-group count line
 
 
+def test_readme_quick_start_commands_exit_0(tmp_path, monkeypatch) -> None:
+    # Every command README's Quick start shows must run as shown; each writes
+    # into its own directory under tmp_path instead of the one it names.
+    monkeypatch.chdir(ROOT)
+    blocks = _readme_section("## Quick start").split("```sh\n")[1:]
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.split("```", 1)[0].splitlines()
+        if line.startswith("electionpulse ")
+    ]
+    assert [argv[0] for argv in commands].count("topics") == 1  # both blocks were read
+    for n, argv in enumerate(commands):
+        assert main([*argv, "--output", str(tmp_path / str(n))]) == 0, argv
+
+
 def _readme_section(heading: str) -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return readme.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
@@ -81,7 +98,7 @@ def test_readme_config_table_lists_exactly_the_configuration_keys() -> None:
     documented = {}
     for section, cell in _table_rows(_readme_section("## Configuration")):
         section = section.strip("`")
-        if section not in ("fields", "topic_labels"):
+        if section != "fields":
             documented[section] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
     assert documented == keys
 
