@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from datetime import datetime, timedelta, timezone
-from decimal import ROUND_HALF_UP, Decimal
-from zoneinfo import ZoneInfo
+from datetime import datetime, timedelta, timezone, tzinfo
 
 # Twitter's classic created_at layout: "Sat Nov 18 09:31:00 +0000 2017".
 # Parsed by hand so the result does not depend on the process locale.
@@ -31,11 +29,16 @@ class ConsistencyError(ValueError):
 
 
 def pct(count: int, total: int) -> float:
-    """100*count/total rounded half-up to 2 decimals; 0.0 for an empty total."""
+    """100*count/total rounded half-up to 2 decimals; 0.0 for an empty total.
+
+    Exact in integers: hundredths = floor(10000 * count / total + 1/2), and
+    the one division by 100 is correctly rounded, so the float is the one
+    a decimal half-up quantize gives.
+    """
     if total == 0:
         return 0.0
-    share = Decimal(count) * 100 / Decimal(total)
-    return float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    hundredths = (count * 20000 + total) // (2 * total)
+    return hundredths / 100
 
 
 def float_sum(values: Iterable[float]) -> float:
@@ -61,14 +64,20 @@ def read_word_list(path: str) -> frozenset[str]:
     return frozenset(words)
 
 
-def parse_timezone(value: str) -> timezone | ZoneInfo:
-    """Accept a fixed offset like "+01:00" or an IANA name like "Africa/Lagos"."""
+def parse_timezone(value: str) -> tzinfo:
+    """Accept a fixed offset like "+01:00" or an IANA name like "Africa/Lagos".
+
+    ``zoneinfo`` is imported only for a name, so a run on a fixed offset
+    does not pay for its import.
+    """
     m = _OFFSET_RE.match(value.strip())
     if m:
         delta = timedelta(hours=int(m.group("h")), minutes=int(m.group("m")))
         if m.group("sign") == "-":
             delta = -delta
         return timezone(delta)
+    from zoneinfo import ZoneInfo
+
     return ZoneInfo(value.strip())
 
 

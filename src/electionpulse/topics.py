@@ -1,16 +1,23 @@
 """LDA topic extraction by collapsed Gibbs sampling.
 
-The sampler is deliberately plain Python over integer count lists: the
-one distribution the model exposes, phi, is an exact function of those
+The sampler is deliberately plain Python over count lists: the one
+distribution the model exposes, phi, is an exact function of those
 counts, and a fixed seed makes the whole fit bit-reproducible. The
 word-topic counts are word-major, so a token-sample reads one row, and
 the model holds that same table as ``word_topic_counts``; ``phi`` reads
-one column of it. The sweeps cache each topic's denominator
-``topic_total + beta * V``, recomputing the two a move changes; each float
-is the expression the formula names, so the fit is bit-identical to the
-plain topic-major loop. One final sample is taken; there is no averaging
-over sweeps. ``topic_report`` returns the ``topics`` list of
-``topics.json`` as plain dicts.
+one column of it. While it sweeps, the sampler keeps its three count
+tables as integer-valued floats changed by ``1.0``, so every add in a
+token-sample is float + float, which CPython runs on its float fast
+path; an int + float add takes the generic number protocol. A count
+below 2**53 is exact as a float, so every weight and draw is the float
+the integer formula gives, and the fit ends by turning the tables back
+into ints in place. The price is memory: each touched count is its own
+24-byte float object, where a small int is shared. The sweeps cache each
+topic's denominator ``topic_total + beta * V``, recomputing the two a
+move changes; each float is the expression the formula names, so the fit
+is bit-identical to the plain topic-major loop over int counts. One final
+sample is taken; there is no averaging over sweeps. ``topic_report``
+returns the ``topics`` list of ``topics.json`` as plain dicts.
 """
 
 from __future__ import annotations
@@ -95,8 +102,11 @@ def lda_fit(
     p(z = t) proportional to (doc_topic[d][t] + alpha)
     * (word_topic[w][t] + beta) / (topic_total[t] + beta * V)
     with the token's own assignment removed from the counts first.
-    sweep_hook, when given, observes the model after each sweep: the
-    sampler's live counts, which it must not mutate.
+    The sweeps count in integer-valued floats (see the module docstring);
+    the returned model holds the same tables turned back into ints.
+    sweep_hook, when given, observes the model after each sweep, with an
+    int copy of the three count tables (made only when there is a hook) and
+    the live assignments, which it must not mutate.
     Identical inputs and seed give identical output.
     """
     if k < 1:
@@ -114,19 +124,20 @@ def lda_fit(
         )
     rng = random.Random(seed)
     docs = corpus.docs
-    # Word-major: one token-sample reads one row.
-    word_topic = [[0] * k for _ in range(vocab_size)]
-    doc_topic_counts = [[0] * k for _ in range(len(docs))]
-    topic_totals = [0] * k
+    # Word-major: one token-sample reads one row. Float counts keep every
+    # add of the sweep float + float; see the module docstring.
+    word_topic = [[0.0] * k for _ in range(vocab_size)]
+    doc_topic_counts = [[0.0] * k for _ in range(len(docs))]
+    topic_totals = [0.0] * k
     assignments = []
     for doc, doc_counts in zip(docs, doc_topic_counts):
         assigned = []
         for word in doc:
             topic = rng.randrange(k)
             assigned.append(topic)
-            word_topic[word][topic] += 1
-            doc_counts[topic] += 1
-            topic_totals[topic] += 1
+            word_topic[word][topic] += 1.0
+            doc_counts[topic] += 1.0
+            topic_totals[topic] += 1.0
         assignments.append(assigned)
     model = TopicModel(
         k=k,
@@ -153,9 +164,9 @@ def lda_fit(
             for word in doc:
                 row = word_topic[word]
                 old = assigned[i]
-                row[old] -= 1
-                doc_counts[old] -= 1
-                topic_totals[old] -= 1
+                row[old] -= 1.0
+                doc_counts[old] -= 1.0
+                topic_totals[old] -= 1.0
                 denominators[old] = topic_totals[old] + beta_v
                 cumulative = 0.0
                 for t in topic_ids:
@@ -166,14 +177,26 @@ def lda_fit(
                 while new < last and thresholds[new] < draw:
                     new += 1
                 assigned[i] = new
-                row[new] += 1
-                doc_counts[new] += 1
-                topic_totals[new] += 1
+                row[new] += 1.0
+                doc_counts[new] += 1.0
+                topic_totals[new] += 1.0
                 denominators[new] = topic_totals[new] + beta_v
                 i += 1
         if sweep_hook is not None:
-            sweep_hook(sweep, model)
+            sweep_hook(sweep, _int_counts(model))
+    for table in (word_topic, doc_topic_counts, [topic_totals]):
+        for row in table:
+            row[:] = map(int, row)
     return model
+
+
+def _int_counts(model: TopicModel) -> TopicModel:
+    """``model`` with int copies of the sampler's float count tables."""
+    return model._replace(
+        word_topic_counts=[list(map(int, row)) for row in model.word_topic_counts],
+        doc_topic_counts=[list(map(int, row)) for row in model.doc_topic_counts],
+        topic_totals=list(map(int, model.topic_totals)),
+    )
 
 
 def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:

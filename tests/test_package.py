@@ -48,6 +48,18 @@ def test_cli_import_loads_no_dataclasses_or_inspect() -> None:
     assert done.stdout == "[]\n"
 
 
+def test_cli_import_loads_no_decimal_or_zoneinfo() -> None:
+    # Percentages are rounded in integers, and zoneinfo is imported only
+    # when a config names an IANA zone; the fixture uses a fixed offset.
+    done = run_python(
+        "-c",
+        "import sys, electionpulse.cli; "
+        "print(sorted(m for m in ('decimal', 'zoneinfo') if m in sys.modules))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_readme_library_example_runs() -> None:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library use", 1)[1]

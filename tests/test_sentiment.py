@@ -7,6 +7,7 @@ import io
 import math
 import operator
 from collections import defaultdict
+from decimal import ROUND_HALF_UP, Decimal
 from functools import reduce
 from itertools import permutations
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electionpulse._util import ConsistencyError, float_sum
+from electionpulse._util import ConsistencyError, float_sum, pct
 from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
@@ -698,3 +699,24 @@ def test_float_sum_rounds_left_to_right_on_every_python() -> None:
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
 def test_float_sum_is_a_left_fold(values) -> None:
     assert float_sum(values) == reduce(operator.add, values, 0.0)
+
+
+def decimal_pct(count: int, total: int) -> float:
+    """The decimal half-up quantize that ``pct`` does in integers: the oracle."""
+    if total == 0:
+        return 0.0
+    share = Decimal(count) * 100 / Decimal(total)
+    return float(share.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+def test_pct_matches_decimal_on_every_small_share() -> None:
+    # Every share with total <= 200, halfway cases such as 1/160 (0.625%) included.
+    for total in range(201):
+        for count in range(total + 1):
+            assert pct(count, total) == decimal_pct(count, total), (count, total)
+
+
+@given(st.integers(1, 10**9).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total))))
+def test_pct_matches_decimal(share: tuple[int, int]) -> None:
+    count, total = share
+    assert pct(count, total) == decimal_pct(count, total)

@@ -6,8 +6,11 @@ import hashlib
 import itertools
 import json
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electionpulse.topics import (
     Corpus,
@@ -198,6 +201,96 @@ class TestSamplerPin:
         assert len(seen) == 12
         assert state_digest(model) == self.HOOK_FINAL
         assert hashlib.sha256("".join(seen).encode()).hexdigest() == self.HOOK_SWEEPS
+
+
+def reference_fit(
+    corpus: Corpus, k: int, alpha: float, beta: float, iterations: int, seed: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int]]:
+    """The sampler as it was over int counts, the oracle for the float
+    working counts: (assignments, word-topic, doc-topic, topic totals)."""
+    rng = random.Random(seed)
+    docs = corpus.docs
+    word_topic = [[0] * k for _ in range(len(corpus.vocabulary))]
+    doc_topic_counts = [[0] * k for _ in range(len(docs))]
+    topic_totals = [0] * k
+    assignments = []
+    for doc, doc_counts in zip(docs, doc_topic_counts):
+        assigned = []
+        for word in doc:
+            topic = rng.randrange(k)
+            assigned.append(topic)
+            word_topic[word][topic] += 1
+            doc_counts[topic] += 1
+            topic_totals[topic] += 1
+        assignments.append(assigned)
+    beta_v = beta * len(corpus.vocabulary)
+    denominators = [total + beta_v for total in topic_totals]
+    thresholds = [0.0] * k
+    last = k - 1
+    for _ in range(iterations):
+        for doc, doc_counts, assigned in zip(docs, doc_topic_counts, assignments):
+            for i, word in enumerate(doc):
+                row = word_topic[word]
+                old = assigned[i]
+                row[old] -= 1
+                doc_counts[old] -= 1
+                topic_totals[old] -= 1
+                denominators[old] = topic_totals[old] + beta_v
+                cumulative = 0.0
+                for t in range(k):
+                    cumulative += (doc_counts[t] + alpha) * (row[t] + beta) / denominators[t]
+                    thresholds[t] = cumulative
+                draw = rng.random() * cumulative
+                new = 0
+                while new < last and thresholds[new] < draw:
+                    new += 1
+                assigned[i] = new
+                row[new] += 1
+                doc_counts[new] += 1
+                topic_totals[new] += 1
+                denominators[new] = topic_totals[new] + beta_v
+    return assignments, word_topic, doc_topic_counts, topic_totals
+
+
+def count_tables(model: TopicModel) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    return model.word_topic_counts, model.doc_topic_counts, model.topic_totals
+
+
+def all_ints(tables) -> bool:
+    word_topic, doc_topic, totals = tables
+    return all(type(c) is int for row in [*word_topic, *doc_topic, totals] for c in row)
+
+
+class TestFloatWorkingCounts:
+    """The sampler counts in floats; every draw and count must match the int
+    loop, and every count a caller or hook sees must be an int."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=9), min_size=1, max_size=8),
+        k=st.integers(1, 8),
+        alpha=st.floats(1e-3, 10.0),
+        beta=st.floats(1e-3, 10.0),
+        iterations=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_the_int_loop(self, docs, k, alpha, beta, iterations, seed) -> None:
+        corpus = build_corpus([[f"w{word}" for word in doc] for doc in docs])
+        seen: list[tuple] = []
+
+        def hook(sweep: int, model: TopicModel) -> None:
+            seen.append((all_ints(count_tables(model)), count_tables(model)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # vocabulary smaller than k
+            model = lda_fit(corpus, k, alpha, beta, iterations, seed)
+            hooked = lda_fit(corpus, k, alpha, beta, iterations, seed, sweep_hook=hook)
+        expected = reference_fit(corpus, k, alpha, beta, iterations, seed)
+        for fitted in (model, hooked):
+            assert (fitted.assignments, *count_tables(fitted)) == expected
+            assert all_ints(count_tables(fitted))
+        assert [ints for ints, _ in seen] == [True] * iterations
+        assert seen[-1][1] == count_tables(model)
 
 
 class TestSweepHook:
