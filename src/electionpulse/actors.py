@@ -20,7 +20,7 @@ import configparser
 from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
 from typing import NamedTuple
 
-from .preprocess import stem
+from .preprocess import stem, text_tokens
 
 KINDS = ("candidate", "party", "combined")
 
@@ -119,6 +119,11 @@ class ActorSet:
             for alias in actor.aliases:
                 if alias != alias.lower():
                     problems.append(f"actor {actor.id!r} alias {alias!r} is not lowercase")
+                elif (tokens := text_tokens(alias)) != alias.split():
+                    problems.append(
+                        f"actor {actor.id!r} alias {alias!r} becomes the tokens {tokens!r}, "
+                        "which no tweet's tokens can match"
+                    )
                 owner = seen_aliases.get((actor.kind, alias))
                 if owner is not None and owner != actor.id:
                     problems.append(

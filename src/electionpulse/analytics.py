@@ -35,6 +35,9 @@ BUCKET_LABELS: tuple[str, ...] = (
     "6-8", "8-10", "10-12", "12-14", "14-16", "16-18", "18-20", "20-00",
 )
 
+# Rows per heatmap cell that the CLI writes.
+HEATMAP_TOP_N = 10
+
 
 def bucket_label(timestamp: datetime | time) -> str:
     """The label of the bucket holding a local-time instant; OUT_OF_RANGE before 06:00."""
@@ -110,13 +113,14 @@ def term_frequencies(
     top_n: int | None = None,
 ) -> list[tuple[str, int]]:
     """(term, count) rows over the group's stemmed tokens, counts
-    descending, ties lexicographic."""
+    descending, ties lexicographic. Tokens are lowercase already
+    (``preprocess.clean``), so only the exclusions are lowercased."""
     if top_n is not None and top_n < 1:
         raise ValueError("top_n must be at least 1")
     excluded = {word.lower() for word in exclusions or ()}
     counts: Counter[str] = Counter()
     for tweet in tweets:
-        counts.update(token for token in tweet.tokens if token.lower() not in excluded)
+        counts.update(token for token in tweet.tokens if token not in excluded)
     rows = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return rows[:top_n] if top_n else rows
 

@@ -78,9 +78,7 @@ class _RunState:
 def _load(state: _RunState) -> int:
     """Load the word lists and lexicons; returns the number of files read."""
     config = state.config
-    stopwords = load_stopwords(config.stopwords_path)
-    if config.extra_stopwords_from_actors:
-        stopwords |= config.actor_set.alias_words()
+    stopwords = load_stopwords(config.stopwords_path) | config.actor_set.alias_words()
     if config.dictionary_path:
         dictionary = load_dictionary(config.dictionary_path)
     else:
@@ -172,7 +170,6 @@ def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
-    threshold = state.config.subjectivity_threshold
     with open(os.path.join(staging, "scores.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "polarity", "subjectivity", "polarity_class", "subjectivity_class"])
@@ -183,7 +180,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
                     repr(score.polarity),
                     repr(score.subjectivity),
                     polarity_class(score.polarity),
-                    subjectivity_class(score.subjectivity, threshold),
+                    subjectivity_class(score.subjectivity),
                 ]
             )
     return len(scores)
@@ -272,7 +269,7 @@ def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
         state.kept,
         state.config.actor_set,
         state.config.scope,
-        top_n=state.config.heatmap_top_n,
+        top_n=analytics.HEATMAP_TOP_N,
     )
     _write_json(os.path.join(staging, "heatmap.json"), matrix)
     return len(matrix)
@@ -461,9 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override one ingest field path (repeatable)")
     common.add_argument("--stopwords", dest="preprocess.stopwords", metavar="STOPWORDS",
                         help="override the stopword list path")
-    common.add_argument("--extra-stopwords-from-actors", action="store_const", const="true",
-                        dest="preprocess.extra_stopwords_from_actors",
-                        help="also treat actor and party names as stopwords")
     common.add_argument("--no-spellcheck", action="store_const", const="false",
                         dest="preprocess.spellcheck", help="skip spelling correction")
     common.add_argument("--engine", choices=["pattern", "swn"], dest="sentiment.engine",
@@ -486,9 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cloud = subparsers.add_parser("cloud", parents=[common], help="co-occurring words per actor")
     cloud.add_argument("--actor", help="emit the cloud for this actor only")
     subparsers.add_parser("timeseries", parents=[common], help="bucketed sentiment series")
-    heatmap = subparsers.add_parser("heatmap", parents=[common], help="per-actor per-bucket term tables")
-    heatmap.add_argument("--top-n", type=int, dest="analytics.top_n", metavar="TOP_N",
-                         help="rows per heatmap cell")
+    subparsers.add_parser("heatmap", parents=[common], help="per-actor per-bucket term tables")
     topics_cmd = subparsers.add_parser("topics", parents=[common], help="LDA topic report")
     topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
     topics_cmd.add_argument("--k", type=int, dest="topics.k", metavar="K", help="topic count")

@@ -53,16 +53,13 @@ class RunConfig(NamedTuple):
     stopwords_path: str
     dictionary_path: str | None
     spellcheck: bool
-    extra_stopwords_from_actors: bool
     engine: str
-    subjectivity_threshold: float
     lda_k: int
     lda_alpha: float
     lda_beta: float
     lda_iterations: int
     top_words: int
     min_doc_len: int
-    heatmap_top_n: int
     output_dir: str
     seed: int
     snapshot: dict[str, Any]
@@ -216,7 +213,6 @@ def validate_config(
 
     require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
     spellcheck = get_bool("spellcheck", "preprocess", "spellcheck", True)
-    get_bool("extra_stopwords_from_actors", "preprocess", "extra_stopwords_from_actors", False)
     require_path(
         "dictionary_path", "preprocess", "dictionary",
         "when spellcheck is on" if spellcheck else None,
@@ -228,10 +224,6 @@ def validate_config(
         diagnostics.append(f"[sentiment] engine = {engine!r} must be one of {', '.join(ENGINES)}")
     finite = (positive_finite, "must be positive and finite")
     at_least_one = (lambda v: v >= 1, "must be at least 1")
-    get_number(
-        "subjectivity_threshold", "sentiment", "subjectivity_threshold", "0.5", float,
-        lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]",
-    )
 
     get_number("lda_k", "topics", "k", "5", int, *at_least_one)
     get_number("lda_alpha", "topics", "alpha", "0.1", float, *finite)
@@ -239,8 +231,6 @@ def validate_config(
     get_number("lda_iterations", "topics", "iterations", "500", int, *at_least_one)
     get_number("top_words", "topics", "top_words", "10", int, *at_least_one)
     get_number("min_doc_len", "topics", "min_doc_len", "1", int, *at_least_one)
-
-    get_number("heatmap_top_n", "analytics", "top_n", "10", int, *at_least_one)
 
     output_dir = keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
     if os.path.exists(output_dir) and not os.path.isdir(output_dir):

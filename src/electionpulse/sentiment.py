@@ -43,6 +43,7 @@ NEUTRAL = "neutral"
 NEGATIVE = "negative"
 SUBJECTIVE = "subjective"
 OBJECTIVE = "objective"
+SUBJECTIVITY_THRESHOLD = 0.5
 
 _POS_TAGS = frozenset("navr")
 
@@ -298,13 +299,12 @@ def polarity_class(score: float) -> str:
     return NEUTRAL
 
 
-def subjectivity_class(score: float, threshold: float = 0.5) -> str:
-    """subjective strictly above the threshold, objective otherwise."""
+def subjectivity_class(score: float) -> str:
+    """subjective strictly above SUBJECTIVITY_THRESHOLD (0.5), objective
+    at or below it."""
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"subjectivity {score} outside [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    return SUBJECTIVE if score > threshold else OBJECTIVE
+    return SUBJECTIVE if score > SUBJECTIVITY_THRESHOLD else OBJECTIVE
 
 
 class NBCModel(NamedTuple):

@@ -67,7 +67,7 @@ def sense_lexicon() -> SenseLexicon:
 
 @pytest.fixture(scope="session")
 def pipeline(actor_set, dictionary) -> PipelineConfig:
-    # Mirrors the bundled config: actor aliases join the stopword list.
+    # Mirrors the CLI: every actor alias word joins the stopword list.
     stopwords = load_stopwords(str(FIXTURES / "stopwords.txt"))
     stopwords |= actor_set.alias_words()
     return PipelineConfig(stopwords=stopwords, dictionary=dictionary)

@@ -89,6 +89,21 @@ class TestValidation:
             ActorSet([Actor("x", "candidate", ("Obiano",))])
         assert any("lowercase" in d for d in err.value.diagnostics)
 
+    def test_alias_that_tokens_cannot_match(self) -> None:
+        # Matching compares alias words with a tweet's cleaned tokens, so
+        # an alias that cleaning changes can never match.
+        with pytest.raises(ActorConfigError) as err:
+            ActorSet([
+                Actor("apga", "party", ("apga.",)),
+                Actor("apc", "party", ("@apc", "apc")),
+                Actor("pdp", "party", ("PDP.",)),
+            ])
+        assert err.value.diagnostics == [
+            "actor 'apga' alias 'apga.' becomes the tokens ['apga'], which no tweet's tokens can match",
+            "actor 'apc' alias '@apc' becomes the tokens [], which no tweet's tokens can match",
+            "actor 'pdp' alias 'PDP.' is not lowercase",
+        ]
+
     def test_alias_shared_within_kind(self) -> None:
         with pytest.raises(ActorConfigError) as err:
             ActorSet([

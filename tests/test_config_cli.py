@@ -85,9 +85,8 @@ FIXTURE_SNAPSHOT = {
         "stopwords": "stopwords.txt",
         "dictionary": "dictionary.txt",
         "spellcheck": True,
-        "extra_stopwords_from_actors": True,
     },
-    "sentiment": {"engine": "pattern", "subjectivity_threshold": 0.5},
+    "sentiment": {"engine": "pattern"},
     "topics": {
         "k": 5,
         "alpha": 0.1,
@@ -96,7 +95,6 @@ FIXTURE_SNAPSHOT = {
         "top_words": 10,
         "min_doc_len": 1,
     },
-    "analytics": {"top_n": 10},
     "output": {"dir": "../out"},
     "run": {"seed": 42},
 }
@@ -211,10 +209,10 @@ class TestValidateConfig:
     def test_numeric_constraints(self, config_factory) -> None:
         with pytest.raises(ConfigError) as err:
             validate_config(config_factory(**{
+                "topics.k": "0",
                 "topics.alpha": "0",
+                "topics.beta": "0",
                 "topics.iterations": "0",
-                "sentiment.subjectivity_threshold": "1.5",
-                "analytics.top_n": "0",
             }))
         assert len(err.value.diagnostics) == 4
 
@@ -310,6 +308,28 @@ def _zero_alpha_and_bad_timezone(config_factory, fixtures_dir, tmp_path, monkeyp
 
 def _unknown_actor_and_bad_top_n(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["cloud", "--config", config_factory(**{"analytics.top_n": "0"}), "--actor", "nobody"]
+
+
+def _extra_stopwords_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # Alias words are stopwords on every run.
+    key = {"preprocess.extra_stopwords_from_actors": "true"}
+    return ["ingest", "--config", config_factory(**key)]
+
+
+def _subjectivity_threshold_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["sentiment", "--config", config_factory(**{"sentiment.subjectivity_threshold": "0.5"})]
+
+
+def _top_n_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["heatmap", "--config", config_factory(**{"analytics.top_n": "10"})]
+
+
+def _unmatchable_alias(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # Tweet tokens never end in punctuation, so "apga." could never match.
+    roster = (fixtures_dir / "actors.ini").read_text(encoding="utf-8")
+    actors = tmp_path / "actors.ini"
+    actors.write_text(roster.replace("aliases = apga\n", "aliases = apga.\n"), encoding="utf-8")
+    return ["counts", "--config", config_factory(**{"actors.path": str(actors)})]
 
 
 def _unknown_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -453,7 +473,7 @@ EXIT_CODE_MATRIX = [
     ("zero_alpha_and_bad_timezone", _zero_alpha_and_bad_timezone, 2,
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
     ("unknown_actor_and_bad_top_n", _unknown_actor_and_bad_top_n, 2,
-     ("--actor 'nobody'", "[analytics] top_n = 0"), None),
+     ("--actor 'nobody'", "[analytics] top_n is not a configuration key"), None),
     ("unknown_field", _unknown_field, 2, "'txet' is not a field", None),
     ("empty_field_path", _empty_field_path, 2, "text has an empty path", None),
     ("repeated_scope_id", _repeated_scope_id, 2,
@@ -471,10 +491,17 @@ EXIT_CODE_MATRIX = [
     ("removed_stem_key", _stem_key, 2, "[preprocess] stem is not a configuration key", None),
     ("removed_polarity_scale_key", _polarity_scale_key, 2,
      "[sentiment] polarity_scale is not a configuration key", None),
+    ("removed_extra_stopwords_key", _extra_stopwords_key, 2,
+     "[preprocess] extra_stopwords_from_actors is not a configuration key", None),
+    ("removed_subjectivity_threshold_key", _subjectivity_threshold_key, 2,
+     "[sentiment] subjectivity_threshold is not a configuration key", None),
+    ("removed_top_n_key", _top_n_key, 2, "[analytics] top_n is not a configuration key", None),
     ("removed_author_field", _author_field, 2, "'author' is not a field", None),
     ("removed_author_field_flag", _author_field_flag, 2, "'author' is not a field", None),
     ("aliases_on_combined_actor", _aliases_on_combined_actor, 2,
      "[actors] combined actor 'willie_obiano_apga' cannot have aliases", None),
+    ("unmatchable_alias", _unmatchable_alias, 2,
+     "[actors] actor 'apga' alias 'apga.' becomes the tokens ['apga']", None),
     ("single_label_nbc_corpus", _single_label_corpus, 1, "error", ("labels", "sha256:")),
     ("nbc_row_without_text", _nbc_row_without_text, 1, "nbc_corpus.csv line 10",
      ("ValueError: ", "sha256:")),
@@ -537,30 +564,40 @@ class TestCliExitCodes:
         assert "unrecognized arguments: --no-stem" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ingest", "--extra-stopwords-from-actors"], ["heatmap", "--top-n", "3"]],
+        ids=["--extra-stopwords-from-actors", "--top-n"],
+    )
+    def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--config", config_factory()])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # One row per config-overriding flag: (subcommand, flag, value or None for
 # a switch, the manifest ``config`` path the value must reach, the value
-# found there). "{tmp}" stands for the test's directory. FLAG_BASE makes
-# every key in the config file differ from the row's value, so a flag that
-# never reaches its key fails its row.
+# found there). "{tmp}" stands for the test's directory. Every row's value
+# differs from the config file's, so a flag that never reaches its key
+# fails its row; FLAG_BASE only cuts the sweeps.
 FLAG_ROWS = [
     ("ingest", "--input", "{tmp}/tweets_50.jsonl", "input.path", "{tmp}/tweets_50.jsonl"),
     ("ingest", "--timezone", "Africa/Lagos", "input.timezone", "Africa/Lagos"),
     ("ingest", "--field-map", "text=text", "input.field_map", {"text": "text"}),
     ("ingest", "--stopwords", "{tmp}/stopwords.txt", "preprocess.stopwords", "{tmp}/stopwords.txt"),
-    ("ingest", "--extra-stopwords-from-actors", None, "preprocess.extra_stopwords_from_actors", True),
     ("ingest", "--no-spellcheck", None, "preprocess.spellcheck", False),
     ("ingest", "--engine", "swn", "sentiment.engine", "swn"),
     ("ingest", "--output", "{tmp}/elsewhere", "output.dir", "{tmp}/elsewhere"),
     ("ingest", "--seed", "7", "run.seed", 7),
-    ("heatmap", "--top-n", "3", "analytics.top_n", 3),
     ("topics", "--k", "6", "topics.k", 6),
     ("topics", "--alpha", "0.5", "topics.alpha", 0.5),
     ("topics", "--beta", "0.2", "topics.beta", 0.2),
     ("topics", "--iters", "7", "topics.iterations", 7),
     ("topics", "--top-words", "3", "topics.top_words", 3),
 ]
-FLAG_BASE = {"preprocess.extra_stopwords_from_actors": "false", "topics.iterations": "5"}
+FLAG_BASE = {"topics.iterations": "5"}
 
 
 class TestOverrideFlags:
@@ -641,16 +678,14 @@ class TestCliRuns:
         assert main(argv) == 0
         assert read_json(tmp_path / "out" / "nbc_model.json")["labels"] == ["negative", "positive"]
 
-    def test_alias_words_are_stopwords_only_when_enabled(self, config_factory, tmp_path) -> None:
-        tokens = {}
-        for enabled in ("false", "true"):
-            config = config_factory(**{"preprocess.extra_stopwords_from_actors": enabled})
-            assert main(["ingest", "--config", config]) == 0
-            with open(tmp_path / "out" / "tweets.csv", encoding="utf-8", newline="") as handle:
-                rows = csv.DictReader(handle)
-                tokens[enabled] = {token for row in rows for token in row["tokens"].split()}
-        assert "obiano" in tokens["false"]
-        assert "obiano" not in tokens["true"]
+    def test_alias_words_are_always_stopwords(self, config_factory, actor_set, tmp_path) -> None:
+        config = config_factory()
+        assert "extra_stopwords_from_actors" not in Path(config).read_text(encoding="utf-8")
+        assert main(["ingest", "--config", config]) == 0
+        with open(tmp_path / "out" / "tweets.csv", encoding="utf-8", newline="") as handle:
+            tokens = {token for row in csv.DictReader(handle) for token in row["tokens"].split()}
+        assert tokens
+        assert not tokens & actor_set.alias_words()
 
     def test_empty_input_succeeds_with_headers_only(self, config_factory, tmp_path) -> None:
         empty = tmp_path / "empty.jsonl"
@@ -742,12 +777,15 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("args", [["all"], ["topics", "--group", "apga"]])
     def test_each_record_is_matched_once(
-        self, args, config_factory, records, monkeypatch
+        self, args, config_factory, records, actor_set, monkeypatch
     ) -> None:
         cleaned = record_calls(monkeypatch, preprocess_module, "clean")
         matched = record_calls(monkeypatch, actors_module, "match_actors")
         assert main([*args, "--config", config_factory()]) == 0
-        assert sorted(cleaned) == sorted(record.text for record in records)
+        # Loading the roster cleans each alias once, to check that it is
+        # its own tokens.
+        aliases = [alias for actor in actor_set for alias in actor.aliases]
+        assert sorted(cleaned) == sorted([*(record.text for record in records), *aliases])
         assert len(matched) == len(records) == 50
 
     def test_each_distinct_token_is_stemmed_once(

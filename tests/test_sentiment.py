@@ -458,13 +458,10 @@ class TestClasses:
         assert subjectivity_class(0.9) == "subjective"
         assert subjectivity_class(0.5) == "objective"  # threshold not exceeded
         assert subjectivity_class(0.0) == "objective"
-        assert subjectivity_class(0.5, threshold=0.4) == "subjective"
 
     def test_subjectivity_range_checks(self) -> None:
         with pytest.raises(ValueError):
             subjectivity_class(1.2)
-        with pytest.raises(ValueError):
-            subjectivity_class(0.5, threshold=-0.1)
 
 
 class TestScoreAll:
