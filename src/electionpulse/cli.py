@@ -53,7 +53,7 @@ from .sentiment import (
     score_all,
     subjectivity_class,
 )
-from .spelling import SpellingDictionary, load_dictionary
+from .spelling import load_dictionary
 
 
 class _RunState:
@@ -79,13 +79,9 @@ def _load(state: _RunState) -> int:
     """Load the word lists and lexicons; returns the number of files read."""
     config = state.config
     stopwords = load_stopwords(config.stopwords_path) | config.actor_set.alias_words()
-    if config.dictionary_path:
-        dictionary = load_dictionary(config.dictionary_path)
-    else:
-        dictionary = SpellingDictionary()
     state.pipeline = PipelineConfig(
         stopwords=stopwords,
-        dictionary=dictionary,
+        dictionary=load_dictionary(config.dictionary_path) if config.dictionary_path else None,
         spellcheck=config.spellcheck,
     )
     state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
@@ -123,9 +119,7 @@ def _ingest(state: _RunState) -> None:
     config = state.config
 
     def worker():
-        state.records, state.report = parse_tweet_stream(
-            config.input_path, field_map=config.field_map, tz=config.tz
-        )
+        state.records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
         return len(state.records)
 
     _timed(state, "ingest", worker)
@@ -416,7 +410,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
 
 def _input_digest(state: _RunState) -> str | None:
     """The digest of the input bytes the run parsed, or None if it parsed none."""
-    if state.report is None or state.report.sha256 is None:
+    if state.report is None:
         return None
     return "sha256:" + state.report.sha256
 
@@ -446,7 +440,7 @@ def _dataset_section(state: _RunState) -> dict | None:
 
 def _build_parser() -> argparse.ArgumentParser:
     # A flag whose dest is "section.key" overrides that config key; the
-    # rest (--config, --field-map, --actor, --group, train-nbc --alpha)
+    # rest (--config, --actor, --group, train-nbc --alpha)
     # are read by ``main`` itself.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
@@ -454,8 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the input JSON-lines path")
     common.add_argument("--timezone", dest="input.timezone", metavar="TIMEZONE",
                         help="override the dataset timezone")
-    common.add_argument("--field-map", action="append", default=[], metavar="FIELD=PATH",
-                        help="override one ingest field path (repeatable)")
     common.add_argument("--stopwords", dest="preprocess.stopwords", metavar="STOPWORDS",
                         help="override the stopword list path")
     common.add_argument("--no-spellcheck", action="store_const", const="false",
@@ -501,9 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     overrides = {key: str(value) for key, value in args.items() if "." in key and value is not None}
-    for item in args["field_map"]:
-        name, _, dotted = item.partition("=")
-        overrides[f"fields.{name.strip()}"] = dotted.strip()
     options = {
         key: value
         for key, value in args.items()

@@ -13,9 +13,7 @@ from the ``--seed`` flag, else from ``[run] seed``.
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
 a key cannot be used without being recorded. The keys read are the known
-keys: a file key never read is a usage error. The snapshot's
-``input.field_map`` is no key: it records the ``[fields]`` section, whose
-own keys (never the ``[DEFAULT]`` ones) are checked one by one.
+keys: a file key never read is a usage error.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Any, NamedTuple
 
 from ._util import parse_timezone
 from .actors import ActorConfigError, ActorSet, load_actor_file
-from .ingest import DEFAULT_FIELD_MAP
 from .sentiment import ENGINES
 
 
@@ -43,7 +40,6 @@ class ConfigError(Exception):
 class RunConfig(NamedTuple):
     input_path: str
     tz: tzinfo
-    field_map: dict[str, str]
     actor_set: ActorSet
     scope: list[str]
     pattern_lexicon_path: str
@@ -97,12 +93,6 @@ def validate_config(
 
     def resolve(value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(base_dir, value)
-
-    def own_items(section: str) -> list[tuple[str, str]]:
-        """The section's own key-value pairs, without the [DEFAULT] ones."""
-        if not parser.has_section(section):
-            return []
-        return [(key, value) for key, value in parser.items(section) if key not in defaults]
 
     def get(section: str, key: str, fallback: str | None = None) -> str | None:
         read.setdefault(section, set()).add(key)
@@ -166,18 +156,6 @@ def validate_config(
         tz = parse_timezone(timezone_name)
     except Exception as exc:  # bad offset syntax or unknown zone name
         diagnostics.append(f"[input] timezone = {timezone_name!r} is not recognized: {exc}")
-
-    field_map = dict(own_items("fields"))
-    for key, value in overrides.items():
-        if key.startswith("fields."):
-            field_map[key[len("fields."):]] = str(value).strip()
-    for name, dotted in keep("field_map", "input", "field_map", field_map).items():
-        if name not in DEFAULT_FIELD_MAP:
-            diagnostics.append(
-                f"[fields] {name!r} is not a field; fields are {', '.join(DEFAULT_FIELD_MAP)}"
-            )
-        elif not dotted:
-            diagnostics.append(f"[fields] {name} has an empty path")
 
     actors_path = require_path(None, "actors", "path", "actor definitions")
     actor_set = None
@@ -244,15 +222,13 @@ def validate_config(
         seed = 0
     keep("seed", "run", "seed", seed)
 
-    # A file key that no read above asked for is a typo or a stray ([fields]
-    # was checked key by key). [DEFAULT] keys show up in every section, so
-    # each is reported once, under [DEFAULT].
+    # A file key that no read above asked for is a typo or a stray. [DEFAULT]
+    # keys show up in every section, so each is reported once, under [DEFAULT].
     known_anywhere = set().union(*read.values())
     unknown = [f"[DEFAULT] {key}" for key in defaults if key not in known_anywhere]
     for section in parser.sections():
-        if section != "fields":
-            known = read.get(section, set())
-            unknown += [f"[{section}] {key}" for key, _ in own_items(section) if key not in known]
+        known = read.get(section, set()) | defaults.keys()
+        unknown += [f"[{section}] {key}" for key in parser[section] if key not in known]
     diagnostics.extend(f"{name} is not a configuration key" for name in unknown)
 
     if diagnostics:

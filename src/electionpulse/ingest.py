@@ -1,8 +1,8 @@
 """Tweet stream ingestion and dataset statistics.
 
-Reads: JSON-lines files, one tweet object per line, UTF-8. Field
-locations are configurable through a dot-path table with "|"-separated
-alternatives (default fits Twitter's classic payload shape).
+Reads: a JSON-lines file, one tweet object per line, UTF-8, in Twitter's
+classic payload shape: ``id_str`` (else ``id``), ``created_at``,
+``full_text`` (else ``text``) and ``retweeted_status``.
 
 Preprocesses: one pass over the parsed records cleans and tokenizes each
 record once, matches its actors on those tokens, tallies the raw
@@ -25,21 +25,12 @@ import json
 import unicodedata
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timedelta, timezone, tzinfo
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 from ._util import parse_timestamp, pct
 from .actors import ActorSet, group_counts, match_actors
 from .analytics import bucket_label
 from .preprocess import PipelineConfig, ProcessedTweet, preprocess_pipeline, text_tokens
-
-# Dot paths into the line's JSON object; "|" separates alternatives tried
-# in order. id, created_at and text are required for a line to count.
-DEFAULT_FIELD_MAP: dict[str, str] = {
-    "id": "id_str|id",
-    "created_at": "created_at",
-    "text": "full_text|text",
-    "retweeted": "retweeted_status",
-}
 
 # 280 characters at up to 4 UTF-8 bytes each.
 MAX_TEXT_BYTES = 1120
@@ -70,7 +61,7 @@ SKIP_CAUSES = (
 class ParseReport(NamedTuple):
     lines_read: int
     skipped: dict[str, int]  # lines skipped per cause, every cause in SKIP_CAUSES
-    sha256: str | None = None  # hex digest of the bytes parsed from a path source
+    sha256: str  # hex digest of the bytes parsed
 
     @property
     def lines_skipped(self) -> int:
@@ -86,50 +77,26 @@ class Preprocessed(NamedTuple):
     excluded: dict[str, int]
 
 
-def _split_path(path: str) -> tuple[tuple[str, ...], ...]:
-    """A field path's "|" alternatives, each as its tuple of dot keys."""
-    return tuple(tuple(alternative.split(".")) for alternative in path.split("|"))
+def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRecord | str:
+    """The line's record, or the SKIP_CAUSES entry that rejects it.
 
-
-def _lookup(obj: dict, alternatives: tuple[tuple[str, ...], ...]):
-    for keys in alternatives:
-        value = obj
-        for key in keys:
-            if isinstance(value, dict) and key in value:
-                value = value[key]
-            else:
-                value = None
-                break
-        if value is not None:
-            return value
-    return None
-
-
-def _read_lines(path: str | bytes, digest) -> Iterable[bytes]:
-    """The file's lines, fed to ``digest`` as they are read."""
-    with open(path, "rb") as handle:
-        for line in handle:
-            digest.update(line)
-            yield line
-
-
-def _record_or_cause(
-    raw_line: bytes | str,
-    fields: dict[str, tuple[tuple[str, ...], ...]],
-    seen_ids: set[str],
-    tz: tzinfo,
-) -> TweetRecord | str:
-    """The line's record, or the SKIP_CAUSES entry that rejects it."""
+    A key that is absent or JSON null falls through to its alternative
+    (``id_str`` to ``id``, ``full_text`` to ``text``); any other value is
+    taken, the empty string included.
+    """
     try:
-        line = raw_line.decode("utf-8") if isinstance(raw_line, bytes) else raw_line
-        payload = json.loads(line)
+        payload = json.loads(raw_line.decode("utf-8"))
     except ValueError:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return "invalid_json"
     if not isinstance(payload, dict):
         return "invalid_json"
-    tweet_id = _lookup(payload, fields["id"])
-    created_raw = _lookup(payload, fields["created_at"])
-    text = _lookup(payload, fields["text"])
+    tweet_id = payload.get("id_str")
+    if tweet_id is None:
+        tweet_id = payload.get("id")
+    text = payload.get("full_text")
+    if text is None:
+        text = payload.get("text")
+    created_raw = payload.get("created_at")
     if tweet_id is None or created_raw is None or text is None:
         return "missing_field"
     tweet_id = str(tweet_id)
@@ -151,7 +118,7 @@ def _record_or_cause(
         created_at = parse_timestamp(str(created_raw)).astimezone(tz).replace(microsecond=0)
     except (ValueError, KeyError, OverflowError):  # an unknown month; a year out of range
         return "bad_timestamp"
-    retweeted = _lookup(payload, fields["retweeted"]) is not None
+    retweeted = payload.get("retweeted_status") is not None
     return TweetRecord(
         id=tweet_id,
         created_at=created_at,
@@ -161,12 +128,9 @@ def _record_or_cause(
 
 
 def parse_tweet_stream(
-    source: str | IO[bytes] | IO[str] | Iterable[bytes | str],
-    *,
-    field_map: dict[str, str] | None = None,
-    tz: tzinfo = DEFAULT_TIMEZONE,
+    path: str, *, tz: tzinfo = DEFAULT_TIMEZONE
 ) -> tuple[list[TweetRecord], ParseReport]:
-    """Parse a JSON-lines stream into records plus a totality report.
+    """Parse a JSON-lines file into records plus a totality report.
 
     A line is skipped (never fatal) when it is not a valid JSON object
     (an id or text holding a lone surrogate escape is not valid Unicode
@@ -174,32 +138,25 @@ def parse_tweet_stream(
     counts as missing), carries an id already seen, has no text left after
     unicode normalization, exceeds the text byte limit, or has an
     unparseable timestamp; the report counts each skip under its cause.
-    An unreadable source path still raises the underlying OSError. For a
-    path source the report carries the sha256 of exactly the bytes that
-    were parsed.
+    An unreadable path still raises the underlying OSError. The report
+    carries the sha256 of exactly the bytes that were parsed.
     """
-    paths = dict(DEFAULT_FIELD_MAP)
-    if field_map:
-        paths.update(field_map)
-    fields = {name: _split_path(path) for name, path in paths.items()}
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     lines_read = 0
     skipped = dict.fromkeys(SKIP_CAUSES, 0)
-    digest = None
-    lines = source
-    if isinstance(source, (str, bytes)):
-        digest = hashlib.sha256()
-        lines = _read_lines(source, digest)
-    for raw_line in lines:
-        lines_read += 1
-        record = _record_or_cause(raw_line, fields, seen_ids, tz)
-        if isinstance(record, str):
-            skipped[record] += 1
-            continue
-        seen_ids.add(record.id)
-        records.append(record)
-    return records, ParseReport(lines_read, skipped, digest.hexdigest() if digest else None)
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for raw_line in handle:
+            lines_read += 1
+            digest.update(raw_line)
+            record = _record_or_cause(raw_line, seen_ids, tz)
+            if isinstance(record, str):
+                skipped[record] += 1
+                continue
+            seen_ids.add(record.id)
+            records.append(record)
+    return records, ParseReport(lines_read, skipped, digest.hexdigest())
 
 
 def preprocess_records(

@@ -1,11 +1,13 @@
-"""Tweet text preprocessing: clean, tokenize, correct, filter, stem.
+"""Tweet text preprocessing: clean, tokenize, filter, correct, filter, stem.
 
 The pipeline runs the steps in that fixed order so that spelling
-correction sees surface words (never stems) and stemming sees only
-dictionary-corrected, stopword-free tokens. A run cleans and tokenizes
-each record once (``text_tokens``); actor matching and, for records that
-are not retweets, the token steps (``preprocess_pipeline``) share those
-tokens, and each kept tweet carries the actors its text names.
+correction sees surface words (never stems and never stopwords, so no
+correction can carry a stopword past the filter) and stemming sees only
+dictionary-corrected, stopword-free tokens. Stopwords are filtered again
+after correction, since a correction can land on one. A run cleans and
+tokenizes each record once (``text_tokens``); actor matching and, for
+records that are not retweets, the token steps (``preprocess_pipeline``)
+share those tokens, and each kept tweet carries the actors its text names.
 Stopwords are a plain frozenset: ``clean`` lowercases every token first.
 """
 
@@ -17,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._util import read_word_list
-from .spelling import correct_spelling
+from .spelling import SpellingDictionary, correct_spelling
 from .stemming import porter_stem
 
 if TYPE_CHECKING:
@@ -125,7 +127,9 @@ def text_tokens(text: str) -> list[str]:
 class PipelineConfig:
     """Knobs the preprocessing pipeline needs from the run configuration,
     plus the run's stem memo (token -> stem), so each distinct token is
-    stemmed once per run. No dictionary means an empty one."""
+    stemmed once per run. No dictionary means an empty one; a plain mapping
+    is wrapped in a ``SpellingDictionary`` once, so its delete index and
+    correction memo serve every lookup of the run."""
 
     def __init__(
         self,
@@ -134,21 +138,26 @@ class PipelineConfig:
         spellcheck: bool = True,
     ) -> None:
         self.stopwords = stopwords
-        self.dictionary = {} if dictionary is None else dictionary
+        if not isinstance(dictionary, SpellingDictionary):
+            dictionary = SpellingDictionary(dictionary)
+        self.dictionary = dictionary
         self.spellcheck = spellcheck
         self.stems: dict[str, str] = {}
 
 
 def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
-    """The token steps on clean surface tokens: correct, filter, stem."""
+    """The token steps on clean surface tokens: filter, correct, filter, stem."""
+    stopwords = config.stopwords
+    tokens = [tok for tok in tokens if tok not in stopwords]
     if config.spellcheck:
+        dictionary = config.dictionary
         tokens = [
-            correct_spelling(tok, config.dictionary)
-            if len(tok) >= MIN_CORRECTION_LENGTH and tok not in config.dictionary
+            correct_spelling(tok, dictionary)
+            if len(tok) >= MIN_CORRECTION_LENGTH and tok not in dictionary
             else tok
             for tok in tokens
         ]
-    tokens = [tok for tok in tokens if tok not in config.stopwords]
+        tokens = [tok for tok in tokens if tok not in stopwords]
     stems = config.stems
     stemmed = []
     for tok in tokens:
@@ -165,7 +174,7 @@ def preprocess_pipeline(
     actors: frozenset[str],
     config: PipelineConfig,
 ) -> ProcessedTweet | None:
-    """Correct -> filter -> stem one non-retweet record's surface tokens
+    """Filter -> correct -> filter -> stem one non-retweet record's surface tokens
     (``text_tokens(record.text)``); ``actors`` are the ids matched on them.
 
     Returns None (rejected) when no token is left after filtering.

@@ -101,6 +101,20 @@ def pattern_scores(kept, pattern_lexicon, negators) -> list[SentimentScore]:
 
 
 @pytest.fixture()
+def parse_lines(tmp_path):
+    """Parse a list of lines (str or bytes) by writing them, one per line,
+    to a JSON-lines file in tmp_path; keyword arguments go to the parser."""
+
+    def parse(lines, **kwargs):
+        path = tmp_path / "lines.jsonl"
+        encoded = (raw if isinstance(raw, bytes) else raw.encode("utf-8") for raw in lines)
+        path.write_bytes(b"".join(raw + b"\n" for raw in encoded))
+        return parse_tweet_stream(str(path), **kwargs)
+
+    return parse
+
+
+@pytest.fixture()
 def config_factory(tmp_path):
     """Write a run config into tmp_path, defaulting to the bundled corpus.
 

@@ -70,7 +70,7 @@ def record_calls(monkeypatch, module, name: str, keep=lambda args, kwargs: args[
 # The fixture config's manifest ``config`` section, paths relative to
 # fixtures/. It holds every key, including the ones only the file can set.
 FIXTURE_SNAPSHOT = {
-    "input": {"path": "tweets_50.jsonl", "timezone": "+01:00", "field_map": {}},
+    "input": {"path": "tweets_50.jsonl", "timezone": "+01:00"},
     "actors": {
         "path": "actors.ini",
         "scope": ["willie_obiano_apga", "tony_nwoye_apc", "oseloka_obaze_pdp"],
@@ -254,16 +254,15 @@ class TestValidateConfig:
         assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
     def test_known_default_key_is_no_label_or_field(self, config_factory) -> None:
-        # [DEFAULT] keys reach every section's reads, but [fields] lists only
-        # its own keys.
-        path = Path(config_factory(**{"run.seed": None, "fields.text": "text"}))
+        # [DEFAULT] keys reach every section's reads, and a key some read
+        # asked for is no stray in any section.
+        path = Path(config_factory(**{"run.seed": None}))
         path.write_text("[DEFAULT]\nseed = 1\n" + path.read_text(encoding="utf-8"))
         config = validate_config(str(path))
         assert config.seed == 1
-        assert config.field_map == {"text": "text"}
 
     def test_stray_default_key_is_one_diagnostic(self, config_factory) -> None:
-        path = Path(config_factory(**{"fields.text": "text"}))
+        path = Path(config_factory())
         path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
         with pytest.raises(ConfigError) as err:
             validate_config(str(path))
@@ -333,11 +332,12 @@ def _unmatchable_alias(config_factory, fixtures_dir, tmp_path, monkeypatch) -> l
 
 
 def _unknown_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["counts", "--config", config_factory(), "--field-map", "txet=body"]
+    return ["counts", "--config", config_factory(**{"fields.txet": "body"})]
 
 
 def _empty_field_path(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["counts", "--config", config_factory(), "--field-map", "text"]
+    # The parser reads Twitter's classic shape; no [fields] key moves a field.
+    return ["counts", "--config", config_factory(**{"fields.text": ""})]
 
 
 def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -381,7 +381,7 @@ def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
 
 
 def _field_map_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # input.field_map is a manifest snapshot entry, built from [fields].
+    # A config copied from an old manifest's snapshot would carry this entry.
     return ["ingest", "--config", config_factory(**{"input.field_map": "text=body"})]
 
 
@@ -408,10 +408,6 @@ def _author_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[s
     return ["ingest", "--config", config_factory(**{"fields.author": "user.screen_name"})]
 
 
-def _author_field_flag(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["ingest", "--config", config_factory(), "--field-map", "author=x"]
-
-
 def _aliases_on_combined_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     roster = (fixtures_dir / "actors.ini").read_text(encoding="utf-8")
     head, marker, tail = roster.partition("[willie_obiano_apga]\n")
@@ -420,8 +416,22 @@ def _aliases_on_combined_actor(config_factory, fixtures_dir, tmp_path, monkeypat
     return ["counts", "--config", config_factory(**{"actors.path": str(actors)})]
 
 
+def _textless_tweets(fixtures_dir, tmp_path) -> str:
+    """A copy of tweets_50.jsonl with ``text`` and ``full_text`` removed."""
+    lines = []
+    for raw in (fixtures_dir / "tweets_50.jsonl").read_text(encoding="utf-8").splitlines():
+        payload = json.loads(raw)
+        payload.pop("text", None)
+        payload.pop("full_text", None)
+        lines.append(json.dumps(payload))
+    path = tmp_path / "textless.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["all", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
+    tweets = _textless_tweets(fixtures_dir, tmp_path)
+    return ["all", "--config", config_factory(), "--input", tweets]
 
 
 def _narrow_topic_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -474,8 +484,8 @@ EXIT_CODE_MATRIX = [
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
     ("unknown_actor_and_bad_top_n", _unknown_actor_and_bad_top_n, 2,
      ("--actor 'nobody'", "[analytics] top_n is not a configuration key"), None),
-    ("unknown_field", _unknown_field, 2, "'txet' is not a field", None),
-    ("empty_field_path", _empty_field_path, 2, "text has an empty path", None),
+    ("unknown_field", _unknown_field, 2, "[fields] txet is not a configuration key", None),
+    ("empty_field_path", _empty_field_path, 2, "[fields] text is not a configuration key", None),
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
@@ -496,8 +506,7 @@ EXIT_CODE_MATRIX = [
     ("removed_subjectivity_threshold_key", _subjectivity_threshold_key, 2,
      "[sentiment] subjectivity_threshold is not a configuration key", None),
     ("removed_top_n_key", _top_n_key, 2, "[analytics] top_n is not a configuration key", None),
-    ("removed_author_field", _author_field, 2, "'author' is not a field", None),
-    ("removed_author_field_flag", _author_field_flag, 2, "'author' is not a field", None),
+    ("removed_author_field", _author_field, 2, "[fields] author is not a configuration key", None),
     ("aliases_on_combined_actor", _aliases_on_combined_actor, 2,
      "[actors] combined actor 'willie_obiano_apga' cannot have aliases", None),
     ("unmatchable_alias", _unmatchable_alias, 2,
@@ -566,8 +575,12 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["ingest", "--extra-stopwords-from-actors"], ["heatmap", "--top-n", "3"]],
-        ids=["--extra-stopwords-from-actors", "--top-n"],
+        [
+            ["ingest", "--extra-stopwords-from-actors"],
+            ["heatmap", "--top-n", "3"],
+            ["ingest", "--field-map", "author=x"],
+        ],
+        ids=["--extra-stopwords-from-actors", "--top-n", "--field-map"],
     )
     def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -585,7 +598,6 @@ class TestCliExitCodes:
 FLAG_ROWS = [
     ("ingest", "--input", "{tmp}/tweets_50.jsonl", "input.path", "{tmp}/tweets_50.jsonl"),
     ("ingest", "--timezone", "Africa/Lagos", "input.timezone", "Africa/Lagos"),
-    ("ingest", "--field-map", "text=text", "input.field_map", {"text": "text"}),
     ("ingest", "--stopwords", "{tmp}/stopwords.txt", "preprocess.stopwords", "{tmp}/stopwords.txt"),
     ("ingest", "--no-spellcheck", None, "preprocess.spellcheck", False),
     ("ingest", "--engine", "swn", "sentiment.engine", "swn"),
@@ -634,22 +646,7 @@ class TestOverrideFlags:
             for action in subparser._actions
             if "." in action.dest
         }
-        assert flags | {"--field-map"} == {row[1] for row in FLAG_ROWS}
-
-    def test_field_map_flag_moves_a_field(self, config_factory, fixtures_dir, tmp_path) -> None:
-        moved = []
-        for line in (fixtures_dir / "tweets_50.jsonl").read_text(encoding="utf-8").splitlines():
-            payload = json.loads(line)
-            texts = [payload.pop(key) for key in ("full_text", "text") if key in payload]
-            payload["body"] = texts[0]
-            moved.append(json.dumps(payload))
-        tweets = tmp_path / "body.jsonl"
-        tweets.write_text("\n".join(moved) + "\n", encoding="utf-8")
-        path = config_factory(**{"input.path": str(tweets)})
-        assert main(["counts", "--config", path, "--field-map", "text=body"]) == 0
-        counts = read_json(tmp_path / "out" / "counts.json")
-        assert counts["parse"] == {"lines_read": 50, "records": 50, "skipped": 0}
-        assert counts["total_kept"] == 43
+        assert flags == {row[1] for row in FLAG_ROWS}
 
 
 class TestCliRuns:
@@ -890,8 +887,11 @@ class TestCliRuns:
         assert (swn["rows_read"], swn["rows_rejected"]) == (50, 1)
         assert "rows_read" not in manifest["dataset"]["lexicon"]["pattern"]
 
-    def test_manifest_counts_parse_skips_by_cause(self, config_factory, tmp_path) -> None:
-        argv = ["counts", "--config", config_factory(), "--field-map", "text=nonexistent.path"]
+    def test_manifest_counts_parse_skips_by_cause(
+        self, config_factory, fixtures_dir, tmp_path
+    ) -> None:
+        tweets = _textless_tweets(fixtures_dir, tmp_path)
+        argv = ["counts", "--config", config_factory(), "--input", tweets]
         assert main(argv) == 0
         dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
         assert dataset["skipped"] == {**dict.fromkeys(SKIP_CAUSES, 0), "missing_field": 50}

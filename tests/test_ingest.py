@@ -9,16 +9,12 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from electionpulse._util import parse_timestamp
 from electionpulse.actors import match_actors
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
     SKIP_CAUSES,
-    _lookup,
-    _split_path,
     dataset_stats,
     export_records,
     parse_tweet_stream,
@@ -45,7 +41,7 @@ class TestParsing:
         assert len(records) == 50
         assert len({record.id for record in records}) == 50
 
-    def test_totality_on_mixed_garbage(self) -> None:
+    def test_totality_on_mixed_garbage(self, parse_lines) -> None:
         lines = [
             line(),
             "not json at all {",
@@ -56,12 +52,12 @@ class TestParsing:
             line(id_str="4", text=""),
             line(id_str="5", text="x" * (MAX_TEXT_BYTES + 1)),
         ]
-        records, report = parse_tweet_stream(lines)
+        records, report = parse_lines(lines)
         assert report.lines_read == len(lines)
         assert report.lines_read == len(records) + report.lines_skipped
         assert [record.id for record in records] == ["1", "2"]
 
-    def test_each_skip_cause_counted_once(self) -> None:
+    def test_each_skip_cause_counted_once(self, parse_lines) -> None:
         lines = [
             line(),
             "not json at all {",
@@ -71,7 +67,7 @@ class TestParsing:
             line(id_str="5", text="x" * (MAX_TEXT_BYTES + 1)),
             line(id_str="6", created_at="2017-11-18T09:31:00"),
         ]
-        records, report = parse_tweet_stream(lines)
+        records, report = parse_lines(lines)
         assert len(records) == 1
         assert report.skipped == dict.fromkeys(SKIP_CAUSES, 1)
         assert report.lines_read == len(records) + sum(report.skipped.values())
@@ -94,97 +90,74 @@ class TestParsing:
             "empty_id", "unknown_month", "before_year_one",
         ],
     )
-    def test_skip_cause_of_edge_lines(self, raw, cause) -> None:
-        _, report = parse_tweet_stream([raw])
+    def test_skip_cause_of_edge_lines(self, raw, cause, parse_lines) -> None:
+        _, report = parse_lines([raw])
         assert report.skipped == {**dict.fromkeys(SKIP_CAUSES, 0), cause: 1}
 
-    def test_timestamps_move_into_dataset_timezone(self) -> None:
-        records, _ = parse_tweet_stream([line()], tz=LAGOS)
+    def test_timestamps_move_into_dataset_timezone(self, parse_lines) -> None:
+        records, _ = parse_lines([line()], tz=LAGOS)
         stamp = records[0].created_at
         assert (stamp.hour, stamp.minute) == (10, 31)
         assert stamp.utcoffset() == timedelta(hours=1)
 
-    def test_iso_timestamp_with_z_suffix(self) -> None:
-        records, _ = parse_tweet_stream(
+    def test_iso_timestamp_with_z_suffix(self, parse_lines) -> None:
+        records, _ = parse_lines(
             [line(created_at="2017-11-18T09:31:00Z")], tz=LAGOS
         )
         assert records[0].created_at.hour == 10
 
-    def test_naive_timestamp_is_skipped(self) -> None:
-        _, report = parse_tweet_stream([line(created_at="2017-11-18T09:31:00")])
+    def test_naive_timestamp_is_skipped(self, parse_lines) -> None:
+        _, report = parse_lines([line(created_at="2017-11-18T09:31:00")])
         assert report.lines_skipped == 1
 
-    def test_numeric_id_is_accepted_as_string(self) -> None:
-        records, _ = parse_tweet_stream([json.dumps(
+    def test_numeric_id_is_accepted_as_string(self, parse_lines) -> None:
+        records, _ = parse_lines([json.dumps(
             {"id": 12345, "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": "hi there"}
         )])
         assert records[0].id == "12345"
 
-    def test_full_text_preferred_over_text(self) -> None:
-        records, _ = parse_tweet_stream(
+    def test_full_text_preferred_over_text(self, parse_lines) -> None:
+        records, _ = parse_lines(
             [line(full_text="the full version", text="truncated...")]
         )
         assert records[0].text == "the full version"
 
-    def test_field_map_override(self) -> None:
-        payload = json.dumps(
-            {
-                "tweet_id": "9",
-                "when": "2017-11-18T12:00:00+01:00",
-                "body": "obiano wins",
-            }
-        )
-        records, report = parse_tweet_stream(
-            [payload],
-            field_map={"id": "tweet_id", "created_at": "when", "text": "body"},
-        )
-        assert len(records) == 1
-        assert records[0].id == "9"
-        assert records[0].text == "obiano wins"
-
-    def test_field_map_alternatives(self) -> None:
-        def tweet(tweet_id, **fields):
-            stamp = "2017-11-18T12:00:00+01:00"
-            return json.dumps({"id_str": tweet_id, "created_at": stamp, **fields})
-
-        records, report = parse_tweet_stream(
-            [
-                tweet("1", a="first", b={"c": "second"}),
-                tweet("2", b={"c": "second"}),
-                tweet("3", a=None, b={"c": "second"}),
-                tweet("4", b="not an object"),
-                tweet("5", a="first"),
-            ],
-            field_map={"text": "a|b.c"},
-        )
-        assert [(record.id, record.text) for record in records] == [
-            ("1", "first"), ("2", "second"), ("3", "second"), ("5", "first"),
-        ]
-        assert report.skipped["missing_field"] == 1
-
-    @given(
-        st.recursive(
-            st.none() | st.integers() | st.text(max_size=3),
-            lambda children: st.dictionaries(st.sampled_from("abc"), children, max_size=3),
-            max_leaves=8,
-        ),
-        st.lists(
-            st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(".".join),
-            min_size=1,
-            max_size=3,
-        ).map("|".join),
+    @pytest.mark.parametrize(
+        "fields,expected",
+        [
+            ({"id_str": "7", "id": 8}, ("7", "obiano wins", False)),
+            ({"id_str": None, "id": 8}, ("8", "obiano wins", False)),
+            ({"id_str": "", "id": 8}, "missing_field"),
+            ({"full_text": None, "text": "short"}, ("1", "short", False)),
+            ({"full_text": "", "text": "short"}, "empty_text"),
+            ({"created_at": None}, "missing_field"),
+            ({"retweeted_status": None}, ("1", "obiano wins", False)),
+            ({"retweeted_status": {}}, ("1", "obiano wins", True)),
+        ],
+        ids=[
+            "id_str_over_id", "null_id_str_falls_through", "empty_id_str_is_missing",
+            "null_full_text_falls_through", "empty_full_text_is_taken",
+            "null_created_at_is_missing", "null_retweeted_status", "empty_retweeted_status",
+        ],
     )
-    def test_presplit_paths_resolve_like_the_path_string(self, payload, path) -> None:
-        assert _lookup(payload, _split_path(path)) == _oracle_lookup(payload, path)
+    def test_fixed_reads(self, fields, expected, parse_lines) -> None:
+        # An absent key or a JSON null falls through to the alternative;
+        # any other value, the empty string included, is taken.
+        records, report = parse_lines([line(**fields)])
+        if isinstance(expected, str):
+            assert records == []
+            assert report.skipped == {**dict.fromkeys(SKIP_CAUSES, 0), expected: 1}
+        else:
+            assert [(record.id, record.text, record.is_retweet) for record in records] == [expected]
 
-    def test_surrogate_author_line_is_kept(self) -> None:
+    def test_surrogate_author_line_is_kept(self, parse_lines) -> None:
         # No field reads the author, so a lone surrogate there rejects nothing.
-        records, report = parse_tweet_stream([line(user={"screen_name": "a\udc00"})])
+        records, report = parse_lines([line(user={"screen_name": "a\udc00"})])
         assert report.lines_skipped == 0
         assert [record.id for record in records] == ["1"]
 
-    def test_retweet_detection_from_payload_and_prefix(self) -> None:
-        records, _ = parse_tweet_stream(
+    def test_retweet_detection_from_payload_and_prefix(self, parse_lines) -> None:
+        records, _ = parse_lines(
             [
                 line(id_str="a", text="anything", retweeted_status={"id_str": "x"}),
                 line(id_str="b", text="RT @someone: obiano wins"),
@@ -193,11 +166,6 @@ class TestParsing:
             ]
         )
         assert [record.is_retweet for record in records] == [True, True, False, False]
-
-    def test_accepts_byte_lines(self) -> None:
-        records, _ = parse_tweet_stream([line().encode("utf-8")])
-        assert len(records) == 1
-        assert records[0].text == "obiano wins"
 
     def test_missing_file_raises(self, tmp_path) -> None:
         with pytest.raises(OSError):
@@ -216,27 +184,8 @@ class TestParsing:
         assert (len(records), report.lines_skipped) == (1, 1)
         assert report.sha256 == hashlib.sha256(payload).hexdigest()
 
-    def test_non_path_source_has_no_digest(self) -> None:
-        _, report = parse_tweet_stream([line()])
-        assert report.sha256 is None
 
-
-def _oracle_lookup(obj, path: str):
-    """The field-path rule on the path string, split at every lookup."""
-    for alternative in path.split("|"):
-        value = obj
-        for key in alternative.split("."):
-            if isinstance(value, dict) and key in value:
-                value = value[key]
-            else:
-                value = None
-                break
-        if value is not None:
-            return value
-    return None
-
-
-def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped() -> None:
+def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped(parse_lines) -> None:
     lines, expected = [], []
     for sign in "+-":
         for hours in range(100):
@@ -256,7 +205,7 @@ def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped() -> None
                 lines.append(line(id_str=stamp, created_at=stamp))
                 expected.append((stamp, tz))
     # Through the parser, with every offset already seen once.
-    records, report = parse_tweet_stream(lines, tz=timezone.utc)
+    records, report = parse_lines(lines, tz=timezone.utc)
     valid = [(stamp, tz) for stamp, tz in expected if tz is not None]
     assert report.skipped == {
         **dict.fromkeys(SKIP_CAUSES, 0), "bad_timestamp": len(expected) - len(valid)

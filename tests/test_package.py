@@ -17,10 +17,6 @@ from electionpulse.config import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The manifest's name for the [fields] section, which README's Configuration
-# table lists as a section, not as a key.
-SECTION_SNAPSHOTS = {("input", "field_map")}
-
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter from the repository root on the package this
@@ -103,15 +99,10 @@ def _table_rows(text: str) -> list[list[str]]:
 
 def test_readme_config_table_lists_exactly_the_configuration_keys() -> None:
     snapshot = validate_config(str(ROOT / "fixtures" / "config.ini")).snapshot
-    keys = {
-        section: {key for key in entries if (section, key) not in SECTION_SNAPSHOTS}
-        for section, entries in snapshot.items()
-    }
+    keys = {section: set(entries) for section, entries in snapshot.items()}
     documented = {}
     for section, cell in _table_rows(_readme_section("## Configuration")):
-        section = section.strip("`")
-        if section != "fields":
-            documented[section] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
+        documented[section.strip("`")] = set(re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", cell)))
     assert documented == keys
 
 

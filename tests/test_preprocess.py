@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electionpulse import preprocess as preprocess_module
-from electionpulse.ingest import TweetRecord, parse_tweet_stream, preprocess_records
+from electionpulse.ingest import TweetRecord, preprocess_records
 from electionpulse.sentiment import load_negators
 from electionpulse.preprocess import (
     PipelineConfig,
@@ -159,10 +159,10 @@ class TestStem:
         assert stem("don't") == "don't"
 
 
-def parse_one(text: str, **fields) -> TweetRecord:
+def parse_one(parse_lines, text: str, **fields) -> TweetRecord:
     payload = {"id_str": "1", "created_at": "Sat Nov 18 09:31:00 +0000 2017", "text": text}
     payload.update(fields)
-    records, _ = parse_tweet_stream([json.dumps(payload)])
+    records, _ = parse_lines([json.dumps(payload)])
     return records[0]
 
 
@@ -175,23 +175,23 @@ def test_word_list_loaders(loader, tmp_path) -> None:
 
 class TestIsRetweet:
     # The parser sets the flag once; preprocessing excludes on it alone.
-    def test_flagged_record(self, pipeline: PipelineConfig, actor_set) -> None:
-        record = parse_one("anything", retweeted_status={"id_str": "x"})
+    def test_flagged_record(self, pipeline: PipelineConfig, actor_set, parse_lines) -> None:
+        record = parse_one(parse_lines, "anything", retweeted_status={"id_str": "x"})
         assert record.is_retweet
         assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 1
 
-    def test_rt_prefix(self, pipeline: PipelineConfig, actor_set) -> None:
-        record = parse_one("RT @someone: obiano wins")
+    def test_rt_prefix(self, pipeline: PipelineConfig, actor_set, parse_lines) -> None:
+        record = parse_one(parse_lines, "RT @someone: obiano wins")
         assert record.is_retweet
         assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 1
 
-    def test_plain_tweet(self, pipeline: PipelineConfig, actor_set) -> None:
-        record = parse_one("obiano wins")
+    def test_plain_tweet(self, pipeline: PipelineConfig, actor_set, parse_lines) -> None:
+        record = parse_one(parse_lines, "obiano wins")
         assert not record.is_retweet
         assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 0
 
-    def test_rt_mid_text_is_not_a_retweet(self, pipeline: PipelineConfig, actor_set) -> None:
-        record = parse_one("great RT @someone")
+    def test_rt_mid_text_is_not_a_retweet(self, pipeline: PipelineConfig, actor_set, parse_lines) -> None:
+        record = parse_one(parse_lines, "great RT @someone")
         assert not record.is_retweet
         assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 0
 
@@ -242,6 +242,22 @@ class TestPipeline:
         config = PipelineConfig(stopwords=frozenset(), dictionary={})
         tokens = process_tokens(text_tokens("electin ballott"), config)
         assert tokens == [stem("electin"), stem("ballott")]
+
+    def test_stopwords_are_filtered_before_correction(self) -> None:
+        # A stopword is never corrected, so a correction cannot carry it
+        # past the filter; a correction that lands on a stopword is dropped.
+        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obianos": 3})
+        assert process_tokens(["obiano", "wins"], config) == [stem("wins")]
+        assert config.dictionary.activity() == {"lookups": 1, "distinct": 1, "corrected": 0}
+        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obiano": 3})
+        assert process_tokens(["obianoo", "wins"], config) == [stem("wins")]
+        assert config.dictionary.activity() == {"lookups": 2, "distinct": 2, "corrected": 1}
+
+    def test_plain_dictionary_is_wrapped_once(self) -> None:
+        config = PipelineConfig(dictionary={"election": 10})
+        assert process_tokens(["electin"], config) == [stem("election")]
+        assert process_tokens(["electin"], config) == [stem("election")]
+        assert config.dictionary.activity() == {"lookups": 2, "distinct": 1, "corrected": 2}
 
     def test_stem_memo_belongs_to_one_pipeline(self) -> None:
         first = PipelineConfig(spellcheck=False)
