@@ -275,32 +275,26 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     tweets = state.kept
     if group:
         tweets = [tweet for tweet in tweets if group in tweet.actors]
-    corpus = topics.build_corpus(tweets, min_doc_len=config.min_doc_len)
-    state.topics = {"documents": len(corpus.docs), "dropped_docs": corpus.dropped_docs}
-    if len(corpus.vocabulary) < config.top_words:
+    corpus = topics.build_corpus(tweets)
+    state.topics = {"documents": len(corpus.docs)}
+    if len(corpus.vocabulary) < topics.TOP_WORDS:
         name = f"group {group!r}" if group else "all tweets"
         raise ValueError(
             f"the topic corpus of {name} has a vocabulary of {len(corpus.vocabulary)} words, "
-            f"fewer than [topics] top_words = {config.top_words}"
+            f"fewer than the {topics.TOP_WORDS} keywords each topic reports"
         )
     model = topics.lda_fit(
-        corpus,
-        k=config.lda_k,
-        alpha=config.lda_alpha,
-        beta=config.lda_beta,
-        iterations=config.lda_iterations,
-        seed=config.seed,
+        corpus, k=config.lda_k, iterations=config.lda_iterations, seed=config.seed
     )
-    entries = topics.topic_report(model, config.top_words)
+    entries = topics.topic_report(model, topics.TOP_WORDS)
     payload = {
         "group": group or "all",
         "k": config.lda_k,
-        "alpha": config.lda_alpha,
-        "beta": config.lda_beta,
+        "alpha": topics.ALPHA,
+        "beta": topics.BETA,
         "iterations": config.lda_iterations,
         "seed": config.seed,
-        "top_words": config.top_words,
-        "dropped_docs": corpus.dropped_docs,
+        "top_words": topics.TOP_WORDS,
         "topics": entries,
     }
     _write_json(os.path.join(staging, "topics.json"), payload)
@@ -476,14 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
     topics_cmd = subparsers.add_parser("topics", parents=[common], help="LDA topic report")
     topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
     topics_cmd.add_argument("--k", type=int, dest="topics.k", metavar="K", help="topic count")
-    topics_cmd.add_argument("--alpha", type=float, dest="topics.alpha", metavar="ALPHA",
-                            help="doc-topic smoothing")
-    topics_cmd.add_argument("--beta", type=float, dest="topics.beta", metavar="BETA",
-                            help="topic-word smoothing")
     topics_cmd.add_argument("--iters", type=int, dest="topics.iterations", metavar="ITERS",
                             help="Gibbs sweeps")
-    topics_cmd.add_argument("--top-words", type=int, dest="topics.top_words", metavar="TOP_WORDS",
-                            help="keywords per topic")
     train = subparsers.add_parser("train-nbc", parents=[common], help="train the Naive Bayes model")
     train.add_argument("--alpha", type=float, default=1.0, help="Laplace smoothing constant")
     subparsers.add_parser("all", parents=[common], help="run the full pipeline")

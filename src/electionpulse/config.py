@@ -51,11 +51,7 @@ class RunConfig(NamedTuple):
     spellcheck: bool
     engine: str
     lda_k: int
-    lda_alpha: float
-    lda_beta: float
     lda_iterations: int
-    top_words: int
-    min_doc_len: int
     output_dir: str
     seed: int
     snapshot: dict[str, Any]
@@ -109,17 +105,16 @@ def validate_config(
             fields[field] = value
         return value
 
-    def get_number(
-        field: str, section: str, key: str, fallback: str, cast, constraint, description: str
-    ):
-        raw = get(section, key, fallback)
+    def get_count(field: str, section: str, key: str, fallback: int) -> int:
+        """A key whose value is an int of at least 1."""
+        raw = get(section, key, str(fallback))
         try:
-            value = cast(raw)
+            value = int(raw)
         except (TypeError, ValueError):
-            diagnostics.append(f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}")
-            return keep(field, section, key, cast(fallback))
-        if not constraint(value):
-            diagnostics.append(f"[{section}] {key} = {value} {description}")
+            diagnostics.append(f"[{section}] {key} = {raw!r} is not a valid int")
+            return keep(field, section, key, fallback)
+        if value < 1:
+            diagnostics.append(f"[{section}] {key} = {value} must be at least 1")
         return keep(field, section, key, value)
 
     def get_bool(field: str, section: str, key: str, fallback: bool) -> bool:
@@ -134,9 +129,6 @@ def validate_config(
             else:
                 diagnostics.append(f"[{section}] {key} = {raw!r} is not a boolean")
         return keep(field, section, key, value)
-
-    def positive_finite(value: float) -> bool:
-        return 0 < value < math.inf
 
     def require_path(field: str | None, section: str, key: str, label: str | None) -> str | None:
         """The key's resolved file path; a None label makes the key optional."""
@@ -186,7 +178,7 @@ def validate_config(
     nbc_label = "labelled corpus for train-nbc" if subcommand == "train-nbc" else None
     require_path("nbc_corpus_path", "lexicons", "nbc_corpus", nbc_label)
     alpha = options.get("alpha")
-    if alpha is not None and not positive_finite(alpha):
+    if alpha is not None and not 0 < alpha < math.inf:
         diagnostics.append(f"--alpha must be positive and finite, got {alpha}")
 
     require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
@@ -200,15 +192,9 @@ def validate_config(
     keep("engine", "sentiment", "engine", engine)
     if engine not in ENGINES:
         diagnostics.append(f"[sentiment] engine = {engine!r} must be one of {', '.join(ENGINES)}")
-    finite = (positive_finite, "must be positive and finite")
-    at_least_one = (lambda v: v >= 1, "must be at least 1")
 
-    get_number("lda_k", "topics", "k", "5", int, *at_least_one)
-    get_number("lda_alpha", "topics", "alpha", "0.1", float, *finite)
-    get_number("lda_beta", "topics", "beta", "0.01", float, *finite)
-    get_number("lda_iterations", "topics", "iterations", "500", int, *at_least_one)
-    get_number("top_words", "topics", "top_words", "10", int, *at_least_one)
-    get_number("min_doc_len", "topics", "min_doc_len", "1", int, *at_least_one)
+    get_count("lda_k", "topics", "k", 5)
+    get_count("lda_iterations", "topics", "iterations", 500)
 
     output_dir = keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
     if os.path.exists(output_dir) and not os.path.isdir(output_dir):

@@ -116,6 +116,8 @@ def _parse_sense_rows(lines: Iterable[str]) -> SenseLexicon:
             senses = []
             for term in terms:
                 lemma, _, rank = term.rpartition("#")
+                if not lemma:
+                    raise ValueError(f"term {term!r} has no lemma")
                 sense_rank = int(rank)
                 if sense_rank < 1:
                     raise ValueError(f"sense_rank {sense_rank} must be positive")

@@ -28,41 +28,33 @@ from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 
+# The Dirichlet priors and the keywords per topic that the CLI fits and
+# reports with; topics.json records all three.
+ALPHA = 0.1
+BETA = 0.01
+TOP_WORDS = 10
+
+
 class Corpus(NamedTuple):
     """Integer-coded documents over a sorted vocabulary."""
 
     vocabulary: list[str]
     docs: list[list[int]]
-    dropped_docs: int = 0
 
 
-def build_corpus(documents: Iterable, min_doc_len: int = 1) -> Corpus:
+def build_corpus(documents: Iterable) -> Corpus:
     """Build a corpus from token lists (or objects with a .tokens field).
 
-    Documents shorter than min_doc_len are dropped and counted; an empty
-    result is an error because a topic model over nothing is meaningless,
-    and its message gives both counts, so "no documents arrived" and "every
-    document was too short" read apart.
+    An empty corpus is an error because a topic model over nothing is
+    meaningless.
     """
-    if min_doc_len < 1:
-        raise ValueError("min_doc_len must be at least 1")
-    token_docs = []
-    dropped = 0
-    for document in documents:
-        tokens = list(getattr(document, "tokens", document))
-        if len(tokens) < min_doc_len:
-            dropped += 1
-            continue
-        token_docs.append(tokens)
+    token_docs = [list(getattr(document, "tokens", document)) for document in documents]
     if not token_docs:
-        raise ValueError(
-            f"corpus is empty: {dropped} documents reached the topic model and {dropped} were "
-            f"dropped as shorter than min_doc_len = {min_doc_len}"
-        )
+        raise ValueError("corpus is empty: no document reached the topic model")
     vocabulary = sorted({token for tokens in token_docs for token in tokens})
     index = {token: i for i, token in enumerate(vocabulary)}
     docs = [[index[token] for token in tokens] for tokens in token_docs]
-    return Corpus(vocabulary=vocabulary, docs=docs, dropped_docs=dropped)
+    return Corpus(vocabulary=vocabulary, docs=docs)
 
 
 class TopicModel(NamedTuple):
@@ -90,8 +82,8 @@ class TopicModel(NamedTuple):
 def lda_fit(
     corpus: Corpus,
     k: int = 5,
-    alpha: float = 0.1,
-    beta: float = 0.01,
+    alpha: float = ALPHA,
+    beta: float = BETA,
     iterations: int = 500,
     seed: int = 0,
     sweep_hook: Callable[[int, TopicModel], None] | None = None,

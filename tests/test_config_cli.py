@@ -87,14 +87,7 @@ FIXTURE_SNAPSHOT = {
         "spellcheck": True,
     },
     "sentiment": {"engine": "pattern"},
-    "topics": {
-        "k": 5,
-        "alpha": 0.1,
-        "beta": 0.01,
-        "iterations": 500,
-        "top_words": 10,
-        "min_doc_len": 1,
-    },
+    "topics": {"k": 5, "iterations": 500},
     "output": {"dir": "../out"},
     "run": {"seed": 42},
 }
@@ -125,14 +118,14 @@ class TestValidateConfig:
             "run.seed": "x",
         })
         with pytest.raises(ConfigError) as err:
-            validate_config(path, {"topics.alpha": "-1"}, "topics", {"group": "nobody"})
+            validate_config(path, {"topics.k": "-1"}, "topics", {"group": "nobody"})
         assert err.value.diagnostics == [
             "[actors] scope id 'peter_obi' is not a configured actor",
             "--group 'nobody' is not a configured actor",
             "[lexicons] negators: no such file: /nowhere/negators.txt",
             "[preprocess] spellcheck = 'maybe' is not a boolean",
             "[sentiment] engine = 'vader' must be one of pattern, swn",
-            "[topics] alpha = -1.0 must be positive and finite",
+            "[topics] k = -1 must be at least 1",
             "[topics] iterations = 'many' is not a valid int",
             "seed 'x' is not an integer",
         ]
@@ -208,20 +201,11 @@ class TestValidateConfig:
 
     def test_numeric_constraints(self, config_factory) -> None:
         with pytest.raises(ConfigError) as err:
-            validate_config(config_factory(**{
-                "topics.k": "0",
-                "topics.alpha": "0",
-                "topics.beta": "0",
-                "topics.iterations": "0",
-            }))
-        assert len(err.value.diagnostics) == 4
-
-    @pytest.mark.parametrize("key", ["topics.alpha", "topics.beta"])
-    def test_infinite_constants_rejected(self, key, config_factory) -> None:
-        section, _, name = key.partition(".")
-        with pytest.raises(ConfigError) as err:
-            validate_config(config_factory(**{key: "inf"}))
-        assert err.value.diagnostics == [f"[{section}] {name} = inf must be positive and finite"]
+            validate_config(config_factory(**{"topics.k": "0", "topics.iterations": "0"}))
+        assert err.value.diagnostics == [
+            "[topics] k = 0 must be at least 1",
+            "[topics] iterations = 0 must be at least 1",
+        ]
 
     def test_bad_timezone(self, config_factory) -> None:
         with pytest.raises(ConfigError) as err:
@@ -245,14 +229,6 @@ class TestValidateConfig:
         assert main(["counts", "--config", config_factory()]) == 0
         assert read_json(tmp_path / "out" / "manifest.json")["seed"] == 42
 
-    def test_unknown_default_key_is_reported_once(self, config_factory) -> None:
-        path = Path(config_factory())
-        path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
-        with pytest.raises(ConfigError) as err:
-            validate_config(str(path))
-        unknown = [d for d in err.value.diagnostics if "is not a configuration key" in d]
-        assert unknown == ["[DEFAULT] stray is not a configuration key"]
-
     def test_known_default_key_is_no_label_or_field(self, config_factory) -> None:
         # [DEFAULT] keys reach every section's reads, and a key some read
         # asked for is no stray in any section.
@@ -267,6 +243,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(str(path))
         assert err.value.diagnostics == ["[DEFAULT] stray is not a configuration key"]
+
+    def test_unknown_default_key_is_reported_once(self, config_factory) -> None:
+        path = Path(config_factory())
+        path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(str(path))
+        unknown = [d for d in err.value.diagnostics if "is not a configuration key" in d]
+        assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
 
 def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -297,8 +281,8 @@ def _train_nbc_infinite_alpha(config_factory, fixtures_dir, tmp_path, monkeypatc
     return ["train-nbc", "--config", config_factory(), "--alpha", "inf"]
 
 
-def _unknown_group_and_bad_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["topics", "--config", config_factory(), "--group", "nobody", "--alpha", "-1"]
+def _unknown_group_and_zero_k(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(), "--group", "nobody", "--k", "0"]
 
 
 def _zero_alpha_and_bad_timezone(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -380,6 +364,11 @@ def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
     return ["topics", "--config", config_factory(**{"topcs.iterations": "5"})]
 
 
+def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # A [topic_labels] section left from an old config is a stray section.
+    return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
+
+
 def _field_map_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     # A config copied from an old manifest's snapshot would carry this entry.
     return ["ingest", "--config", config_factory(**{"input.field_map": "text=body"})]
@@ -389,11 +378,6 @@ def _labels_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str
     # Topics carry no names: a topic's index depends on the seed, the corpus,
     # k and the sweep count, so no [topics] key can name it.
     return ["topics", "--config", config_factory(**{"topics.labels": "a"})]
-
-
-def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # A [topic_labels] section left from an old config is a stray section.
-    return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
 
 
 def _stem_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -406,6 +390,21 @@ def _polarity_scale_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> 
 
 def _author_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["ingest", "--config", config_factory(**{"fields.author": "user.screen_name"})]
+
+
+# The Dirichlet priors and keywords per topic are constants, and every tweet
+# that reaches the topic model has a token; a config that still sets these
+# keys, each to its old default, is refused.
+TOPIC_CONSTANT_KEYS = {
+    "topics.alpha": "0.1",
+    "topics.beta": "0.01",
+    "topics.top_words": "10",
+    "topics.min_doc_len": "1",
+}
+
+
+def _topic_constant_keys(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(**TOPIC_CONSTANT_KEYS)]
 
 
 def _aliases_on_combined_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -478,8 +477,8 @@ EXIT_CODE_MATRIX = [
     ("train_nbc_zero_alpha", _train_nbc_zero_alpha, 2, "--alpha", None),
     ("train_nbc_negative_alpha", _train_nbc_negative_alpha, 2, "--alpha", None),
     ("train_nbc_infinite_alpha", _train_nbc_infinite_alpha, 2, "--alpha", None),
-    ("unknown_group_and_bad_alpha", _unknown_group_and_bad_alpha, 2,
-     ("--group 'nobody'", "[topics] alpha = -1.0"), None),
+    ("unknown_group_and_zero_k", _unknown_group_and_zero_k, 2,
+     ("--group 'nobody'", "[topics] k = 0 must be at least 1"), None),
     ("zero_alpha_and_bad_timezone", _zero_alpha_and_bad_timezone, 2,
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
     ("unknown_actor_and_bad_top_n", _unknown_actor_and_bad_top_n, 2,
@@ -493,9 +492,6 @@ EXIT_CODE_MATRIX = [
      "[topics] iteration is not a configuration key", None),
     ("unknown_section", _unknown_section, 2,
      "[topcs] iterations is not a configuration key", None),
-    ("snapshot_only_field_map", _field_map_key, 2,
-     "[input] field_map is not a configuration key", None),
-    ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
     ("leftover_topic_labels", _topic_labels_section, 2,
      "[topic_labels] 0 is not a configuration key", None),
     ("removed_stem_key", _stem_key, 2, "[preprocess] stem is not a configuration key", None),
@@ -507,6 +503,14 @@ EXIT_CODE_MATRIX = [
      "[sentiment] subjectivity_threshold is not a configuration key", None),
     ("removed_top_n_key", _top_n_key, 2, "[analytics] top_n is not a configuration key", None),
     ("removed_author_field", _author_field, 2, "[fields] author is not a configuration key", None),
+    ("removed_topic_constant_keys", _topic_constant_keys, 2,
+     tuple(
+         "[{}] {} is not a configuration key".format(*dotted.split("."))
+         for dotted in TOPIC_CONSTANT_KEYS
+     ), None),
+    ("snapshot_only_field_map", _field_map_key, 2,
+     "[input] field_map is not a configuration key", None),
+    ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
     ("aliases_on_combined_actor", _aliases_on_combined_actor, 2,
      "[actors] combined actor 'willie_obiano_apga' cannot have aliases", None),
     ("unmatchable_alias", _unmatchable_alias, 2,
@@ -520,10 +524,11 @@ EXIT_CODE_MATRIX = [
      "pattern_lexicon.csv has no entry", ("ValueError: ", None)),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
     ("all_lines_skipped", _all_lines_skipped, 1,
-     "0 documents reached the topic model and 0 were dropped as shorter than min_doc_len = 1",
-     ("ValueError: corpus is empty: 0 documents", "sha256:")),
+     "corpus is empty: no document reached the topic model",
+     ("ValueError: corpus is empty: no document reached the topic model", "sha256:")),
     ("narrow_topic_group", _narrow_topic_group, 1,
-     "group 'osita_chidoka' has a vocabulary of 9 words, fewer than [topics] top_words = 10",
+     "group 'osita_chidoka' has a vocabulary of 9 words, fewer than the 10 keywords each topic "
+     "reports",
      ("ValueError: the topic corpus of group 'osita_chidoka'", "sha256:")),
 ]
 
@@ -579,8 +584,12 @@ class TestCliExitCodes:
             ["ingest", "--extra-stopwords-from-actors"],
             ["heatmap", "--top-n", "3"],
             ["ingest", "--field-map", "author=x"],
+            ["topics", "--alpha", "0.5"],
+            ["topics", "--beta", "0.2"],
+            ["topics", "--top-words", "3"],
         ],
-        ids=["--extra-stopwords-from-actors", "--top-n", "--field-map"],
+        ids=["--extra-stopwords-from-actors", "--top-n", "--field-map", "--alpha", "--beta",
+             "--top-words"],
     )
     def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -604,10 +613,7 @@ FLAG_ROWS = [
     ("ingest", "--output", "{tmp}/elsewhere", "output.dir", "{tmp}/elsewhere"),
     ("ingest", "--seed", "7", "run.seed", 7),
     ("topics", "--k", "6", "topics.k", 6),
-    ("topics", "--alpha", "0.5", "topics.alpha", 0.5),
-    ("topics", "--beta", "0.2", "topics.beta", 0.2),
     ("topics", "--iters", "7", "topics.iterations", 7),
-    ("topics", "--top-words", "3", "topics.top_words", 3),
 ]
 FLAG_BASE = {"topics.iterations": "5"}
 
@@ -824,22 +830,20 @@ class TestCliRuns:
         assert dataset["total_kept"] + sum(excluded.values()) == dataset["total_raw"] == 50
         assert excluded["retweet"] == sum(record.is_retweet for record in records)
 
-    def test_manifest_counts_the_topic_corpus(self, config_factory, tmp_path) -> None:
+    def test_manifest_counts_the_topic_corpus(self, config_factory, kept, tmp_path) -> None:
+        path = config_factory(**{"topics.iterations": 5})
         ledgers = []
-        for min_doc_len in (1, 7):
-            out = tmp_path / f"min_doc_len_{min_doc_len}"
-            path = config_factory(**{"topics.min_doc_len": min_doc_len, "topics.iterations": 5})
-            assert main(["topics", "--config", path, "--output", str(out)]) == 0
-            dataset = read_json(out / "manifest.json")["dataset"]
-            ledger = dataset["topics"]
-            assert ledger["documents"] + ledger["dropped_docs"] == dataset["total_kept"]
-            assert ledger["dropped_docs"] == read_json(out / "topics.json")["dropped_docs"]
-            ledgers.append(ledger)
-        # Raising min_doc_len moves the fixture's 23 tweets of 4-6 tokens.
+        for group in ([], ["--group", "apga"]):
+            out = tmp_path / f"topics_{len(ledgers)}"
+            assert main(["topics", "--config", path, *group, "--output", str(out)]) == 0
+            ledgers.append(read_json(out / "manifest.json")["dataset"]["topics"])
+        # Every kept tweet reaches the topic model; under --group, every kept
+        # tweet naming the group.
         assert ledgers == [
-            {"documents": 43, "dropped_docs": 0},
-            {"documents": 20, "dropped_docs": 23},
+            {"documents": len(kept)},
+            {"documents": sum("apga" in tweet.actors for tweet in kept)},
         ]
+        assert len(kept) == 43
         assert main(["counts", "--config", config_factory()]) == 0
         assert "topics" not in read_json(tmp_path / "out" / "manifest.json")["dataset"]
 
@@ -1020,7 +1024,7 @@ class TestCliRuns:
     def test_topics_group_restricts_corpus(self, config_factory, tmp_path) -> None:
         rc = main([
             "topics", "--config", config_factory(),
-            "--group", "apga", "--k", "2", "--iters", "50", "--top-words", "3",
+            "--group", "apga", "--k", "2", "--iters", "50",
         ])
         assert rc == 0
         payload = read_json(tmp_path / "out" / "topics.json")
@@ -1028,7 +1032,7 @@ class TestCliRuns:
         assert payload["k"] == 2
         assert len(payload["topics"]) == 2
         for topic in payload["topics"]:
-            assert len(topic["keywords"]) == 3
+            assert len(topic["keywords"]) == topics_module.TOP_WORDS == 10
 
     def test_seed_flag_overrides_config(self, config_factory, tmp_path) -> None:
         rc = main(["sentiment", "--config", config_factory(), "--seed", "99"])

@@ -23,7 +23,7 @@ GOLDEN = {
         "heatmap.json": "db5ee0e85efa4c4d9d50f0b1b7e92edaf333cbb1d73d819ea564738d02a45d78",
         "scores.csv": "9894a975272a764937dd53576fadc4acbde0fa157cf4eeb66d14f31a531a860d",
         "timeseries.csv": "a057ea6317ba83bb915d888c718b848fb4fce7c07c3fd37afd9236d1d9f64d0b",
-        "topics.json": "5e2bd6c7906f26da2038a0d25a79a0ed550a4cfa1fbb4b6e9794c160759fd447",
+        "topics.json": "11092d9a71c885ba17041fa93ca6e4b04253a83f936ca1ad0140e53550b23107",
         "tweets.csv": "95033271afdf2f3af88ac7d9046a83b5de0b435b073c31509a88fb372623a575",
     },
     "train-nbc": {

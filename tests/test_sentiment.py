@@ -80,6 +80,7 @@ def oracle_senses(lines) -> dict[str, list[tuple[int, float, float]]]:
             fields[0].strip() in ("n", "v", "a", "r")
             and all(0.0 <= score <= 1.0 for score in (pos, neg, 1.0 - pos - neg))
             and terms
+            and all(lemma for lemma, _, _ in terms)
             and min(ranks) >= 1
         ):
             for (lemma, _, _), rank in zip(terms, ranks):
@@ -205,10 +206,13 @@ class TestScoreTypes:
             sense_line("x", "00000001", 0.5, 0.0, "word#1"),
             sense_line("a", "00000001", 0.5, 0.0, "word#0"),
             sense_line("a", "00000001", 0.5, 0.0, "word#1 other#0"),  # rejected whole
+            sense_line("a", "00000001", 0.5, 0.0, "#1"),  # no lemma
+            sense_line("a", "00000001", 0.5, 0.0, "word#1 #1"),  # rejected whole
         ):
             lexicon = load_sense_lexicon([line])
             assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
             assert swn_word_sentiment(lexicon, "word") is None
+            assert lexicon.word_scores == {}
 
 
 class TestSenseLexicon:

@@ -92,22 +92,10 @@ class TestBuildCorpus:
         corpus = build_corpus([["a", "b"], ["b", "c"]])
         assert corpus.vocabulary == ["a", "b", "c"]
         assert corpus.docs == [[0, 1], [1, 2]]
-        assert corpus.dropped_docs == 0
-
-    def test_short_docs_are_dropped_and_counted(self) -> None:
-        corpus = build_corpus([["a"], ["b", "c"]], min_doc_len=2)
-        assert corpus.dropped_docs == 1
-        assert corpus.vocabulary == ["b", "c"]  # dropped docs add no words
 
     def test_empty_corpus_is_an_error(self) -> None:
-        with pytest.raises(ValueError, match="0 documents reached .* and 0 were dropped"):
+        with pytest.raises(ValueError, match="^corpus is empty: no document reached the topic model$"):
             build_corpus([])
-        with pytest.raises(ValueError, match="2 documents reached .* and 2 were dropped .* = 5"):
-            build_corpus([["a"], ["b", "c"]], min_doc_len=5)
-
-    def test_min_doc_len_must_be_positive(self) -> None:
-        with pytest.raises(ValueError):
-            build_corpus([["a"]], min_doc_len=0)
 
     def test_accepts_objects_with_tokens(self, kept) -> None:
         corpus = build_corpus(kept)
