@@ -12,9 +12,9 @@ tweets that name exactly one scope actor. Frequency tables and clouds are
 plain ``(term, count)`` rows. Both shapes are what the CLI writes, as
 they are.
 
-Which actors a tweet mentions is read from the tweet itself
-(``ProcessedTweet.actors``, matched once per run by
-``ingest.preprocess_records``).
+Which actors a tweet mentions, and which bucket it falls in, are read
+from the tweet itself (``ProcessedTweet.actors`` and ``.bucket``, each
+worked out once per run by ``ingest.preprocess_records``).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _sole_mention_grid(
     tweets is None."""
     cells: dict[tuple[str, str], list] = {}
     for tweet, value in zip(tweets, values):
-        label = bucket_label(tweet.record.created_at)
+        label = tweet.bucket
         if label == OUT_OF_RANGE:
             continue
         actor_id = sole_mention(tweet.actors, actors, scope)

@@ -36,7 +36,7 @@ from .preprocess import (
     PipelineConfig,
     ProcessedTweet,
     load_stopwords,
-    process_tokens,
+    preprocess_pipeline,
     text_tokens,
 )
 from .sentiment import (
@@ -62,7 +62,6 @@ class _RunState:
     def __init__(self, config: RunConfig) -> None:
         self.config = config
         self.pipeline = PipelineConfig()
-        self.records: list = []
         self.report: ParseReport | None = None
         self.kept: list[ProcessedTweet] = []
         self.excluded: dict[str, int] = {}
@@ -116,19 +115,22 @@ def _timed(state: _RunState, name: str, worker) -> None:
 
 
 def _ingest(state: _RunState) -> None:
+    """Parse, then preprocess; the parsed records are dropped on return."""
     config = state.config
+    records = []
 
     def worker():
-        state.records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
-        return len(state.records)
+        nonlocal records
+        records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
+        return len(records)
 
     _timed(state, "ingest", worker)
 
     def preprocess_worker():
         state.kept, raw_counts, state.excluded = preprocess_records(
-            state.records, state.pipeline, config.actor_set
+            records, state.pipeline, config.actor_set
         )
-        state.stats = dataset_stats(state.records, state.kept, raw_counts, config.actor_set)
+        state.stats = dataset_stats(len(records), state.kept, raw_counts, config.actor_set)
         return len(state.kept)
 
     _timed(state, "preprocess", preprocess_worker)
@@ -170,7 +172,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
         for tweet, score in zip(state.kept, scores):
             writer.writerow(
                 [
-                    tweet.record.id,
+                    tweet.id,
                     repr(score.polarity),
                     repr(score.subjectivity),
                     polarity_class(score.polarity),
@@ -211,7 +213,7 @@ def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
         "combined_avg_polarity": combined,
         "parse": {
             "lines_read": state.report.lines_read,
-            "records": len(state.records),
+            "records": state.report.lines_read - state.report.lines_skipped,
             "skipped": state.report.lines_skipped,
         },
     }
@@ -316,7 +318,7 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
             label, text = row[0].strip().lower(), row[1]
             if not label:
                 raise ValueError(f"{corpus_path} line {reader.line_num}: empty label")
-            tokens = process_tokens(text_tokens(text), state.pipeline)
+            tokens = preprocess_pipeline(text_tokens(text), state.pipeline) or ()
             docs.append((tokens, label))
     model = nbc_train(docs, options.get("alpha", 1.0))
     payload = {

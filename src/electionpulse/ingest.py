@@ -7,7 +7,8 @@ classic payload shape: ``id_str`` (else ``id``), ``created_at``,
 Preprocesses: one pass over the parsed records cleans and tokenizes each
 record once, matches its actors on those tokens, tallies the raw
 per-actor counts and, unless it is a retweet, runs the rest of the token
-pipeline on them; each kept tweet carries its matched actor ids.
+pipeline on them; each kept tweet carries its id, timestamp, bucket and
+matched actor ids, not its text.
 ``dataset_stats`` returns the dict that ``counts.json`` holds.
 
 Writes: an RFC-4180 CSV export of preprocessed tweets with one boolean
@@ -166,10 +167,11 @@ def preprocess_records(
 
     Every record's matched actors count towards ``raw_counts``. Retweets
     stop there. The rest go through ``preprocess_pipeline`` and are kept
-    unless no token survives filtering; equal matched sets share one
-    interned frozenset, so ``ProcessedTweet.actors`` costs a pointer per
-    tweet however many tweets name the same actors. ``excluded`` counts
-    both rejections: ``retweet`` and ``empty_after_filtering``.
+    unless no token survives filtering; each kept tweet's bucket is worked
+    out here, once. Equal matched sets share one interned frozenset, so
+    ``ProcessedTweet.actors`` costs a pointer per tweet however many tweets
+    name the same actors. ``excluded`` counts both rejections: ``retweet``
+    and ``empty_after_filtering``.
     """
     interned: dict[frozenset[str], frozenset[str]] = {}
     raw_counts = {actor.id: 0 for actor in actors}
@@ -184,16 +186,19 @@ def preprocess_records(
         if record.is_retweet:
             excluded["retweet"] += 1
             continue
-        tweet = preprocess_pipeline(record, tokens, matched, pipeline)
-        if tweet is None:
+        final = preprocess_pipeline(tokens, pipeline)
+        if final is None:
             excluded["empty_after_filtering"] += 1
         else:
-            kept.append(tweet)
+            created_at = record.created_at
+            kept.append(
+                ProcessedTweet(record.id, created_at, bucket_label(created_at), final, matched)
+            )
     return Preprocessed(kept, raw_counts, excluded)
 
 
 def dataset_stats(
-    records: Sequence[TweetRecord],
+    total_raw: int,
     kept: Sequence[ProcessedTweet],
     raw_counts: dict[str, int],
     groups: ActorSet,
@@ -201,14 +206,15 @@ def dataset_stats(
     """``{"total_raw", "total_kept", "coverage_pct", "per_group": {actor id:
     {"raw", "kept"}}}``: per-actor mention counts plus kept-population coverage.
 
-    ``raw_counts`` are the per-actor counts over ``records`` that
-    ``preprocess_records`` tallied. Group rows overlap (a tweet can mention
-    several actors), so the totals are population sizes, not column sums.
+    ``total_raw`` is the number of parsed records and ``raw_counts`` the
+    per-actor counts over them that ``preprocess_records`` tallied. Group
+    rows overlap (a tweet can mention several actors), so the totals are
+    population sizes, not column sums.
     """
     kept_counts = group_counts((tweet.actors for tweet in kept), groups)
     matched_kept = sum(1 for tweet in kept if tweet.actors)
     return {
-        "total_raw": len(records),
+        "total_raw": total_raw,
         "total_kept": len(kept),
         "coverage_pct": pct(matched_kept, len(kept)),
         "per_group": {
@@ -227,11 +233,6 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
         writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
         for tweet in records:
             writer.writerow(
-                [
-                    tweet.record.id,
-                    tweet.record.created_at.isoformat(),
-                    bucket_label(tweet.record.created_at),
-                    " ".join(tweet.tokens),
-                ]
+                [tweet.id, tweet.created_at.isoformat(), tweet.bucket, " ".join(tweet.tokens)]
                 + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
             )

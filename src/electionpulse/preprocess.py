@@ -7,7 +7,8 @@ dictionary-corrected, stopword-free tokens. Stopwords are filtered again
 after correction, since a correction can land on one. A run cleans and
 tokenizes each record once (``text_tokens``); actor matching and, for
 records that are not retweets, the token steps (``preprocess_pipeline``)
-share those tokens, and each kept tweet carries the actors its text names.
+share those tokens. A kept tweet carries its id, time and bucket, its
+final tokens and the actors its text names, never its text.
 Stopwords are a plain frozenset: ``clean`` lowercases every token first.
 """
 
@@ -23,7 +24,7 @@ from .spelling import SpellingDictionary, correct_spelling
 from .stemming import porter_stem
 
 if TYPE_CHECKING:
-    from .ingest import TweetRecord
+    from datetime import datetime
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -34,10 +35,13 @@ MIN_CORRECTION_LENGTH = 4
 
 
 class ProcessedTweet(NamedTuple):
-    """Final token list for one kept tweet, its source record and the ids
-    of the actors its text names (``actors.match_actors``)."""
+    """One kept tweet: its record's id and local timestamp, the timestamp's
+    ``analytics.bucket_label``, the final tokens and the ids of the actors
+    its text names (``actors.match_actors``)."""
 
-    record: TweetRecord
+    id: str
+    created_at: datetime
+    bucket: str
     tokens: tuple[str, ...]
     actors: frozenset[str]
 
@@ -145,8 +149,13 @@ class PipelineConfig:
         self.stems: dict[str, str] = {}
 
 
-def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
-    """The token steps on clean surface tokens: filter, correct, filter, stem."""
+def preprocess_pipeline(
+    tokens: Sequence[str], config: PipelineConfig
+) -> tuple[str, ...] | None:
+    """Filter -> correct -> filter -> stem clean surface tokens (``text_tokens``).
+
+    Returns None (rejected) when no token is left after filtering.
+    """
     stopwords = config.stopwords
     tokens = [tok for tok in tokens if tok not in stopwords]
     if config.spellcheck:
@@ -165,21 +174,4 @@ def process_tokens(tokens: Sequence[str], config: PipelineConfig) -> list[str]:
         if result is None:
             result = stems[tok] = stem(tok)
         stemmed.append(result)
-    return stemmed
-
-
-def preprocess_pipeline(
-    record: "TweetRecord",
-    tokens: Sequence[str],
-    actors: frozenset[str],
-    config: PipelineConfig,
-) -> ProcessedTweet | None:
-    """Filter -> correct -> filter -> stem one non-retweet record's surface tokens
-    (``text_tokens(record.text)``); ``actors`` are the ids matched on them.
-
-    Returns None (rejected) when no token is left after filtering.
-    """
-    final = process_tokens(tokens, config)
-    if not final:
-        return None
-    return ProcessedTweet(record=record, tokens=tuple(final), actors=actors)
+    return tuple(stemmed) or None

@@ -81,6 +81,12 @@ def records() -> list[TweetRecord]:
 
 
 @pytest.fixture(scope="session")
+def texts(records) -> dict[str, str]:
+    """Each fixture record's text by id; a kept tweet carries its id, not its text."""
+    return {record.id: record.text for record in records}
+
+
+@pytest.fixture(scope="session")
 def preprocessed(records, pipeline, actor_set) -> Preprocessed:
     return preprocess_records(records, pipeline, actor_set)
 

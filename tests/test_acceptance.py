@@ -29,7 +29,6 @@ from electionpulse.analytics import (
     term_frequencies,
 )
 from electionpulse.cli import main
-from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
     SentimentScore,
@@ -45,7 +44,7 @@ from electionpulse.sentiment import (
 from electionpulse.stemming import porter_stem
 from electionpulse.topics import TopicModel, build_corpus, lda_fit
 
-from test_analytics import buckets_containing, make_tweet, named, with_actors
+from test_analytics import buckets_containing, make_tweet, named
 from test_sentiment import load_micro, nbc_classify
 from test_topics import check_invariants
 from test_stemming import VECTORS
@@ -166,13 +165,8 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
         tweets = []
         for i in range(1_000):
             tokens = tuple(rng.choice(vocabulary) for _ in range(rng.randint(1, 12)))
-            record = TweetRecord(
-                id=f"s{i}",
-                created_at=None,  # never consulted by the scorers
-                text=" ".join(tokens),
-                is_retweet=False,
-            )
-            tweets.append(ProcessedTweet(record, tokens, frozenset()))
+            # The time and bucket are never consulted by the scorers.
+            tweets.append(ProcessedTweet(f"s{i}", None, None, tokens, frozenset()))
 
         for engine in ("pattern", "swn"):
             scored = score_all(
@@ -254,27 +248,25 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
             "no actors at all here",
         ]
         token_pool = ["queue", "ballot", "card", "awka", "result", "turnout", "agent"]
-        tweets, scores = [], []
+        texts, tweets, scores = [], [], []
         for i in range(200):
             hour, minute = rng.randrange(24), rng.randrange(60)
             tokens = tuple(rng.choice(token_pool) for _ in range(rng.randint(1, 5)))
-            tweets.append(
-                make_tweet(f"b{i}", rng.choice(mentions), tokens, hour, minute)
-            )
+            texts.append(rng.choice(mentions))
+            tweets.append(make_tweet(f"b{i}", texts[-1], tokens, hour, minute, actors=actor_set))
             scores.append(
                 SentimentScore(rng.uniform(-1, 1), rng.uniform(0, 1))
             )
 
-        tweets = with_actors(tweets, actor_set)
         series = avg_sentiment_series(tweets, scores, actor_set, scope)
         heatmap = frequency_heatmap(tweets, actor_set, scope, top_n=5)
 
         grouped: dict[tuple[str, str], list[int]] = {}
         for index, tweet in enumerate(tweets):
-            label = _independent_bucket(tweet.record.created_at.hour)
+            label = _independent_bucket(tweet.created_at.hour)
             if label is None:
                 continue
-            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(texts[index], actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(index)

@@ -316,10 +316,10 @@ class TestSoleMention:
         with pytest.raises(ValueError):
             sole_mention(match_actors(text_tokens("obiano wins"), actors), actors, ["nobody_here"])
 
-    def test_fixture_sole_counts(self, kept, actor_set, scope) -> None:
+    def test_fixture_sole_counts(self, kept, texts, actor_set, scope) -> None:
         counts = {actor_id: 0 for actor_id in scope}
         for tweet in kept:
-            matched = match_actors(text_tokens(tweet.record.text), actor_set)
+            matched = match_actors(text_tokens(texts[tweet.id]), actor_set)
             owner = sole_mention(matched, actor_set, scope)
             if owner is not None:
                 counts[owner] += 1
@@ -424,13 +424,16 @@ def test_set_based_sole_mention_matches_the_text_oracle(actors, drawn) -> None:
     oracle_sets = [_oracle_match(record.text, actors) for record in records]
     assert done.raw_counts == group_counts(oracle_sets, actors)
     # With no stopwords, exactly the non-retweets with a token are kept.
-    assert [tweet.record for tweet in done.kept] == [
-        record for record in records if not record.is_retweet and text_tokens(record.text)
+    assert [(tweet.id, tweet.created_at, tweet.bucket) for tweet in done.kept] == [
+        (record.id, stamp, "10-12")
+        for record in records
+        if not record.is_retweet and text_tokens(record.text)
     ]
+    texts = {record.id: record.text for record in records}
     ids = [a.id for a in actors]
     scopes = [list(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
     for tweet in done.kept:
-        text = tweet.record.text
+        text = texts[tweet.id]
         assert tweet.actors == match_actors(text_tokens(text), actors)
         assert tweet.actors == _oracle_match(text, actors)
         for scope in scopes:

@@ -21,7 +21,6 @@ from electionpulse.analytics import (
     frequency_heatmap,
     term_frequencies,
 )
-from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet, text_tokens
 from electionpulse.sentiment import SentimentScore
 
@@ -34,25 +33,18 @@ def make_tweet(
     tokens: tuple[str, ...],
     hour: int,
     minute: int = 0,
+    actors: ActorSet | None = None,
 ) -> ProcessedTweet:
-    record = TweetRecord(
-        id=record_id,
-        created_at=datetime(2017, 11, 18, hour, minute, tzinfo=LAGOS),
-        text=text,
-        is_retweet=False,
-    )
-    return ProcessedTweet(record, tokens, frozenset())
+    """A synthetic tweet whose tokens are not its text's; given an actor
+    set, it carries the actors its text names."""
+    created_at = datetime(2017, 11, 18, hour, minute, tzinfo=LAGOS)
+    matched = frozenset(named(text, actors)) if actors is not None else frozenset()
+    return ProcessedTweet(record_id, created_at, bucket_label(created_at), tokens, matched)
 
 
-def named(tweet: ProcessedTweet, actors: ActorSet) -> set[str]:
+def named(text: str, actors: ActorSet) -> set[str]:
     """The actors a tweet's raw text names, matched afresh from the text."""
-    return match_actors(text_tokens(tweet.record.text), actors)
-
-
-def with_actors(tweets, actors: ActorSet) -> list[ProcessedTweet]:
-    """Synthetic tweets, whose tokens are not their text's, carrying the
-    actors their text names."""
-    return [tweet._replace(actors=frozenset(named(tweet, actors))) for tweet in tweets]
+    return match_actors(text_tokens(text), actors)
 
 
 def pair_set() -> ActorSet:
@@ -129,8 +121,7 @@ class TestBuckets:
 class TestSentimentSeries:
     def test_single_tweet_cell(self) -> None:
         actors = pair_set()
-        tweet = make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13)
-        tweets = with_actors([tweet], actors)
+        tweets = [make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13, actors=actors)]
         scores = [SentimentScore(0.25, 0.6)]
         series = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])
         assert len(series) == 1
@@ -141,7 +132,7 @@ class TestSentimentSeries:
 
     def test_empty_cells_are_none_not_zero(self) -> None:
         actors = pair_set()
-        tweets = with_actors([make_tweet("t1", "obiano visits awka", ("visit",), 13)], actors)
+        tweets = [make_tweet("t1", "obiano visits awka", ("visit",), 13, actors=actors)]
         series = avg_sentiment_series(
             tweets, [SentimentScore(0.25, 0.6)], actors, ["willie_obiano"]
         )
@@ -151,8 +142,7 @@ class TestSentimentSeries:
 
     def test_out_of_range_tweets_never_contribute(self) -> None:
         actors = pair_set()
-        tweet = make_tweet("t1", "obiano early start", ("earli", "start"), 5)
-        tweets = with_actors([tweet], actors)
+        tweets = [make_tweet("t1", "obiano early start", ("earli", "start"), 5, actors=actors)]
         series = avg_sentiment_series(
             tweets, [SentimentScore(1.0, 1.0)], actors, ["willie_obiano"]
         )
@@ -161,8 +151,7 @@ class TestSentimentSeries:
     def test_non_sole_tweets_never_contribute(self) -> None:
         actors = pair_set()
         # Mentions two scoped identities, so it belongs to nobody.
-        tweet = make_tweet("t1", "obiano against apga rebels", ("rebel",), 13)
-        tweets = with_actors([tweet], actors)
+        tweets = [make_tweet("t1", "obiano against apga rebels", ("rebel",), 13, actors=actors)]
         scope = ["willie_obiano", "apga"]
         series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, scope)
         for cells in series.values():
@@ -175,23 +164,23 @@ class TestSentimentSeries:
     def test_scale_is_linear(self) -> None:
         # The series column is mean_polarity_x100: the mean polarity times 100.
         actors = pair_set()
-        tweets = with_actors(
-            [make_tweet(f"t{i}", "obiano wins", ("win",), 13) for i in range(2)], actors
-        )
+        tweets = [make_tweet(f"t{i}", "obiano wins", ("win",), 13, actors=actors) for i in range(2)]
         scores = [SentimentScore(0.3, 0.5), SentimentScore(-0.1, 0.7)]
         cell = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])["willie_obiano"]
         assert cell["12-14"].mean_polarity_x100 == pytest.approx(100.0 * (0.3 - 0.1) / 2)
         assert cell["12-14"].mean_subjectivity == pytest.approx((0.5 + 0.7) / 2)
 
-    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set, scope) -> None:
+    def test_fixture_matches_brute_force(
+        self, kept, texts, pattern_scores, actor_set, scope
+    ) -> None:
         series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
         assert list(series) == scope
         groups: dict[tuple[str, str], list[SentimentScore]] = {}
         for tweet, score in zip(kept, pattern_scores):
-            label = bucket_label(tweet.record.created_at)
+            label = bucket_label(tweet.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(texts[tweet.id], actor_set), actor_set, scope)
             if owner is None:
                 continue
             groups.setdefault((owner, label), []).append(score)
@@ -208,12 +197,14 @@ class TestSentimentSeries:
                 assert cell.mean_polarity_x100 == pytest.approx(100 * mean_polarity, abs=1e-9)
                 assert cell.mean_subjectivity == pytest.approx(mean_subjectivity, abs=1e-9)
 
-    def test_bucket_counts_sum_to_sole_totals(self, kept, pattern_scores, actor_set, scope) -> None:
+    def test_bucket_counts_sum_to_sole_totals(
+        self, kept, texts, pattern_scores, actor_set, scope
+    ) -> None:
         series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
         sole_totals = Counter()
         for tweet in kept:
-            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
-            if owner is not None and bucket_label(tweet.record.created_at) != OUT_OF_RANGE:
+            owner = sole_mention(named(texts[tweet.id], actor_set), actor_set, scope)
+            if owner is not None and bucket_label(tweet.created_at) != OUT_OF_RANGE:
                 sole_totals[owner] += 1
         for actor_id, cells in series.items():
             total = sum(cell.count for cell in cells.values() if cell is not None)
@@ -269,26 +260,23 @@ class TestCooccurrence:
         actors = pair_set()
         # Tokens deliberately retain the alias word to prove the cloud
         # itself drops it.
-        tweet = make_tweet("t1", "obiano cheers crowd", ("obiano", "cheer", "crowd"), 10)
-        tweets = with_actors([tweet], actors)
+        tokens = ("obiano", "cheer", "crowd")
+        tweets = [make_tweet("t1", "obiano cheers crowd", tokens, 10, actors=actors)]
         rows = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
         assert dict(rows) == {"cheer": 1, "crowd": 1}
 
     def test_only_matching_tweets_count(self) -> None:
         actors = pair_set()
-        tweets = with_actors(
-            [
-                make_tweet("t1", "obiano cheers", ("cheer",), 10),
-                make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11),
-            ],
-            actors,
-        )
+        tweets = [
+            make_tweet("t1", "obiano cheers", ("cheer",), 10, actors=actors),
+            make_tweet("t2", "quiet polling unit", ("quiet", "poll", "unit"), 11, actors=actors),
+        ]
         rows = cooccurrence_cloud(tweets, actors["willie_obiano"], actors)
         assert dict(rows) == {"cheer": 1}
 
     def test_no_matching_tweets_is_empty(self) -> None:
         actors = pair_set()
-        tweets = with_actors([make_tweet("t1", "quiet day", ("quiet", "dai"), 10)], actors)
+        tweets = [make_tweet("t1", "quiet day", ("quiet", "dai"), 10, actors=actors)]
         assert cooccurrence_cloud(tweets, actors["apga"], actors) == []
 
     def test_fixture_running_mate_count(self, kept, actor_set) -> None:
@@ -313,14 +301,14 @@ class TestHeatmap:
         for row in matrix.values():
             assert tuple(row) == BUCKET_LABELS
 
-    def test_cells_match_sole_mention_recount(self, kept, actor_set, scope) -> None:
+    def test_cells_match_sole_mention_recount(self, kept, texts, actor_set, scope) -> None:
         matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
         grouped: dict[tuple[str, str], list] = {}
         for tweet in kept:
-            label = bucket_label(tweet.record.created_at)
+            label = bucket_label(tweet.created_at)
             if label == OUT_OF_RANGE:
                 continue
-            owner = sole_mention(named(tweet, actor_set), actor_set, scope)
+            owner = sole_mention(named(texts[tweet.id], actor_set), actor_set, scope)
             if owner is None:
                 continue
             grouped.setdefault((owner, label), []).append(tweet)
@@ -346,13 +334,13 @@ class TestHeatmap:
 class TestCombinedPolarity:
     def test_single_matching_tweet(self) -> None:
         actors = pair_set()
-        tweets = with_actors([make_tweet("t1", "obiano thanks apga", ("thank",), 10)], actors)
+        tweets = [make_tweet("t1", "obiano thanks apga", ("thank",), 10, actors=actors)]
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": pytest.approx(0.5)}
 
     def test_no_matching_tweet_is_none(self) -> None:
         actors = pair_set()
-        tweets = with_actors([make_tweet("t1", "obiano alone", ("alone",), 10)], actors)
+        tweets = [make_tweet("t1", "obiano alone", ("alone",), 10, actors=actors)]
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": None}
 
@@ -360,14 +348,14 @@ class TestCombinedPolarity:
         with pytest.raises(ConsistencyError):
             combined_avg_polarity(kept[:-1], pattern_scores, actor_set)
 
-    def test_fixture_matches_brute_force(self, kept, pattern_scores, actor_set) -> None:
+    def test_fixture_matches_brute_force(self, kept, texts, pattern_scores, actor_set) -> None:
         means = combined_avg_polarity(kept, pattern_scores, actor_set)
         assert set(means) == {actor.id for actor in actor_set.combined()}
         for actor in actor_set.combined():
             values = [
                 score.polarity
                 for tweet, score in zip(kept, pattern_scores)
-                if actor.id in named(tweet, actor_set)
+                if actor.id in named(texts[tweet.id], actor_set)
             ]
             if not values:
                 assert means[actor.id] is None

@@ -17,6 +17,7 @@ import pytest
 
 import electionpulse.cli as cli_module
 from electionpulse import actors as actors_module
+from electionpulse import analytics as analytics_module
 from electionpulse import preprocess as preprocess_module
 from electionpulse import sentiment as sentiment_module
 from electionpulse import stemming as stemming_module
@@ -244,13 +245,6 @@ class TestValidateConfig:
             validate_config(str(path))
         assert err.value.diagnostics == ["[DEFAULT] stray is not a configuration key"]
 
-    def test_unknown_default_key_is_reported_once(self, config_factory) -> None:
-        path = Path(config_factory())
-        path.write_text("[DEFAULT]\nstray = 1\n" + path.read_text(encoding="utf-8"))
-        with pytest.raises(ConfigError) as err:
-            validate_config(str(path))
-        unknown = [d for d in err.value.diagnostics if "is not a configuration key" in d]
-        assert unknown == ["[DEFAULT] stray is not a configuration key"]
 
 
 def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -289,8 +283,11 @@ def _zero_alpha_and_bad_timezone(config_factory, fixtures_dir, tmp_path, monkeyp
     return ["train-nbc", "--config", config_factory(), "--alpha", "0", "--timezone", "+99:00"]
 
 
-def _unknown_actor_and_bad_top_n(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["cloud", "--config", config_factory(**{"analytics.top_n": "0"}), "--actor", "nobody"]
+def _unknown_actor_and_zero_iterations(
+    config_factory, fixtures_dir, tmp_path, monkeypatch
+) -> list[str]:
+    path = config_factory(**{"topics.iterations": "0"})
+    return ["cloud", "--config", path, "--actor", "nobody"]
 
 
 def _extra_stopwords_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -481,8 +478,8 @@ EXIT_CODE_MATRIX = [
      ("--group 'nobody'", "[topics] k = 0 must be at least 1"), None),
     ("zero_alpha_and_bad_timezone", _zero_alpha_and_bad_timezone, 2,
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
-    ("unknown_actor_and_bad_top_n", _unknown_actor_and_bad_top_n, 2,
-     ("--actor 'nobody'", "[analytics] top_n is not a configuration key"), None),
+    ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
+     ("--actor 'nobody'", "[topics] iterations = 0 must be at least 1"), None),
     ("unknown_field", _unknown_field, 2, "[fields] txet is not a configuration key", None),
     ("empty_field_path", _empty_field_path, 2, "[fields] text is not a configuration key", None),
     ("repeated_scope_id", _repeated_scope_id, 2,
@@ -791,6 +788,13 @@ class TestCliRuns:
         assert sorted(cleaned) == sorted([*(record.text for record in records), *aliases])
         assert len(matched) == len(records) == 50
 
+    def test_each_kept_tweet_is_bucketed_once(self, config_factory, kept, monkeypatch) -> None:
+        bucketed = record_calls(monkeypatch, analytics_module, "bucket_label")
+        assert main(["all", "--config", config_factory()]) == 0
+        # Once, in preprocessing; the export and the grids read the bucket.
+        assert bucketed == [tweet.created_at for tweet in kept]
+        assert len(bucketed) == 43
+
     def test_each_distinct_token_is_stemmed_once(
         self, config_factory, records, pipeline, actor_set, monkeypatch
     ) -> None:
@@ -949,6 +953,14 @@ class TestCliRuns:
         assert excluded == {cause: kinds.count(cause) for cause in excluded}
         assert set(excluded) == {"retweet", "empty_after_filtering"}
         assert dataset["total_kept"] == kinds.count("kept") + 1
+        counts = read_json(tmp_path / "out" / "counts.json")
+        assert counts["total_raw"] == dataset["total_raw"]
+        assert counts["parse"] == {
+            "lines_read": dataset["lines_read"],
+            "records": dataset["total_raw"],
+            "skipped": dataset["lines_skipped"],
+        }
+        assert counts["parse"]["records"] == dataset["lines_read"] - dataset["lines_skipped"]
 
     def test_manifest_lexicon_lists_only_engines_scored(self, config_factory, tmp_path) -> None:
         assert main(["sentiment", "--config", config_factory(), "--engine", "swn"]) == 0

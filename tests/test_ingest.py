@@ -12,6 +12,7 @@ import pytest
 
 from electionpulse._util import parse_timestamp
 from electionpulse.actors import match_actors
+from electionpulse.analytics import bucket_label
 from electionpulse.ingest import (
     MAX_TEXT_BYTES,
     SKIP_CAUSES,
@@ -218,7 +219,7 @@ def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped(parse_lin
 
 class TestDatasetStats:
     def test_fixture_counts(self, records, kept, raw_counts, actor_set) -> None:
-        stats = dataset_stats(records, kept, raw_counts, actor_set)
+        stats = dataset_stats(len(records), kept, raw_counts, actor_set)
         assert stats["total_raw"] == 50
         assert stats["total_kept"] == 43
         group = stats["per_group"]
@@ -231,15 +232,13 @@ class TestDatasetStats:
         assert stats["coverage_pct"] == 62.79
 
     def test_order_invariance(self, records, kept, raw_counts, actor_set) -> None:
-        shuffled_records = list(records)
         shuffled_kept = list(kept)
-        random.Random(7).shuffle(shuffled_records)
         random.Random(8).shuffle(shuffled_kept)
-        stats = dataset_stats(shuffled_records, shuffled_kept, raw_counts, actor_set)
-        assert stats == dataset_stats(records, kept, raw_counts, actor_set)
+        stats = dataset_stats(len(records), shuffled_kept, raw_counts, actor_set)
+        assert stats == dataset_stats(len(records), kept, raw_counts, actor_set)
 
     def test_combined_never_exceeds_components(self, records, kept, raw_counts, actor_set) -> None:
-        stats = dataset_stats(records, kept, raw_counts, actor_set)
+        stats = dataset_stats(len(records), kept, raw_counts, actor_set)
         for actor in actor_set:
             if actor.components is None:
                 continue
@@ -252,7 +251,7 @@ class TestDatasetStats:
 
     def test_empty_population(self, actor_set) -> None:
         done = preprocess_records([], PipelineConfig(), actor_set)
-        stats = dataset_stats([], done.kept, done.raw_counts, actor_set)
+        stats = dataset_stats(0, done.kept, done.raw_counts, actor_set)
         assert stats["total_raw"] == 0
         assert stats["coverage_pct"] == 0.0
 
@@ -269,7 +268,8 @@ class TestExport:
         assert len(body) == len(kept)
         by_id = {row[0]: row for row in body}
         for tweet in kept:
-            row = by_id[tweet.record.id]
+            row = by_id[tweet.id]
+            assert row[1:3] == [tweet.created_at.isoformat(), bucket_label(tweet.created_at)]
             assert row[3] == " ".join(tweet.tokens)
             flags = {
                 actor_id: value == "true"
@@ -284,12 +284,12 @@ class TestExport:
         assert raw.count(b"\r\n") == len(kept) + 1
 
     def test_flags_are_the_actors_named_in_the_text(
-        self, kept, actor_set, tmp_path
+        self, kept, texts, actor_set, tmp_path
     ) -> None:
         path = tmp_path / "tweets.csv"
         export_records(kept, str(path), actor_set)
         with open(path, encoding="utf-8", newline="") as handle:
             header, *body = list(csv.reader(handle))
         for tweet, row in zip(kept, body):
-            named = match_actors(text_tokens(tweet.record.text), actor_set)
+            named = match_actors(text_tokens(texts[tweet.id]), actor_set)
             assert {a for a, flag in zip(header[4:], row[4:]) if flag == "true"} == named

@@ -16,10 +16,10 @@ from electionpulse.ingest import TweetRecord, preprocess_records
 from electionpulse.sentiment import load_negators
 from electionpulse.preprocess import (
     PipelineConfig,
+    ProcessedTweet,
     clean,
     load_stopwords,
     preprocess_pipeline,
-    process_tokens,
     stem,
     text_tokens,
     tokenize,
@@ -197,15 +197,15 @@ class TestIsRetweet:
 
 
 class TestPipeline:
-    def test_reference_sentence(self, pipeline: PipelineConfig) -> None:
+    def test_reference_sentence(self, pipeline: PipelineConfig, actor_set) -> None:
         record = make_record("INEC card readers failing in Awka #AnambraDecides")
-        matched = frozenset({"some_actor"})  # carried as given, never re-matched
-        out = preprocess_pipeline(record, text_tokens(record.text), matched, pipeline)
-        assert out is not None
-        assert list(out.tokens) == ["inec", "card", "reader", "fail", "awka", "anambradecid"]
+        final = ("inec", "card", "reader", "fail", "awka", "anambradecid")
+        assert preprocess_pipeline(text_tokens(record.text), pipeline) == final
         assert len(text_tokens(record.text)) == 7  # "in" is there before filtering
-        assert out.record is record
-        assert out.actors is matched
+        # The kept tweet carries the record's id and time, never its text.
+        assert preprocess_records([record], pipeline, actor_set).kept == [
+            ProcessedTweet("t1", record.created_at, "12-14", final, frozenset())
+        ]
 
     def test_rejects_retweets(self, pipeline: PipelineConfig, actor_set) -> None:
         records = [
@@ -221,57 +221,56 @@ class TestPipeline:
 
     def test_rejects_tweets_with_nothing_left(self, pipeline: PipelineConfig) -> None:
         for text in ("https://t.co/abc", "the of and"):
-            record = make_record(text)
-            assert preprocess_pipeline(record, text_tokens(text), frozenset(), pipeline) is None
+            assert preprocess_pipeline(text_tokens(text), pipeline) is None
 
     def test_spellcheck_needs_minimum_length(self, dictionary) -> None:
         config = PipelineConfig(stopwords=frozenset(), dictionary=dictionary)
         # "electin" (7 letters, out of dictionary) is corrected; a 3-letter
         # unknown token is left alone.
-        tokens = process_tokens(text_tokens("electin xqz"), config)
+        tokens = preprocess_pipeline(text_tokens("electin xqz"), config)
         assert tokens[0] == "elect"  # corrected to "election", then stemmed
         assert tokens[1] == "xqz"
 
     def test_spellcheck_never_touches_dictionary_words(self, dictionary) -> None:
         config = PipelineConfig(stopwords=frozenset(), dictionary=dictionary)
-        tokens = process_tokens(text_tokens("election voting"), config)
+        tokens = preprocess_pipeline(text_tokens("election voting"), config)
         # Both words are in the dictionary, so only the stemmer changes them.
-        assert tokens == [stem("election"), stem("voting")]
+        assert tokens == (stem("election"), stem("voting"))
 
     def test_empty_dictionary_disables_correction(self) -> None:
         config = PipelineConfig(stopwords=frozenset(), dictionary={})
-        tokens = process_tokens(text_tokens("electin ballott"), config)
-        assert tokens == [stem("electin"), stem("ballott")]
+        tokens = preprocess_pipeline(text_tokens("electin ballott"), config)
+        assert tokens == (stem("electin"), stem("ballott"))
 
     def test_stopwords_are_filtered_before_correction(self) -> None:
         # A stopword is never corrected, so a correction cannot carry it
         # past the filter; a correction that lands on a stopword is dropped.
         config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obianos": 3})
-        assert process_tokens(["obiano", "wins"], config) == [stem("wins")]
+        assert preprocess_pipeline(["obiano", "wins"], config) == (stem("wins"),)
         assert config.dictionary.activity() == {"lookups": 1, "distinct": 1, "corrected": 0}
         config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obiano": 3})
-        assert process_tokens(["obianoo", "wins"], config) == [stem("wins")]
+        assert preprocess_pipeline(["obianoo", "wins"], config) == (stem("wins"),)
         assert config.dictionary.activity() == {"lookups": 2, "distinct": 2, "corrected": 1}
 
     def test_plain_dictionary_is_wrapped_once(self) -> None:
         config = PipelineConfig(dictionary={"election": 10})
-        assert process_tokens(["electin"], config) == [stem("election")]
-        assert process_tokens(["electin"], config) == [stem("election")]
+        assert preprocess_pipeline(["electin"], config) == (stem("election"),)
+        assert preprocess_pipeline(["electin"], config) == (stem("election"),)
         assert config.dictionary.activity() == {"lookups": 2, "distinct": 1, "corrected": 2}
 
     def test_stem_memo_belongs_to_one_pipeline(self) -> None:
         first = PipelineConfig(spellcheck=False)
         second = PipelineConfig(spellcheck=False)
-        assert process_tokens(["voting", "voting", "awka"], first) == ["vote", "vote", "awka"]
+        assert preprocess_pipeline(["voting", "voting", "awka"], first) == ("vote", "vote", "awka")
         assert first.stems == {"voting": "vote", "awka": "awka"}
         assert second.stems == {}
 
     def test_raw_count_is_before_filtering(self, pipeline: PipelineConfig) -> None:
         record = make_record("the result is out in awka")
-        out = preprocess_pipeline(record, text_tokens(record.text), frozenset(), pipeline)
+        out = preprocess_pipeline(text_tokens(record.text), pipeline)
         assert out is not None
         assert len(text_tokens(record.text)) == 6
-        assert len(out.tokens) < 6
+        assert len(out) < 6
 
     def test_no_output_token_is_a_stopword(self, kept, pipeline: PipelineConfig) -> None:
         for tweet in kept:
@@ -282,11 +281,11 @@ class TestPipeline:
         # Feeding a kept tweet's tokens back through the pipeline must
         # reproduce the same token multiset.
         for tweet in kept:
-            again = process_tokens(text_tokens(" ".join(tweet.tokens)), pipeline)
-            assert Counter(again) == Counter(tweet.tokens), tweet.record.id
+            again = preprocess_pipeline(text_tokens(" ".join(tweet.tokens)), pipeline)
+            assert Counter(again) == Counter(tweet.tokens), tweet.id
 
     def test_corpus_keeps_expected_population(self, records, kept) -> None:
         assert len(records) == 50
         assert len(kept) == 43
-        kept_ids = {tweet.record.id for tweet in kept}
+        kept_ids = {tweet.id for tweet in kept}
         assert len(kept_ids) == 43

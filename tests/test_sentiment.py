@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electionpulse._util import ConsistencyError, float_sum, pct
-from electionpulse.ingest import TweetRecord
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
     ENGINES,
@@ -48,8 +47,7 @@ PATTERN = {
 
 def kept_tweet(record_id: str, tokens) -> ProcessedTweet:
     """A kept tweet for the scorers, which read its tokens only."""
-    record = TweetRecord(record_id, None, " ".join(tokens), False)
-    return ProcessedTweet(record, tuple(tokens), frozenset())
+    return ProcessedTweet(record_id, None, None, tuple(tokens), frozenset())
 
 
 def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) -> str:
