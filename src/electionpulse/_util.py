@@ -1,4 +1,5 @@
-"""Shared helpers: percentage rounding, word lists, timestamp and timezone parsing."""
+"""Shared helpers: percentage rounding, word lists, timezone parsing, and
+the one timestamp layout a record may carry, Twitter's classic ``created_at``."""
 
 from __future__ import annotations
 
@@ -82,28 +83,20 @@ def parse_timezone(value: str) -> tzinfo:
 
 
 def parse_timestamp(value: str) -> datetime:
-    """Parse a Twitter-format or ISO-8601 timestamp into an aware datetime.
+    """Parse Twitter's "Sat Nov 18 09:31:00 +0000 2017" layout into an aware datetime.
 
-    Raises ValueError for anything else, including naive ISO inputs: every
-    record must carry an explicit UTC offset so local-time bucketing is
-    well defined.
+    Raises ValueError for anything else, ISO-8601 included, and KeyError
+    for an unknown month.
     """
     m = _TWITTER_TS_RE.match(value.strip())
-    if m:
-        mon, day, hour, minute, second, sign, oh, om, year = m.groups()
-        tz = _OFFSETS.get((sign, oh, om))
-        if tz is None:
-            offset = timedelta(hours=int(oh), minutes=int(om))
-            tz = _OFFSETS[sign, oh, om] = timezone(-offset if sign == "-" else offset)
-        return datetime(
-            int(year), _MONTHS[mon.title()], int(day),
-            int(hour), int(minute), int(second), tzinfo=tz,
-        )
-    iso = value.strip()
-    if iso.endswith(("Z", "z")):
-        iso = iso[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(iso)
-    if parsed.tzinfo is None:
-        raise ValueError(f"timestamp lacks a UTC offset: {value!r}")
-    return parsed
-
+    if not m:
+        raise ValueError(f"not a Twitter timestamp: {value!r}")
+    mon, day, hour, minute, second, sign, oh, om, year = m.groups()
+    tz = _OFFSETS.get((sign, oh, om))
+    if tz is None:
+        offset = timedelta(hours=int(oh), minutes=int(om))
+        tz = _OFFSETS[sign, oh, om] = timezone(-offset if sign == "-" else offset)
+    return datetime(
+        int(year), _MONTHS[mon.title()], int(day),
+        int(hour), int(minute), int(second), tzinfo=tz,
+    )

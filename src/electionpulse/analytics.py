@@ -113,11 +113,11 @@ def term_frequencies(
     top_n: int | None = None,
 ) -> list[tuple[str, int]]:
     """(term, count) rows over the group's stemmed tokens, counts
-    descending, ties lexicographic. Tokens are lowercase already
-    (``preprocess.clean``), so only the exclusions are lowercased."""
+    descending, ties lexicographic. Tokens and exclusions are lowercase
+    words, as ``preprocess.clean`` and the actor roster make them."""
     if top_n is not None and top_n < 1:
         raise ValueError("top_n must be at least 1")
-    excluded = {word.lower() for word in exclusions or ()}
+    excluded = frozenset(exclusions or ())
     counts: Counter[str] = Counter()
     for tweet in tweets:
         counts.update(token for token in tweet.tokens if token not in excluded)

@@ -274,10 +274,9 @@ def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
 def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     config = state.config
     group = options.get("group")
-    tweets = state.kept
-    if group:
-        tweets = [tweet for tweet in tweets if group in tweet.actors]
-    corpus = topics.build_corpus(tweets)
+    corpus = topics.build_corpus(
+        tweet.tokens for tweet in state.kept if not group or group in tweet.actors
+    )
     state.topics = {"documents": len(corpus.docs)}
     if len(corpus.vocabulary) < topics.TOP_WORDS:
         name = f"group {group!r}" if group else "all tweets"

@@ -116,8 +116,8 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     if text_bytes > MAX_TEXT_BYTES:
         return "oversized_text"
     try:
-        created_at = parse_timestamp(str(created_raw)).astimezone(tz).replace(microsecond=0)
-    except (ValueError, KeyError, OverflowError):  # an unknown month; a year out of range
+        created_at = parse_timestamp(str(created_raw)).astimezone(tz)
+    except (ValueError, KeyError, OverflowError):  # another layout; an unknown month; before year 1
         return "bad_timestamp"
     retweeted = payload.get("retweeted_status") is not None
     return TweetRecord(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._util import read_word_list
@@ -131,20 +131,17 @@ def text_tokens(text: str) -> list[str]:
 class PipelineConfig:
     """Knobs the preprocessing pipeline needs from the run configuration,
     plus the run's stem memo (token -> stem), so each distinct token is
-    stemmed once per run. No dictionary means an empty one; a plain mapping
-    is wrapped in a ``SpellingDictionary`` once, so its delete index and
-    correction memo serve every lookup of the run."""
+    stemmed once per run. No dictionary means an empty one; the one given
+    keeps its delete index and correction memo for every lookup of the run."""
 
     def __init__(
         self,
         stopwords: frozenset[str] = frozenset(),
-        dictionary: Mapping[str, int] | None = None,
+        dictionary: SpellingDictionary | None = None,
         spellcheck: bool = True,
     ) -> None:
         self.stopwords = stopwords
-        if not isinstance(dictionary, SpellingDictionary):
-            dictionary = SpellingDictionary(dictionary)
-        self.dictionary = dictionary
+        self.dictionary = SpellingDictionary() if dictionary is None else dictionary
         self.spellcheck = spellcheck
         self.stems: dict[str, str] = {}
 

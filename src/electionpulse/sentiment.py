@@ -22,8 +22,10 @@ multinomial, Laplace-smoothed textbook construction and exists alongside
 the lexicon engines because label assignment and continuous scoring serve
 different analyses; the two are never derived from each other.
 
-Records are NamedTuples. The loaders and ``nbc_train`` check what they
-build, so a record is valid by the time anything reads it.
+Records are NamedTuples. The loaders read a file path, and they and
+``nbc_train`` check what they build, so a record is valid by the time
+anything reads it. Lookups take the lowercase tokens ``preprocess.clean``
+makes; the loaders lowercase every lemma to match.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import csv
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 from ._util import ConsistencyError, float_sum, pct, read_word_list
 from .preprocess import ProcessedTweet
@@ -70,7 +72,7 @@ class SenseLexicon(NamedTuple):
     rows_rejected: int
 
 
-def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
+def load_sense_lexicon(path: str) -> SenseLexicon:
     """Parse a SentiWordNet-3.0-format TSV file.
 
     Columns: pos tag, synset id, PosScore, NegScore, space-separated
@@ -82,52 +84,46 @@ def load_sense_lexicon(source: str | IO[str] | Iterable[str]) -> SenseLexicon:
     weighted sums (weight 1/sense_rank); each lemma's (pos, neg) is its
     sums divided by its total weight.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
-            return _parse_sense_rows(handle)
-    return _parse_sense_rows(source)
-
-
-def _parse_sense_rows(lines: Iterable[str]) -> SenseLexicon:
     # lemma -> (total weight, weighted pos, weighted neg)
     sums: dict[str, tuple[float, float, float]] = {}
     rows_read = 0
     rejected = 0
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rows_read += 1
-        parts = line.split("\t")
-        try:
-            if len(parts) < 5:
-                raise ValueError("too few columns")
-            pos_tag = parts[0].strip()
-            if pos_tag not in _POS_TAGS:
-                raise ValueError(f"pos_tag {pos_tag!r} not one of n, v, a, r")
-            pos_score = float(parts[2])
-            neg_score = float(parts[3])
-            for score in (pos_score, neg_score, 1.0 - pos_score - neg_score):
-                if not 0.0 <= score <= 1.0:
-                    raise ValueError(f"score {score} outside [0, 1]")
-            terms = parts[4].split()
-            if not terms:
-                raise ValueError("no terms")
-            senses = []
-            for term in terms:
-                lemma, _, rank = term.rpartition("#")
-                if not lemma:
-                    raise ValueError(f"term {term!r} has no lemma")
-                sense_rank = int(rank)
-                if sense_rank < 1:
-                    raise ValueError(f"sense_rank {sense_rank} must be positive")
-                senses.append((lemma.lower(), 1.0 / sense_rank))
-        except ValueError:
-            rejected += 1
-            continue
-        for lemma, weight in senses:
-            total_weight, pos, neg = sums.get(lemma, (0.0, 0.0, 0.0))
-            sums[lemma] = (total_weight + weight, pos + pos_score * weight, neg + neg_score * weight)
+    with open(path, encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            rows_read += 1
+            parts = line.split("\t")
+            try:
+                if len(parts) < 5:
+                    raise ValueError("too few columns")
+                pos_tag = parts[0].strip()
+                if pos_tag not in _POS_TAGS:
+                    raise ValueError(f"pos_tag {pos_tag!r} not one of n, v, a, r")
+                pos_score = float(parts[2])
+                neg_score = float(parts[3])
+                for score in (pos_score, neg_score, 1.0 - pos_score - neg_score):
+                    if not 0.0 <= score <= 1.0:
+                        raise ValueError(f"score {score} outside [0, 1]")
+                terms = parts[4].split()
+                if not terms:
+                    raise ValueError("no terms")
+                senses = []
+                for term in terms:
+                    lemma, _, rank = term.rpartition("#")
+                    if not lemma:
+                        raise ValueError(f"term {term!r} has no lemma")
+                    sense_rank = int(rank)
+                    if sense_rank < 1:
+                        raise ValueError(f"sense_rank {sense_rank} must be positive")
+                    senses.append((lemma.lower(), 1.0 / sense_rank))
+            except ValueError:
+                rejected += 1
+                continue
+            for lemma, weight in senses:
+                total_weight, pos, neg = sums.get(lemma, (0.0, 0.0, 0.0))
+                sums[lemma] = (total_weight + weight, pos + pos_score * weight, neg + neg_score * weight)
     word_scores = {
         lemma: (pos / total_weight, neg / total_weight)
         for lemma, (total_weight, pos, neg) in sums.items()
@@ -140,9 +136,10 @@ def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float]
 
     Senses across all pos tags participate; each contributes with weight
     1/sense_rank and the result is normalized by the total weight. The
-    pair was computed when the lexicon loaded.
+    pair was computed when the lexicon loaded. The lemma is a lowercase
+    token, as ``preprocess.clean`` makes them.
     """
-    return lexicon.word_scores.get(lemma.lower())
+    return lexicon.word_scores.get(lemma)
 
 
 def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[float], list[float]]:
@@ -156,34 +153,28 @@ def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[flo
     return polarity_values, subjectivity_values
 
 
-def load_pattern_lexicon(source: str | IO[str] | Iterable[str]) -> dict[str, PatternEntry]:
+def load_pattern_lexicon(path: str) -> dict[str, PatternEntry]:
     """Read a "lemma,polarity,subjectivity" CSV (header optional).
 
     Duplicate lemma rows are averaged into a single entry; an averaged
     polarity outside [-1, 1] or subjectivity outside [0, 1] raises
     ValueError.
     """
-    if isinstance(source, str):
-        with open(source, encoding="utf-8", newline="") as handle:
-            return _parse_pattern_rows(handle)
-    return _parse_pattern_rows(source)
-
-
-def _parse_pattern_rows(lines) -> dict[str, PatternEntry]:
     collected: dict[str, list[tuple[float, float]]] = defaultdict(list)
-    for row in csv.reader(lines):
-        if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
-            continue
-        lemma = row[0].strip().lower()
-        if len(row) < 3:
-            raise ValueError(f"pattern lexicon row for {lemma!r} has fewer than 3 columns")
-        try:
-            polarity, subjectivity = float(row[1]), float(row[2])
-        except ValueError:
-            if lemma == "lemma":  # header row
+    with open(path, encoding="utf-8", newline="") as handle:
+        for row in csv.reader(handle):
+            if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
-            raise ValueError(f"pattern lexicon row for {lemma!r} has non-numeric scores")
-        collected[lemma].append((polarity, subjectivity))
+            lemma = row[0].strip().lower()
+            if len(row) < 3:
+                raise ValueError(f"pattern lexicon row for {lemma!r} has fewer than 3 columns")
+            try:
+                polarity, subjectivity = float(row[1]), float(row[2])
+            except ValueError:
+                if lemma == "lemma":  # header row
+                    continue
+                raise ValueError(f"pattern lexicon row for {lemma!r} has non-numeric scores")
+            collected[lemma].append((polarity, subjectivity))
     lexicon = {}
     for lemma, pairs in collected.items():
         polarity = float_sum(p for p, _ in pairs) / len(pairs)

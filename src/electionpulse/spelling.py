@@ -21,7 +21,8 @@ words that leave it. Any word within two edits of a token shares such a
 string with the token, so the index yields a small candidate set, and each
 candidate is then checked exactly, best-ranked first. The index is built
 on the first out-of-dictionary lookup, and each token's result is
-memoised, both in the run's ``SpellingDictionary``.
+memoised, both in the run's ``SpellingDictionary``: ``load_dictionary``
+makes it from a file, ``preprocess.PipelineConfig`` an empty one for none.
 """
 
 from __future__ import annotations
@@ -162,15 +163,13 @@ def _delete_index(words: Iterable[str]) -> dict[str, str | tuple[str, ...]]:
     return index
 
 
-def correct_spelling(token: str, dictionary: Mapping[str, int]) -> str:
+def correct_spelling(token: str, dictionary: SpellingDictionary) -> str:
     """Best dictionary word within two edits of ``token``, or the token itself.
 
     Identity when the token is already in the dictionary or when nothing
-    lies within two edits. A ``SpellingDictionary`` keeps its index and memo
-    across calls; any other mapping gets a throwaway one.
+    lies within two edits. The dictionary keeps its index and memo across
+    calls.
     """
     if token in dictionary:
         return token
-    if not isinstance(dictionary, SpellingDictionary):
-        dictionary = SpellingDictionary(dictionary)
     return dictionary.correct(token)

@@ -16,15 +16,17 @@ into ints in place. The price is memory: each touched count is its own
 topic's denominator ``topic_total + beta * V``, recomputing the two a
 move changes; each float is the expression the formula names, so the fit
 is bit-identical to the plain topic-major loop over int counts. One final
-sample is taken; there is no averaging over sweeps. ``topic_report``
-returns the ``topics`` list of ``topics.json`` as plain dicts.
+sample is taken; there is no averaging over sweeps. ``build_corpus`` takes
+one token sequence per document (the CLI passes each kept tweet's
+tokens), and ``topic_report`` returns the ``topics`` list of
+``topics.json`` as plain dicts.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 
@@ -42,13 +44,13 @@ class Corpus(NamedTuple):
     docs: list[list[int]]
 
 
-def build_corpus(documents: Iterable) -> Corpus:
-    """Build a corpus from token lists (or objects with a .tokens field).
+def build_corpus(documents: Iterable[Sequence[str]]) -> Corpus:
+    """Build a corpus from token sequences, one per document.
 
     An empty corpus is an error because a topic model over nothing is
     meaningless.
     """
-    token_docs = [list(getattr(document, "tokens", document)) for document in documents]
+    token_docs = list(documents)
     if not token_docs:
         raise ValueError("corpus is empty: no document reached the topic model")
     vocabulary = sorted({token for tokens in token_docs for token in tokens})

@@ -7,6 +7,7 @@ tests must treat those objects as read-only and copy before mutating.
 from __future__ import annotations
 
 import configparser
+import itertools
 import sys
 from pathlib import Path
 
@@ -106,16 +107,30 @@ def pattern_scores(kept, pattern_lexicon, negators) -> list[SentimentScore]:
     return score_all(kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators).scores
 
 
-@pytest.fixture()
-def parse_lines(tmp_path):
-    """Parse a list of lines (str or bytes) by writing them, one per line,
-    to a JSON-lines file in tmp_path; keyword arguments go to the parser."""
+@pytest.fixture(scope="session")
+def write_lines(tmp_path_factory):
+    """Write a list of lines (str or bytes), each ended by a newline, to a
+    new file and return its path. Session scoped, so hypothesis tests can
+    use it: each call gets a file of its own."""
+    folder = tmp_path_factory.mktemp("lines")
+    names = itertools.count()
 
-    def parse(lines, **kwargs):
-        path = tmp_path / "lines.jsonl"
+    def write(lines) -> str:
+        path = folder / f"{next(names)}.txt"
         encoded = (raw if isinstance(raw, bytes) else raw.encode("utf-8") for raw in lines)
         path.write_bytes(b"".join(raw + b"\n" for raw in encoded))
-        return parse_tweet_stream(str(path), **kwargs)
+        return str(path)
+
+    return write
+
+
+@pytest.fixture()
+def parse_lines(write_lines):
+    """Parse a list of lines (str or bytes) from a file ``write_lines``
+    wrote; keyword arguments go to the parser."""
+
+    def parse(lines, **kwargs):
+        return parse_tweet_stream(write_lines(lines), **kwargs)
 
     return parse
 

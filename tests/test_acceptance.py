@@ -96,7 +96,7 @@ def test_01_polarity_distribution_arithmetic() -> None:
             assert sum(result.percentages) == pytest.approx(100.0, abs=0.03)
 
 
-def test_02_sense_lexicon_at_scale(fixtures_dir) -> None:
+def test_02_sense_lexicon_at_scale(fixtures_dir, write_lines) -> None:
     with check("sense lexicon parsing at scale", 2.0):
         lines = []
         for i in range(10_000):
@@ -120,7 +120,7 @@ def test_02_sense_lexicon_at_scale(fixtures_dir) -> None:
         for offset, row in enumerate(bad_rows):
             lines.insert(offset * 500, row)
 
-        lexicon = load_sense_lexicon(lines)
+        lexicon = load_sense_lexicon(write_lines(lines))
         assert lexicon.rows_read == 10_020
         assert lexicon.rows_rejected == 20
         # One rank-1 sense per good row: each lemma's pair is its row's scores.

@@ -31,7 +31,7 @@ from electionpulse.preprocess import (
     text_tokens,
     tokenize,
 )
-from electionpulse.spelling import correct_spelling
+from electionpulse.spelling import SpellingDictionary, correct_spelling
 
 ALL_ARTIFACTS = {
     "tweets.csv",
@@ -290,35 +290,12 @@ def _unknown_actor_and_zero_iterations(
     return ["cloud", "--config", path, "--actor", "nobody"]
 
 
-def _extra_stopwords_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # Alias words are stopwords on every run.
-    key = {"preprocess.extra_stopwords_from_actors": "true"}
-    return ["ingest", "--config", config_factory(**key)]
-
-
-def _subjectivity_threshold_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["sentiment", "--config", config_factory(**{"sentiment.subjectivity_threshold": "0.5"})]
-
-
-def _top_n_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["heatmap", "--config", config_factory(**{"analytics.top_n": "10"})]
-
-
 def _unmatchable_alias(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     # Tweet tokens never end in punctuation, so "apga." could never match.
     roster = (fixtures_dir / "actors.ini").read_text(encoding="utf-8")
     actors = tmp_path / "actors.ini"
     actors.write_text(roster.replace("aliases = apga\n", "aliases = apga.\n"), encoding="utf-8")
     return ["counts", "--config", config_factory(**{"actors.path": str(actors)})]
-
-
-def _unknown_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["counts", "--config", config_factory(**{"fields.txet": "body"})]
-
-
-def _empty_field_path(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # The parser reads Twitter's classic shape; no [fields] key moves a field.
-    return ["counts", "--config", config_factory(**{"fields.text": ""})]
 
 
 def _single_label_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -366,33 +343,25 @@ def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -
     return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
 
 
-def _field_map_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # A config copied from an old manifest's snapshot would carry this entry.
-    return ["ingest", "--config", config_factory(**{"input.field_map": "text=body"})]
-
-
-def _labels_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # Topics carry no names: a topic's index depends on the seed, the corpus,
-    # k and the sweep count, so no [topics] key can name it.
-    return ["topics", "--config", config_factory(**{"topics.labels": "a"})]
-
-
-def _stem_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["ingest", "--config", config_factory(**{"preprocess.stem": "false"})]
-
-
-def _polarity_scale_key(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["timeseries", "--config", config_factory(**{"sentiment.polarity_scale": "1"})]
-
-
-def _author_field(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["ingest", "--config", config_factory(**{"fields.author": "user.screen_name"})]
-
-
-# The Dirichlet priors and keywords per topic are constants, and every tweet
-# that reaches the topic model has a token; a config that still sets these
-# keys, each to its old default, is refused.
-TOPIC_CONSTANT_KEYS = {
+# Keys that no configuration has, each refused with its own diagnostic:
+# a [fields] section (the parser reads Twitter's classic shape, so no key
+# moves a field), entries an old manifest's snapshot would carry (a field
+# map; topic labels, though a topic's index depends on the seed, the
+# corpus, k and the sweep count), and inputs that became constants, each
+# set to its old value (stemming always runs, the polarity column is x100,
+# alias words are always stopwords, the subjectivity split, the heatmap
+# rows, the Dirichlet priors, the keywords per topic and the length floor).
+LEFTOVER_KEYS = {
+    "fields.txet": "body",
+    "fields.text": "",
+    "fields.author": "user.screen_name",
+    "input.field_map": "text=body",
+    "topics.labels": "a",
+    "preprocess.stem": "false",
+    "sentiment.polarity_scale": "1",
+    "preprocess.extra_stopwords_from_actors": "true",
+    "sentiment.subjectivity_threshold": "0.5",
+    "analytics.top_n": "10",
     "topics.alpha": "0.1",
     "topics.beta": "0.01",
     "topics.top_words": "10",
@@ -400,8 +369,8 @@ TOPIC_CONSTANT_KEYS = {
 }
 
 
-def _topic_constant_keys(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["topics", "--config", config_factory(**TOPIC_CONSTANT_KEYS)]
+def _leftover_keys(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["all", "--config", config_factory(**LEFTOVER_KEYS)]
 
 
 def _aliases_on_combined_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -480,8 +449,6 @@ EXIT_CODE_MATRIX = [
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
     ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
      ("--actor 'nobody'", "[topics] iterations = 0 must be at least 1"), None),
-    ("unknown_field", _unknown_field, 2, "[fields] txet is not a configuration key", None),
-    ("empty_field_path", _empty_field_path, 2, "[fields] text is not a configuration key", None),
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
@@ -491,23 +458,11 @@ EXIT_CODE_MATRIX = [
      "[topcs] iterations is not a configuration key", None),
     ("leftover_topic_labels", _topic_labels_section, 2,
      "[topic_labels] 0 is not a configuration key", None),
-    ("removed_stem_key", _stem_key, 2, "[preprocess] stem is not a configuration key", None),
-    ("removed_polarity_scale_key", _polarity_scale_key, 2,
-     "[sentiment] polarity_scale is not a configuration key", None),
-    ("removed_extra_stopwords_key", _extra_stopwords_key, 2,
-     "[preprocess] extra_stopwords_from_actors is not a configuration key", None),
-    ("removed_subjectivity_threshold_key", _subjectivity_threshold_key, 2,
-     "[sentiment] subjectivity_threshold is not a configuration key", None),
-    ("removed_top_n_key", _top_n_key, 2, "[analytics] top_n is not a configuration key", None),
-    ("removed_author_field", _author_field, 2, "[fields] author is not a configuration key", None),
-    ("removed_topic_constant_keys", _topic_constant_keys, 2,
+    ("leftover_keys", _leftover_keys, 2,
      tuple(
          "[{}] {} is not a configuration key".format(*dotted.split("."))
-         for dotted in TOPIC_CONSTANT_KEYS
+         for dotted in LEFTOVER_KEYS
      ), None),
-    ("snapshot_only_field_map", _field_map_key, 2,
-     "[input] field_map is not a configuration key", None),
-    ("snapshot_only_labels", _labels_key, 2, "[topics] labels is not a configuration key", None),
     ("aliases_on_combined_actor", _aliases_on_combined_actor, 2,
      "[actors] combined actor 'willie_obiano_apga' cannot have aliases", None),
     ("unmatchable_alias", _unmatchable_alias, 2,
@@ -801,10 +756,10 @@ class TestCliRuns:
         stemmed = record_calls(monkeypatch, stemming_module, "porter_stem")
         assert main(["all", "--config", config_factory()]) == 0
         assert len(stemmed) == len(set(stemmed))
-        plain = dict(pipeline.dictionary)
+        fresh = SpellingDictionary(pipeline.dictionary)
         corrected = [
-            correct_spelling(token, plain)
-            if len(token) >= MIN_CORRECTION_LENGTH and token not in plain
+            correct_spelling(token, fresh)
+            if len(token) >= MIN_CORRECTION_LENGTH and token not in fresh
             else token
             for record in records
             if not record.is_retweet
@@ -989,11 +944,11 @@ class TestCliRuns:
             for token in tokenize(clean(record.text))
             if len(token) >= MIN_CORRECTION_LENGTH and token not in dictionary
         ]
-        plain = dict(dictionary)
+        fresh = SpellingDictionary(dictionary)
         assert manifest["dataset"]["spelling"] == {
             "lookups": len(looked_up),
             "distinct": len(set(looked_up)),
-            "corrected": sum(correct_spelling(token, plain) != token for token in looked_up),
+            "corrected": sum(correct_spelling(token, fresh) != token for token in looked_up),
         }
         assert looked_up == ["electin"]
 

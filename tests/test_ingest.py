@@ -83,12 +83,16 @@ class TestParsing:
             (line(id_str="\ud800"), "invalid_json"),
             (line(id_str=""), "missing_field"),
             (line(created_at="Sat Foo 18 09:31:00 +0000 2017"), "bad_timestamp"),
-            (line(created_at="0001-01-01T00:30:00+02:00"), "bad_timestamp"),
+            (line(created_at="Mon Jan 01 00:30:00 +0200 0001"), "bad_timestamp"),
+            # Only Twitter's layout is read; ISO-8601 is another layout.
+            (line(created_at="2017-11-18T09:31:00Z"), "bad_timestamp"),
+            (line(created_at="2017-11-18T09:31:00+01:00"), "bad_timestamp"),
         ],
         ids=[
             "not_an_object", "not_utf8",
             "surrogate_text", "surrogate_id",
             "empty_id", "unknown_month", "before_year_one",
+            "iso_utc", "iso_offset",
         ],
     )
     def test_skip_cause_of_edge_lines(self, raw, cause, parse_lines) -> None:
@@ -100,12 +104,6 @@ class TestParsing:
         stamp = records[0].created_at
         assert (stamp.hour, stamp.minute) == (10, 31)
         assert stamp.utcoffset() == timedelta(hours=1)
-
-    def test_iso_timestamp_with_z_suffix(self, parse_lines) -> None:
-        records, _ = parse_lines(
-            [line(created_at="2017-11-18T09:31:00Z")], tz=LAGOS
-        )
-        assert records[0].created_at.hour == 10
 
     def test_naive_timestamp_is_skipped(self, parse_lines) -> None:
         _, report = parse_lines([line(created_at="2017-11-18T09:31:00")])

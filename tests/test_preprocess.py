@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from electionpulse import preprocess as preprocess_module
 from electionpulse.ingest import TweetRecord, preprocess_records
 from electionpulse.sentiment import load_negators
+from electionpulse.spelling import SpellingDictionary
 from electionpulse.preprocess import (
     PipelineConfig,
     ProcessedTweet,
@@ -238,25 +239,29 @@ class TestPipeline:
         assert tokens == (stem("election"), stem("voting"))
 
     def test_empty_dictionary_disables_correction(self) -> None:
-        config = PipelineConfig(stopwords=frozenset(), dictionary={})
+        config = PipelineConfig(stopwords=frozenset())  # no dictionary: an empty one
         tokens = preprocess_pipeline(text_tokens("electin ballott"), config)
         assert tokens == (stem("electin"), stem("ballott"))
 
     def test_stopwords_are_filtered_before_correction(self) -> None:
         # A stopword is never corrected, so a correction cannot carry it
         # past the filter; a correction that lands on a stopword is dropped.
-        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obianos": 3})
+        words = SpellingDictionary({"obianos": 3})
+        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary=words)
         assert preprocess_pipeline(["obiano", "wins"], config) == (stem("wins"),)
         assert config.dictionary.activity() == {"lookups": 1, "distinct": 1, "corrected": 0}
-        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary={"obiano": 3})
+        words = SpellingDictionary({"obiano": 3})
+        config = PipelineConfig(stopwords=frozenset({"obiano"}), dictionary=words)
         assert preprocess_pipeline(["obianoo", "wins"], config) == (stem("wins"),)
         assert config.dictionary.activity() == {"lookups": 2, "distinct": 2, "corrected": 1}
 
-    def test_plain_dictionary_is_wrapped_once(self) -> None:
-        config = PipelineConfig(dictionary={"election": 10})
+    def test_given_dictionary_serves_every_lookup(self) -> None:
+        words = SpellingDictionary({"election": 10})
+        config = PipelineConfig(dictionary=words)
+        assert config.dictionary is words
         assert preprocess_pipeline(["electin"], config) == (stem("election"),)
         assert preprocess_pipeline(["electin"], config) == (stem("election"),)
-        assert config.dictionary.activity() == {"lookups": 2, "distinct": 1, "corrected": 2}
+        assert words.activity() == {"lookups": 2, "distinct": 1, "corrected": 2}
 
     def test_stem_memo_belongs_to_one_pipeline(self) -> None:
         first = PipelineConfig(spellcheck=False)

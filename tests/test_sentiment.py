@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
 from collections import defaultdict
@@ -87,7 +86,7 @@ def oracle_senses(lines) -> dict[str, list[tuple[int, float, float]]]:
 
 
 def oracle_word_sentiment(senses, lemma: str) -> tuple[float, float] | None:
-    lemma_senses = senses.get(lemma.lower())
+    lemma_senses = senses.get(lemma)
     if not lemma_senses:
         return None
     total_weight = 0.0
@@ -139,9 +138,9 @@ class TestScoreTypes:
     # A score outside its range can only come from a lexicon value outside
     # it, and the pattern loader rejects those.
     @pytest.mark.parametrize("polarity,subjectivity", [(1.5, 0.5), (-1.01, 0.0), (0.0, -0.1), (0.0, 1.2)])
-    def test_out_of_range_rejected(self, polarity: float, subjectivity: float) -> None:
+    def test_out_of_range_rejected(self, polarity: float, subjectivity: float, write_lines) -> None:
         with pytest.raises(ValueError, match="outside"):
-            load_pattern_lexicon([f"word,{polarity},{subjectivity}"])
+            load_pattern_lexicon(write_lines([f"word,{polarity},{subjectivity}"]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -164,16 +163,18 @@ class TestScoreTypes:
         ),
         st.lists(st.lists(st.sampled_from(RANGE_WORDS + ("not", "zzz")), max_size=8), max_size=5),
     )
-    def test_any_lexicon_scores_in_range(self, pattern_rows, sense_rows, token_lists) -> None:
+    def test_any_lexicon_scores_in_range(
+        self, write_lines, pattern_rows, sense_rows, token_lists
+    ) -> None:
         # Pattern rows may repeat a lemma (averaged); sense rows may carry NaN,
         # infinities or scores past 1, which the loader must reject.
-        pattern = load_pattern_lexicon([f"{lemma},{p!r},{s!r}" for lemma, p, s in pattern_rows])
-        senses = load_sense_lexicon(
-            [
-                sense_line(tag, f"{index:08d}", pos, neg, " ".join(f"{w}#{r}" for w, r in terms))
-                for index, (tag, pos, neg, terms) in enumerate(sense_rows)
-            ]
+        pattern = load_pattern_lexicon(
+            write_lines([f"{lemma},{p!r},{s!r}" for lemma, p, s in pattern_rows])
         )
+        senses = load_sense_lexicon(write_lines([
+            sense_line(tag, f"{index:08d}", pos, neg, " ".join(f"{w}#{r}" for w, r in terms))
+            for index, (tag, pos, neg, terms) in enumerate(sense_rows)
+        ]))
         assert senses.rows_read == len(sense_rows)
         assert all(
             0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0 for pos, neg in senses.word_scores.values()
@@ -194,12 +195,12 @@ class TestScoreTypes:
 
     # The sense-lexicon loader holds the row invariants and rejects, whole,
     # a row that breaks one: Pos 0.9 and Neg 0.3 leave Obj at -0.2.
-    def test_sense_entry_sum_invariant(self) -> None:
-        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.9, 0.3, "word#1")])
+    def test_sense_entry_sum_invariant(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([sense_line("a", "00000001", 0.9, 0.3, "word#1")]))
         assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
         assert lexicon.word_scores == {}
 
-    def test_sense_entry_tag_and_rank(self) -> None:
+    def test_sense_entry_tag_and_rank(self, write_lines) -> None:
         for line in (
             sense_line("x", "00000001", 0.5, 0.0, "word#1"),
             sense_line("a", "00000001", 0.5, 0.0, "word#0"),
@@ -207,7 +208,7 @@ class TestScoreTypes:
             sense_line("a", "00000001", 0.5, 0.0, "#1"),  # no lemma
             sense_line("a", "00000001", 0.5, 0.0, "word#1 #1"),  # rejected whole
         ):
-            lexicon = load_sense_lexicon([line])
+            lexicon = load_sense_lexicon(write_lines([line]))
             assert (lexicon.rows_read, lexicon.rows_rejected) == (1, 1)
             assert swn_word_sentiment(lexicon, "word") is None
             assert lexicon.word_scores == {}
@@ -223,7 +224,7 @@ class TestSenseLexicon:
         # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
         assert swn_word_sentiment(sense_lexicon, "estimable") == (0.5625, 0.0)
 
-    def test_bad_rows_are_counted_not_fatal(self) -> None:
+    def test_bad_rows_are_counted_not_fatal(self, write_lines) -> None:
         lines = [
             "# comment",
             sense_line("a", "00000001", 0.5, 0.25, "fine#1"),
@@ -234,41 +235,42 @@ class TestSenseLexicon:
             sense_line("a", "00000006", 0.5, 0.0, "ranked#0"),  # rank below 1
             sense_line("v", "00000004", 0.0, 0.0, "plain#2"),
         ]
-        lexicon = load_sense_lexicon(lines)
+        lexicon = load_sense_lexicon(write_lines(lines))
         assert lexicon.rows_read == 7
         assert lexicon.rows_rejected == 5
         for lemma in ("broken", "bad", "tagged", "ranked"):
             assert swn_word_sentiment(lexicon, lemma) is None
         assert lexicon.word_scores == {"fine": (0.5, 0.25), "plain": (0.0, 0.0)}
 
-    def test_multi_term_row_fans_out(self) -> None:
-        lexicon = load_sense_lexicon([
+    def test_multi_term_row_fans_out(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.5, 0.0, "happy#1 glad#2"),
             sense_line("a", "00000002", 0.0, 0.5, "glad#1"),
-        ])
+        ]))
         assert swn_word_sentiment(lexicon, "happy") == (0.5, 0.0)
         # glad#2 weighs 1/2 and glad#1 weighs 1.
         assert swn_word_sentiment(lexicon, "glad") == (0.25 / 1.5, 0.5 / 1.5)
 
-    def test_lookup_is_case_insensitive(self) -> None:
-        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.5, 0.0, "Happy#1")])
+    def test_lemmas_are_lowercased(self, write_lines) -> None:
+        # Lookups take the lowercase tokens that ``clean`` makes.
+        lexicon = load_sense_lexicon(write_lines([sense_line("a", "00000001", 0.5, 0.0, "Happy#1")]))
         assert lexicon.word_scores == {"happy": (0.5, 0.0)}
-        assert swn_word_sentiment(lexicon, "HAPPY") == (0.5, 0.0)
+        assert swn_word_sentiment(lexicon, "happy") == (0.5, 0.0)
 
 
 SWN_LEMMAS = ("fine", "awful", "mixed", "good", "plain")
 
 
 class TestSwnScoring:
-    def test_single_sense_is_identity(self) -> None:
-        lexicon = load_sense_lexicon([sense_line("a", "00000001", 0.75, 0.0, "fine#1")])
+    def test_single_sense_is_identity(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([sense_line("a", "00000001", 0.75, 0.0, "fine#1")]))
         assert swn_word_sentiment(lexicon, "fine") == (0.75, 0.0)
 
-    def test_rank_weighted_average(self) -> None:
-        lexicon = load_sense_lexicon([
+    def test_rank_weighted_average(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.5, 0.0, "mixed#1"),
             sense_line("a", "00000002", 0.0, 0.5, "mixed#2"),
-        ])
+        ]))
         pos, neg = swn_word_sentiment(lexicon, "mixed")
         # weights 1 and 1/2: pos = 0.5/1.5, neg = 0.25/1.5
         assert pos == pytest.approx(1 / 3, abs=1e-12)
@@ -282,11 +284,11 @@ class TestSwnScoring:
         assert pos == pytest.approx(2 / 3, abs=1e-12)
         assert neg == pytest.approx(1 / 24, abs=1e-12)
 
-    def test_polarity_means_over_matched_tokens(self) -> None:
-        lexicon = load_sense_lexicon([
+    def test_polarity_means_over_matched_tokens(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.8, 0.0, "fine#1"),
             sense_line("a", "00000002", 0.0, 0.6, "awful#1"),
-        ])
+        ]))
         token_lists = (["fine"], ["fine", "awful"], ["fine", "zzz"])
         tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
         scored = score_all(tweets, "swn", sense_lexicon=lexicon)
@@ -297,11 +299,11 @@ class TestSwnScoring:
         scored = score_all([kept_tweet("a", ["zzqqx"])], "swn", sense_lexicon=sense_lexicon)
         assert scored.scores == [SentimentScore(0.0, 0.0)]
 
-    def test_subjectivity_is_one_minus_mean_objectivity(self) -> None:
-        lexicon = load_sense_lexicon([
+    def test_subjectivity_is_one_minus_mean_objectivity(self, write_lines) -> None:
+        lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.6, 0.2, "loaded#1"),  # obj 0.2
             sense_line("a", "00000002", 0.0, 0.0, "plain#1"),   # obj 1.0
-        ])
+        ]))
         scored = score_all(
             [kept_tweet("a", ["loaded"]), kept_tweet("b", ["loaded", "plain"])],
             "swn",
@@ -326,7 +328,7 @@ class TestSwnScoring:
         ),
         st.lists(st.sampled_from(SWN_LEMMAS + ("zzz", "FINE")), max_size=10),
     )
-    def test_one_pass_equals_the_two_pass_oracle(self, rows, tokens) -> None:
+    def test_one_pass_equals_the_two_pass_oracle(self, write_lines, rows, tokens) -> None:
         lines = []
         for index, (tag, pos_milli, neg_milli, terms) in enumerate(rows):
             # Thousandths with pos + neg <= 1; a row that float rounding still
@@ -335,7 +337,7 @@ class TestSwnScoring:
             pos, neg = pos_milli / 1000, min(neg_milli, 1000 - pos_milli) / 1000
             joined = " ".join(f"{lemma}#{rank}" for lemma, rank in terms)
             lines.append(sense_line(tag, f"{index:08d}", pos, neg, joined))
-        lexicon = load_sense_lexicon(lines)
+        lexicon = load_sense_lexicon(write_lines(lines))
         senses = oracle_senses(lines)
         for lemma in SWN_LEMMAS + ("zzz", "FINE"):
             assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(senses, lemma)
@@ -367,18 +369,18 @@ class TestPatternLexicon:
         entry = pattern_lexicon["great"]
         assert entry.polarity > 0
 
-    def test_duplicate_lemmas_average(self) -> None:
-        lexicon = load_pattern_lexicon(io.StringIO("fine,0.4,0.6\nfine,0.8,0.2\n"))
+    def test_duplicate_lemmas_average(self, write_lines) -> None:
+        lexicon = load_pattern_lexicon(write_lines(["fine,0.4,0.6", "fine,0.8,0.2"]))
         assert lexicon["fine"].polarity == pytest.approx(0.6)
         assert lexicon["fine"].subjectivity == pytest.approx(0.4)
 
-    def test_out_of_range_row_raises(self) -> None:
+    def test_out_of_range_row_raises(self, write_lines) -> None:
         with pytest.raises(ValueError):
-            load_pattern_lexicon(io.StringIO("fine,1.4,0.6\n"))
+            load_pattern_lexicon(write_lines(["fine,1.4,0.6"]))
 
-    def test_non_numeric_row_raises(self) -> None:
+    def test_non_numeric_row_raises(self, write_lines) -> None:
         with pytest.raises(ValueError):
-            load_pattern_lexicon(io.StringIO("fine,huge,0.6\n"))
+            load_pattern_lexicon(write_lines(["fine,huge,0.6"]))
 
 
 class TestPatternScoring:

@@ -77,32 +77,32 @@ def test_edits1_of_empty_word_is_single_inserts() -> None:
 
 
 def test_identity_when_in_dictionary() -> None:
-    assert correct_spelling("vote", {"vote": 1}) == "vote"
+    assert correct_spelling("vote", SpellingDictionary({"vote": 1})) == "vote"
 
 
 def test_identity_when_dictionary_empty() -> None:
-    assert correct_spelling("electin", {}) == "electin"
+    assert correct_spelling("electin", SpellingDictionary()) == "electin"
 
 
 def test_identity_when_nothing_within_distance_two() -> None:
-    assert correct_spelling("zzqqx", {"election": 10, "vote": 5}) == "zzqqx"
+    assert correct_spelling("zzqqx", SpellingDictionary({"election": 10, "vote": 5})) == "zzqqx"
 
 
 def test_frequency_beats_edit_distance() -> None:
     # "hallo" is one edit from "hello", "help" is two; the more frequent
     # word wins because distance-1 candidates get no priority.
-    dictionary = {"hallo": 3, "help": 100}
+    dictionary = SpellingDictionary({"hallo": 3, "help": 100})
     assert correct_spelling("hello", dictionary) == "help"
 
 
 def test_distance_one_wins_only_by_frequency() -> None:
-    dictionary = {"hallo": 100, "help": 3}
+    dictionary = SpellingDictionary({"hallo": 100, "help": 3})
     assert correct_spelling("hello", dictionary) == "hallo"
 
 
 def test_tie_breaks_lexicographically() -> None:
     # Both candidates are one replacement away with equal counts.
-    assert correct_spelling("aat", {"cat": 5, "bat": 5}) == "bat"
+    assert correct_spelling("aat", SpellingDictionary({"cat": 5, "bat": 5})) == "bat"
 
 
 def test_corrects_fixture_typo(dictionary) -> None:
@@ -111,14 +111,14 @@ def test_corrects_fixture_typo(dictionary) -> None:
 
 @given(st.text(alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz"), min_size=1, max_size=8))
 def test_result_is_dictionary_word_or_identity(token: str) -> None:
-    dictionary = {"vote": 5, "voter": 3, "count": 2}
+    dictionary = SpellingDictionary({"vote": 5, "voter": 3, "count": 2})
     result = correct_spelling(token, dictionary)
     assert result == token or result in dictionary
 
 
 @given(st.sampled_from(["vote", "voter", "count"]))
 def test_dictionary_words_are_fixed_points(word: str) -> None:
-    dictionary = {"vote": 5, "voter": 3, "count": 2}
+    dictionary = SpellingDictionary({"vote": 5, "voter": 3, "count": 2})
     assert correct_spelling(word, dictionary) == word
 
 
@@ -159,7 +159,7 @@ def test_matches_edits2_near_fixture_words(dictionary, fixture_words, data) -> N
     st.text(alphabet="abc1é'", max_size=4),
 )
 def test_matches_edits2_on_any_dictionary(words: dict[str, int], token: str) -> None:
-    assert correct_spelling(token, words) == edits2_correction(token, words)
+    assert correct_spelling(token, SpellingDictionary(words)) == edits2_correction(token, words)
 
 
 @pytest.mark.parametrize(
@@ -179,7 +179,7 @@ def test_matches_edits2_on_any_dictionary(words: dict[str, int], token: str) -> 
 )
 def test_explicit_cases_match_edits2(token: str, dictionary: dict, expected: str) -> None:
     assert edits2_correction(token, dictionary) == expected
-    assert correct_spelling(token, dictionary) == expected
+    assert correct_spelling(token, SpellingDictionary(dictionary)) == expected
 
 
 def test_fixture_digit_word_is_reached(dictionary) -> None:
@@ -213,4 +213,4 @@ def test_index_is_not_shared_with_the_source_mapping() -> None:
     assert correct_spelling("cxt", words) == "cat"
     source["cut"] = 9  # a later change to the source does not reach the copy
     assert correct_spelling("cxd", words) == "cat"
-    assert correct_spelling("cxd", source) == "cut"
+    assert correct_spelling("cxd", SpellingDictionary(source)) == "cut"

@@ -97,12 +97,6 @@ class TestBuildCorpus:
         with pytest.raises(ValueError, match="^corpus is empty: no document reached the topic model$"):
             build_corpus([])
 
-    def test_accepts_objects_with_tokens(self, kept) -> None:
-        corpus = build_corpus(kept)
-        direct = sorted({token for tweet in kept for token in tweet.tokens})
-        assert corpus.vocabulary == direct
-        assert len(corpus.docs) == len(kept)
-
 
 class TestFitValidation:
     def test_parameter_checks(self) -> None:
