@@ -9,8 +9,8 @@ a fabricated zero would read as neutral sentiment.
 The sentiment series and the frequency heatmap are two views of one grid,
 ``{scope actor: {bucket label: cell}}``, built by one function over the
 tweets that name exactly one scope actor. Frequency tables and clouds are
-plain ``(term, count)`` rows. Both shapes are what the CLI writes, as
-they are.
+plain ``(term, count)`` rows; a heatmap cell keeps its ``HEATMAP_TOP_N``
+heaviest. Both shapes are what the CLI writes, as they are.
 
 Which actors a tweet mentions, and which bucket it falls in, are read
 from the tweet itself (``ProcessedTweet.actors`` and ``.bucket``, each
@@ -35,7 +35,7 @@ BUCKET_LABELS: tuple[str, ...] = (
     "6-8", "8-10", "10-12", "12-14", "14-16", "16-18", "18-20", "20-00",
 )
 
-# Rows per heatmap cell that the CLI writes.
+# Rows per heatmap cell.
 HEATMAP_TOP_N = 10
 
 
@@ -137,12 +137,11 @@ def frequency_heatmap(
     tweets: Sequence[ProcessedTweet],
     actors: ActorSet,
     scope: Sequence[str],
-    top_n: int | None = None,
 ) -> dict[str, dict[str, list[tuple[str, int]] | None]]:
-    """Term rows per (scope actor, bucket) over sole-mention tweets; the
-    same grid as ``avg_sentiment_series``."""
+    """The ``HEATMAP_TOP_N`` top term rows per (scope actor, bucket) over
+    sole-mention tweets; the same grid as ``avg_sentiment_series``."""
     return _sole_mention_grid(
-        tweets, tweets, actors, scope, lambda cell: term_frequencies(cell, top_n=top_n)
+        tweets, tweets, actors, scope, lambda cell: term_frequencies(cell, top_n=HEATMAP_TOP_N)
     )
 
 

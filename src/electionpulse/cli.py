@@ -78,11 +78,9 @@ def _load(state: _RunState) -> int:
     """Load the word lists and lexicons; returns the number of files read."""
     config = state.config
     stopwords = load_stopwords(config.stopwords_path) | config.actor_set.alias_words()
-    state.pipeline = PipelineConfig(
-        stopwords=stopwords,
-        dictionary=load_dictionary(config.dictionary_path) if config.dictionary_path else None,
-        spellcheck=config.spellcheck,
-    )
+    # With spelling off no dictionary is read: the pipeline corrects only with one.
+    dictionary = load_dictionary(config.dictionary_path) if config.spellcheck else None
+    state.pipeline = PipelineConfig(stopwords=stopwords, dictionary=dictionary)
     state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
     if not state.pattern_lexicon:
         raise ValueError(f"pattern lexicon {config.pattern_lexicon_path} has no entry")
@@ -94,7 +92,7 @@ def _load(state: _RunState) -> int:
             f"{senses.rows_rejected} of {senses.rows_read} rows rejected"
         )
     # stopwords, pattern lexicon, negators, senses, and the dictionary if any
-    return 4 + bool(config.dictionary_path)
+    return 4 + (dictionary is not None)
 
 
 def _timed(state: _RunState, name: str, worker) -> None:
@@ -261,12 +259,7 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
 
 
 def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
-    matrix = analytics.frequency_heatmap(
-        state.kept,
-        state.config.actor_set,
-        state.config.scope,
-        top_n=analytics.HEATMAP_TOP_N,
-    )
+    matrix = analytics.frequency_heatmap(state.kept, state.config.actor_set, state.config.scope)
     _write_json(os.path.join(staging, "heatmap.json"), matrix)
     return len(matrix)
 
@@ -287,7 +280,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     model = topics.lda_fit(
         corpus, k=config.lda_k, iterations=config.lda_iterations, seed=config.seed
     )
-    entries = topics.topic_report(model, topics.TOP_WORDS)
+    entries = topics.topic_report(model)
     payload = {
         "group": group or "all",
         "k": config.lda_k,

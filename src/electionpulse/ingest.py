@@ -82,8 +82,9 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     """The line's record, or the SKIP_CAUSES entry that rejects it.
 
     A key that is absent or JSON null falls through to its alternative
-    (``id_str`` to ``id``, ``full_text`` to ``text``); any other value is
-    taken, the empty string included.
+    (``id_str`` to ``id``, ``full_text`` to ``text``). The text must be a
+    JSON string and the id a string or an integer, not a boolean; any other
+    type is ``invalid_json``, and an empty id is ``missing_field``.
     """
     try:
         payload = json.loads(raw_line.decode("utf-8"))
@@ -100,12 +101,14 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     created_raw = payload.get("created_at")
     if tweet_id is None or created_raw is None or text is None:
         return "missing_field"
+    if not isinstance(text, str) or type(tweet_id) not in (str, int):
+        return "invalid_json"
     tweet_id = str(tweet_id)
     if not tweet_id:
         return "missing_field"
     if tweet_id in seen_ids:
         return "duplicate_id"
-    text = unicodedata.normalize("NFC", str(text))
+    text = unicodedata.normalize("NFC", text)
     if not text.strip():
         return "empty_text"
     try:
@@ -134,8 +137,9 @@ def parse_tweet_stream(
     """Parse a JSON-lines file into records plus a totality report.
 
     A line is skipped (never fatal) when it is not a valid JSON object
-    (an id or text holding a lone surrogate escape is not valid Unicode
-    and could not be written out), misses a required field (an empty id
+    (an id or text of the wrong JSON type counts as invalid, and so does
+    one holding a lone surrogate escape, which is not valid Unicode and
+    could not be written out), misses a required field (an empty id
     counts as missing), carries an id already seen, has no text left after
     unicode normalization, exceeds the text byte limit, or has an
     unparseable timestamp; the report counts each skip under its cause.

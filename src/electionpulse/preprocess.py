@@ -4,12 +4,13 @@ The pipeline runs the steps in that fixed order so that spelling
 correction sees surface words (never stems and never stopwords, so no
 correction can carry a stopword past the filter) and stemming sees only
 dictionary-corrected, stopword-free tokens. Stopwords are filtered again
-after correction, since a correction can land on one. A run cleans and
-tokenizes each record once (``text_tokens``); actor matching and, for
-records that are not retweets, the token steps (``preprocess_pipeline``)
-share those tokens. A kept tweet carries its id, time and bucket, its
-final tokens and the actors its text names, never its text.
-Stopwords are a plain frozenset: ``clean`` lowercases every token first.
+after correction, since a correction can land on one; with an empty
+dictionary both steps are skipped. A run cleans and tokenizes each record
+once (``text_tokens``); actor matching and, for records that are not
+retweets, the token steps (``preprocess_pipeline``) share those tokens.
+A kept tweet carries its id, time and bucket, its final tokens and the
+actors its text names, never its text. Stopwords are a plain frozenset:
+``clean`` lowercases every token first.
 """
 
 from __future__ import annotations
@@ -131,18 +132,17 @@ def text_tokens(text: str) -> list[str]:
 class PipelineConfig:
     """Knobs the preprocessing pipeline needs from the run configuration,
     plus the run's stem memo (token -> stem), so each distinct token is
-    stemmed once per run. No dictionary means an empty one; the one given
-    keeps its delete index and correction memo for every lookup of the run."""
+    stemmed once per run. No dictionary means an empty one, and an empty
+    one turns spelling correction off; the one given keeps its delete index
+    and correction memo for every lookup of the run."""
 
     def __init__(
         self,
         stopwords: frozenset[str] = frozenset(),
         dictionary: SpellingDictionary | None = None,
-        spellcheck: bool = True,
     ) -> None:
         self.stopwords = stopwords
         self.dictionary = SpellingDictionary() if dictionary is None else dictionary
-        self.spellcheck = spellcheck
         self.stems: dict[str, str] = {}
 
 
@@ -151,12 +151,13 @@ def preprocess_pipeline(
 ) -> tuple[str, ...] | None:
     """Filter -> correct -> filter -> stem clean surface tokens (``text_tokens``).
 
-    Returns None (rejected) when no token is left after filtering.
+    An empty dictionary skips correct and the second filter. Returns None
+    (rejected) when no token is left after filtering.
     """
     stopwords = config.stopwords
     tokens = [tok for tok in tokens if tok not in stopwords]
-    if config.spellcheck:
-        dictionary = config.dictionary
+    dictionary = config.dictionary
+    if dictionary:
         tokens = [
             correct_spelling(tok, dictionary)
             if len(tok) >= MIN_CORRECTION_LENGTH and tok not in dictionary

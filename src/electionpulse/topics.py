@@ -13,13 +13,14 @@ below 2**53 is exact as a float, so every weight and draw is the float
 the integer formula gives, and the fit ends by turning the tables back
 into ints in place. The price is memory: each touched count is its own
 24-byte float object, where a small int is shared. The sweeps cache each
-topic's denominator ``topic_total + beta * V``, recomputing the two a
+topic's denominator ``topic_total + BETA * V``, recomputing the two a
 move changes; each float is the expression the formula names, so the fit
 is bit-identical to the plain topic-major loop over int counts. One final
-sample is taken; there is no averaging over sweeps. ``build_corpus`` takes
-one token sequence per document (the CLI passes each kept tweet's
-tokens), and ``topic_report`` returns the ``topics`` list of
-``topics.json`` as plain dicts.
+sample is taken; there is no averaging over sweeps. The priors are the
+constants ``ALPHA`` and ``BETA``, and every topic reports its ``TOP_WORDS``
+heaviest words. ``build_corpus`` takes one token sequence per document
+(the CLI passes each kept tweet's tokens), and ``topic_report`` returns
+the ``topics`` list of ``topics.json`` as plain dicts.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 
-# The Dirichlet priors and the keywords per topic that the CLI fits and
-# reports with; topics.json records all three.
+# The Dirichlet priors of every fit and the keywords each topic reports;
+# topics.json records all three.
 ALPHA = 0.1
 BETA = 0.01
 TOP_WORDS = 10
@@ -60,13 +61,11 @@ def build_corpus(documents: Iterable[Sequence[str]]) -> Corpus:
 
 
 class TopicModel(NamedTuple):
-    """Fitted sampler state: counts, assignments and hyperparameters.
+    """Fitted sampler state: counts, assignments and the fit's settings.
     ``word_topic_counts`` is word-major: one row per vocabulary word, one
     count per topic."""
 
     k: int
-    alpha: float
-    beta: float
     vocabulary: list[str]
     word_topic_counts: list[list[int]]
     doc_topic_counts: list[list[int]]
@@ -77,15 +76,13 @@ class TopicModel(NamedTuple):
 
     def phi(self, topic: int) -> list[float]:
         """Smoothed word distribution of one topic; sums to 1."""
-        denominator = self.topic_totals[topic] + self.beta * len(self.vocabulary)
-        return [(row[topic] + self.beta) / denominator for row in self.word_topic_counts]
+        denominator = self.topic_totals[topic] + BETA * len(self.vocabulary)
+        return [(row[topic] + BETA) / denominator for row in self.word_topic_counts]
 
 
 def lda_fit(
     corpus: Corpus,
     k: int = 5,
-    alpha: float = ALPHA,
-    beta: float = BETA,
     iterations: int = 500,
     seed: int = 0,
     sweep_hook: Callable[[int, TopicModel], None] | None = None,
@@ -93,8 +90,8 @@ def lda_fit(
     """Collapsed Gibbs sampling.
 
     Each sweep resamples every token's topic from
-    p(z = t) proportional to (doc_topic[d][t] + alpha)
-    * (word_topic[w][t] + beta) / (topic_total[t] + beta * V)
+    p(z = t) proportional to (doc_topic[d][t] + ALPHA)
+    * (word_topic[w][t] + BETA) / (topic_total[t] + BETA * V)
     with the token's own assignment removed from the counts first.
     The sweeps count in integer-valued floats (see the module docstring);
     the returned model holds the same tables turned back into ints.
@@ -107,8 +104,6 @@ def lda_fit(
         raise ValueError("k must be at least 1")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
     vocab_size = len(corpus.vocabulary)
     if vocab_size < k:
         warnings.warn(
@@ -135,8 +130,6 @@ def lda_fit(
         assignments.append(assigned)
     model = TopicModel(
         k=k,
-        alpha=alpha,
-        beta=beta,
         vocabulary=list(corpus.vocabulary),
         word_topic_counts=word_topic,
         doc_topic_counts=doc_topic_counts,
@@ -145,6 +138,8 @@ def lda_fit(
         doc_lengths=[len(doc) for doc in docs],
         iterations=iterations,
     )
+    # Locals, so the token-sample loop does no global lookups.
+    alpha, beta = ALPHA, BETA
     beta_v = beta * vocab_size
     # denominators[t] is always topic_totals[t] + beta_v, the same float the
     # formula would compute; a move changes only the two entries it touches.
@@ -193,22 +188,23 @@ def _int_counts(model: TopicModel) -> TopicModel:
     )
 
 
-def top_keywords(model: TopicModel, topic: int, n: int) -> list[tuple[str, float]]:
-    """The n heaviest words of one topic, weights descending, ties lexicographic."""
+def top_keywords(model: TopicModel, topic: int) -> list[tuple[str, float]]:
+    """The TOP_WORDS heaviest words of one topic, weights descending, ties
+    lexicographic."""
     if not 0 <= topic < model.k:
         raise ValueError(f"topic {topic} outside 0..{model.k - 1}")
-    if n > len(model.vocabulary):
-        raise ValueError(f"n={n} exceeds vocabulary size {len(model.vocabulary)}")
+    if TOP_WORDS > len(model.vocabulary):
+        raise ValueError(f"TOP_WORDS={TOP_WORDS} exceeds vocabulary size {len(model.vocabulary)}")
     weights = model.phi(topic)
     ranked = sorted(
         zip(model.vocabulary, weights),
         key=lambda pair: (-pair[1], pair[0]),
     )
-    return ranked[:n]
+    return ranked[:TOP_WORDS]
 
 
-def topic_report(model: TopicModel, n: int) -> list[dict]:
+def topic_report(model: TopicModel) -> list[dict]:
     """One ``{"id", "keywords": top_keywords(...)}`` dict per topic, as
     ``topics.json`` lists them. Topics are unnamed: which theme lands on which
     index depends on the seed, the corpus, k and the sweep count."""
-    return [{"id": topic, "keywords": top_keywords(model, topic, n)} for topic in range(model.k)]
+    return [{"id": topic, "keywords": top_keywords(model, topic)} for topic in range(model.k)]

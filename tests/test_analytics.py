@@ -13,6 +13,7 @@ from electionpulse._util import ConsistencyError
 from electionpulse.actors import Actor, ActorSet, match_actors, sole_mention
 from electionpulse.analytics import (
     BUCKET_LABELS,
+    HEATMAP_TOP_N,
     OUT_OF_RANGE,
     avg_sentiment_series,
     bucket_label,
@@ -296,13 +297,13 @@ class TestCooccurrence:
 
 class TestHeatmap:
     def test_shape_covers_scope_and_buckets(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
+        matrix = frequency_heatmap(kept, actor_set, scope)
         assert list(matrix) == scope
         for row in matrix.values():
             assert tuple(row) == BUCKET_LABELS
 
     def test_cells_match_sole_mention_recount(self, kept, texts, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope, top_n=10)
+        matrix = frequency_heatmap(kept, actor_set, scope)
         grouped: dict[tuple[str, str], list] = {}
         for tweet in kept:
             label = bucket_label(tweet.created_at)
@@ -318,7 +319,7 @@ class TestHeatmap:
                 if subset is None:
                     assert cell is None
                 else:
-                    assert cell == term_frequencies(subset, top_n=10)
+                    assert cell == term_frequencies(subset, top_n=HEATMAP_TOP_N)
 
     def test_fixture_has_known_empty_cells(self, kept, actor_set, scope) -> None:
         matrix = frequency_heatmap(kept, actor_set, scope)

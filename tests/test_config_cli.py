@@ -20,6 +20,7 @@ from electionpulse import actors as actors_module
 from electionpulse import analytics as analytics_module
 from electionpulse import preprocess as preprocess_module
 from electionpulse import sentiment as sentiment_module
+from electionpulse import spelling as spelling_module
 from electionpulse import stemming as stemming_module
 from electionpulse import topics as topics_module
 from electionpulse.cli import main, run
@@ -952,10 +953,18 @@ class TestCliRuns:
         }
         assert looked_up == ["electin"]
 
-    def test_spelling_activity_is_zero_without_spellcheck(self, config_factory, tmp_path) -> None:
+    def test_spelling_activity_is_zero_without_spellcheck(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        loaded = record_calls(monkeypatch, spelling_module, "load_dictionary")
         assert main(["sentiment", "--config", config_factory(), "--no-spellcheck"]) == 0
         manifest = read_json(tmp_path / "out" / "manifest.json")
         assert manifest["dataset"]["spelling"] == {"lookups": 0, "distinct": 0, "corrected": 0}
+        # The configured dictionary is never read: the load stage counts
+        # stopwords, pattern lexicon, negators and senses.
+        assert loaded == []
+        load = manifest["stages"][0]
+        assert (load["name"], load["records"]) == ("load", 4)
 
     def test_input_vanishing_after_validation_fails_with_manifest(
         self, config_factory, fixtures_dir, tmp_path, capsys

@@ -81,18 +81,24 @@ class TestParsing:
             (b"\xff\xfe", "invalid_json"),
             (line(text="\ud800 hi"), "invalid_json"),
             (line(id_str="\ud800"), "invalid_json"),
+            # A field of the wrong JSON type is not read as its repr.
+            (line(text={"obiano": "wins"}), "invalid_json"),
+            (line(text=12345), "invalid_json"),
+            (line(id_str=None, id=True), "invalid_json"),
             (line(id_str=""), "missing_field"),
             (line(created_at="Sat Foo 18 09:31:00 +0000 2017"), "bad_timestamp"),
             (line(created_at="Mon Jan 01 00:30:00 +0200 0001"), "bad_timestamp"),
             # Only Twitter's layout is read; ISO-8601 is another layout.
             (line(created_at="2017-11-18T09:31:00Z"), "bad_timestamp"),
             (line(created_at="2017-11-18T09:31:00+01:00"), "bad_timestamp"),
+            (line(created_at="2017-11-18T09:31:00"), "bad_timestamp"),
         ],
         ids=[
             "not_an_object", "not_utf8",
             "surrogate_text", "surrogate_id",
+            "object_text", "number_text", "boolean_id",
             "empty_id", "unknown_month", "before_year_one",
-            "iso_utc", "iso_offset",
+            "iso_utc", "iso_offset", "naive",
         ],
     )
     def test_skip_cause_of_edge_lines(self, raw, cause, parse_lines) -> None:
@@ -104,10 +110,6 @@ class TestParsing:
         stamp = records[0].created_at
         assert (stamp.hour, stamp.minute) == (10, 31)
         assert stamp.utcoffset() == timedelta(hours=1)
-
-    def test_naive_timestamp_is_skipped(self, parse_lines) -> None:
-        _, report = parse_lines([line(created_at="2017-11-18T09:31:00")])
-        assert report.lines_skipped == 1
 
     def test_numeric_id_is_accepted_as_string(self, parse_lines) -> None:
         records, _ = parse_lines([json.dumps(

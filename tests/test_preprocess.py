@@ -242,6 +242,8 @@ class TestPipeline:
         config = PipelineConfig(stopwords=frozenset())  # no dictionary: an empty one
         tokens = preprocess_pipeline(text_tokens("electin ballott"), config)
         assert tokens == (stem("electin"), stem("ballott"))
+        # Correction is skipped, not run against nothing.
+        assert config.dictionary.activity() == {"lookups": 0, "distinct": 0, "corrected": 0}
 
     def test_stopwords_are_filtered_before_correction(self) -> None:
         # A stopword is never corrected, so a correction cannot carry it
@@ -264,8 +266,8 @@ class TestPipeline:
         assert words.activity() == {"lookups": 2, "distinct": 1, "corrected": 2}
 
     def test_stem_memo_belongs_to_one_pipeline(self) -> None:
-        first = PipelineConfig(spellcheck=False)
-        second = PipelineConfig(spellcheck=False)
+        first = PipelineConfig()
+        second = PipelineConfig()
         assert preprocess_pipeline(["voting", "voting", "awka"], first) == ("vote", "vote", "awka")
         assert first.stems == {"voting": "vote", "awka": "awka"}
         assert second.stems == {}

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electionpulse.topics import (
+    ALPHA,
+    BETA,
+    TOP_WORDS,
     Corpus,
     TopicModel,
     build_corpus,
@@ -42,8 +45,8 @@ def planted_corpus(
 def theta(model: TopicModel, doc: int) -> list[float]:
     """Smoothed topic mixture of one document; sums to 1. The package
     reports topics by phi alone, so this oracle reads the fitted counts."""
-    denominator = model.doc_lengths[doc] + model.alpha * model.k
-    return [(count + model.alpha) / denominator for count in model.doc_topic_counts[doc]]
+    denominator = model.doc_lengths[doc] + ALPHA * model.k
+    return [(count + ALPHA) / denominator for count in model.doc_topic_counts[doc]]
 
 
 def check_invariants(model: TopicModel) -> None:
@@ -105,10 +108,6 @@ class TestFitValidation:
             lda_fit(corpus, k=0)
         with pytest.raises(ValueError):
             lda_fit(corpus, iterations=0)
-        with pytest.raises(ValueError):
-            lda_fit(corpus, alpha=0.0)
-        with pytest.raises(ValueError):
-            lda_fit(corpus, beta=-0.1)
 
     def test_small_vocabulary_warns(self) -> None:
         corpus = build_corpus([["a", "b"], ["b", "a"]])
@@ -119,11 +118,11 @@ class TestFitValidation:
 class TestSingleTopic:
     def test_phi_is_smoothed_unigram_and_theta_is_one(self) -> None:
         corpus = build_corpus([["a", "b", "b"], ["b", "c"]])
-        model = lda_fit(corpus, k=1, iterations=3, beta=0.01, seed=9)
+        model = lda_fit(corpus, k=1, iterations=3, seed=9)
         # counts: a=1, b=3, c=1 over 5 tokens, V=3
-        denominator = 5 + 0.01 * 3
+        denominator = 5 + BETA * 3
         assert model.phi(0) == pytest.approx(
-            [(1 + 0.01) / denominator, (3 + 0.01) / denominator, (1 + 0.01) / denominator]
+            [(1 + BETA) / denominator, (3 + BETA) / denominator, (1 + BETA) / denominator]
         )
         for doc in range(2):
             assert theta(model, doc) == [1.0]
@@ -186,7 +185,7 @@ class TestSamplerPin:
 
 
 def reference_fit(
-    corpus: Corpus, k: int, alpha: float, beta: float, iterations: int, seed: int
+    corpus: Corpus, k: int, iterations: int, seed: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int]]:
     """The sampler as it was over int counts, the oracle for the float
     working counts: (assignments, word-topic, doc-topic, topic totals)."""
@@ -205,6 +204,7 @@ def reference_fit(
             doc_counts[topic] += 1
             topic_totals[topic] += 1
         assignments.append(assigned)
+    alpha, beta = ALPHA, BETA
     beta_v = beta * len(corpus.vocabulary)
     denominators = [total + beta_v for total in topic_totals]
     thresholds = [0.0] * k
@@ -251,12 +251,10 @@ class TestFloatWorkingCounts:
     @given(
         docs=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=9), min_size=1, max_size=8),
         k=st.integers(1, 8),
-        alpha=st.floats(1e-3, 10.0),
-        beta=st.floats(1e-3, 10.0),
         iterations=st.integers(1, 6),
         seed=st.integers(0, 2**32),
     )
-    def test_matches_the_int_loop(self, docs, k, alpha, beta, iterations, seed) -> None:
+    def test_matches_the_int_loop(self, docs, k, iterations, seed) -> None:
         corpus = build_corpus([[f"w{word}" for word in doc] for doc in docs])
         seen: list[tuple] = []
 
@@ -265,9 +263,9 @@ class TestFloatWorkingCounts:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # vocabulary smaller than k
-            model = lda_fit(corpus, k, alpha, beta, iterations, seed)
-            hooked = lda_fit(corpus, k, alpha, beta, iterations, seed, sweep_hook=hook)
-        expected = reference_fit(corpus, k, alpha, beta, iterations, seed)
+            model = lda_fit(corpus, k, iterations, seed)
+            hooked = lda_fit(corpus, k, iterations, seed, sweep_hook=hook)
+        expected = reference_fit(corpus, k, iterations, seed)
         for fitted in (model, hooked):
             assert (fitted.assignments, *count_tables(fitted)) == expected
             assert all_ints(count_tables(fitted))
@@ -292,10 +290,9 @@ class TestTheta:
     def test_concentrated_document_value(self) -> None:
         # One 10-token document fully assigned to topic 2 of 5:
         # theta(2) = (10 + 0.1) / (10 + 0.1 * 5)
+        assert ALPHA == 0.1
         model = TopicModel(
             k=5,
-            alpha=0.1,
-            beta=0.01,
             vocabulary=["w"],
             word_topic_counts=[[0, 0, 10, 0, 0]],
             doc_topic_counts=[[0, 0, 10, 0, 0]],
@@ -314,7 +311,7 @@ class TestTheta:
         model = lda_fit(corpus, k=3, iterations=10, seed=2)
         for doc, counts in enumerate(model.doc_topic_counts):
             expected = [
-                (count + model.alpha) / (model.doc_lengths[doc] + model.alpha * model.k)
+                (count + ALPHA) / (model.doc_lengths[doc] + ALPHA * model.k)
                 for count in counts
             ]
             assert theta(model, doc) == pytest.approx(expected)
@@ -322,10 +319,13 @@ class TestTheta:
 
 class TestKeywords:
     def test_descending_with_lexicographic_ties(self) -> None:
-        corpus = build_corpus([["pear", "apple", "apple", "mango"]])
+        # Twelve words, so the last two singletons fall past TOP_WORDS.
+        singles = [f"w{j:02d}" for j in range(9)]
+        corpus = build_corpus([["pear", "apple", "apple", "mango", "apple", "mango", "pear", *singles]])
         model = lda_fit(corpus, k=1, iterations=2, seed=0)
-        rows = top_keywords(model, 0, 3)
-        assert [term for term, _ in rows] == ["apple", "mango", "pear"]
+        rows = top_keywords(model, 0)
+        assert TOP_WORDS == 10
+        assert [term for term, _ in rows] == ["apple", "mango", "pear", *singles[:7]]
         weights = [weight for _, weight in rows]
         assert weights == sorted(weights, reverse=True)
 
@@ -333,16 +333,18 @@ class TestKeywords:
         corpus, _, _ = planted_corpus(docs_count=10, doc_len=6)
         model = lda_fit(corpus, k=2, iterations=5, seed=1)
         for topic in range(model.k):
-            rows = top_keywords(model, topic, len(model.vocabulary))
-            assert sum(weight for _, weight in rows) == pytest.approx(1.0, abs=1e-9)
+            phi = model.phi(topic)
+            assert sum(phi) == pytest.approx(1.0, abs=1e-9)
+            weights = dict(zip(model.vocabulary, phi))
+            assert all(weight == weights[term] for term, weight in top_keywords(model, topic))
 
     def test_bounds_checked(self) -> None:
-        corpus = build_corpus([["a", "b"]])
-        model = lda_fit(corpus, k=1, iterations=1, seed=0)
-        with pytest.raises(ValueError):
-            top_keywords(model, 1, 1)
-        with pytest.raises(ValueError):
-            top_keywords(model, 0, 3)
+        model = lda_fit(build_corpus([[f"w{j}" for j in range(TOP_WORDS)]]), k=1, iterations=1)
+        with pytest.raises(ValueError, match="^topic 1 outside 0..0$"):
+            top_keywords(model, 1)
+        narrow = lda_fit(build_corpus([["a", "b"]]), k=1, iterations=1, seed=0)
+        with pytest.raises(ValueError, match="exceeds vocabulary size 2$"):
+            top_keywords(narrow, 0)
 
 
 class TestRecovery:
@@ -373,8 +375,9 @@ class TestReport:
     def test_shape(self) -> None:
         corpus, _, _ = planted_corpus(docs_count=20, doc_len=8)
         model = lda_fit(corpus, k=2, iterations=10, seed=4)
-        entries = topic_report(model, 5)
+        entries = topic_report(model)
         assert [entry["id"] for entry in entries] == [0, 1]
         for entry in entries:
             assert set(entry) == {"id", "keywords"}
-            assert entry["keywords"] == top_keywords(model, entry["id"], 5)
+            assert entry["keywords"] == top_keywords(model, entry["id"])
+            assert len(entry["keywords"]) == TOP_WORDS
