@@ -66,8 +66,8 @@ class _RunState:
         self.kept: list[ProcessedTweet] = []
         self.excluded: dict[str, int] = {}
         self.stats: dict | None = None
-        self.pattern_lexicon: dict = {}
-        self.negators: frozenset = frozenset()
+        # engine -> (lexicon table, negators): the arguments ``score_all`` takes
+        self.lexicons: dict[str, tuple[dict, frozenset]] = {}
         self.sense_lexicon: SenseLexicon | None = None
         self.scored: dict[str, EngineScores] = {}
         self.topics: dict | None = None
@@ -81,16 +81,18 @@ def _load(state: _RunState) -> int:
     # With spelling off no dictionary is read: the pipeline corrects only with one.
     dictionary = load_dictionary(config.dictionary_path) if config.spellcheck else None
     state.pipeline = PipelineConfig(stopwords=stopwords, dictionary=dictionary)
-    state.pattern_lexicon = load_pattern_lexicon(config.pattern_lexicon_path)
-    if not state.pattern_lexicon:
+    pattern = load_pattern_lexicon(config.pattern_lexicon_path)
+    if not pattern:
         raise ValueError(f"pattern lexicon {config.pattern_lexicon_path} has no entry")
-    state.negators = load_negators(config.negators_path)
+    negators = load_negators(config.negators_path)
     senses = state.sense_lexicon = load_sense_lexicon(config.sense_lexicon_path)
     if not senses.word_scores:
         raise ValueError(
             f"sense lexicon {config.sense_lexicon_path} has no usable entry: "
             f"{senses.rows_rejected} of {senses.rows_read} rows rejected"
         )
+    # swn has no negation: it scores with no negators.
+    state.lexicons = {"pattern": (pattern, negators), "swn": (senses.word_scores, frozenset())}
     # stopwords, pattern lexicon, negators, senses, and the dictionary if any
     return 4 + (dictionary is not None)
 
@@ -137,13 +139,7 @@ def _ingest(state: _RunState) -> None:
 def _scored(state: _RunState, engine: str) -> EngineScores:
     """The engine's scores of the kept tweets, computed on first use."""
     if engine not in state.scored:
-        state.scored[engine] = score_all(
-            state.kept,
-            engine,
-            pattern_lexicon=state.pattern_lexicon,
-            negators=state.negators,
-            sense_lexicon=state.sense_lexicon,
-        )
+        state.scored[engine] = score_all(state.kept, *state.lexicons[engine])
     return state.scored[engine]
 
 

@@ -131,14 +131,15 @@ def validate_config(
         return keep(field, section, key, value)
 
     def require_path(field: str | None, section: str, key: str, label: str | None) -> str | None:
-        """The key's resolved file path; a None label makes the key optional."""
+        """The key's resolved file path. A None label marks a file the run
+        does not read, so the key may be unset or name a missing file."""
         value = get(section, key)
         resolved = resolve(value) if value else None
-        if not value:
-            if label is not None:
+        if label is not None:
+            if not value:
                 diagnostics.append(f"[{section}] {key} is required ({label})")
-        elif not os.path.isfile(resolved):
-            diagnostics.append(f"[{section}] {key}: no such file: {resolved}")
+            elif not os.path.isfile(resolved):
+                diagnostics.append(f"[{section}] {key}: no such file: {resolved}")
         return keep(field, section, key, resolved)
 
     require_path("input_path", "input", "path", "JSON-lines tweet stream")
@@ -197,8 +198,13 @@ def validate_config(
     get_count("lda_iterations", "topics", "iterations", 500)
 
     output_dir = keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
-    if os.path.exists(output_dir) and not os.path.isdir(output_dir):
-        diagnostics.append(f"[output] dir: not a directory: {output_dir}")
+    # The run creates the directory and its missing parents, so the nearest
+    # path that exists must be a directory.
+    existing = output_dir
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        diagnostics.append(f"[output] dir: not a directory: {existing}")
 
     seed_raw = get("run", "seed", "0")
     try:

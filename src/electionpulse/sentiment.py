@@ -1,21 +1,20 @@
 """Polarity and subjectivity scoring plus a Naive Bayes classifier.
 
-Two lexicon engines share one scoring contract:
+Two lexicon engines share one scoring contract: each loader builds one
+``SentimentScore`` per lemma, and a tweet scores the mean of its matched
+tokens' scores.
 
 - ``pattern``: a word-level lemma table of (polarity, subjectivity)
-  pairs, averaged over matched tokens, with a 2-token negation window
-  that flips a matched word's polarity sign and halves its magnitude.
-- ``swn``: a SentiWordNet-3.0-format sense lexicon; per-word positive and
-  negative scores are rank-weighted averages over senses (weight
-  1/sense_rank). The loader folds each valid row into its lemmas'
-  weighted sums as it reads, so the lexicon is one (pos, neg) pair per
-  lemma and keeps no per-sense record; polarity is the mean of
-  (pos - neg) over matched tokens, and subjectivity is 1 minus the mean
-  objectivity of matched tokens, both from one pass.
+  pairs, with a 2-token negation window that flips a matched word's
+  polarity sign and halves its magnitude.
+- ``swn``: a SentiWordNet-3.0-format sense lexicon, folded as it is read
+  into each lemma's rank-weighted (weight 1/sense_rank) positive and
+  negative scores; a lemma scores (pos - neg, pos + neg), the latter
+  being 1 minus its objectivity. It has no negation.
 
-``score_all`` scores a tweet population with one engine and counts the
-engine's lexicon coverage on the same pass; ``compare_classifiers`` turns
-the per-engine score lists into distributions without scoring again.
+``score_all`` scores a tweet population with one table and counts its
+coverage on the same pass; ``compare_classifiers`` turns the per-engine
+score lists into distributions without scoring again.
 
 The Naive Bayes model (``nbc_train``, written by ``train-nbc``) is the
 multinomial, Laplace-smoothed textbook construction and exists alongside
@@ -51,23 +50,19 @@ _POS_TAGS = frozenset("navr")
 
 
 class SentimentScore(NamedTuple):
-    """Polarity in [-1, 1] and subjectivity in [0, 1]: ``_mean_score``,
-    which makes every score, clamps both."""
+    """Polarity in [-1, 1] and subjectivity in [0, 1]: a lemma's entry in
+    a lexicon, as its loader makes it, or a tweet's mean over its matched
+    lemmas, as ``_mean_score`` clamps it."""
 
-    polarity: float
-    subjectivity: float
-
-
-class PatternEntry(NamedTuple):
     polarity: float
     subjectivity: float
 
 
 class SenseLexicon(NamedTuple):
-    """Each lemma's rank-weighted (pos, neg) over all its senses, for
-    ``swn_word_sentiment`` to look up, and the loader's row counts."""
+    """Each lemma's score from its rank-weighted (pos, neg) over all its
+    senses, as (pos - neg, pos + neg), and the loader's row counts."""
 
-    word_scores: dict[str, tuple[float, float]]
+    word_scores: dict[str, SentimentScore]
     rows_read: int
     rows_rejected: int
 
@@ -82,7 +77,8 @@ def load_sense_lexicon(path: str) -> SenseLexicon:
     rejected whole and counted; loading never aborts on a bad row. Each
     valid row's terms are folded, in file order, into their lemma's
     weighted sums (weight 1/sense_rank); each lemma's (pos, neg) is its
-    sums divided by its total weight.
+    sums divided by its total weight, stored as the score
+    (pos - neg, pos + neg), the sum capped at 1.
     """
     # lemma -> (total weight, weighted pos, weighted neg)
     sums: dict[str, tuple[float, float, float]] = {}
@@ -124,36 +120,22 @@ def load_sense_lexicon(path: str) -> SenseLexicon:
             for lemma, weight in senses:
                 total_weight, pos, neg = sums.get(lemma, (0.0, 0.0, 0.0))
                 sums[lemma] = (total_weight + weight, pos + pos_score * weight, neg + neg_score * weight)
-    word_scores = {
-        lemma: (pos / total_weight, neg / total_weight)
-        for lemma, (total_weight, pos, neg) in sums.items()
-    }
+    word_scores = {}
+    for lemma, (total_weight, pos, neg) in sums.items():
+        pos, neg = pos / total_weight, neg / total_weight
+        # Neither mean passes 1, but their sum can round to 1 ulp past it.
+        word_scores[lemma] = SentimentScore(pos - neg, min(pos + neg, 1.0))
     return SenseLexicon(word_scores, rows_read, rejected)
 
 
-def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> tuple[float, float] | None:
-    """Rank-weighted (pos, neg) over every sense of the lemma, or None.
-
-    Senses across all pos tags participate; each contributes with weight
-    1/sense_rank and the result is normalized by the total weight. The
-    pair was computed when the lexicon loaded. The lemma is a lowercase
-    token, as ``preprocess.clean`` makes them.
-    """
+def swn_word_sentiment(lexicon: SenseLexicon, lemma: str) -> SentimentScore | None:
+    """The lemma's score from the rank-weighted (pos, neg) over its senses
+    of every pos tag, computed when the lexicon loaded, or None. The lemma
+    is a lowercase token, as ``preprocess.clean`` makes them."""
     return lexicon.word_scores.get(lemma)
 
 
-def _swn_matches(tokens: Sequence[str], lexicon: SenseLexicon) -> tuple[list[float], list[float]]:
-    polarity_values = []
-    subjectivity_values = []
-    for token in tokens:
-        scores = swn_word_sentiment(lexicon, token)
-        if scores is not None:
-            polarity_values.append(scores[0] - scores[1])
-            subjectivity_values.append(scores[0] + scores[1])
-    return polarity_values, subjectivity_values
-
-
-def load_pattern_lexicon(path: str) -> dict[str, PatternEntry]:
+def load_pattern_lexicon(path: str) -> dict[str, SentimentScore]:
     """Read a "lemma,polarity,subjectivity" CSV (header optional).
 
     Duplicate lemma rows are averaged into a single entry; an averaged
@@ -183,7 +165,7 @@ def load_pattern_lexicon(path: str) -> dict[str, PatternEntry]:
             raise ValueError(f"polarity {polarity} outside [-1, 1]")
         if not 0.0 <= subjectivity <= 1.0:
             raise ValueError(f"subjectivity {subjectivity} outside [0, 1]")
-        lexicon[lemma] = PatternEntry(polarity, subjectivity)
+        lexicon[lemma] = SentimentScore(polarity, subjectivity)
     return lexicon
 
 
@@ -194,7 +176,7 @@ def load_negators(path: str) -> frozenset[str]:
 
 def pattern_score(
     tokens: Sequence[str],
-    lexicon: Mapping[str, PatternEntry],
+    lexicon: Mapping[str, SentimentScore],
     negators: frozenset[str] | set[str] = frozenset(),
 ) -> SentimentScore:
     """Mean lexicon polarity/subjectivity over matched tokens.
@@ -203,14 +185,15 @@ def pattern_score(
     word's polarity sign and halves its magnitude; subjectivity is never
     negated. No matches at all score (0, 0).
     """
-    return _mean_score(*_pattern_matches(tokens, lexicon, negators))
+    return _mean_score(*_matches(tokens, lexicon, negators))
 
 
-def _pattern_matches(
+def _matches(
     tokens: Sequence[str],
-    lexicon: Mapping[str, PatternEntry],
+    lexicon: Mapping[str, SentimentScore],
     negators: frozenset[str] | set[str],
 ) -> tuple[list[float], list[float]]:
+    # Each matched token's scores, negated as ``pattern_score`` says.
     polarity_values = []
     subjectivity_values = []
     for index, token in enumerate(tokens):
@@ -218,7 +201,7 @@ def _pattern_matches(
         if entry is None:
             continue
         value = entry.polarity
-        if any(prior in negators for prior in tokens[max(0, index - 2) : index]):
+        if negators and any(prior in negators for prior in tokens[max(0, index - 2) : index]):
             value = -value / 2.0
         polarity_values.append(value)
         subjectivity_values.append(entry.subjectivity)
@@ -226,7 +209,6 @@ def _pattern_matches(
 
 
 def _mean_score(polarity_values: list[float], subjectivity_values: list[float]) -> SentimentScore:
-    # One value per matched token, for either engine.
     if not polarity_values:
         return SentimentScore(0.0, 0.0)
     polarity = _clamp(float_sum(polarity_values) / len(polarity_values), -1.0, 1.0)
@@ -252,27 +234,16 @@ class EngineScores(NamedTuple):
 
 def score_all(
     tweets: Sequence[ProcessedTweet],
-    engine: str,
-    *,
-    pattern_lexicon: Mapping[str, PatternEntry] | None = None,
+    lexicon: Mapping[str, SentimentScore],
     negators: frozenset[str] | set[str] = frozenset(),
-    sense_lexicon: SenseLexicon | None = None,
 ) -> EngineScores:
-    """Score every tweet with one engine, counting lexicon coverage on the
-    same pass; the score list aligns with the input."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine {engine!r} not one of {ENGINES}")
-    if engine == "pattern" and pattern_lexicon is None:
-        raise ValueError("pattern engine needs a pattern lexicon")
-    if engine == "swn" and sense_lexicon is None:
-        raise ValueError("swn engine needs a sense lexicon")
+    """Score every tweet as ``pattern_score`` does with one lexicon table,
+    counting its coverage on the same pass; the score list aligns with the
+    input. An engine without negation passes no negators."""
     scores: list[SentimentScore] = []
     tweets_hit = tokens_hit = tokens = 0
     for tweet in tweets:
-        if engine == "pattern":
-            values = _pattern_matches(tweet.tokens, pattern_lexicon, negators)
-        else:
-            values = _swn_matches(tweet.tokens, sense_lexicon)
+        values = _matches(tweet.tokens, lexicon, negators)
         scores.append(_mean_score(*values))
         hits = len(values[0])
         tweets_hit += hits > 0

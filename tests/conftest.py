@@ -104,7 +104,7 @@ def kept(preprocessed) -> list[ProcessedTweet]:
 
 @pytest.fixture(scope="session")
 def pattern_scores(kept, pattern_lexicon, negators) -> list[SentimentScore]:
-    return score_all(kept, "pattern", pattern_lexicon=pattern_lexicon, negators=negators).scores
+    return score_all(kept, pattern_lexicon, negators).scores
 
 
 @pytest.fixture(scope="session")

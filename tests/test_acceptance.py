@@ -124,14 +124,18 @@ def test_02_sense_lexicon_at_scale(fixtures_dir, write_lines) -> None:
         lexicon = load_sense_lexicon(write_lines(lines))
         assert lexicon.rows_read == 10_020
         assert lexicon.rows_rejected == 20
-        # One rank-1 sense per good row: each lemma's pair is its row's scores.
-        assert lexicon.word_scores == {
-            f"w{i}": ((i % 5) * 0.125, ((i // 5) % 4) * 0.125) for i in range(10_000)
-        }
+        # One rank-1 sense per good row: each lemma's (pos, neg) is its row's
+        # scores, held as (pos - neg, pos + neg).
+        expected = {}
+        for i in range(10_000):
+            pos, neg = (i % 5) * 0.125, ((i // 5) % 4) * 0.125
+            expected[f"w{i}"] = SentimentScore(pos - neg, pos + neg)
+        assert lexicon.word_scores == expected
 
         bundled = load_sense_lexicon(str(fixtures_dir / "sense_lexicon.tsv"))
-        # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
-        assert swn_word_sentiment(bundled, "estimable") == (0.5625, 0.0)
+        # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3: pos
+        # 0.5625 and neg 0.
+        assert swn_word_sentiment(bundled, "estimable") == SentimentScore(0.5625, 0.5625)
 
 
 def test_03_nbc_brute_force_equivalence(fixtures_dir) -> None:
@@ -169,14 +173,11 @@ def test_04_scoring_ranges_boundaries_negation(pattern_lexicon, negators, sense_
             # The time and bucket are never consulted by the scorers.
             tweets.append(ProcessedTweet(f"s{i}", None, None, tokens, frozenset()))
 
-        for engine in ("pattern", "swn"):
-            scored = score_all(
-                tweets,
-                engine,
-                pattern_lexicon=pattern_lexicon,
-                negators=negators,
-                sense_lexicon=sense_lexicon,
-            )
+        for lexicon, engine_negators in (
+            (pattern_lexicon, negators),
+            (sense_lexicon.word_scores, frozenset()),
+        ):
+            scored = score_all(tweets, lexicon, engine_negators)
             polarity = [score.polarity for score in scored.scores]
             subjectivity = [score.subjectivity for score in scored.scores]
             assert len(polarity) == len(subjectivity) == 1_000

@@ -316,6 +316,12 @@ def _output_is_a_file(config_factory, fixtures_dir, tmp_path, monkeypatch) -> li
     return ["counts", "--config", config_factory(), "--output", str(afile)]
 
 
+def _output_under_a_file(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    return ["counts", "--config", config_factory(), "--output", str(afile / "out")]
+
+
 def _nbc_row_without_text(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     corpus = tmp_path / "nbc_corpus.csv"
     text = (fixtures_dir / "nbc_corpus.csv").read_text(encoding="utf-8")
@@ -453,6 +459,7 @@ EXIT_CODE_MATRIX = [
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
+    ("output_under_a_file", _output_under_a_file, 2, "[output] dir: not a directory", None),
     ("misspelled_key", _misspelled_key, 2,
      "[topics] iteration is not a configuration key", None),
     ("unknown_section", _unknown_section, 2,
@@ -775,12 +782,19 @@ class TestCliRuns:
         assert set(stemmed) == stemmable | actor_set.alias_words()
 
     @pytest.mark.parametrize("engine", ["pattern", "swn"])
-    def test_each_engine_scores_once_per_run(self, engine, config_factory, monkeypatch) -> None:
-        scored = record_calls(monkeypatch, sentiment_module, "score_all", keep=lambda a, k: a[1])
+    def test_each_engine_scores_once_per_run(
+        self, engine, config_factory, monkeypatch, pattern_lexicon, negators, sense_lexicon
+    ) -> None:
+        scored = record_calls(monkeypatch, sentiment_module, "score_all", keep=lambda a, k: a[1:])
         assert main(["all", "--config", config_factory(), "--engine", engine]) == 0
+        # Each engine's table, and negators for pattern alone: swn has no negation.
+        arguments = {
+            "pattern": (pattern_lexicon, negators),
+            "swn": (sense_lexicon.word_scores, frozenset()),
+        }
         # The configured engine first (scores.csv), the other for compare.csv.
-        assert scored[0] == engine
-        assert sorted(scored) == ["pattern", "swn"]
+        other = "swn" if engine == "pattern" else "pattern"
+        assert scored == [arguments[engine], arguments[other]]
 
     def test_manifest_counts_exclusions_by_reason(self, config_factory, records, tmp_path) -> None:
         assert main(["counts", "--config", config_factory()]) == 0
@@ -965,6 +979,29 @@ class TestCliRuns:
         assert loaded == []
         load = manifest["stages"][0]
         assert (load["name"], load["records"]) == ("load", 4)
+
+    def test_a_file_the_run_does_not_read_may_be_missing(
+        self, config_factory, tmp_path, capsys
+    ) -> None:
+        path = config_factory(**{
+            "preprocess.dictionary": str(tmp_path / "no_dictionary.txt"),
+            "lexicons.nbc_corpus": str(tmp_path / "no_corpus.csv"),
+        })
+        assert main(["counts", "--config", path, "--no-spellcheck"]) == 0
+        manifest = read_json(tmp_path / "out" / "manifest.json")
+        load = manifest["stages"][0]
+        assert (load["name"], load["records"]) == ("load", 4)
+        # The snapshot still records each path as configured.
+        assert manifest["config"]["preprocess"]["dictionary"] == str(tmp_path / "no_dictionary.txt")
+        assert manifest["config"]["lexicons"]["nbc_corpus"] == str(tmp_path / "no_corpus.csv")
+        # With spelling on the dictionary is read, so it must exist.
+        shutil.rmtree(tmp_path / "out")
+        assert main(["counts", "--config", path]) == 2
+        assert (
+            f"[preprocess] dictionary: no such file: {tmp_path / 'no_dictionary.txt'}"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_input_vanishing_after_validation_fails_with_manifest(
         self, config_factory, fixtures_dir, tmp_path, capsys

@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from electionpulse._util import ConsistencyError, float_sum, pct
 from electionpulse.preprocess import ProcessedTweet
 from electionpulse.sentiment import (
-    ENGINES,
     NBCModel,
-    PatternEntry,
     PolarityDistribution,
     SentimentScore,
     compare_classifiers,
@@ -37,10 +35,10 @@ from electionpulse.sentiment import (
 NEGATORS = frozenset({"not", "no", "never"})
 
 PATTERN = {
-    "great": PatternEntry(0.8, 0.75),
-    "good": PatternEntry(0.7, 0.6),
-    "bad": PatternEntry(-0.7, 0.6),
-    "vote": PatternEntry(0.0, 0.1),
+    "great": SentimentScore(0.8, 0.75),
+    "good": SentimentScore(0.7, 0.6),
+    "bad": SentimentScore(-0.7, 0.6),
+    "vote": SentimentScore(0.0, 0.1),
 }
 
 
@@ -51,6 +49,11 @@ def kept_tweet(record_id: str, tokens) -> ProcessedTweet:
 
 def sense_line(pos_tag: str, synset: str, pos: float, neg: float, terms: str) -> str:
     return f"{pos_tag}\t{synset}\t{pos}\t{neg}\t{terms}\tgloss text"
+
+
+def swn_entry(pos: float, neg: float) -> SentimentScore:
+    """The sense lexicon's score of a lemma with rank-weighted (pos, neg)."""
+    return SentimentScore(pos - neg, min(pos + neg, 1.0))
 
 
 # The swn scorer as it was before the lexicon folded each lemma's weighted
@@ -100,6 +103,11 @@ def oracle_word_sentiment(senses, lemma: str) -> tuple[float, float] | None:
     return pos / total_weight, neg / total_weight
 
 
+def oracle_word_score(senses, lemma: str) -> SentimentScore | None:
+    pair = oracle_word_sentiment(senses, lemma)
+    return None if pair is None else swn_entry(*pair)
+
+
 def swn_polarity(tokens, senses) -> float:
     values = []
     for token in tokens:
@@ -116,7 +124,8 @@ def swn_subjectivity(tokens, senses) -> float:
     for token in tokens:
         scores = oracle_word_sentiment(senses, token)
         if scores is not None:
-            values.append(scores[0] + scores[1])
+            # The one change since: a sum that rounds past 1 is capped at 1.
+            values.append(min(scores[0] + scores[1], 1.0))
     if not values:
         return 0.0
     return max(0.0, min(1.0, reduce(operator.add, values, 0.0) / len(values)))
@@ -176,18 +185,14 @@ class TestScoreTypes:
             for index, (tag, pos, neg, terms) in enumerate(sense_rows)
         ]))
         assert senses.rows_read == len(sense_rows)
+        # Each lemma's pos and neg are in [0, 1], and the loader caps their sum at 1.
         assert all(
-            0.0 <= pos <= 1.0 and 0.0 <= neg <= 1.0 for pos, neg in senses.word_scores.values()
+            abs(score.polarity) <= score.subjectivity <= 1.0
+            for score in senses.word_scores.values()
         )
         tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
-        for engine in ENGINES:
-            scored = score_all(
-                tweets,
-                engine,
-                pattern_lexicon=pattern,
-                negators=NEGATORS,
-                sense_lexicon=senses,
-            )
+        for lexicon, negators in ((pattern, NEGATORS), (senses.word_scores, frozenset())):
+            scored = score_all(tweets, lexicon, negators)
             assert len(scored.scores) == len(tweets)
             assert all(
                 -1.0 <= s.polarity <= 1.0 and 0.0 <= s.subjectivity <= 1.0 for s in scored.scores
@@ -222,7 +227,7 @@ class TestSenseLexicon:
 
     def test_estimable_rows_are_exact(self, sense_lexicon) -> None:
         # Rank 1 (0.75, 0.0) and rank 3 (0.0, 0.0), weights 1 and 1/3.
-        assert swn_word_sentiment(sense_lexicon, "estimable") == (0.5625, 0.0)
+        assert swn_word_sentiment(sense_lexicon, "estimable") == swn_entry(0.5625, 0.0)
 
     def test_bad_rows_are_counted_not_fatal(self, write_lines) -> None:
         lines = [
@@ -240,22 +245,30 @@ class TestSenseLexicon:
         assert lexicon.rows_rejected == 5
         for lemma in ("broken", "bad", "tagged", "ranked"):
             assert swn_word_sentiment(lexicon, lemma) is None
-        assert lexicon.word_scores == {"fine": (0.5, 0.25), "plain": (0.0, 0.0)}
+        assert lexicon.word_scores == {"fine": swn_entry(0.5, 0.25), "plain": swn_entry(0.0, 0.0)}
 
     def test_multi_term_row_fans_out(self, write_lines) -> None:
         lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.5, 0.0, "happy#1 glad#2"),
             sense_line("a", "00000002", 0.0, 0.5, "glad#1"),
         ]))
-        assert swn_word_sentiment(lexicon, "happy") == (0.5, 0.0)
+        assert swn_word_sentiment(lexicon, "happy") == swn_entry(0.5, 0.0)
         # glad#2 weighs 1/2 and glad#1 weighs 1.
-        assert swn_word_sentiment(lexicon, "glad") == (0.25 / 1.5, 0.5 / 1.5)
+        assert swn_word_sentiment(lexicon, "glad") == swn_entry(0.25 / 1.5, 0.5 / 1.5)
+
+    def test_subjectivity_never_passes_one(self, write_lines) -> None:
+        # Each row sums to 1, yet the rank-weighted means sum to 1 + 2**-52.
+        lexicon = load_sense_lexicon(write_lines([
+            sense_line("a", "00000001", 0.21, 0.79, "word#5"),
+            sense_line("a", "00000002", 0.18, 0.82, "word#2"),
+        ]))
+        assert swn_word_sentiment(lexicon, "word").subjectivity == 1.0
 
     def test_lemmas_are_lowercased(self, write_lines) -> None:
         # Lookups take the lowercase tokens that ``clean`` makes.
         lexicon = load_sense_lexicon(write_lines([sense_line("a", "00000001", 0.5, 0.0, "Happy#1")]))
-        assert lexicon.word_scores == {"happy": (0.5, 0.0)}
-        assert swn_word_sentiment(lexicon, "happy") == (0.5, 0.0)
+        assert lexicon.word_scores == {"happy": swn_entry(0.5, 0.0)}
+        assert swn_word_sentiment(lexicon, "happy") == swn_entry(0.5, 0.0)
 
 
 SWN_LEMMAS = ("fine", "awful", "mixed", "good", "plain")
@@ -264,25 +277,26 @@ SWN_LEMMAS = ("fine", "awful", "mixed", "good", "plain")
 class TestSwnScoring:
     def test_single_sense_is_identity(self, write_lines) -> None:
         lexicon = load_sense_lexicon(write_lines([sense_line("a", "00000001", 0.75, 0.0, "fine#1")]))
-        assert swn_word_sentiment(lexicon, "fine") == (0.75, 0.0)
+        assert swn_word_sentiment(lexicon, "fine") == swn_entry(0.75, 0.0)
 
     def test_rank_weighted_average(self, write_lines) -> None:
         lexicon = load_sense_lexicon(write_lines([
             sense_line("a", "00000001", 0.5, 0.0, "mixed#1"),
             sense_line("a", "00000002", 0.0, 0.5, "mixed#2"),
         ]))
-        pos, neg = swn_word_sentiment(lexicon, "mixed")
+        polarity, subjectivity = swn_word_sentiment(lexicon, "mixed")
         # weights 1 and 1/2: pos = 0.5/1.5, neg = 0.25/1.5
-        assert pos == pytest.approx(1 / 3, abs=1e-12)
-        assert neg == pytest.approx(1 / 6, abs=1e-12)
+        assert polarity == pytest.approx(1 / 3 - 1 / 6, abs=1e-12)
+        assert subjectivity == pytest.approx(1 / 3 + 1 / 6, abs=1e-12)
 
     def test_unknown_word_is_none(self, sense_lexicon) -> None:
         assert swn_word_sentiment(sense_lexicon, "zzqqx") is None
 
     def test_fixture_good_aggregate(self, sense_lexicon) -> None:
-        pos, neg = swn_word_sentiment(sense_lexicon, "good")
-        assert pos == pytest.approx(2 / 3, abs=1e-12)
-        assert neg == pytest.approx(1 / 24, abs=1e-12)
+        polarity, subjectivity = swn_word_sentiment(sense_lexicon, "good")
+        # pos 2/3 and neg 1/24
+        assert polarity == pytest.approx(2 / 3 - 1 / 24, abs=1e-12)
+        assert subjectivity == pytest.approx(2 / 3 + 1 / 24, abs=1e-12)
 
     def test_polarity_means_over_matched_tokens(self, write_lines) -> None:
         lexicon = load_sense_lexicon(write_lines([
@@ -291,12 +305,12 @@ class TestSwnScoring:
         ]))
         token_lists = (["fine"], ["fine", "awful"], ["fine", "zzz"])
         tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
-        scored = score_all(tweets, "swn", sense_lexicon=lexicon)
+        scored = score_all(tweets, lexicon.word_scores)
         polarity = [score.polarity for score in scored.scores]
         assert polarity == pytest.approx([0.8, (0.8 - 0.6) / 2, 0.8])
 
     def test_no_match_scores_zero(self, sense_lexicon) -> None:
-        scored = score_all([kept_tweet("a", ["zzqqx"])], "swn", sense_lexicon=sense_lexicon)
+        scored = score_all([kept_tweet("a", ["zzqqx"])], sense_lexicon.word_scores)
         assert scored.scores == [SentimentScore(0.0, 0.0)]
 
     def test_subjectivity_is_one_minus_mean_objectivity(self, write_lines) -> None:
@@ -306,8 +320,7 @@ class TestSwnScoring:
         ]))
         scored = score_all(
             [kept_tweet("a", ["loaded"]), kept_tweet("b", ["loaded", "plain"])],
-            "swn",
-            sense_lexicon=lexicon,
+            lexicon.word_scores,
         )
         assert [score.subjectivity for score in scored.scores] == pytest.approx([0.8, 0.4])
 
@@ -340,10 +353,10 @@ class TestSwnScoring:
         lexicon = load_sense_lexicon(write_lines(lines))
         senses = oracle_senses(lines)
         for lemma in SWN_LEMMAS + ("zzz", "FINE"):
-            assert swn_word_sentiment(lexicon, lemma) == oracle_word_sentiment(senses, lemma)
+            assert swn_word_sentiment(lexicon, lemma) == oracle_word_score(senses, lemma)
         assert lexicon.word_scores.keys() == senses.keys()
         tweet = kept_tweet("t1", tokens)
-        scored = score_all([tweet], "swn", sense_lexicon=lexicon)
+        scored = score_all([tweet], lexicon.word_scores)
         assert scored.scores == [swn_score(tokens, senses)]
 
     def test_fixture_scores_equal_the_oracle(self, kept, sense_lexicon, fixtures_dir) -> None:
@@ -351,9 +364,9 @@ class TestSwnScoring:
             senses = oracle_senses(handle)
         assert sum(map(len, senses.values())) == 52
         assert sense_lexicon.word_scores == {
-            lemma: oracle_word_sentiment(senses, lemma) for lemma in senses
+            lemma: oracle_word_score(senses, lemma) for lemma in senses
         }
-        scored = score_all(kept, "swn", sense_lexicon=sense_lexicon)
+        scored = score_all(kept, sense_lexicon.word_scores)
         assert [s.polarity for s in scored.scores] == [
             swn_polarity(t.tokens, senses) for t in kept
         ]
@@ -435,7 +448,7 @@ class TestPatternScoring:
     def test_negator_itself_can_be_scored(self) -> None:
         # A lexicon word that is also a negator still gets its own score.
         lexicon = dict(PATTERN)
-        lexicon["never"] = PatternEntry(-0.2, 0.5)
+        lexicon["never"] = SentimentScore(-0.2, 0.5)
         score = pattern_score(["never", "great"], lexicon, NEGATORS)
         assert score.polarity == pytest.approx((-0.2 + -0.4) / 2)
 
@@ -470,14 +483,11 @@ class TestClasses:
 
 class TestScoreAll:
     def test_alignment_and_ranges(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
-        for engine in ("pattern", "swn"):
-            scored = score_all(
-                kept,
-                engine,
-                pattern_lexicon=pattern_lexicon,
-                negators=negators,
-                sense_lexicon=sense_lexicon,
-            )
+        for lexicon, engine_negators in (
+            (pattern_lexicon, negators),
+            (sense_lexicon.word_scores, frozenset()),
+        ):
+            scored = score_all(kept, lexicon, engine_negators)
             polarity = [score.polarity for score in scored.scores]
             subjectivity = [score.subjectivity for score in scored.scores]
             assert len(polarity) == len(subjectivity) == len(kept)
@@ -485,7 +495,7 @@ class TestScoreAll:
             assert all(0.0 <= value <= 1.0 for value in subjectivity)
 
     def test_empty_population(self, pattern_lexicon) -> None:
-        scored = score_all([], "pattern", pattern_lexicon=pattern_lexicon)
+        scored = score_all([], pattern_lexicon)
         assert scored.scores == []
         assert scored.coverage() == {"tweets_hit": 0, "token_hit_rate": 0.0}
 
@@ -494,20 +504,10 @@ class TestScoreAll:
             kept_tweet("a", ("great", "crowd", "not", "bad")),
             kept_tweet("b", ("queue", "crowd")),
         ]
-        scored = score_all(tweets, "pattern", pattern_lexicon=PATTERN, negators=NEGATORS)
+        scored = score_all(tweets, PATTERN, NEGATORS)
         # Negators are not lexicon hits; "great" and "bad" are.
         assert (scored.tweets_hit, scored.tokens_hit, scored.tokens) == (1, 2, 6)
         assert scored.coverage() == {"tweets_hit": 1, "token_hit_rate": round(2 / 6, 6)}
-
-    def test_unknown_engine(self, kept, pattern_lexicon) -> None:
-        with pytest.raises(ValueError):
-            score_all(kept, "vader", pattern_lexicon=pattern_lexicon)
-
-    def test_missing_lexicon(self, kept) -> None:
-        with pytest.raises(ValueError):
-            score_all(kept, "pattern")
-        with pytest.raises(ValueError):
-            score_all(kept, "swn")
 
 
 def load_micro(path) -> list[tuple[list[str], str]]:
@@ -659,14 +659,8 @@ class TestDistribution:
 
 def scores_of(kept, pattern_lexicon, negators, sense_lexicon) -> dict[str, list[SentimentScore]]:
     return {
-        engine: score_all(
-            kept,
-            engine,
-            pattern_lexicon=pattern_lexicon,
-            negators=negators,
-            sense_lexicon=sense_lexicon,
-        ).scores
-        for engine in ENGINES
+        "pattern": score_all(kept, pattern_lexicon, negators).scores,
+        "swn": score_all(kept, sense_lexicon.word_scores).scores,
     }
 
 
