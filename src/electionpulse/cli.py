@@ -1,7 +1,9 @@
 """Command-line orchestration and artifact emission.
 
-Every subcommand shares one validated configuration, so all analyses run
-over the same preprocessed tweet population. Artifacts are written to a
+Every subcommand is one ``_STAGES`` row and runs as timed ``_stage``
+blocks over one validated configuration, so all analyses see the same
+preprocessed tweet population. Flag values are checked with the file's
+keys, so every usage error is reported at once. Artifacts are written to a
 staging directory and moved into the output directory only when the run
 succeeds, so a failed run never leaves partial outputs. A run manifest
 is written on success and failure alike; it is the only artifact that
@@ -14,6 +16,7 @@ Exit codes: 0 success, 1 pipeline failure, 2 invalid configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -97,43 +100,17 @@ def _load(state: _RunState) -> int:
     return 4 + (dictionary is not None)
 
 
-def _timed(state: _RunState, name: str, worker) -> None:
-    """Run ``worker`` and record its stage: the count it returns and its time.
-    A worker that raises is recorded too, with ``records`` null."""
+@contextlib.contextmanager
+def _stage(state: _RunState, name: str):
+    """Time the block as manifest stage ``name``, whose ``records`` count the
+    block sets; a block that raises is timed too, with ``records`` null."""
+    stage = {"name": name, "records": None}
+    state.stages.append(stage)
     started = time.perf_counter()
-    records = None
     try:
-        records = worker()
+        yield stage
     finally:
-        state.stages.append(
-            {
-                "name": name,
-                "records": records,
-                "seconds": round(time.perf_counter() - started, 6),
-            }
-        )
-
-
-def _ingest(state: _RunState) -> None:
-    """Parse, then preprocess; the parsed records are dropped on return."""
-    config = state.config
-    records = []
-
-    def worker():
-        nonlocal records
-        records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
-        return len(records)
-
-    _timed(state, "ingest", worker)
-
-    def preprocess_worker():
-        state.kept, raw_counts, state.excluded = preprocess_records(
-            records, state.pipeline, config.actor_set
-        )
-        state.stats = dataset_stats(len(records), state.kept, raw_counts, config.actor_set)
-        return len(state.kept)
-
-    _timed(state, "preprocess", preprocess_worker)
+        stage["seconds"] = round(time.perf_counter() - started, 6)
 
 
 def _scored(state: _RunState, engine: str) -> EngineScores:
@@ -320,19 +297,19 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
     return len(docs)
 
 
-# Subcommand -> (manifest stage name, writer), in the order ``all`` runs
-# them; ``all`` skips train-nbc. Each writer stages its artifact and
+# Subcommand -> (manifest stage name, writer, help), in the order ``all``
+# runs them; ``all`` skips train-nbc. Each writer stages its artifact and
 # returns the record count the manifest reports for the stage.
 _STAGES = {
-    "ingest": ("export", _stage_tweets_csv),
-    "sentiment": ("score", _stage_scores_csv),
-    "compare": ("compare", _stage_compare_csv),
-    "counts": ("counts", _stage_counts_json),
-    "cloud": ("cloud", _stage_clouds_json),
-    "timeseries": ("timeseries", _stage_timeseries_csv),
-    "heatmap": ("heatmap", _stage_heatmap_json),
-    "topics": ("topics", _stage_topics_json),
-    "train-nbc": ("train-nbc", _stage_nbc_model),
+    "ingest": ("export", _stage_tweets_csv, "parse, preprocess and export tweets"),
+    "sentiment": ("score", _stage_scores_csv, "per-tweet polarity and subjectivity"),
+    "compare": ("compare", _stage_compare_csv, "polarity distributions of both engines"),
+    "counts": ("counts", _stage_counts_json, "dataset and per-actor mention counts"),
+    "cloud": ("cloud", _stage_clouds_json, "co-occurring words per actor"),
+    "timeseries": ("timeseries", _stage_timeseries_csv, "bucketed sentiment series"),
+    "heatmap": ("heatmap", _stage_heatmap_json, "per-actor per-bucket term tables"),
+    "topics": ("topics", _stage_topics_json, "LDA topic report"),
+    "train-nbc": ("train-nbc", _stage_nbc_model, "train the Naive Bayes model"),
 }
 SUBCOMMANDS = (*_STAGES, "all")
 _ALL_STAGES = tuple(stage for stage in _STAGES if stage != "train-nbc")
@@ -352,12 +329,22 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     interrupt = None
     state = _RunState(config=config)
     try:
-        _timed(state, "load", lambda: _load(state))
-        _ingest(state)
-        stages = _ALL_STAGES if subcommand == "all" else (subcommand,)
-        for stage in stages:
-            stage_name, writer = _STAGES[stage]
-            _timed(state, stage_name, lambda: writer(state, staging, options))
+        with _stage(state, "load") as stage:
+            stage["records"] = _load(state)
+        with _stage(state, "ingest") as stage:
+            records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
+            stage["records"] = len(records)
+        with _stage(state, "preprocess") as stage:
+            state.kept, raw_counts, state.excluded = preprocess_records(
+                records, state.pipeline, config.actor_set
+            )
+            state.stats = dataset_stats(len(records), state.kept, raw_counts, config.actor_set)
+            stage["records"] = len(state.kept)
+        del records  # the stages below read the kept tweets only
+        for command in _ALL_STAGES if subcommand == "all" else (subcommand,):
+            name, writer, _ = _STAGES[command]
+            with _stage(state, name) as stage:
+                stage["records"] = writer(state, staging, options)
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
     except Exception as exc:  # pipeline failure: no partial artifacts, manifest only
@@ -423,9 +410,9 @@ def _dataset_section(state: _RunState) -> dict | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # A flag whose dest is "section.key" overrides that config key; the
-    # rest (--config, --actor, --group, train-nbc --alpha)
-    # are read by ``main`` itself.
+    # A flag whose dest is "section.key" overrides that config key with the
+    # string given, which only ``validate_config`` checks; the rest
+    # (--config, --actor, --group, train-nbc --alpha) are read by ``main``.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
     common.add_argument("--input", dest="input.path", metavar="INPUT",
@@ -436,11 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the stopword list path")
     common.add_argument("--no-spellcheck", action="store_const", const="false",
                         dest="preprocess.spellcheck", help="skip spelling correction")
-    common.add_argument("--engine", choices=["pattern", "swn"], dest="sentiment.engine",
-                        help="sentiment engine")
+    common.add_argument("--engine", dest="sentiment.engine", metavar="ENGINE",
+                        help="sentiment engine: pattern or swn")
     common.add_argument("--output", dest="output.dir", metavar="OUTPUT",
                         help="override the output directory")
-    common.add_argument("--seed", type=int, dest="run.seed", metavar="SEED",
+    common.add_argument("--seed", dest="run.seed", metavar="SEED",
                         help="override the random seed")
 
     parser = argparse.ArgumentParser(
@@ -449,28 +436,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers.add_parser("ingest", parents=[common], help="parse, preprocess and export tweets")
-    subparsers.add_parser("sentiment", parents=[common], help="per-tweet polarity and subjectivity")
-    subparsers.add_parser("compare", parents=[common], help="polarity distributions of both engines")
-    subparsers.add_parser("counts", parents=[common], help="dataset and per-actor mention counts")
-    cloud = subparsers.add_parser("cloud", parents=[common], help="co-occurring words per actor")
-    cloud.add_argument("--actor", help="emit the cloud for this actor only")
-    subparsers.add_parser("timeseries", parents=[common], help="bucketed sentiment series")
-    subparsers.add_parser("heatmap", parents=[common], help="per-actor per-bucket term tables")
-    topics_cmd = subparsers.add_parser("topics", parents=[common], help="LDA topic report")
-    topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
-    topics_cmd.add_argument("--k", type=int, dest="topics.k", metavar="K", help="topic count")
-    topics_cmd.add_argument("--iters", type=int, dest="topics.iterations", metavar="ITERS",
-                            help="Gibbs sweeps")
-    train = subparsers.add_parser("train-nbc", parents=[common], help="train the Naive Bayes model")
-    train.add_argument("--alpha", type=float, default=1.0, help="Laplace smoothing constant")
+    commands = {
+        command: subparsers.add_parser(command, parents=[common], help=help_text)
+        for command, (_, _, help_text) in _STAGES.items()
+    }
     subparsers.add_parser("all", parents=[common], help="run the full pipeline")
+    commands["cloud"].add_argument("--actor", help="emit the cloud for this actor only")
+    topics_cmd = commands["topics"]
+    topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
+    topics_cmd.add_argument("--k", dest="topics.k", metavar="K", help="topic count")
+    topics_cmd.add_argument("--iters", dest="topics.iterations", metavar="ITERS",
+                            help="Gibbs sweeps")
+    commands["train-nbc"].add_argument("--alpha", type=float, default=1.0,
+                                       help="Laplace smoothing constant")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
-    overrides = {key: str(value) for key, value in args.items() if "." in key and value is not None}
+    overrides = {key: value for key, value in args.items() if "." in key and value is not None}
     options = {
         key: value
         for key, value in args.items()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from electionpulse import stemming as stemming_module
 from electionpulse import topics as topics_module
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
-from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, parse_tweet_stream
+from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, TweetRecord, parse_tweet_stream
 from electionpulse.preprocess import (
     MIN_CORRECTION_LENGTH,
     clean,
@@ -436,6 +437,10 @@ def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list
     return ["all", "--config", config_factory(**{"input.path": str(tweets)})]
 
 
+def _bad_flag_values(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["topics", "--config", config_factory(), "--k", "x", "--seed", "y", "--engine", "foo"]
+
+
 # One row per documented failure: (id, argv maker, exit code, stderr
 # fragment or tuple of fragments, manifest). Usage errors (2) stop before
 # any output, so they expect no manifest; runtime failures (1) leave a
@@ -456,6 +461,9 @@ EXIT_CODE_MATRIX = [
      ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
     ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
      ("--actor 'nobody'", "[topics] iterations = 0 must be at least 1"), None),
+    ("bad_flag_values", _bad_flag_values, 2,
+     ("[topics] k = 'x' is not a valid int", "seed 'y' is not an integer",
+      "[sentiment] engine = 'foo' must be one of pattern, swn"), None),
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
@@ -710,9 +718,10 @@ class TestCliRuns:
         assert seconds["preprocess"] >= 0.05
 
     def test_stage_seconds_add_up_to_the_total(
-        self, config_factory, tmp_path, monkeypatch
+        self, config_factory, fixtures_dir, tmp_path, monkeypatch
     ) -> None:
-        # A stage that fails or is interrupted is timed too, with no records.
+        # A stage that fails or is interrupted is timed too, with no records,
+        # whether it is a table stage or one before the table.
         config = config_factory()
         assert main(["all", "--config", config, "--output", str(tmp_path / "ok")]) == 0
         narrow = ["topics", "--group", "osita_chidoka", "--output", str(tmp_path / "narrow")]
@@ -720,13 +729,36 @@ class TestCliRuns:
         monkeypatch.setattr(topics_module, "lda_fit", _interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["all", "--config", config, "--output", str(tmp_path / "interrupted")])
-        for name in ("ok", "narrow", "interrupted"):
+        vanished = _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch)
+        assert main([*vanished, "--output", str(tmp_path / "vanished")]) == 1
+        last_stages = {"ok": "topics", "narrow": "topics", "interrupted": "topics",
+                       "vanished": "ingest"}
+        for name, last_stage in last_stages.items():
             manifest = read_json(tmp_path / name / "manifest.json")
             staged = sum(stage["seconds"] for stage in manifest["stages"])
             assert 0 <= manifest["total_seconds"] - staged <= 0.05, name
             last = manifest["stages"][-1]
-            assert last["name"] == "topics"
+            assert last["name"] == last_stage, name
             assert (last["records"] is None) == (name != "ok"), name
+
+    def test_parsed_records_are_released_before_the_table_stages(
+        self, config_factory, monkeypatch
+    ) -> None:
+        # The table stages read the kept tweets, so no record this run parsed
+        # is alive. Records that fixtures hold are held here too, by id, so
+        # that no new record can reuse one's id.
+        held = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, TweetRecord)}
+        fit = topics_module.lda_fit
+        live = []
+
+        def count_then_fit(*args, **kwargs):
+            records = [obj for obj in gc.get_objects() if isinstance(obj, TweetRecord)]
+            live.append(sum(id(record) not in held for record in records))
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(topics_module, "lda_fit", count_then_fit)
+        assert main(["topics", "--config", config_factory()]) == 0
+        assert live == [0]
 
     def test_interrupt_leaves_only_a_manifest(self, config_factory, tmp_path, monkeypatch) -> None:
         monkeypatch.setattr(topics_module, "lda_fit", _interrupt)
