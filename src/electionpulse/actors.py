@@ -17,7 +17,7 @@ loop, retweets included.
 from __future__ import annotations
 
 import configparser
-from collections.abc import Iterable, Iterator, Sequence, Set as AbstractSet
+from collections.abc import Collection, Iterable, Iterator, Sequence, Set as AbstractSet
 from typing import NamedTuple
 
 from .preprocess import stem, text_tokens
@@ -196,20 +196,17 @@ def match_actors(tokens: Sequence[str], actors: ActorSet) -> set[str]:
 
 
 def sole_mention(
-    matched: AbstractSet[str], actors: ActorSet, scope: Iterable[str]
+    matched: AbstractSet[str], actors: ActorSet, scope: Collection[str]
 ) -> str | None:
     """The single scoped actor among a tweet's matched actor ids, or None.
 
     A matched combined actor in scope absorbs its own components: a tweet
     naming a candidate together with that candidate's party is a sole
     mention of the pair, not of either part. Any other combination of two
-    or more scoped identities disqualifies the tweet.
+    or more scoped identities disqualifies the tweet. The scope ids are
+    not checked here: ``analytics.sole_mention_grid`` checks them once.
     """
-    scope_ids = list(scope)
-    unknown = [actor_id for actor_id in scope_ids if actor_id not in actors]
-    if unknown:
-        raise ValueError(f"scope ids not configured: {unknown}")
-    hits = set(scope_ids).intersection(matched)
+    hits = {actor_id for actor_id in matched if actor_id in scope}
     for actor_id in sorted(hits):
         actor = actors[actor_id]
         if actor.kind == "combined" and actor.components:

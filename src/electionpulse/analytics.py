@@ -6,11 +6,12 @@ end of the day. Earlier times are out of range. Bucket cells with no
 tweets are emitted as explicit empty markers (None), never as zero means:
 a fabricated zero would read as neutral sentiment.
 
-The sentiment series and the frequency heatmap are two views of one grid,
-``{scope actor: {bucket label: cell}}``, built by one function over the
-tweets that name exactly one scope actor. Frequency tables and clouds are
-plain ``(term, count)`` rows; a heatmap cell keeps its ``HEATMAP_TOP_N``
-heaviest. Both shapes are what the CLI writes, as they are.
+The sentiment series and the frequency heatmap summarise the cells of one
+grid, ``{scope actor: {bucket label: tweet indices}}``, that
+``sole_mention_grid`` builds over the tweets that name exactly one scope
+actor, counting every other tweet under its cause. Frequency tables and
+clouds are plain ``(term, count)`` rows; a heatmap cell keeps its
+``HEATMAP_TOP_N`` heaviest. Both shapes are what the CLI writes, as they are.
 
 Which actors a tweet mentions, and which bucket it falls in, are read
 from the tweet itself (``ProcessedTweet.actors`` and ``.bucket``, each
@@ -20,9 +21,9 @@ worked out once per run by ``ingest.preprocess_records``).
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from datetime import datetime, time
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from ._util import ConsistencyError, float_sum
 from .actors import Actor, ActorSet, sole_mention
@@ -30,6 +31,9 @@ from .preprocess import ProcessedTweet
 from .sentiment import SentimentScore
 
 OUT_OF_RANGE = "out_of_range"
+
+# Why a kept tweet is in no cell of the sole-mention grid.
+SOLE_MENTION_CAUSES = (OUT_OF_RANGE, "no_scope_actor", "several_scope_actors")
 
 BUCKET_LABELS: tuple[str, ...] = (
     "6-8", "8-10", "10-12", "12-14", "14-16", "16-18", "18-20", "20-00",
@@ -52,59 +56,62 @@ class SeriesCell(NamedTuple):
     mean_subjectivity: float
 
 
-def _sole_mention_grid(
-    tweets: Sequence[ProcessedTweet],
-    values: Iterable,
-    actors: ActorSet,
-    scope: Sequence[str],
-    summarize: Callable[[list], Any],
-) -> dict[str, dict[str, Any]]:
-    """``{scope actor: {bucket label: summarize(cell) or None}}`` in scope
-    and ``BUCKET_LABELS`` order. A cell holds the ``values`` (aligned with
-    ``tweets``) of the tweets that name exactly that one scope actor, in
-    tweet order; tweets before 06:00 are left out, and a cell with no
-    tweets is None."""
-    cells: dict[tuple[str, str], list] = {}
-    for tweet, value in zip(tweets, values):
-        label = tweet.bucket
-        if label == OUT_OF_RANGE:
-            continue
-        actor_id = sole_mention(tweet.actors, actors, scope)
-        if actor_id is None:
-            continue
-        cells.setdefault((actor_id, label), []).append(value)
-    return {
-        actor_id: {
-            label: summarize(cells[actor_id, label]) if (actor_id, label) in cells else None
-            for label in BUCKET_LABELS
-        }
-        for actor_id in scope
-    }
+class SoleMentionGrid(NamedTuple):
+    """``cells`` is ``{scope actor: {bucket label: [tweet index, ...]}}``
+    in scope and ``BUCKET_LABELS`` order. ``counts`` has ``placed`` and each
+    ``SOLE_MENTION_CAUSES`` cause; they sum to the number of tweets."""
+
+    cells: dict[str, dict[str, list[int]]]
+    counts: dict[str, int]
+
+
+def sole_mention_grid(
+    tweets: Sequence[ProcessedTweet], actors: ActorSet, scope: Sequence[str]
+) -> SoleMentionGrid:
+    """Place each tweet that names exactly one scope actor in that actor's
+    cell for its bucket; count the rest under the cause that leaves them
+    out: before 06:00, naming no scope actor, or naming several."""
+    unknown = [actor_id for actor_id in scope if actor_id not in actors]
+    if unknown:
+        raise ValueError(f"scope ids not configured: {unknown}")
+    scope_ids = frozenset(scope)
+    cells = {actor_id: {label: [] for label in BUCKET_LABELS} for actor_id in scope}
+    counts = dict.fromkeys(("placed", *SOLE_MENTION_CAUSES), 0)
+    for index, tweet in enumerate(tweets):
+        if tweet.bucket == OUT_OF_RANGE:
+            cause = OUT_OF_RANGE
+        elif (actor_id := sole_mention(tweet.actors, actors, scope_ids)) is not None:
+            cells[actor_id][tweet.bucket].append(index)
+            cause = "placed"
+        elif scope_ids.isdisjoint(tweet.actors):
+            cause = "no_scope_actor"
+        else:
+            cause = "several_scope_actors"
+        counts[cause] += 1
+    return SoleMentionGrid(cells, counts)
 
 
 def avg_sentiment_series(
-    tweets: Sequence[ProcessedTweet],
-    scores: Sequence[SentimentScore],
-    actors: ActorSet,
-    scope: Sequence[str],
+    grid: SoleMentionGrid, scores: Sequence[SentimentScore]
 ) -> dict[str, dict[str, SeriesCell | None]]:
-    """Mean polarity times 100 and mean subjectivity per scope actor per bucket.
-
-    Only sole mentions count: a tweet contributes to exactly the one
-    scoped actor it names alone, in the bucket of its local timestamp.
-    """
-    if len(tweets) != len(scores):
+    """Mean polarity times 100 and mean subjectivity per grid cell, given the
+    scores of the tweets the grid was built over; an empty cell is None."""
+    tweets = sum(grid.counts.values())
+    if len(scores) != tweets:
         raise ConsistencyError(
-            f"{len(tweets)} tweets but {len(scores)} scores; inputs must align one-to-one"
+            f"a grid of {tweets} tweets but {len(scores)} scores; inputs must align one-to-one"
         )
 
-    def summarize(cell_scores: list[SentimentScore]) -> SeriesCell:
-        count = len(cell_scores)
-        polarity = float_sum(score.polarity for score in cell_scores)
-        subjectivity = float_sum(score.subjectivity for score in cell_scores)
+    def summarize(members: list[int]) -> SeriesCell:
+        count = len(members)
+        polarity = float_sum(scores[index].polarity for index in members)
+        subjectivity = float_sum(scores[index].subjectivity for index in members)
         return SeriesCell(count, polarity / count * 100.0, subjectivity / count)
 
-    return _sole_mention_grid(tweets, scores, actors, scope, summarize)
+    return {
+        actor_id: {label: summarize(members) if members else None for label, members in row.items()}
+        for actor_id, row in grid.cells.items()
+    }
 
 
 def term_frequencies(
@@ -134,15 +141,18 @@ def cooccurrence_cloud(
 
 
 def frequency_heatmap(
-    tweets: Sequence[ProcessedTweet],
-    actors: ActorSet,
-    scope: Sequence[str],
+    grid: SoleMentionGrid, tweets: Sequence[ProcessedTweet]
 ) -> dict[str, dict[str, list[tuple[str, int]] | None]]:
-    """The ``HEATMAP_TOP_N`` top term rows per (scope actor, bucket) over
-    sole-mention tweets; the same grid as ``avg_sentiment_series``."""
-    return _sole_mention_grid(
-        tweets, tweets, actors, scope, lambda cell: term_frequencies(cell, top_n=HEATMAP_TOP_N)
-    )
+    """The ``HEATMAP_TOP_N`` top term rows per grid cell, given the tweets
+    the grid was built over; an empty cell is None."""
+
+    def top_rows(members: list[int]) -> list[tuple[str, int]]:
+        return term_frequencies([tweets[index] for index in members], top_n=HEATMAP_TOP_N)
+
+    return {
+        actor_id: {label: top_rows(members) if members else None for label, members in row.items()}
+        for actor_id, row in grid.cells.items()
+    }
 
 
 def combined_avg_polarity(

@@ -73,6 +73,7 @@ class _RunState:
         self.lexicons: dict[str, tuple[dict, frozenset]] = {}
         self.sense_lexicon: SenseLexicon | None = None
         self.scored: dict[str, EngineScores] = {}
+        self.grid: analytics.SoleMentionGrid | None = None
         self.topics: dict | None = None
         self.stages: list[dict] = []
 
@@ -122,6 +123,14 @@ def _scored(state: _RunState, engine: str) -> EngineScores:
 
 def _score(state: _RunState) -> list[SentimentScore]:
     return _scored(state, state.config.engine).scores
+
+
+def _grid(state: _RunState) -> analytics.SoleMentionGrid:
+    """The sole-mention grid of the kept tweets, built on first use."""
+    if state.grid is None:
+        config = state.config
+        state.grid = analytics.sole_mention_grid(state.kept, config.actor_set, config.scope)
+    return state.grid
 
 
 def _write_json(path: str, payload) -> None:
@@ -207,10 +216,7 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
 
 
 def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
-    scores = _score(state)
-    series = analytics.avg_sentiment_series(
-        state.kept, scores, state.config.actor_set, state.config.scope
-    )
+    series = analytics.avg_sentiment_series(_grid(state), _score(state))
     with open(os.path.join(staging, "timeseries.csv"), "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["actor", "bucket", "count", "mean_polarity_x100", "mean_subjectivity"])
@@ -232,7 +238,7 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
 
 
 def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
-    matrix = analytics.frequency_heatmap(state.kept, state.config.actor_set, state.config.scope)
+    matrix = analytics.frequency_heatmap(_grid(state), state.kept)
     _write_json(os.path.join(staging, "heatmap.json"), matrix)
     return len(matrix)
 
@@ -404,6 +410,8 @@ def _dataset_section(state: _RunState) -> dict | None:
         "spelling": state.pipeline.dictionary.activity(),
         "lexicon": lexicon,
     }
+    if state.grid is not None:
+        dataset["sole_mention"] = state.grid.counts
     if state.topics is not None:
         dataset["topics"] = state.topics
     return dataset

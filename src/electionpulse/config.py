@@ -13,7 +13,8 @@ from the ``--seed`` flag, else from ``[run] seed``.
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
 a key cannot be used without being recorded. The keys read are the known
-keys: a file key never read is a usage error.
+keys: a file key never read is a usage error. A value is stripped of
+edge whitespace whether it comes from a flag or the file, paths included.
 """
 
 from __future__ import annotations
@@ -93,9 +94,7 @@ def validate_config(
     def get(section: str, key: str, fallback: str | None = None) -> str | None:
         read.setdefault(section, set()).add(key)
         value = overrides.get(f"{section}.{key}")
-        if value is not None:
-            return str(value)
-        raw = parser.get(section, key, fallback=fallback)
+        raw = parser.get(section, key, fallback=fallback) if value is None else str(value)
         return raw.strip() if isinstance(raw, str) else raw
 
     def keep(field: str | None, section: str, key: str, value):
@@ -121,7 +120,7 @@ def validate_config(
         raw = get(section, key, None)
         value = fallback
         if raw is not None:
-            lowered = str(raw).strip().lower()
+            lowered = raw.lower()
             if lowered in ("1", "true", "yes", "on"):
                 value = True
             elif lowered in ("0", "false", "no", "off"):

@@ -27,6 +27,7 @@ from electionpulse.analytics import (
     bucket_label,
     frequency_heatmap,
     sole_mention,
+    sole_mention_grid,
     term_frequencies,
 )
 from electionpulse.cli import main
@@ -264,8 +265,9 @@ def test_06_series_and_heatmap_brute_force(actor_set, scope) -> None:
                 SentimentScore(rng.uniform(-1, 1), rng.uniform(0, 1))
             )
 
-        series = avg_sentiment_series(tweets, scores, actor_set, scope)
-        heatmap = frequency_heatmap(tweets, actor_set, scope)
+        grid = sole_mention_grid(tweets, actor_set, scope)
+        series = avg_sentiment_series(grid, scores)
+        heatmap = frequency_heatmap(grid, tweets)
 
         grouped: dict[tuple[str, str], list[int]] = {}
         for index, tweet in enumerate(tweets):

@@ -311,11 +311,6 @@ class TestSoleMention:
         matched = match_actors(text_tokens("obiano leads nwoye"), actors)
         assert sole_mention(matched, actors, scope) == "willie_obiano"
 
-    def test_unknown_scope_id_raises(self) -> None:
-        actors = small_set()
-        with pytest.raises(ValueError):
-            sole_mention(match_actors(text_tokens("obiano wins"), actors), actors, ["nobody_here"])
-
     def test_fixture_sole_counts(self, kept, texts, actor_set, scope) -> None:
         counts = {actor_id: 0 for actor_id in scope}
         for tweet in kept:

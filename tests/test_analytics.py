@@ -20,6 +20,7 @@ from electionpulse.analytics import (
     combined_avg_polarity,
     cooccurrence_cloud,
     frequency_heatmap,
+    sole_mention_grid,
     term_frequencies,
 )
 from electionpulse.preprocess import ProcessedTweet, text_tokens
@@ -124,7 +125,8 @@ class TestSentimentSeries:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit", "awka"), 13, actors=actors)]
         scores = [SentimentScore(0.25, 0.6)]
-        series = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano"])
+        series = avg_sentiment_series(grid, scores)
         assert len(series) == 1
         cell = series["willie_obiano"]["12-14"]
         assert cell.count == 1
@@ -134,9 +136,8 @@ class TestSentimentSeries:
     def test_empty_cells_are_none_not_zero(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano visits awka", ("visit",), 13, actors=actors)]
-        series = avg_sentiment_series(
-            tweets, [SentimentScore(0.25, 0.6)], actors, ["willie_obiano"]
-        )
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano"])
+        series = avg_sentiment_series(grid, [SentimentScore(0.25, 0.6)])
         cells = series["willie_obiano"]
         assert set(cells) == set(BUCKET_LABELS)
         assert [label for label, cell in cells.items() if cell is not None] == ["12-14"]
@@ -144,9 +145,8 @@ class TestSentimentSeries:
     def test_out_of_range_tweets_never_contribute(self) -> None:
         actors = pair_set()
         tweets = [make_tweet("t1", "obiano early start", ("earli", "start"), 5, actors=actors)]
-        series = avg_sentiment_series(
-            tweets, [SentimentScore(1.0, 1.0)], actors, ["willie_obiano"]
-        )
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano"])
+        series = avg_sentiment_series(grid, [SentimentScore(1.0, 1.0)])
         assert all(cell is None for cell in series["willie_obiano"].values())
 
     def test_non_sole_tweets_never_contribute(self) -> None:
@@ -154,27 +154,29 @@ class TestSentimentSeries:
         # Mentions two scoped identities, so it belongs to nobody.
         tweets = [make_tweet("t1", "obiano against apga rebels", ("rebel",), 13, actors=actors)]
         scope = ["willie_obiano", "apga"]
-        series = avg_sentiment_series(tweets, [SentimentScore(1.0, 1.0)], actors, scope)
+        grid = sole_mention_grid(tweets, actors, scope)
+        series = avg_sentiment_series(grid, [SentimentScore(1.0, 1.0)])
         for cells in series.values():
             assert all(cell is None for cell in cells.values())
 
     def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set, scope) -> None:
         with pytest.raises(ConsistencyError):
-            avg_sentiment_series(kept, pattern_scores[:-1], actor_set, scope)
+            avg_sentiment_series(sole_mention_grid(kept, actor_set, scope), pattern_scores[:-1])
 
     def test_scale_is_linear(self) -> None:
         # The series column is mean_polarity_x100: the mean polarity times 100.
         actors = pair_set()
         tweets = [make_tweet(f"t{i}", "obiano wins", ("win",), 13, actors=actors) for i in range(2)]
         scores = [SentimentScore(0.3, 0.5), SentimentScore(-0.1, 0.7)]
-        cell = avg_sentiment_series(tweets, scores, actors, ["willie_obiano"])["willie_obiano"]
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano"])
+        cell = avg_sentiment_series(grid, scores)["willie_obiano"]
         assert cell["12-14"].mean_polarity_x100 == pytest.approx(100.0 * (0.3 - 0.1) / 2)
         assert cell["12-14"].mean_subjectivity == pytest.approx((0.5 + 0.7) / 2)
 
     def test_fixture_matches_brute_force(
         self, kept, texts, pattern_scores, actor_set, scope
     ) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
+        series = avg_sentiment_series(sole_mention_grid(kept, actor_set, scope), pattern_scores)
         assert list(series) == scope
         groups: dict[tuple[str, str], list[SentimentScore]] = {}
         for tweet, score in zip(kept, pattern_scores):
@@ -201,7 +203,7 @@ class TestSentimentSeries:
     def test_bucket_counts_sum_to_sole_totals(
         self, kept, texts, pattern_scores, actor_set, scope
     ) -> None:
-        series = avg_sentiment_series(kept, pattern_scores, actor_set, scope)
+        series = avg_sentiment_series(sole_mention_grid(kept, actor_set, scope), pattern_scores)
         sole_totals = Counter()
         for tweet in kept:
             owner = sole_mention(named(texts[tweet.id], actor_set), actor_set, scope)
@@ -212,6 +214,42 @@ class TestSentimentSeries:
             assert total == sole_totals[actor_id]
         # The fixture was built so every sole mention lands inside the window.
         assert sum(sole_totals.values()) == 20
+
+
+class TestSoleMentionGrid:
+    def test_each_tweet_is_placed_or_counted_under_one_cause(self) -> None:
+        actors = pair_set()
+        texts_and_hours = [
+            ("obiano wins", 13),  # placed
+            ("obiano casts early", 5),  # before 06:00
+            ("quiet day in awka", 9),  # names no scope actor
+            ("obiano against apga rebels", 13),  # names both scope actors
+            ("apga rally", 21),  # placed
+        ]
+        tweets = [
+            make_tweet(f"t{i}", text, ("word",), hour, actors=actors)
+            for i, (text, hour) in enumerate(texts_and_hours)
+        ]
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano", "apga"])
+        assert grid.counts == {
+            "placed": 2,
+            "out_of_range": 1,
+            "no_scope_actor": 1,
+            "several_scope_actors": 1,
+        }
+        placed = {
+            (actor_id, label): members
+            for actor_id, row in grid.cells.items()
+            for label, members in row.items()
+            if members
+        }
+        assert placed == {("willie_obiano", "12-14"): [0], ("apga", "20-00"): [4]}
+
+    def test_unknown_scope_id_raises(self) -> None:
+        actors = pair_set()
+        tweets = [make_tweet("t1", "obiano wins", ("win",), 13, actors=actors)]
+        with pytest.raises(ValueError):
+            sole_mention_grid(tweets, actors, ["nobody_here"])
 
 
 class TestTermFrequencies:
@@ -297,13 +335,13 @@ class TestCooccurrence:
 
 class TestHeatmap:
     def test_shape_covers_scope_and_buckets(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope)
+        matrix = frequency_heatmap(sole_mention_grid(kept, actor_set, scope), kept)
         assert list(matrix) == scope
         for row in matrix.values():
             assert tuple(row) == BUCKET_LABELS
 
     def test_cells_match_sole_mention_recount(self, kept, texts, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope)
+        matrix = frequency_heatmap(sole_mention_grid(kept, actor_set, scope), kept)
         grouped: dict[tuple[str, str], list] = {}
         for tweet in kept:
             label = bucket_label(tweet.created_at)
@@ -322,7 +360,7 @@ class TestHeatmap:
                     assert cell == term_frequencies(subset, top_n=HEATMAP_TOP_N)
 
     def test_fixture_has_known_empty_cells(self, kept, actor_set, scope) -> None:
-        matrix = frequency_heatmap(kept, actor_set, scope)
+        matrix = frequency_heatmap(sole_mention_grid(kept, actor_set, scope), kept)
         empties = {
             actor_id: [label for label, cell in row.items() if cell is None]
             for actor_id, row in matrix.items()
@@ -371,7 +409,6 @@ class TestMentionTable:
         tweet = make_tweet("t1", "quiet day", ("quiet",), 10)
         tweets = [tweet._replace(actors=frozenset({"willie_obiano"}))]
         assert cooccurrence_cloud(tweets, actors["willie_obiano"], actors) == [("quiet", 1)]
-        series = avg_sentiment_series(
-            tweets, [SentimentScore(0.5, 0.5)], actors, ["willie_obiano"]
-        )
+        grid = sole_mention_grid(tweets, actors, ["willie_obiano"])
+        series = avg_sentiment_series(grid, [SentimentScore(0.5, 0.5)])
         assert series["willie_obiano"]["10-12"].count == 1

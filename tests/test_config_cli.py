@@ -24,6 +24,7 @@ from electionpulse import sentiment as sentiment_module
 from electionpulse import spelling as spelling_module
 from electionpulse import stemming as stemming_module
 from electionpulse import topics as topics_module
+from electionpulse.analytics import OUT_OF_RANGE
 from electionpulse.cli import main, run
 from electionpulse.config import ConfigError, validate_config
 from electionpulse.ingest import MAX_TEXT_BYTES, SKIP_CAUSES, TweetRecord, parse_tweet_stream
@@ -68,6 +69,12 @@ def record_calls(monkeypatch, module, name: str, keep=lambda args, kwargs: args[
                 if value is original:
                     monkeypatch.setattr(holder, attr, recording)
     return calls
+
+
+def _series_count(out_dir: Path) -> int:
+    """The tweets counted over every cell of a run's timeseries.csv."""
+    with open(out_dir / "timeseries.csv", encoding="utf-8", newline="") as handle:
+        return sum(int(row["count"]) for row in csv.DictReader(handle))
 
 
 # The fixture config's manifest ``config`` section, paths relative to
@@ -609,6 +616,16 @@ class TestOverrideFlags:
             found = found[part]
         assert found == fill(expected)
 
+    def test_flag_values_are_stripped_like_file_values(
+        self, config_factory, fixtures_dir, tmp_path
+    ) -> None:
+        tweets = str(fixtures_dir / "tweets_50.jsonl")
+        argv = ["counts", "--config", config_factory(), "--engine", " SWN "]
+        assert main([*argv, "--input", f" {tweets}\t"]) == 0
+        snapshot = read_json(tmp_path / "out" / "manifest.json")["config"]
+        assert snapshot["sentiment"]["engine"] == "swn"
+        assert snapshot["input"]["path"] == tweets
+
     def test_every_override_flag_has_a_row(self) -> None:
         parser = cli_module._build_parser()
         (subparsers,) = [
@@ -790,6 +807,13 @@ class TestCliRuns:
         assert bucketed == [tweet.created_at for tweet in kept]
         assert len(bucketed) == 43
 
+    def test_each_in_range_tweet_is_placed_once(self, config_factory, kept, monkeypatch) -> None:
+        placed = record_calls(monkeypatch, actors_module, "sole_mention")
+        assert main(["all", "--config", config_factory()]) == 0
+        # Once, in the one grid that timeseries and heatmap both read.
+        assert placed == [tweet.actors for tweet in kept if tweet.bucket != OUT_OF_RANGE]
+        assert len(placed) == 41
+
     def test_each_distinct_token_is_stemmed_once(
         self, config_factory, records, pipeline, actor_set, monkeypatch
     ) -> None:
@@ -963,6 +987,34 @@ class TestCliRuns:
             "skipped": dataset["lines_skipped"],
         }
         assert counts["parse"]["records"] == dataset["lines_read"] - dataset["lines_skipped"]
+        # Scoped to two candidates, the sole-mention grid places each kept
+        # tweet or counts it under one cause, and every cause has a tweet.
+        two_candidates = "willie_obiano, tony_nwoye"
+        scoped = config_factory(**{"input.path": path, "actors.scope": two_candidates})
+        assert main(["timeseries", "--config", scoped, "--output", str(tmp_path / "grid")]) == 0
+        ledger = read_json(tmp_path / "grid" / "manifest.json")["dataset"]["sole_mention"]
+        assert set(ledger) == {"placed", "out_of_range", "no_scope_actor", "several_scope_actors"}
+        assert all(ledger.values())
+        assert sum(ledger.values()) == dataset["total_kept"]
+        assert ledger["placed"] == _series_count(tmp_path / "grid")
+
+    def test_manifest_counts_tweets_outside_the_grid_by_cause(
+        self, config_factory, tmp_path
+    ) -> None:
+        path = config_factory()
+        ledgers = {}
+        for command in ("timeseries", "heatmap", "counts"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--output", str(out)]) == 0
+            ledgers[command] = read_json(out / "manifest.json")["dataset"].get("sole_mention")
+        expected = {
+            "placed": 20,
+            "out_of_range": 2,
+            "no_scope_actor": 21,
+            "several_scope_actors": 0,
+        }
+        assert ledgers == {"timeseries": expected, "heatmap": expected, "counts": None}
+        assert _series_count(tmp_path / "timeseries") == 20
 
     def test_manifest_lexicon_lists_only_engines_scored(self, config_factory, tmp_path) -> None:
         assert main(["sentiment", "--config", config_factory(), "--engine", "swn"]) == 0
