@@ -1,11 +1,11 @@
-"""Shared helpers: percentage rounding, word lists, timezone parsing, and
-the one timestamp layout a record may carry, Twitter's classic ``created_at``."""
+"""Shared helpers: percentage rounding, word lists, and the one timestamp
+layout a record may carry, Twitter's classic ``created_at``."""
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from datetime import datetime, timedelta, timezone, tzinfo
+from datetime import datetime, timedelta, timezone
 
 # Twitter's classic created_at layout: "Sat Nov 18 09:31:00 +0000 2017".
 # Parsed by hand so the result does not depend on the process locale.
@@ -21,8 +21,6 @@ _MONTHS = {
 
 # The timezone of each Twitter-format (sign, hh, mm) offset seen so far.
 _OFFSETS: dict[tuple[str, str, str], timezone] = {}
-
-_OFFSET_RE = re.compile(r"^(?P<sign>[+-])(?P<h>\d{2}):?(?P<m>\d{2})$")
 
 
 class ConsistencyError(ValueError):
@@ -63,23 +61,6 @@ def read_word_list(path: str) -> frozenset[str]:
             if line and not line.startswith("#"):
                 words.add(line.lower())
     return frozenset(words)
-
-
-def parse_timezone(value: str) -> tzinfo:
-    """Accept a fixed offset like "+01:00" or an IANA name like "Africa/Lagos".
-
-    ``zoneinfo`` is imported only for a name, so a run on a fixed offset
-    does not pay for its import.
-    """
-    m = _OFFSET_RE.match(value.strip())
-    if m:
-        delta = timedelta(hours=int(m.group("h")), minutes=int(m.group("m")))
-        if m.group("sign") == "-":
-            delta = -delta
-        return timezone(delta)
-    from zoneinfo import ZoneInfo
-
-    return ZoneInfo(value.strip())
 
 
 def parse_timestamp(value: str) -> datetime:

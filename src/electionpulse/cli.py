@@ -338,7 +338,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         with _stage(state, "load") as stage:
             stage["records"] = _load(state)
         with _stage(state, "ingest") as stage:
-            records, state.report = parse_tweet_stream(config.input_path, tz=config.tz)
+            records, state.report = parse_tweet_stream(config.input_path)
             stage["records"] = len(records)
         with _stage(state, "preprocess") as stage:
             state.kept, raw_counts, state.excluded = preprocess_records(
@@ -425,8 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
     common.add_argument("--input", dest="input.path", metavar="INPUT",
                         help="override the input JSON-lines path")
-    common.add_argument("--timezone", dest="input.timezone", metavar="TIMEZONE",
-                        help="override the dataset timezone")
     common.add_argument("--stopwords", dest="preprocess.stopwords", metavar="STOPWORDS",
                         help="override the stopword list path")
     common.add_argument("--no-spellcheck", action="store_const", const="false",

@@ -8,7 +8,8 @@ same pass. Validation is exhaustive: every usage error, in the file, the
 overrides or the options, is collected and reported together, not just
 the first one. Actor ids are checked only when the roster itself loaded,
 since a roster that failed is already reported. The random seed comes
-from the ``--seed`` flag, else from ``[run] seed``.
+from the ``--seed`` flag, else from ``[run] seed``. Timestamps are
+read in the election's local time, ``ingest.LOCAL_TZ``; no key sets it.
 
 Each key is read once, and the call that reads it also records its final
 value in the manifest's ``config`` snapshot and in its RunConfig field, so
@@ -22,10 +23,8 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from datetime import tzinfo
 from typing import Any, NamedTuple
 
-from ._util import parse_timezone
 from .actors import ActorConfigError, ActorSet, load_actor_file
 from .sentiment import ENGINES
 
@@ -40,7 +39,6 @@ class ConfigError(Exception):
 
 class RunConfig(NamedTuple):
     input_path: str
-    tz: tzinfo
     actor_set: ActorSet
     scope: list[str]
     pattern_lexicon_path: str
@@ -142,12 +140,6 @@ def validate_config(
         return keep(field, section, key, resolved)
 
     require_path("input_path", "input", "path", "JSON-lines tweet stream")
-    timezone_name = keep(None, "input", "timezone", get("input", "timezone", "+01:00"))
-    tz = None
-    try:
-        tz = parse_timezone(timezone_name)
-    except Exception as exc:  # bad offset syntax or unknown zone name
-        diagnostics.append(f"[input] timezone = {timezone_name!r} is not recognized: {exc}")
 
     actors_path = require_path(None, "actors", "path", "actor definitions")
     actor_set = None
@@ -224,4 +216,4 @@ def validate_config(
 
     if diagnostics:
         raise ConfigError(diagnostics)
-    return RunConfig(**fields, tz=tz, actor_set=actor_set, snapshot=snapshot)
+    return RunConfig(**fields, actor_set=actor_set, snapshot=snapshot)

@@ -25,7 +25,7 @@ import hashlib
 import json
 import unicodedata
 from collections.abc import Iterable, Sequence
-from datetime import datetime, timedelta, timezone, tzinfo
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 
 from ._util import parse_timestamp, pct
@@ -36,11 +36,13 @@ from .preprocess import PipelineConfig, ProcessedTweet, preprocess_pipeline, tex
 # 280 characters at up to 4 UTF-8 bytes each.
 MAX_TEXT_BYTES = 1120
 
-DEFAULT_TIMEZONE = timezone(timedelta(hours=1))
+# The election's local time, West Africa Time (UTC+01:00, no daylight
+# saving); every timestamp is read in it, so buckets are Anambra's hours.
+LOCAL_TZ = timezone(timedelta(hours=1))
 
 
 class TweetRecord(NamedTuple):
-    """One raw tweet, timestamp already normalized to the dataset timezone."""
+    """One raw tweet, timestamp already converted to ``LOCAL_TZ``."""
 
     id: str
     created_at: datetime
@@ -78,13 +80,14 @@ class Preprocessed(NamedTuple):
     excluded: dict[str, int]
 
 
-def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRecord | str:
+def _record_or_cause(raw_line: bytes, seen_ids: set[str]) -> TweetRecord | str:
     """The line's record, or the SKIP_CAUSES entry that rejects it.
 
     A key that is absent or JSON null falls through to its alternative
-    (``id_str`` to ``id``, ``full_text`` to ``text``). The text must be a
-    JSON string and the id a string or an integer, not a boolean; any other
-    type is ``invalid_json``, and an empty id is ``missing_field``.
+    (``id_str`` to ``id``, ``full_text`` to ``text``). The text and
+    ``created_at`` must be JSON strings and the id a string or an integer,
+    not a boolean; any other type is ``invalid_json``, and an empty id is
+    ``missing_field``.
     """
     try:
         payload = json.loads(raw_line.decode("utf-8"))
@@ -101,7 +104,9 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     created_raw = payload.get("created_at")
     if tweet_id is None or created_raw is None or text is None:
         return "missing_field"
-    if not isinstance(text, str) or type(tweet_id) not in (str, int):
+    if not isinstance(text, str) or not isinstance(created_raw, str):
+        return "invalid_json"
+    if type(tweet_id) not in (str, int):
         return "invalid_json"
     tweet_id = str(tweet_id)
     if not tweet_id:
@@ -119,7 +124,7 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     if text_bytes > MAX_TEXT_BYTES:
         return "oversized_text"
     try:
-        created_at = parse_timestamp(str(created_raw)).astimezone(tz)
+        created_at = parse_timestamp(created_raw).astimezone(LOCAL_TZ)
     except (ValueError, KeyError, OverflowError):  # another layout; an unknown month; before year 1
         return "bad_timestamp"
     retweeted = payload.get("retweeted_status") is not None
@@ -131,15 +136,13 @@ def _record_or_cause(raw_line: bytes, seen_ids: set[str], tz: tzinfo) -> TweetRe
     )
 
 
-def parse_tweet_stream(
-    path: str, *, tz: tzinfo = DEFAULT_TIMEZONE
-) -> tuple[list[TweetRecord], ParseReport]:
+def parse_tweet_stream(path: str) -> tuple[list[TweetRecord], ParseReport]:
     """Parse a JSON-lines file into records plus a totality report.
 
     A line is skipped (never fatal) when it is not a valid JSON object
-    (an id or text of the wrong JSON type counts as invalid, and so does
-    one holding a lone surrogate escape, which is not valid Unicode and
-    could not be written out), misses a required field (an empty id
+    (an id, text or ``created_at`` of the wrong JSON type counts as
+    invalid, and so does one holding a lone surrogate escape, which is not
+    valid Unicode and could not be written out), misses a required field (an empty id
     counts as missing), carries an id already seen, has no text left after
     unicode normalization, exceeds the text byte limit, or has an
     unparseable timestamp; the report counts each skip under its cause.
@@ -155,7 +158,7 @@ def parse_tweet_stream(
         for raw_line in handle:
             lines_read += 1
             digest.update(raw_line)
-            record = _record_or_cause(raw_line, seen_ids, tz)
+            record = _record_or_cause(raw_line, seen_ids)
             if isinstance(record, str):
                 skipped[record] += 1
                 continue

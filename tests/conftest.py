@@ -126,11 +126,10 @@ def write_lines(tmp_path_factory):
 
 @pytest.fixture()
 def parse_lines(write_lines):
-    """Parse a list of lines (str or bytes) from a file ``write_lines``
-    wrote; keyword arguments go to the parser."""
+    """Parse a list of lines (str or bytes) from a file ``write_lines`` wrote."""
 
-    def parse(lines, **kwargs):
-        return parse_tweet_stream(write_lines(lines), **kwargs)
+    def parse(lines):
+        return parse_tweet_stream(write_lines(lines))
 
     return parse
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from datetime import datetime, time, timedelta, timezone
+from datetime import datetime, time, timezone
 
 import pytest
 from hypothesis import given
@@ -23,10 +23,9 @@ from electionpulse.analytics import (
     sole_mention_grid,
     term_frequencies,
 )
+from electionpulse.ingest import LOCAL_TZ
 from electionpulse.preprocess import ProcessedTweet, text_tokens
 from electionpulse.sentiment import SentimentScore
-
-LAGOS = timezone(timedelta(hours=1))
 
 
 def make_tweet(
@@ -39,7 +38,7 @@ def make_tweet(
 ) -> ProcessedTweet:
     """A synthetic tweet whose tokens are not its text's; given an actor
     set, it carries the actors its text names."""
-    created_at = datetime(2017, 11, 18, hour, minute, tzinfo=LAGOS)
+    created_at = datetime(2017, 11, 18, hour, minute, tzinfo=LOCAL_TZ)
     matched = frozenset(named(text, actors)) if actors is not None else frozenset()
     return ProcessedTweet(record_id, created_at, bucket_label(created_at), tokens, matched)
 
@@ -103,7 +102,7 @@ class TestBuckets:
         assert bucket_label(time(hour, minute, second)) == expected
 
     def test_datetime_uses_local_wall_clock(self) -> None:
-        stamp = datetime(2017, 11, 18, 14, 30, tzinfo=LAGOS)
+        stamp = datetime(2017, 11, 18, 14, 30, tzinfo=LOCAL_TZ)
         assert bucket_label(stamp) == "14-16"
         assert bucket_label(stamp.astimezone(timezone.utc)) == "12-14"
 

@@ -80,7 +80,7 @@ def _series_count(out_dir: Path) -> int:
 # The fixture config's manifest ``config`` section, paths relative to
 # fixtures/. It holds every key, including the ones only the file can set.
 FIXTURE_SNAPSHOT = {
-    "input": {"path": "tweets_50.jsonl", "timezone": "+01:00"},
+    "input": {"path": "tweets_50.jsonl"},
     "actors": {
         "path": "actors.ini",
         "scope": ["willie_obiano_apga", "tony_nwoye_apc", "oseloka_obaze_pdp"],
@@ -217,15 +217,6 @@ class TestValidateConfig:
             "[topics] iterations = 0 must be at least 1",
         ]
 
-    def test_bad_timezone(self, config_factory) -> None:
-        with pytest.raises(ConfigError) as err:
-            validate_config(config_factory(**{"input.timezone": "+25:99"}))
-        assert any("timezone" in d for d in err.value.diagnostics)
-
-    def test_iana_timezone_accepted(self, config_factory) -> None:
-        config = validate_config(config_factory(**{"input.timezone": "Africa/Lagos"}))
-        assert config.snapshot["input"]["timezone"] == "Africa/Lagos"
-
     def test_seed_precedence(self, config_factory) -> None:
         path = config_factory()
         assert validate_config(path).seed == 42
@@ -288,8 +279,8 @@ def _unknown_group_and_zero_k(config_factory, fixtures_dir, tmp_path, monkeypatc
     return ["topics", "--config", config_factory(), "--group", "nobody", "--k", "0"]
 
 
-def _zero_alpha_and_bad_timezone(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["train-nbc", "--config", config_factory(), "--alpha", "0", "--timezone", "+99:00"]
+def _zero_alpha_and_bad_seed(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    return ["train-nbc", "--config", config_factory(), "--alpha", "0", "--seed", "y"]
 
 
 def _unknown_actor_and_zero_iterations(
@@ -371,6 +362,7 @@ LEFTOVER_KEYS = {
     "fields.text": "",
     "fields.author": "user.screen_name",
     "input.field_map": "text=body",
+    "input.timezone": "+01:00",
     "topics.labels": "a",
     "preprocess.stem": "false",
     "sentiment.polarity_scale": "1",
@@ -464,8 +456,8 @@ EXIT_CODE_MATRIX = [
     ("train_nbc_infinite_alpha", _train_nbc_infinite_alpha, 2, "--alpha", None),
     ("unknown_group_and_zero_k", _unknown_group_and_zero_k, 2,
      ("--group 'nobody'", "[topics] k = 0 must be at least 1"), None),
-    ("zero_alpha_and_bad_timezone", _zero_alpha_and_bad_timezone, 2,
-     ("--alpha must be positive", "[input] timezone = '+99:00'"), None),
+    ("zero_alpha_and_bad_seed", _zero_alpha_and_bad_seed, 2,
+     ("--alpha must be positive", "seed 'y' is not an integer"), None),
     ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
      ("--actor 'nobody'", "[topics] iterations = 0 must be at least 1"), None),
     ("bad_flag_values", _bad_flag_values, 2,
@@ -562,9 +554,10 @@ class TestCliExitCodes:
             ["topics", "--alpha", "0.5"],
             ["topics", "--beta", "0.2"],
             ["topics", "--top-words", "3"],
+            ["ingest", "--timezone", "+01:00"],
         ],
         ids=["--extra-stopwords-from-actors", "--top-n", "--field-map", "--alpha", "--beta",
-             "--top-words"],
+             "--top-words", "--timezone"],
     )
     def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -581,7 +574,6 @@ class TestCliExitCodes:
 # fails its row; FLAG_BASE only cuts the sweeps.
 FLAG_ROWS = [
     ("ingest", "--input", "{tmp}/tweets_50.jsonl", "input.path", "{tmp}/tweets_50.jsonl"),
-    ("ingest", "--timezone", "Africa/Lagos", "input.timezone", "Africa/Lagos"),
     ("ingest", "--stopwords", "{tmp}/stopwords.txt", "preprocess.stopwords", "{tmp}/stopwords.txt"),
     ("ingest", "--no-spellcheck", None, "preprocess.spellcheck", False),
     ("ingest", "--engine", "swn", "sentiment.engine", "swn"),

@@ -14,6 +14,7 @@ from electionpulse._util import parse_timestamp
 from electionpulse.actors import match_actors
 from electionpulse.analytics import bucket_label
 from electionpulse.ingest import (
+    LOCAL_TZ,
     MAX_TEXT_BYTES,
     SKIP_CAUSES,
     dataset_stats,
@@ -22,8 +23,6 @@ from electionpulse.ingest import (
     preprocess_records,
 )
 from electionpulse.preprocess import PipelineConfig, text_tokens
-
-LAGOS = timezone(timedelta(hours=1))
 
 
 def line(**fields) -> str:
@@ -85,6 +84,9 @@ class TestParsing:
             (line(text={"obiano": "wins"}), "invalid_json"),
             (line(text=12345), "invalid_json"),
             (line(id_str=None, id=True), "invalid_json"),
+            (line(created_at=1510990000), "invalid_json"),
+            (line(created_at=True), "invalid_json"),
+            (line(created_at={"a": 1}), "invalid_json"),
             (line(id_str=""), "missing_field"),
             (line(created_at="Sat Foo 18 09:31:00 +0000 2017"), "bad_timestamp"),
             (line(created_at="Mon Jan 01 00:30:00 +0200 0001"), "bad_timestamp"),
@@ -97,6 +99,7 @@ class TestParsing:
             "not_an_object", "not_utf8",
             "surrogate_text", "surrogate_id",
             "object_text", "number_text", "boolean_id",
+            "number_created_at", "boolean_created_at", "object_created_at",
             "empty_id", "unknown_month", "before_year_one",
             "iso_utc", "iso_offset", "naive",
         ],
@@ -106,7 +109,7 @@ class TestParsing:
         assert report.skipped == {**dict.fromkeys(SKIP_CAUSES, 0), cause: 1}
 
     def test_timestamps_move_into_dataset_timezone(self, parse_lines) -> None:
-        records, _ = parse_lines([line()], tz=LAGOS)
+        records, _ = parse_lines([line()])
         stamp = records[0].created_at
         assert (stamp.hour, stamp.minute) == (10, 31)
         assert stamp.utcoffset() == timedelta(hours=1)
@@ -206,15 +209,17 @@ def test_every_twitter_offset_parses_to_a_fresh_timezone_or_is_skipped(parse_lin
                 lines.append(line(id_str=stamp, created_at=stamp))
                 expected.append((stamp, tz))
     # Through the parser, with every offset already seen once.
-    records, report = parse_lines(lines, tz=timezone.utc)
+    records, report = parse_lines(lines)
     valid = [(stamp, tz) for stamp, tz in expected if tz is not None]
     assert report.skipped == {
         **dict.fromkeys(SKIP_CAUSES, 0), "bad_timestamp": len(expected) - len(valid)
     }
     assert [(record.id, record.created_at) for record in records] == [
-        (stamp, datetime(2017, 11, 18, 9, 31, tzinfo=tz).astimezone(timezone.utc))
+        (stamp, datetime(2017, 11, 18, 9, 31, tzinfo=tz).astimezone(LOCAL_TZ))
         for stamp, tz in valid
     ]
+    # Aware datetimes compare by instant, so the zone is pinned on its own.
+    assert all(record.created_at.utcoffset() == timedelta(hours=1) for record in records)
 
 
 class TestDatasetStats:

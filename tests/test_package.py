@@ -49,8 +49,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect() -> None:
 
 
 def test_cli_import_loads_no_decimal_or_zoneinfo() -> None:
-    # Percentages are rounded in integers, and zoneinfo is imported only
-    # when a config names an IANA zone; the fixture uses a fixed offset.
+    # Percentages are rounded in integers, and timestamps are read in one
+    # fixed offset, so neither module is needed.
     names = ("decimal", "zoneinfo")
     assert loaded_of(names, "electionpulse.cli") == loaded_of(names)
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 import json
 import unicodedata
 from collections import Counter
-from datetime import datetime, timedelta, timezone
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from electionpulse import preprocess as preprocess_module
-from electionpulse.ingest import TweetRecord, preprocess_records
+from electionpulse.ingest import LOCAL_TZ, TweetRecord, preprocess_records
 from electionpulse.sentiment import load_negators
 from electionpulse.spelling import SpellingDictionary
 from electionpulse.preprocess import (
@@ -26,13 +26,11 @@ from electionpulse.preprocess import (
     tokenize,
 )
 
-TZ = timezone(timedelta(hours=1))
-
 
 def make_record(text: str, *, retweet: bool = False, record_id: str = "t1") -> TweetRecord:
     return TweetRecord(
         id=record_id,
-        created_at=datetime(2017, 11, 18, 12, 0, 0, tzinfo=TZ),
+        created_at=datetime(2017, 11, 18, 12, 0, 0, tzinfo=LOCAL_TZ),
         text=text,
         is_retweet=retweet,
     )
