@@ -249,7 +249,9 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     corpus = topics.build_corpus(
         tweet.tokens for tweet in state.kept if not group or group in tweet.actors
     )
-    state.topics = {"documents": len(corpus.docs)}
+    tokens = sum(map(len, corpus.docs))
+    state.topics = dict(documents=len(corpus.docs), tokens=tokens, words=len(corpus.vocabulary),
+                        token_samples=tokens * config.lda_iterations)
     if len(corpus.vocabulary) < topics.TOP_WORDS:
         name = f"group {group!r}" if group else "all tweets"
         raise ValueError(

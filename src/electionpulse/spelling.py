@@ -97,15 +97,21 @@ class SpellingDictionary(Mapping[str, int]):
 
 
 def load_dictionary(path: str) -> SpellingDictionary:
-    """Read a "word<TAB>count" table; blank lines and '#' comments allowed."""
+    """Read a "word<TAB>count" table (a missing count is 1); blank lines and
+    '#' comments allowed. A line that could never match a token or would
+    invert the ranking raises ValueError naming the path and line."""
     table: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for number, raw in enumerate(handle, 1):
+            if not raw.strip() or raw.lstrip().startswith("#"):
                 continue
-            word, _, count = line.partition("\t")
-            table[word.strip().lower()] = int(count.strip()) if count.strip() else 1
+            word, _, count = raw.partition("\t")
+            word, count = word.strip().lower(), count.strip() or "1"
+            if not word or any(ch.isspace() for ch in word):
+                raise ValueError(f"{path} line {number}: {word!r} is not one word before a tab")
+            if not (count.isdecimal() and int(count) >= 1):
+                raise ValueError(f"{path} line {number}: count {count!r} is not an integer >= 1")
+            table[word] = int(count)
     return SpellingDictionary(table)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 
@@ -85,7 +85,6 @@ def lda_fit(
     k: int = 5,
     iterations: int = 500,
     seed: int = 0,
-    sweep_hook: Callable[[int, TopicModel], None] | None = None,
 ) -> TopicModel:
     """Collapsed Gibbs sampling.
 
@@ -95,9 +94,6 @@ def lda_fit(
     with the token's own assignment removed from the counts first.
     The sweeps count in integer-valued floats (see the module docstring);
     the returned model holds the same tables turned back into ints.
-    sweep_hook, when given, observes the model after each sweep, with an
-    int copy of the three count tables (made only when there is a hook) and
-    the live assignments, which it must not mutate.
     Identical inputs and seed give identical output.
     """
     if k < 1:
@@ -128,16 +124,6 @@ def lda_fit(
             doc_counts[topic] += 1.0
             topic_totals[topic] += 1.0
         assignments.append(assigned)
-    model = TopicModel(
-        k=k,
-        vocabulary=list(corpus.vocabulary),
-        word_topic_counts=word_topic,
-        doc_topic_counts=doc_topic_counts,
-        topic_totals=topic_totals,
-        assignments=assignments,
-        doc_lengths=[len(doc) for doc in docs],
-        iterations=iterations,
-    )
     # Locals, so the token-sample loop does no global lookups.
     alpha, beta = ALPHA, BETA
     beta_v = beta * vocab_size
@@ -147,7 +133,7 @@ def lda_fit(
     thresholds = [0.0] * k
     topic_ids = range(k)
     last = k - 1
-    for sweep in range(1, iterations + 1):
+    for _ in range(iterations):
         for doc, doc_counts, assigned in zip(docs, doc_topic_counts, assignments):
             i = 0
             for word in doc:
@@ -171,20 +157,18 @@ def lda_fit(
                 topic_totals[new] += 1.0
                 denominators[new] = topic_totals[new] + beta_v
                 i += 1
-        if sweep_hook is not None:
-            sweep_hook(sweep, _int_counts(model))
     for table in (word_topic, doc_topic_counts, [topic_totals]):
         for row in table:
             row[:] = map(int, row)
-    return model
-
-
-def _int_counts(model: TopicModel) -> TopicModel:
-    """``model`` with int copies of the sampler's float count tables."""
-    return model._replace(
-        word_topic_counts=[list(map(int, row)) for row in model.word_topic_counts],
-        doc_topic_counts=[list(map(int, row)) for row in model.doc_topic_counts],
-        topic_totals=list(map(int, model.topic_totals)),
+    return TopicModel(
+        k=k,
+        vocabulary=list(corpus.vocabulary),
+        word_topic_counts=word_topic,
+        doc_topic_counts=doc_topic_counts,
+        topic_totals=topic_totals,
+        assignments=assignments,
+        doc_lengths=[len(doc) for doc in docs],
+        iterations=iterations,
     )
 
 

@@ -422,6 +422,12 @@ def _header_only_pattern_lexicon(config_factory, fixtures_dir, tmp_path, monkeyp
     return ["counts", "--config", config_factory(**{"lexicons.pattern": str(lexicon)})]
 
 
+def _space_separated_dictionary(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    dictionary = tmp_path / "dictionary.txt"
+    dictionary.write_text("vote\t5\nelection 500\n", encoding="utf-8")
+    return ["counts", "--config", config_factory(**{"preprocess.dictionary": str(dictionary)})]
+
+
 def _input_vanishes(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     tweets = tmp_path / "tweets.jsonl"
     tweets.write_bytes((fixtures_dir / "tweets_50.jsonl").read_bytes())
@@ -489,6 +495,9 @@ EXIT_CODE_MATRIX = [
      ("ValueError: ", "sha256:")),
     ("header_only_pattern_lexicon", _header_only_pattern_lexicon, 1,
      "pattern_lexicon.csv has no entry", ("ValueError: ", None)),
+    ("space_separated_dictionary", _space_separated_dictionary, 1,
+     "dictionary.txt line 2: 'election 500' is not one word before a tab",
+     ("ValueError: ", None)),
     ("input_vanishes_after_validation", _input_vanishes, 1, "error", ("FileNotFoundError", None)),
     ("all_lines_skipped", _all_lines_skipped, 1,
      "corpus is empty: no document reached the topic model",
@@ -855,15 +864,26 @@ class TestCliRuns:
     def test_manifest_counts_the_topic_corpus(self, config_factory, kept, tmp_path) -> None:
         path = config_factory(**{"topics.iterations": 5})
         ledgers = []
-        for group in ([], ["--group", "apga"]):
+        for argv in (["all"], ["topics", "--group", "apga"]):
             out = tmp_path / f"topics_{len(ledgers)}"
-            assert main(["topics", "--config", path, *group, "--output", str(out)]) == 0
+            assert main([*argv, "--config", path, "--output", str(out)]) == 0
             ledgers.append(read_json(out / "manifest.json")["dataset"]["topics"])
         # Every kept tweet reaches the topic model; under --group, every kept
-        # tweet naming the group.
-        assert ledgers == [
-            {"documents": len(kept)},
-            {"documents": sum("apga" in tweet.actors for tweet in kept)},
+        # tweet naming the group. Recount both from tweets.csv.
+        with open(tmp_path / "topics_0" / "tweets.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        expected = []
+        for docs in (rows, [row for row in rows if row["apga"] == "true"]):
+            tokens = [token for row in docs for token in row["tokens"].split()]
+            expected.append({
+                "documents": len(docs),
+                "tokens": len(tokens),
+                "words": len(set(tokens)),
+                "token_samples": len(tokens) * 5,
+            })
+        assert ledgers == expected
+        assert [ledger["documents"] for ledger in ledgers] == [
+            len(kept), sum("apga" in tweet.actors for tweet in kept)
         ]
         assert len(kept) == 43
         assert main(["counts", "--config", config_factory()]) == 0

@@ -63,6 +63,25 @@ def test_load_dictionary_parses_counts_comments_and_case(tmp_path) -> None:
     assert table == {"election": 500, "voting": 20, "ballot": 1}
 
 
+@pytest.mark.parametrize(
+    "line,problem",
+    [
+        ("election 500", "'election 500' is not one word before a tab"),  # SymSpell's format
+        ("\t7", "'' is not one word before a tab"),
+        ("vote\t-5", "count '-5' is not an integer >= 1"),
+        ("vote\t0", "count '0' is not an integer >= 1"),
+        ("vote\tx", "count 'x' is not an integer >= 1"),
+    ],
+    ids=["space_separated", "empty_word", "negative_count", "zero_count", "non_integer_count"],
+)
+def test_load_dictionary_rejects_a_line_that_cannot_rank(tmp_path, line, problem) -> None:
+    path = tmp_path / "dict.txt"
+    path.write_text(f"# word<TAB>count\nballot\t3\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        load_dictionary(str(path))
+    assert str(raised.value) == f"{path} line 3: {problem}"
+
+
 def test_edits1_contains_each_edit_kind() -> None:
     out = edits1("vote")
     assert "ote" in out  # delete

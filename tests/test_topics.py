@@ -154,8 +154,9 @@ def state_digest(model: TopicModel) -> str:
 
 class TestSamplerPin:
     """Exact sampler state on planted fits, pinned so a rewrite of the sweep
-    loop must reproduce every draw. k = 1 covers the single-topic scan, and
-    the hook fit pins the state every sweep hands to its observer."""
+    loop must reproduce every draw. k = 1 covers the single-topic scan. A fit
+    of s sweeps draws the same random numbers as the first s sweeps of a
+    longer fit, so the fits of 1..12 sweeps pin the state after every sweep."""
 
     FITS = {
         1: "597facb9015aa6c649448c0aac904caff484c08b77f3228e39620732c474adeb",
@@ -171,16 +172,13 @@ class TestSamplerPin:
         model = lda_fit(corpus, k=k, iterations=30, seed=11)
         assert state_digest(model) == self.FITS[k]
 
-    def test_hooked_fit_state_is_pinned_every_sweep(self) -> None:
+    def test_fit_state_is_pinned_after_every_sweep(self) -> None:
         corpus, _, _ = planted_corpus(docs_count=40, doc_len=10)
-        seen: list[str] = []
-
-        def hook(sweep: int, model: TopicModel) -> None:
-            seen.append(state_digest(model))
-
-        model = lda_fit(corpus, k=3, iterations=12, seed=11, sweep_hook=hook)
-        assert len(seen) == 12
-        assert state_digest(model) == self.HOOK_FINAL
+        seen = [
+            state_digest(lda_fit(corpus, k=3, iterations=sweeps, seed=11))
+            for sweeps in range(1, 13)
+        ]
+        assert seen[-1] == self.HOOK_FINAL
         assert hashlib.sha256("".join(seen).encode()).hexdigest() == self.HOOK_SWEEPS
 
 
@@ -245,7 +243,7 @@ def all_ints(tables) -> bool:
 
 class TestFloatWorkingCounts:
     """The sampler counts in floats; every draw and count must match the int
-    loop, and every count a caller or hook sees must be an int."""
+    loop after every sweep, and every count a caller sees must be an int."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -256,34 +254,21 @@ class TestFloatWorkingCounts:
     )
     def test_matches_the_int_loop(self, docs, k, iterations, seed) -> None:
         corpus = build_corpus([[f"w{word}" for word in doc] for doc in docs])
-        seen: list[tuple] = []
-
-        def hook(sweep: int, model: TopicModel) -> None:
-            seen.append((all_ints(count_tables(model)), count_tables(model)))
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # vocabulary smaller than k
-            model = lda_fit(corpus, k, iterations, seed)
-            hooked = lda_fit(corpus, k, iterations, seed, sweep_hook=hook)
-        expected = reference_fit(corpus, k, iterations, seed)
-        for fitted in (model, hooked):
+        for sweeps in range(1, iterations + 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # vocabulary smaller than k
+                fitted = lda_fit(corpus, k, sweeps, seed)
+            expected = reference_fit(corpus, k, sweeps, seed)
             assert (fitted.assignments, *count_tables(fitted)) == expected
             assert all_ints(count_tables(fitted))
-        assert [ints for ints, _ in seen] == [True] * iterations
-        assert seen[-1][1] == count_tables(model)
 
 
-class TestSweepHook:
-    def test_called_once_per_sweep_with_consistent_state(self) -> None:
+class TestSweepPrefix:
+    def test_state_is_consistent_after_every_sweep(self) -> None:
+        # A fit of s sweeps is the state after sweep s of any longer fit.
         corpus = build_corpus([["a", "b", "c"], ["b", "c", "d"], ["a", "d"]])
-        seen: list[int] = []
-
-        def hook(sweep: int, model: TopicModel) -> None:
-            seen.append(sweep)
-            check_invariants(model)
-
-        lda_fit(corpus, k=2, iterations=7, seed=3, sweep_hook=hook)
-        assert seen == list(range(1, 8))
+        for sweeps in range(1, 8):
+            check_invariants(lda_fit(corpus, k=2, iterations=sweeps, seed=3))
 
 
 class TestTheta:
