@@ -82,8 +82,8 @@ def _load(state: _RunState) -> int:
     """Load the word lists and lexicons; returns the number of files read."""
     config = state.config
     stopwords = load_stopwords(config.stopwords_path) | config.actor_set.alias_words()
-    # With spelling off no dictionary is read: the pipeline corrects only with one.
-    dictionary = load_dictionary(config.dictionary_path) if config.spellcheck else None
+    # The path is None with spelling off: the pipeline corrects only with a dictionary.
+    dictionary = load_dictionary(config.dictionary_path) if config.dictionary_path else None
     state.pipeline = PipelineConfig(stopwords=stopwords, dictionary=dictionary)
     pattern = load_pattern_lexicon(config.pattern_lexicon_path)
     if not pattern:

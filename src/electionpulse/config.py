@@ -12,10 +12,11 @@ from the ``--seed`` flag, else from ``[run] seed``. Timestamps are
 read in the election's local time, ``ingest.LOCAL_TZ``; no key sets it.
 
 Each key is read once, and the call that reads it also records its final
-value in the manifest's ``config`` snapshot and in its RunConfig field, so
-a key cannot be used without being recorded. The keys read are the known
-keys: a file key never read is a usage error. A value is stripped of
-edge whitespace whether it comes from a flag or the file, paths included.
+value in the manifest's ``config`` snapshot and in its RunConfig field
+(the dictionary's only with spelling on), so a key cannot be used without
+being recorded. The keys read are the known keys: a file key never read is
+a usage error. A value is stripped of edge whitespace whether it comes from
+a flag or the file, paths included.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class RunConfig(NamedTuple):
     negators_path: str
     nbc_corpus_path: str | None
     stopwords_path: str
-    dictionary_path: str | None
-    spellcheck: bool
+    dictionary_path: str | None  # set exactly when spelling is on
     engine: str
     lda_k: int
     lda_iterations: int
@@ -114,7 +114,7 @@ def validate_config(
             diagnostics.append(f"[{section}] {key} = {value} must be at least 1")
         return keep(field, section, key, value)
 
-    def get_bool(field: str, section: str, key: str, fallback: bool) -> bool:
+    def get_bool(section: str, key: str, fallback: bool) -> bool:
         raw = get(section, key, None)
         value = fallback
         if raw is not None:
@@ -125,7 +125,7 @@ def validate_config(
                 value = False
             else:
                 diagnostics.append(f"[{section}] {key} = {raw!r} is not a boolean")
-        return keep(field, section, key, value)
+        return keep(None, section, key, value)
 
     def require_path(field: str | None, section: str, key: str, label: str | None) -> str | None:
         """The key's resolved file path. A None label marks a file the run
@@ -174,11 +174,11 @@ def validate_config(
         diagnostics.append(f"--alpha must be positive and finite, got {alpha}")
 
     require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
-    spellcheck = get_bool("spellcheck", "preprocess", "spellcheck", True)
-    require_path(
-        "dictionary_path", "preprocess", "dictionary",
-        "when spellcheck is on" if spellcheck else None,
+    spellcheck = get_bool("preprocess", "spellcheck", True)
+    dictionary = require_path(
+        None, "preprocess", "dictionary", "when spellcheck is on" if spellcheck else None
     )
+    fields["dictionary_path"] = dictionary if spellcheck else None
 
     engine = (get("sentiment", "engine", "pattern") or "pattern").lower()
     keep("engine", "sentiment", "engine", engine)

@@ -3,11 +3,12 @@
 The pipeline runs the steps in that fixed order so that spelling
 correction sees surface words (never stems and never stopwords, so no
 correction can carry a stopword past the filter) and stemming sees only
-dictionary-corrected, stopword-free tokens. Stopwords are filtered again
-after correction, since a correction can land on one; with an empty
-dictionary both steps are skipped. A run cleans and tokenizes each record
-once (``text_tokens``); actor matching and, for records that are not
-retweets, the token steps (``preprocess_pipeline``) share those tokens.
+dictionary-corrected, stopword-free tokens. Only a corrected token is
+filtered again, since a correction can land on a stopword and no other
+token can newly be one; with an empty dictionary both steps are skipped.
+A run cleans and tokenizes each record once (``text_tokens``); actor
+matching and, for records that are not retweets, the token steps
+(``preprocess_pipeline``, one pass over the tokens) share those tokens.
 A kept tweet carries its id, time and bucket, its final tokens and the
 actors its text names, never its text. Stopwords are a plain frozenset:
 ``clean`` lowercases every token first.
@@ -149,25 +150,23 @@ class PipelineConfig:
 def preprocess_pipeline(
     tokens: Sequence[str], config: PipelineConfig
 ) -> tuple[str, ...] | None:
-    """Filter -> correct -> filter -> stem clean surface tokens (``text_tokens``).
-
-    An empty dictionary skips correct and the second filter. Returns None
-    (rejected) when no token is left after filtering.
+    """Filter -> correct -> filter -> stem clean surface tokens (``text_tokens``)
+    in one pass. The second filter tests a corrected token only, since no
+    other can newly be a stopword; an empty dictionary skips correct and it.
+    Returns None (rejected) when no token is left after filtering.
     """
     stopwords = config.stopwords
-    tokens = [tok for tok in tokens if tok not in stopwords]
     dictionary = config.dictionary
-    if dictionary:
-        tokens = [
-            correct_spelling(tok, dictionary)
-            if len(tok) >= MIN_CORRECTION_LENGTH and tok not in dictionary
-            else tok
-            for tok in tokens
-        ]
-        tokens = [tok for tok in tokens if tok not in stopwords]
+    correcting = bool(dictionary)
     stems = config.stems
     stemmed = []
     for tok in tokens:
+        if tok in stopwords:
+            continue
+        if correcting and len(tok) >= MIN_CORRECTION_LENGTH and tok not in dictionary:
+            tok = correct_spelling(tok, dictionary)
+            if tok in stopwords:
+                continue
         result = stems.get(tok)
         if result is None:
             result = stems[tok] = stem(tok)

@@ -52,7 +52,7 @@ _POS_TAGS = frozenset("navr")
 class SentimentScore(NamedTuple):
     """Polarity in [-1, 1] and subjectivity in [0, 1]: a lemma's entry in
     a lexicon, as its loader makes it, or a tweet's mean over its matched
-    lemmas, as ``_mean_score`` clamps it."""
+    lemmas, which stays in range because every entry is."""
 
     polarity: float
     subjectivity: float
@@ -185,17 +185,22 @@ def pattern_score(
     word's polarity sign and halves its magnitude; subjectivity is never
     negated. No matches at all score (0, 0).
     """
-    return _mean_score(*_matches(tokens, lexicon, negators))
+    return _tweet_score(tokens, lexicon, negators)[0]
 
 
-def _matches(
+def _tweet_score(
     tokens: Sequence[str],
     lexicon: Mapping[str, SentimentScore],
     negators: frozenset[str] | set[str],
-) -> tuple[list[float], list[float]]:
-    # Each matched token's scores, negated as ``pattern_score`` says.
-    polarity_values = []
-    subjectivity_values = []
+) -> tuple[SentimentScore, int]:
+    # The mean of the matched tokens' scores, negated as ``pattern_score``
+    # says, and their number. Each sum runs left to right from 0.0, as
+    # ``float_sum`` does. No mean needs a clamp: every entry is in range (the
+    # loaders reject the rest and cap swn's sum at 1), negation halves, and
+    # rounding to nearest is monotone, so n values in [lo, hi] sum into
+    # [n*lo, n*hi] and divide back into [lo, hi].
+    polarity = subjectivity = 0.0
+    hits = 0
     for index, token in enumerate(tokens):
         entry = lexicon.get(token)
         if entry is None:
@@ -203,17 +208,12 @@ def _matches(
         value = entry.polarity
         if negators and any(prior in negators for prior in tokens[max(0, index - 2) : index]):
             value = -value / 2.0
-        polarity_values.append(value)
-        subjectivity_values.append(entry.subjectivity)
-    return polarity_values, subjectivity_values
-
-
-def _mean_score(polarity_values: list[float], subjectivity_values: list[float]) -> SentimentScore:
-    if not polarity_values:
-        return SentimentScore(0.0, 0.0)
-    polarity = _clamp(float_sum(polarity_values) / len(polarity_values), -1.0, 1.0)
-    subjectivity = _clamp(float_sum(subjectivity_values) / len(subjectivity_values), 0.0, 1.0)
-    return SentimentScore(polarity, subjectivity)
+        polarity += value
+        subjectivity += entry.subjectivity
+        hits += 1
+    if not hits:
+        return SentimentScore(0.0, 0.0), 0
+    return SentimentScore(polarity / hits, subjectivity / hits), hits
 
 
 class EngineScores(NamedTuple):
@@ -243,9 +243,8 @@ def score_all(
     scores: list[SentimentScore] = []
     tweets_hit = tokens_hit = tokens = 0
     for tweet in tweets:
-        values = _matches(tweet.tokens, lexicon, negators)
-        scores.append(_mean_score(*values))
-        hits = len(values[0])
+        score, hits = _tweet_score(tweet.tokens, lexicon, negators)
+        scores.append(score)
         tweets_hit += hits > 0
         tokens_hit += hits
         tokens += len(tweet.tokens)
@@ -364,7 +363,3 @@ def compare_classifiers(
         engine: distribution(polarity_class(score.polarity) for score in values)
         for engine, values in scores.items()
     }
-
-
-def _clamp(value: float, low: float, high: float) -> float:
-    return max(low, min(high, value))

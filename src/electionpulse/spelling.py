@@ -98,9 +98,11 @@ class SpellingDictionary(Mapping[str, int]):
 
 def load_dictionary(path: str) -> SpellingDictionary:
     """Read a "word<TAB>count" table (a missing count is 1); blank lines and
-    '#' comments allowed. A line that could never match a token or would
-    invert the ranking raises ValueError naming the path and line."""
+    '#' comments allowed. A line that could never match a token, would
+    invert the ranking or repeats a word (after lowercasing) raises
+    ValueError naming the path and line, and for a repeat the first line."""
     table: dict[str, int] = {}
+    lines: dict[str, int] = {}  # word -> the line that first listed it
     with open(path, encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
             if not raw.strip() or raw.lstrip().startswith("#"):
@@ -111,6 +113,9 @@ def load_dictionary(path: str) -> SpellingDictionary:
                 raise ValueError(f"{path} line {number}: {word!r} is not one word before a tab")
             if not (count.isdecimal() and int(count) >= 1):
                 raise ValueError(f"{path} line {number}: count {count!r} is not an integer >= 1")
+            first = lines.setdefault(word, number)
+            if first != number:
+                raise ValueError(f"{path} line {number}: {word!r} is already listed on line {first}")
             table[word] = int(count)
     return SpellingDictionary(table)
 

@@ -182,7 +182,7 @@ class TestValidateConfig:
             validate_config(config_factory(**{"actors.scope": "peter_obi"}))
         assert any("peter_obi" in d for d in err.value.diagnostics)
 
-    def test_spellcheck_requires_dictionary(self, config_factory) -> None:
+    def test_spellcheck_requires_dictionary(self, config_factory, fixtures_dir) -> None:
         with pytest.raises(ConfigError) as err:
             validate_config(config_factory(**{"preprocess.dictionary": None}))
         assert any("dictionary is required" in d for d in err.value.diagnostics)
@@ -192,6 +192,12 @@ class TestValidateConfig:
             "preprocess.spellcheck": "false",
         }))
         assert config.dictionary_path is None
+        # With spelling off a set dictionary is not the run's, but the
+        # snapshot still records the path the file gives.
+        config = validate_config(config_factory(**{"preprocess.spellcheck": "false"}))
+        assert config.dictionary_path is None
+        assert config.snapshot["preprocess"]["dictionary"] == str(fixtures_dir / "dictionary.txt")
+        assert config.snapshot["preprocess"]["spellcheck"] is False
 
     def test_broken_actor_file_diagnostics_name_the_actor(self, config_factory, tmp_path) -> None:
         actors = tmp_path / "broken_actors.ini"

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from electionpulse import preprocess as preprocess_module
 from electionpulse.ingest import LOCAL_TZ, TweetRecord, preprocess_records
 from electionpulse.sentiment import load_negators
-from electionpulse.spelling import SpellingDictionary
+from electionpulse.spelling import SpellingDictionary, correct_spelling
 from electionpulse.preprocess import (
+    MIN_CORRECTION_LENGTH,
     PipelineConfig,
     ProcessedTweet,
     clean,
@@ -193,6 +194,82 @@ class TestIsRetweet:
         record = parse_one(parse_lines, "great RT @someone")
         assert not record.is_retweet
         assert preprocess_records([record], pipeline, actor_set).excluded["retweet"] == 0
+
+
+# The token steps as three passes, as they ran before one pass did them:
+# filter, then correct the whole list, then filter the whole list again,
+# then stem through the memo. ``correct`` is the spelling corrector to call.
+def three_pass_pipeline(tokens, config: PipelineConfig, correct) -> tuple[str, ...] | None:
+    stopwords = config.stopwords
+    tokens = [tok for tok in tokens if tok not in stopwords]
+    dictionary = config.dictionary
+    if dictionary:
+        tokens = [
+            correct(tok, dictionary)
+            if len(tok) >= MIN_CORRECTION_LENGTH and tok not in dictionary
+            else tok
+            for tok in tokens
+        ]
+        tokens = [tok for tok in tokens if tok not in stopwords]
+    stems = config.stems
+    stemmed = []
+    for tok in tokens:
+        result = stems.get(tok)
+        if result is None:
+            result = stems[tok] = stem(tok)
+        stemmed.append(result)
+    return tuple(stemmed) or None
+
+
+PIPELINE_STOPWORDS = frozenset({"the", "and", "with", "about", "there"})
+# "about" and "there" are dictionary words and stopwords alike, so a typo
+# of either corrects to a stopword.
+PIPELINE_WORDS = {
+    "election": 50, "voting": 30, "ballot": 20, "about": 100, "there": 90, "crowd": 10,
+}
+STOPWORD_TYPOS = ("abuot", "abot", "ther", "thre", "theree")
+PIPELINE_TOKENS = (
+    *PIPELINE_STOPWORDS,
+    *PIPELINE_WORDS,
+    *STOPWORD_TYPOS,
+    "electon", "votng", "balot", "crwod", "zzqqxx",  # typos of other words, and no word
+    "ab", "xyz", "abo",  # too short to correct
+    "élection", "naïve", "投票", "2017", "don't",  # non-ASCII, digits, apostrophe
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(PIPELINE_TOKENS), max_size=10), max_size=4),
+    st.booleans(),
+)
+def test_one_pass_equals_the_three_pass_oracle(token_lists, with_dictionary) -> None:
+    # Each side gets its own dictionary and memos; both must give the same
+    # tweets, ask the corrector the same tokens in the same order and fill
+    # the stem memo in the same order.
+    def pipeline() -> PipelineConfig:
+        words = SpellingDictionary(PIPELINE_WORDS) if with_dictionary else None
+        return PipelineConfig(stopwords=PIPELINE_STOPWORDS, dictionary=words)
+
+    def recorder(calls):
+        def correct(token, dictionary):
+            calls.append(token)
+            return correct_spelling(token, dictionary)
+        return correct
+
+    for typo in STOPWORD_TYPOS:  # the draws do reach the second filter
+        assert correct_spelling(typo, SpellingDictionary(PIPELINE_WORDS)) in PIPELINE_STOPWORDS
+    one_pass, three_pass = pipeline(), pipeline()
+    one_calls: list[str] = []
+    three_calls: list[str] = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess_module, "correct_spelling", recorder(one_calls))
+        got = [preprocess_pipeline(tokens, one_pass) for tokens in token_lists]
+    want = [three_pass_pipeline(tokens, three_pass, recorder(three_calls)) for tokens in token_lists]
+    assert got == want
+    assert one_calls == three_calls
+    assert list(one_pass.stems.items()) == list(three_pass.stems.items())
+    assert one_pass.dictionary.activity() == three_pass.dictionary.activity()
 
 
 class TestPipeline:

@@ -481,6 +481,61 @@ class TestClasses:
             subjectivity_class(1.2)
 
 
+# The scorer as it was before one pass kept running sums: each matched
+# token's (negated) polarity and its subjectivity gathered into two lists,
+# then each list's left-to-right mean, clamped to its range.
+def two_list_score(tokens, lexicon, negators) -> tuple[SentimentScore, int]:
+    polarity_values = []
+    subjectivity_values = []
+    for index, token in enumerate(tokens):
+        entry = lexicon.get(token)
+        if entry is None:
+            continue
+        value = entry.polarity
+        if negators and any(prior in negators for prior in tokens[max(0, index - 2) : index]):
+            value = -value / 2.0
+        polarity_values.append(value)
+        subjectivity_values.append(entry.subjectivity)
+    if not polarity_values:
+        return SentimentScore(0.0, 0.0), 0
+    polarity = max(-1.0, min(1.0, float_sum(polarity_values) / len(polarity_values)))
+    subjectivity = max(0.0, min(1.0, float_sum(subjectivity_values) / len(subjectivity_values)))
+    return SentimentScore(polarity, subjectivity), len(polarity_values)
+
+
+ORACLE_WORDS = ("w0", "w1", "w2", "w3", "w4", "not", "no")
+ORACLE_EDGES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(ORACLE_WORDS),
+        st.tuples(
+            st.one_of(st.sampled_from(ORACLE_EDGES), st.floats(-1, 1)),
+            st.one_of(st.sampled_from(ORACLE_EDGES[3:]), st.floats(0, 1)),
+        ),
+    ),
+    st.frozensets(st.sampled_from(("not", "no", "never", "w0"))),
+    # Negators fall at every distance before a match, lexicon words among them.
+    st.lists(st.lists(st.sampled_from(ORACLE_WORDS + ("never", "zz")), max_size=12), max_size=6),
+)
+def test_score_all_equals_the_two_list_oracle(table, negators, token_lists) -> None:
+    lexicon = {word: SentimentScore(p, s) for word, (p, s) in table.items()}
+    tweets = [kept_tweet(f"t{i}", tokens) for i, tokens in enumerate(token_lists)]
+    scored = score_all(tweets, lexicon, negators)
+    want = [two_list_score(tokens, lexicon, negators) for tokens in token_lists]
+
+    def bits(scores):
+        return [(score.polarity.hex(), score.subjectivity.hex()) for score in scores]
+
+    assert bits(scored.scores) == bits(score for score, _ in want)
+    assert scored.tokens_hit == sum(hits for _, hits in want)
+    assert scored.tweets_hit == sum(hits > 0 for _, hits in want)
+    for tokens, (score, _) in zip(token_lists, want):
+        assert bits([pattern_score(tokens, lexicon, negators)]) == bits([score])
+
+
 class TestScoreAll:
     def test_alignment_and_ranges(self, kept, pattern_lexicon, negators, sense_lexicon) -> None:
         for lexicon, engine_negators in (

@@ -71,8 +71,13 @@ def test_load_dictionary_parses_counts_comments_and_case(tmp_path) -> None:
         ("vote\t-5", "count '-5' is not an integer >= 1"),
         ("vote\t0", "count '0' is not an integer >= 1"),
         ("vote\tx", "count 'x' is not an integer >= 1"),
+        ("ballot\t9", "'ballot' is already listed on line 2"),
+        ("Ballot\t9", "'ballot' is already listed on line 2"),
     ],
-    ids=["space_separated", "empty_word", "negative_count", "zero_count", "non_integer_count"],
+    ids=[
+        "space_separated", "empty_word", "negative_count", "zero_count", "non_integer_count",
+        "duplicate_word", "case_folded_duplicate",
+    ],
 )
 def test_load_dictionary_rejects_a_line_that_cannot_rank(tmp_path, line, problem) -> None:
     path = tmp_path / "dict.txt"
