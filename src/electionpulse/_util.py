@@ -23,10 +23,6 @@ _MONTHS = {
 _OFFSETS: dict[tuple[str, str, str], timezone] = {}
 
 
-class ConsistencyError(ValueError):
-    """Two inputs that must describe the same population do not."""
-
-
 def pct(count: int, total: int) -> float:
     """100*count/total rounded half-up to 2 decimals; 0.0 for an empty total.
 
@@ -55,7 +51,7 @@ def float_sum(values: Iterable[float]) -> float:
 def read_word_list(path: str) -> frozenset[str]:
     """One word per line, stripped and lowercased; skips blanks and '#' lines."""
     words = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.strip()
             if line and not line.startswith("#"):

@@ -156,7 +156,7 @@ def load_actor_file(path: str) -> ActorSet:
     for candidates and parties, ``aliases`` (comma-separated) or, for
     combined actors, ``components``."""
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         parser.read_file(handle)
     actors = []
     for section in parser.sections():
@@ -209,7 +209,7 @@ def sole_mention(
     hits = {actor_id for actor_id in matched if actor_id in scope}
     for actor_id in sorted(hits):
         actor = actors[actor_id]
-        if actor.kind == "combined" and actor.components:
+        if actor.kind == "combined":
             hits -= set(actor.components)
     if len(hits) == 1:
         return next(iter(hits))

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Sequence
 from datetime import datetime, time
 from typing import NamedTuple
 
-from ._util import ConsistencyError, float_sum
+from ._util import float_sum
 from .actors import Actor, ActorSet, sole_mention
 from .preprocess import ProcessedTweet
 from .sentiment import SentimentScore
@@ -96,12 +96,6 @@ def avg_sentiment_series(
 ) -> dict[str, dict[str, SeriesCell | None]]:
     """Mean polarity times 100 and mean subjectivity per grid cell, given the
     scores of the tweets the grid was built over; an empty cell is None."""
-    tweets = sum(grid.counts.values())
-    if len(scores) != tweets:
-        raise ConsistencyError(
-            f"a grid of {tweets} tweets but {len(scores)} scores; inputs must align one-to-one"
-        )
-
     def summarize(members: list[int]) -> SeriesCell:
         count = len(members)
         polarity = float_sum(scores[index].polarity for index in members)
@@ -160,11 +154,8 @@ def combined_avg_polarity(
     scores: Sequence[SentimentScore],
     actors: ActorSet,
 ) -> dict[str, float | None]:
-    """Unscaled mean polarity over tweets matching each combined actor."""
-    if len(tweets) != len(scores):
-        raise ConsistencyError(
-            f"{len(tweets)} tweets but {len(scores)} scores; inputs must align one-to-one"
-        )
+    """Unscaled mean polarity over tweets matching each combined actor,
+    given the scores of those tweets, in order."""
     sums = {actor.id: [0, 0.0] for actor in actors.combined()}
     for tweet, score in zip(tweets, scores):
         for actor_id, entry in sums.items():

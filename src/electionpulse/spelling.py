@@ -103,7 +103,7 @@ def load_dictionary(path: str) -> SpellingDictionary:
     ValueError naming the path and line, and for a repeat the first line."""
     table: dict[str, int] = {}
     lines: dict[str, int] = {}  # word -> the line that first listed it
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for number, raw in enumerate(handle, 1):
             if not raw.strip() or raw.lstrip().startswith("#"):
                 continue

@@ -175,10 +175,6 @@ def lda_fit(
 def top_keywords(model: TopicModel, topic: int) -> list[tuple[str, float]]:
     """The TOP_WORDS heaviest words of one topic, weights descending, ties
     lexicographic."""
-    if not 0 <= topic < model.k:
-        raise ValueError(f"topic {topic} outside 0..{model.k - 1}")
-    if TOP_WORDS > len(model.vocabulary):
-        raise ValueError(f"TOP_WORDS={TOP_WORDS} exceeds vocabulary size {len(model.vocabulary)}")
     weights = model.phi(topic)
     ranked = sorted(
         zip(model.vocabulary, weights),

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electionpulse._util import ConsistencyError
 from electionpulse.actors import Actor, ActorSet, match_actors, sole_mention
 from electionpulse.analytics import (
     BUCKET_LABELS,
@@ -157,10 +156,6 @@ class TestSentimentSeries:
         series = avg_sentiment_series(grid, [SentimentScore(1.0, 1.0)])
         for cells in series.values():
             assert all(cell is None for cell in cells.values())
-
-    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set, scope) -> None:
-        with pytest.raises(ConsistencyError):
-            avg_sentiment_series(sole_mention_grid(kept, actor_set, scope), pattern_scores[:-1])
 
     def test_scale_is_linear(self) -> None:
         # The series column is mean_polarity_x100: the mean polarity times 100.
@@ -381,10 +376,6 @@ class TestCombinedPolarity:
         tweets = [make_tweet("t1", "obiano alone", ("alone",), 10, actors=actors)]
         means = combined_avg_polarity(tweets, [SentimentScore(0.5, 0.5)], actors)
         assert means == {"willie_obiano_apga": None}
-
-    def test_misaligned_scores_raise(self, kept, pattern_scores, actor_set) -> None:
-        with pytest.raises(ConsistencyError):
-            combined_avg_polarity(kept[:-1], pattern_scores, actor_set)
 
     def test_fixture_matches_brute_force(self, kept, texts, pattern_scores, actor_set) -> None:
         means = combined_avg_polarity(kept, pattern_scores, actor_set)

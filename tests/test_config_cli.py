@@ -34,6 +34,7 @@ from electionpulse.preprocess import (
     text_tokens,
     tokenize,
 )
+from electionpulse.sentiment import ENGINES
 from electionpulse.spelling import SpellingDictionary, correct_spelling
 
 ALL_ARTIFACTS = {
@@ -1015,6 +1016,26 @@ class TestCliRuns:
         assert all(ledger.values())
         assert sum(ledger.values()) == dataset["total_kept"]
         assert ledger["placed"] == _series_count(tmp_path / "grid")
+        # The analyses trust what the run hands them: one score per kept
+        # tweet, in range, and one population for both engines.
+        config = config_factory(**{"input.path": path})
+        for engine in ENGINES:
+            out = tmp_path / engine
+            for command in ("sentiment", "compare"):
+                argv = [command, "--config", config, "--engine", engine, "--output", str(out)]
+                assert main(argv) == 0
+            with open(out / "scores.csv", encoding="utf-8", newline="") as handle:
+                scores = list(csv.DictReader(handle))
+            assert len(scores) == dataset["total_kept"]
+            for row in scores:
+                assert -1.0 <= float(row["polarity"]) <= 1.0
+                assert 0.0 <= float(row["subjectivity"]) <= 1.0
+            with open(out / "compare.csv", encoding="utf-8", newline="") as handle:
+                compare = list(csv.DictReader(handle))
+            assert [row["engine"] for row in compare] == list(ENGINES)
+            for row in compare:
+                counts = (row["positive_count"], row["neutral_count"], row["negative_count"])
+                assert sum(map(int, counts)) == dataset["total_kept"]
 
     def test_manifest_counts_tweets_outside_the_grid_by_cause(
         self, config_factory, tmp_path

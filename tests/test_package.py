@@ -1,9 +1,12 @@
-"""The package as a user meets it: a fresh import, README's library example, and
-README's configuration and flag tables checked against the code."""
+"""The package as a user meets it: a fresh import, README's library example,
+README's configuration and flag tables checked against the code, text inputs
+saved with a byte-order mark, and the names the benchmark harness reaches into."""
 
 from __future__ import annotations
 
 import argparse
+import configparser
+import importlib.util
 import os
 import re
 import shlex
@@ -11,9 +14,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import electionpulse
+from electionpulse.actors import load_actor_file
 from electionpulse.cli import _build_parser, main
 from electionpulse.config import validate_config
+from electionpulse.ingest import ParseReport
+from electionpulse.preprocess import load_stopwords
+from electionpulse.sentiment import load_negators, load_pattern_lexicon, load_sense_lexicon
+from electionpulse.spelling import load_dictionary
+from electionpulse.topics import TopicModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,3 +133,64 @@ def test_readme_flag_table_names_only_defined_flags() -> None:
     named |= set(re.findall(r"--[\w-]+", listed))
     assert "--seed" in named
     assert named <= defined, sorted(named - defined)
+
+
+# Each text input's loader, and content whose first line a leading BOM would
+# change: None stands for the bundled config with absolute paths.
+BOM_INPUTS = {
+    "stopwords": (load_stopwords, "the\nand\n"),
+    "negators": (load_negators, "not\nnever\n"),
+    "dictionary": (lambda path: dict(load_dictionary(path)), "election\t10\nvote\t5\n"),
+    "pattern_lexicon": (load_pattern_lexicon, "good,0.7,0.6\nbad,-0.7,0.6\n"),
+    "sense_lexicon": (load_sense_lexicon, "a\t00001001\t0.75\t0.0\tgood#1\tpositive\n"),
+    "actors": (
+        lambda path: load_actor_file(path).actors,
+        "[obiano]\nkind = candidate\naliases = obiano\n",
+    ),
+    "config": (lambda path: validate_config(path)._replace(actor_set=None), None),
+}
+
+
+@pytest.mark.parametrize("name", BOM_INPUTS)
+def test_text_inputs_may_start_with_a_byte_order_mark(name, config_factory, tmp_path) -> None:
+    load, content = BOM_INPUTS[name]
+    if content is None:
+        content = Path(config_factory()).read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(content, encoding="utf-8")
+    marked.write_text("\ufeff" + content, encoding="utf-8")
+    assert load(str(marked)) == load(str(plain))
+
+
+def _load_bench_module(name: str):
+    """Import ``bench/<name>.py`` by path, as ``python3 bench/<name>.py`` runs it."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reaches_only_names_the_package_defines(monkeypatch) -> None:
+    # The harness wraps these functions, reads these fields and rewrites these
+    # config keys; a rename in the package would otherwise fail only a traced run.
+    bench = ROOT / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    loaded = set(sys.modules)
+    try:
+        tracer = _load_bench_module("tracer")
+        run = _load_bench_module("run")
+    finally:
+        for module_name in set(sys.modules) - loaded:
+            if str(bench) in str(getattr(sys.modules[module_name], "__file__", "")):
+                del sys.modules[module_name]
+    for table in (tracer.SPANS, tracer.ITEMS):
+        for module_name, functions in table.items():
+            module = importlib.import_module(f"electionpulse.{module_name}")
+            missing = [name for name in functions if not callable(getattr(module, name, None))]
+            assert not missing, (module_name, missing)
+    # What the tracer's observers read off a result.
+    assert hasattr(TopicModel, "doc_lengths") and hasattr(TopicModel, "iterations")
+    assert hasattr(ParseReport, "lines_read") and hasattr(ParseReport, "lines_skipped")
+    config = configparser.ConfigParser(interpolation=None)
+    config.read(ROOT / "fixtures" / "config.ini", encoding="utf-8")
+    assert all(config.has_option(section, key) for section, key in run.PATH_KEYS)

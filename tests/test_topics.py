@@ -323,14 +323,6 @@ class TestKeywords:
             weights = dict(zip(model.vocabulary, phi))
             assert all(weight == weights[term] for term, weight in top_keywords(model, topic))
 
-    def test_bounds_checked(self) -> None:
-        model = lda_fit(build_corpus([[f"w{j}" for j in range(TOP_WORDS)]]), k=1, iterations=1)
-        with pytest.raises(ValueError, match="^topic 1 outside 0..0$"):
-            top_keywords(model, 1)
-        narrow = lda_fit(build_corpus([["a", "b"]]), k=1, iterations=1, seed=0)
-        with pytest.raises(ValueError, match="exceeds vocabulary size 2$"):
-            top_keywords(narrow, 0)
-
 
 class TestRecovery:
     def test_planted_topics_recovered(self) -> None:
