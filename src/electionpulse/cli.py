@@ -245,25 +245,27 @@ def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     config = state.config
-    group = options.get("group")
-    corpus = topics.build_corpus(
-        tweet.tokens for tweet in state.kept if not group or group in tweet.actors
-    )
+    corpus = topics.build_corpus(tweet.tokens for tweet in state.kept)
     tokens = sum(map(len, corpus.docs))
     state.topics = dict(documents=len(corpus.docs), tokens=tokens, words=len(corpus.vocabulary),
                         token_samples=tokens * config.lda_iterations)
     if len(corpus.vocabulary) < topics.TOP_WORDS:
-        name = f"group {group!r}" if group else "all tweets"
         raise ValueError(
-            f"the topic corpus of {name} has a vocabulary of {len(corpus.vocabulary)} words, "
+            f"the topic corpus has a vocabulary of {len(corpus.vocabulary)} words, "
             f"fewer than the {topics.TOP_WORDS} keywords each topic reports"
         )
     model = topics.lda_fit(
         corpus, k=config.lda_k, iterations=config.lda_iterations, seed=config.seed
     )
     entries = topics.topic_report(model)
+    # Each actor's tokens per topic. Document i is state.kept[i]: every kept
+    # tweet has a token, so each reached the corpus, in order.
+    actors = {actor.id: [0] * model.k for actor in config.actor_set}
+    for tweet, counts in zip(state.kept, model.doc_topic_counts):
+        for actor_id in tweet.actors:
+            actors[actor_id] = [sum(pair) for pair in zip(actors[actor_id], counts)]
     payload = {
-        "group": group or "all",
+        "actors": actors,
         "k": config.lda_k,
         "alpha": topics.ALPHA,
         "beta": topics.BETA,
@@ -279,7 +281,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
 def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
     corpus_path = state.config.nbc_corpus_path
     docs = []
-    with open(corpus_path, encoding="utf-8", newline="") as handle:
+    with open(corpus_path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         for row in reader:
             if not row or row[0].strip().lower() == "label":
@@ -422,7 +424,7 @@ def _dataset_section(state: _RunState) -> dict | None:
 def _build_parser() -> argparse.ArgumentParser:
     # A flag whose dest is "section.key" overrides that config key with the
     # string given, which only ``validate_config`` checks; the rest
-    # (--config, --actor, --group, train-nbc --alpha) are read by ``main``.
+    # (--config, --actor, train-nbc --alpha) are read by ``main``.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
     common.add_argument("--input", dest="input.path", metavar="INPUT",
@@ -451,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("all", parents=[common], help="run the full pipeline")
     commands["cloud"].add_argument("--actor", help="emit the cloud for this actor only")
     topics_cmd = commands["topics"]
-    topics_cmd.add_argument("--group", help="restrict the corpus to tweets mentioning this actor")
     topics_cmd.add_argument("--k", dest="topics.k", metavar="K", help="topic count")
     topics_cmd.add_argument("--iters", dest="topics.iterations", metavar="ITERS",
                             help="Gibbs sweeps")
@@ -466,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     options = {
         key: value
         for key, value in args.items()
-        if key in ("actor", "group", "alpha") and value is not None
+        if key in ("actor", "alpha") and value is not None
     }
     try:
         config = validate_config(args["config"], overrides, args["subcommand"], options)

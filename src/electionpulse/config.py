@@ -3,10 +3,10 @@
 All paths in the file are resolved relative to the file's own directory,
 so a config travels with its fixtures. Command-line flags arrive as
 "section.key" overrides of the file's keys; the subcommand and its own
-options (`--actor`, `--group`, `train-nbc --alpha`) are checked in the
-same pass. Validation is exhaustive: every usage error, in the file, the
-overrides or the options, is collected and reported together, not just
-the first one. Actor ids are checked only when the roster itself loaded,
+options (`--actor`, `train-nbc --alpha`) are checked in the same pass.
+Validation is exhaustive: every usage error, in the file, the overrides
+or the options, is collected and reported together, not just the first
+one. Actor ids are checked only when the roster itself loaded,
 since a roster that failed is already reported. The random seed comes
 from the ``--seed`` flag, else from ``[run] seed``. Timestamps are
 read in the election's local time, ``ingest.LOCAL_TZ``; no key sets it.
@@ -64,7 +64,7 @@ def validate_config(
 ) -> RunConfig:
     """Load and validate a config file, applying CLI overrides first.
 
-    ``subcommand`` and its ``options`` (``actor``, ``group``, ``alpha``)
+    ``subcommand`` and its ``options`` (``actor``, ``alpha``)
     are checked alongside the file. Raises ConfigError listing every
     violation; an unreadable file is a single-diagnostic ConfigError.
     """
@@ -155,7 +155,7 @@ def validate_config(
     for actor_id in sorted({actor_id for actor_id in scope if scope.count(actor_id) > 1}):
         diagnostics.append(f"[actors] scope id {actor_id!r} is repeated")
     named = [("[actors] scope id", actor_id) for actor_id in scope]
-    named += [(f"--{name}", options[name]) for name in ("actor", "group") if name in options]
+    named += [("--actor", options["actor"])] if "actor" in options else []
     if actor_set is not None:
         for label, actor_id in named:
             if actor_id not in actor_set:

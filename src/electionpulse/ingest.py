@@ -146,8 +146,9 @@ def parse_tweet_stream(path: str) -> tuple[list[TweetRecord], ParseReport]:
     counts as missing), carries an id already seen, has no text left after
     unicode normalization, exceeds the text byte limit, or has an
     unparseable timestamp; the report counts each skip under its cause.
-    An unreadable path still raises the underlying OSError. The report
-    carries the sha256 of exactly the bytes that were parsed.
+    The first line may open with a UTF-8 byte-order mark, which is
+    skipped. An unreadable path still raises the underlying OSError. The
+    report carries the sha256 of every byte read, the mark included.
     """
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
@@ -158,6 +159,8 @@ def parse_tweet_stream(path: str) -> tuple[list[TweetRecord], ParseReport]:
         for raw_line in handle:
             lines_read += 1
             digest.update(raw_line)
+            if lines_read == 1:  # the file may open with a UTF-8 byte-order mark
+                raw_line = raw_line.removeprefix(b"\xef\xbb\xbf")
             record = _record_or_cause(raw_line, seen_ids)
             if isinstance(record, str):
                 skipped[record] += 1

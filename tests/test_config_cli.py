@@ -129,10 +129,10 @@ class TestValidateConfig:
             "run.seed": "x",
         })
         with pytest.raises(ConfigError) as err:
-            validate_config(path, {"topics.k": "-1"}, "topics", {"group": "nobody"})
+            validate_config(path, {"topics.k": "-1"}, "cloud", {"actor": "nobody"})
         assert err.value.diagnostics == [
             "[actors] scope id 'peter_obi' is not a configured actor",
-            "--group 'nobody' is not a configured actor",
+            "--actor 'nobody' is not a configured actor",
             "[lexicons] negators: no such file: /nowhere/negators.txt",
             "[preprocess] spellcheck = 'maybe' is not a boolean",
             "[sentiment] engine = 'vader' must be one of pattern, swn",
@@ -262,10 +262,6 @@ def _unknown_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[
     return ["cloud", "--config", config_factory(), "--actor", "peter_obi"]
 
 
-def _unknown_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["topics", "--config", config_factory(), "--group", "nobody"]
-
-
 def _train_nbc_without_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["train-nbc", "--config", config_factory(**{"lexicons.nbc_corpus": None})]
 
@@ -280,10 +276,6 @@ def _train_nbc_negative_alpha(config_factory, fixtures_dir, tmp_path, monkeypatc
 
 def _train_nbc_infinite_alpha(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
     return ["train-nbc", "--config", config_factory(), "--alpha", "inf"]
-
-
-def _unknown_group_and_zero_k(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["topics", "--config", config_factory(), "--group", "nobody", "--k", "0"]
 
 
 def _zero_alpha_and_bad_seed(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -414,8 +406,12 @@ def _all_lines_skipped(config_factory, fixtures_dir, tmp_path, monkeypatch) -> l
 
 
 def _narrow_topic_group(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # The group's two tweets hold 9 distinct terms; the fixture asks for 10.
-    return ["topics", "--config", config_factory(), "--group", "osita_chidoka"]
+    # The fixture's first tweet alone: its 7 distinct terms are fewer than
+    # the 10 keywords each topic reports.
+    tweets = tmp_path / "one_tweet.jsonl"
+    with open(fixtures_dir / "tweets_50.jsonl", encoding="utf-8") as handle:
+        tweets.write_text(handle.readline(), encoding="utf-8")
+    return ["topics", "--config", config_factory(), "--input", str(tweets)]
 
 
 def _interrupt(*args, **kwargs):
@@ -462,13 +458,10 @@ def _bad_flag_values(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
 EXIT_CODE_MATRIX = [
     ("missing_config", _missing_config, 2, "config error", None),
     ("unknown_actor", _unknown_actor, 2, "peter_obi", None),
-    ("unknown_group", _unknown_group, 2, "nobody", None),
     ("train_nbc_without_corpus", _train_nbc_without_corpus, 2, "nbc_corpus", None),
     ("train_nbc_zero_alpha", _train_nbc_zero_alpha, 2, "--alpha", None),
     ("train_nbc_negative_alpha", _train_nbc_negative_alpha, 2, "--alpha", None),
     ("train_nbc_infinite_alpha", _train_nbc_infinite_alpha, 2, "--alpha", None),
-    ("unknown_group_and_zero_k", _unknown_group_and_zero_k, 2,
-     ("--group 'nobody'", "[topics] k = 0 must be at least 1"), None),
     ("zero_alpha_and_bad_seed", _zero_alpha_and_bad_seed, 2,
      ("--alpha must be positive", "seed 'y' is not an integer"), None),
     ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
@@ -510,9 +503,8 @@ EXIT_CODE_MATRIX = [
      "corpus is empty: no document reached the topic model",
      ("ValueError: corpus is empty: no document reached the topic model", "sha256:")),
     ("narrow_topic_group", _narrow_topic_group, 1,
-     "group 'osita_chidoka' has a vocabulary of 9 words, fewer than the 10 keywords each topic "
-     "reports",
-     ("ValueError: the topic corpus of group 'osita_chidoka'", "sha256:")),
+     "the topic corpus has a vocabulary of 7 words, fewer than the 10 keywords each topic reports",
+     ("ValueError: the topic corpus has a vocabulary of 7 words", "sha256:")),
 ]
 
 
@@ -571,9 +563,10 @@ class TestCliExitCodes:
             ["topics", "--beta", "0.2"],
             ["topics", "--top-words", "3"],
             ["ingest", "--timezone", "+01:00"],
+            ["topics", "--group", "apga"],
         ],
         ids=["--extra-stopwords-from-actors", "--top-n", "--field-map", "--alpha", "--beta",
-             "--top-words", "--timezone"],
+             "--top-words", "--timezone", "--group"],
     )
     def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -749,8 +742,8 @@ class TestCliRuns:
         # whether it is a table stage or one before the table.
         config = config_factory()
         assert main(["all", "--config", config, "--output", str(tmp_path / "ok")]) == 0
-        narrow = ["topics", "--group", "osita_chidoka", "--output", str(tmp_path / "narrow")]
-        assert main([*narrow, "--config", config]) == 1
+        narrow = _narrow_topic_group(config_factory, fixtures_dir, tmp_path, monkeypatch)
+        assert main([*narrow, "--output", str(tmp_path / "narrow")]) == 1
         monkeypatch.setattr(topics_module, "lda_fit", _interrupt)
         with pytest.raises(KeyboardInterrupt):
             main(["all", "--config", config, "--output", str(tmp_path / "interrupted")])
@@ -795,13 +788,12 @@ class TestCliRuns:
         assert manifest["status"] == "interrupted"
         assert manifest["error"] == "KeyboardInterrupt"
 
-    @pytest.mark.parametrize("args", [["all"], ["topics", "--group", "apga"]])
     def test_each_record_is_matched_once(
-        self, args, config_factory, records, actor_set, monkeypatch
+        self, config_factory, records, actor_set, monkeypatch
     ) -> None:
         cleaned = record_calls(monkeypatch, preprocess_module, "clean")
         matched = record_calls(monkeypatch, actors_module, "match_actors")
-        assert main([*args, "--config", config_factory()]) == 0
+        assert main(["all", "--config", config_factory()]) == 0
         # Loading the roster cleans each alias once, to check that it is
         # its own tokens.
         aliases = [alias for actor in actor_set for alias in actor.aliases]
@@ -860,6 +852,12 @@ class TestCliRuns:
         other = "swn" if engine == "pattern" else "pattern"
         assert scored == [arguments[engine], arguments[other]]
 
+    def test_topics_are_fitted_once_per_run(self, config_factory, kept, monkeypatch) -> None:
+        fitted = record_calls(monkeypatch, topics_module, "lda_fit")
+        assert main(["all", "--config", config_factory(**{"topics.iterations": 5})]) == 0
+        # One fit over every kept tweet gives every actor's row of topics.json.
+        assert [len(corpus.docs) for corpus in fitted] == [len(kept)]
+
     def test_manifest_counts_exclusions_by_reason(self, config_factory, records, tmp_path) -> None:
         assert main(["counts", "--config", config_factory()]) == 0
         dataset = read_json(tmp_path / "out" / "manifest.json")["dataset"]
@@ -870,28 +868,18 @@ class TestCliRuns:
 
     def test_manifest_counts_the_topic_corpus(self, config_factory, kept, tmp_path) -> None:
         path = config_factory(**{"topics.iterations": 5})
-        ledgers = []
-        for argv in (["all"], ["topics", "--group", "apga"]):
-            out = tmp_path / f"topics_{len(ledgers)}"
-            assert main([*argv, "--config", path, "--output", str(out)]) == 0
-            ledgers.append(read_json(out / "manifest.json")["dataset"]["topics"])
-        # Every kept tweet reaches the topic model; under --group, every kept
-        # tweet naming the group. Recount both from tweets.csv.
-        with open(tmp_path / "topics_0" / "tweets.csv", encoding="utf-8", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        expected = []
-        for docs in (rows, [row for row in rows if row["apga"] == "true"]):
-            tokens = [token for row in docs for token in row["tokens"].split()]
-            expected.append({
-                "documents": len(docs),
-                "tokens": len(tokens),
-                "words": len(set(tokens)),
-                "token_samples": len(tokens) * 5,
-            })
-        assert ledgers == expected
-        assert [ledger["documents"] for ledger in ledgers] == [
-            len(kept), sum("apga" in tweet.actors for tweet in kept)
-        ]
+        out = tmp_path / "topics"
+        assert main(["all", "--config", path, "--output", str(out)]) == 0
+        ledger = read_json(out / "manifest.json")["dataset"]["topics"]
+        # Every kept tweet reaches the topic model. Recount from tweets.csv.
+        with open(out / "tweets.csv", encoding="utf-8", newline="") as handle:
+            tokens = [token for row in csv.DictReader(handle) for token in row["tokens"].split()]
+        assert ledger == {
+            "documents": len(kept),
+            "tokens": len(tokens),
+            "words": len(set(tokens)),
+            "token_samples": len(tokens) * 5,
+        }
         assert len(kept) == 43
         assert main(["counts", "--config", config_factory()]) == 0
         assert "topics" not in read_json(tmp_path / "out" / "manifest.json")["dataset"]
@@ -1157,18 +1145,32 @@ class TestCliRuns:
             "tony_nwoye", "willie_obiano",
         ]
 
-    def test_topics_group_restricts_corpus(self, config_factory, tmp_path) -> None:
-        rc = main([
-            "topics", "--config", config_factory(),
-            "--group", "apga", "--k", "2", "--iters", "50",
-        ])
-        assert rc == 0
-        payload = read_json(tmp_path / "out" / "topics.json")
-        assert payload["group"] == "apga"
-        assert payload["k"] == 2
-        assert len(payload["topics"]) == 2
-        for topic in payload["topics"]:
-            assert len(topic["keywords"]) == topics_module.TOP_WORDS == 10
+    def test_topics_rows_sum_each_actors_tweets(self, config_factory, actor_set, tmp_path) -> None:
+        path = config_factory(**{"topics.k": 3, "topics.iterations": 20})
+        assert main(["all", "--config", path]) == 0
+        out = tmp_path / "out"
+        payload = read_json(out / "topics.json")
+        assert len(payload["topics"]) == payload["k"] == 3
+        assert all(len(topic["keywords"]) == topics_module.TOP_WORDS for topic in payload["topics"])
+        with open(out / "tweets.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        # A refit with the same seed over the exported tokens: row i is document i.
+        docs = [row["tokens"].split() for row in rows]
+        model = topics_module.lda_fit(
+            topics_module.build_corpus(docs),
+            k=payload["k"], iterations=payload["iterations"], seed=payload["seed"],
+        )
+        expected = {}
+        for actor in actor_set:
+            members = [i for i, row in enumerate(rows) if row[actor.id] == "true"]
+            expected[actor.id] = [
+                sum(model.doc_topic_counts[i][topic] for i in members) for topic in range(model.k)
+            ]
+            assert sum(expected[actor.id]) == sum(len(docs[i]) for i in members), actor.id
+        assert payload["actors"] == expected
+        assert "group" not in payload
+        # Two tweets name osita_chidoka: too few words for a fit of its own.
+        assert sum(payload["actors"]["osita_chidoka"]) == 9
 
     def test_seed_flag_overrides_config(self, config_factory, tmp_path) -> None:
         rc = main(["sentiment", "--config", config_factory(), "--seed", "99"])

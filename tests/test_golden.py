@@ -23,7 +23,7 @@ GOLDEN = {
         "heatmap.json": "db5ee0e85efa4c4d9d50f0b1b7e92edaf333cbb1d73d819ea564738d02a45d78",
         "scores.csv": "9894a975272a764937dd53576fadc4acbde0fa157cf4eeb66d14f31a531a860d",
         "timeseries.csv": "a057ea6317ba83bb915d888c718b848fb4fce7c07c3fd37afd9236d1d9f64d0b",
-        "topics.json": "11092d9a71c885ba17041fa93ca6e4b04253a83f936ca1ad0140e53550b23107",
+        "topics.json": "4f252a7a1e18cc6e502235ae7cd48a9012cf1a19c12e3559445886eaf7a2ddfb",
         "tweets.csv": "95033271afdf2f3af88ac7d9046a83b5de0b435b073c31509a88fb372623a575",
     },
     "train-nbc": {
@@ -66,6 +66,16 @@ def _digests(out_dir: Path) -> dict[str, str]:
 def test_artifact_digests_match_golden(subcommand, config_factory, tmp_path) -> None:
     assert main([subcommand, "--config", config_factory()]) == 0
     assert _digests(tmp_path / "out") == GOLDEN[subcommand]
+
+
+def test_train_nbc_corpus_may_start_with_a_byte_order_mark(
+    config_factory, fixtures_dir, tmp_path
+) -> None:
+    corpus = tmp_path / "nbc_corpus.csv"
+    corpus.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / "nbc_corpus.csv").read_bytes())
+    config = config_factory(**{"lexicons.nbc_corpus": str(corpus)})
+    assert main(["train-nbc", "--config", config]) == 0
+    assert _digests(tmp_path / "out") == GOLDEN["train-nbc"]
 
 
 def test_swn_engine_digests_match_golden(config_factory, tmp_path) -> None:

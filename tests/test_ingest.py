@@ -180,6 +180,14 @@ class TestParsing:
         _, report = parse_tweet_stream(str(path))
         assert report.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_digest_covers_a_leading_byte_order_mark(self, tmp_path) -> None:
+        payload = b"\xef\xbb\xbf" + (line() + "\n").encode("utf-8")
+        path = tmp_path / "marked.jsonl"
+        path.write_bytes(payload)
+        records, report = parse_tweet_stream(str(path))
+        assert (len(records), report.lines_skipped) == (1, 0)
+        assert report.sha256 == hashlib.sha256(payload).hexdigest()
+
     def test_digest_covers_a_last_line_without_newline(self, tmp_path) -> None:
         payload = (line() + "\n" + "not json").encode("utf-8")
         path = tmp_path / "tail.jsonl"

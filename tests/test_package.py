@@ -20,7 +20,7 @@ import electionpulse
 from electionpulse.actors import load_actor_file
 from electionpulse.cli import _build_parser, main
 from electionpulse.config import validate_config
-from electionpulse.ingest import ParseReport
+from electionpulse.ingest import ParseReport, parse_tweet_stream
 from electionpulse.preprocess import load_stopwords
 from electionpulse.sentiment import load_negators, load_pattern_lexicon, load_sense_lexicon
 from electionpulse.spelling import load_dictionary
@@ -148,6 +148,10 @@ BOM_INPUTS = {
         "[obiano]\nkind = candidate\naliases = obiano\n",
     ),
     "config": (lambda path: validate_config(path)._replace(actor_set=None), None),
+    "tweets": (
+        lambda path: parse_tweet_stream(path)[0],
+        '{"id_str": "1", "created_at": "Sat Nov 18 09:00:00 +0000 2017", "text": "vote"}\n',
+    ),
 }
 
 
