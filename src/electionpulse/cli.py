@@ -107,11 +107,17 @@ def _stage(state: _RunState, name: str):
     block sets; a block that raises is timed too, with ``records`` null."""
     stage = {"name": name, "records": None}
     state.stages.append(stage)
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     try:
         yield stage
     finally:
         stage["seconds"] = round(time.perf_counter() - started, 6)
+        stage["cpu_seconds"] = round(time.process_time() - cpu_started, 6)
+        stage["peak_rss_mb"] = None  # VmHWM, not ru_maxrss, which a child inherits
+        with contextlib.suppress(FileNotFoundError), open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    stage["peak_rss_mb"] = round(int(line.split()[1]) / 1024, 1)
 
 
 def _scored(state: _RunState, engine: str) -> EngineScores:

@@ -1,26 +1,22 @@
 """LDA topic extraction by collapsed Gibbs sampling.
 
-The sampler is deliberately plain Python over count lists: the one
-distribution the model exposes, phi, is an exact function of those
-counts, and a fixed seed makes the whole fit bit-reproducible. The
-word-topic counts are word-major, so a token-sample reads one row, and
-the model holds that same table as ``word_topic_counts``; ``phi`` reads
-one column of it. While it sweeps, the sampler keeps its three count
-tables as integer-valued floats changed by ``1.0``, so every add in a
-token-sample is float + float, which CPython runs on its float fast
-path; an int + float add takes the generic number protocol. A count
-below 2**53 is exact as a float, so every weight and draw is the float
-the integer formula gives, and the fit ends by turning the tables back
-into ints in place. The price is memory: each touched count is its own
-24-byte float object, where a small int is shared. The sweeps cache each
-topic's denominator ``topic_total + BETA * V``, recomputing the two a
-move changes; each float is the expression the formula names, so the fit
-is bit-identical to the plain topic-major loop over int counts. One final
-sample is taken; there is no averaging over sweeps. The priors are the
-constants ``ALPHA`` and ``BETA``, and every topic reports its ``TOP_WORDS``
-heaviest words. ``build_corpus`` takes one token sequence per document
-(the CLI passes each kept tweet's tokens), and ``topic_report`` returns
-the ``topics`` list of ``topics.json`` as plain dicts.
+The sampler is plain Python over count lists: phi is an exact function of
+the counts, and a fixed seed makes the fit bit-reproducible. The
+word-topic counts are word-major, so a token-sample reads one row; the
+model holds that table as ``word_topic_counts`` and ``phi`` reads a
+column. The sweeps count in integer-valued floats changed by ``1.0``, so
+every add is float + float, CPython's fast path (int + float takes the
+generic number protocol). Below 2**53 a float count is exact, so every
+weight and draw is the float the int formula gives, and the fit turns the
+tables back into ints; the price is a 24-byte float per touched count,
+where a small int is shared. Each topic's ``topic_total + BETA * V`` is
+cached and recomputed when a move changes it. Each sweep is written out
+for the fit's k from the int ``k`` alone, so no config text reaches
+``exec``. Every weight is the formula's expression, summed in topic
+order, so the fit is bit-identical to the plain loop over int counts.
+One final sample is taken, with no averaging over sweeps. ``build_corpus``
+takes one token sequence per document (the CLI passes each kept tweet's
+tokens), and ``topic_report`` returns ``topics.json``'s ``topics`` list.
 """
 
 from __future__ import annotations
@@ -80,6 +76,42 @@ class TopicModel(NamedTuple):
         return [(row[topic] + BETA) / denominator for row in self.word_topic_counts]
 
 
+def _sweep(k: int):
+    """Compile the function that runs one sweep over every token for k
+    topics. ``c{t}`` sums the weights of topics 0..t, and the draw takes the
+    first topic whose sum reaches it, else the last. Every line is flat: a
+    chain nested k deep would not compile for a large k."""
+    topics = range(k)
+    term = "(doc_counts[{0}] + alpha) * (row[{0}] + beta) / denominators[{0}]".format
+    next_line = "\n" + " " * 12
+    sums = next_line.join([f"c0 = {term(0)}", *(f"c{t} = c{t - 1} + {term(t)}" for t in topics[1:])])
+    search = next_line.join(f"if draw <= c{t}: new = {t}" for t in reversed(topics[:-1]))
+    source = f"""\
+def sweep(docs, doc_topic_counts, assignments, word_topic, topic_totals, denominators, alpha, beta, beta_v, random):
+    for doc, doc_counts, assigned in zip(docs, doc_topic_counts, assignments):
+        i = 0
+        for word in doc:
+            row = word_topic[word]
+            old = assigned[i]
+            row[old] -= 1.0
+            doc_counts[old] -= 1.0
+            topic_totals[old] -= 1.0
+            denominators[old] = topic_totals[old] + beta_v
+            {sums}
+            draw = random() * c{topics[-1]}
+            new = {topics[-1]}
+            {search}
+            assigned[i] = new
+            row[new] += 1.0
+            doc_counts[new] += 1.0
+            topic_totals[new] += 1.0
+            denominators[new] = topic_totals[new] + beta_v
+            i += 1
+"""
+    exec(source, namespace := {})
+    return namespace["sweep"]
+
+
 def lda_fit(
     corpus: Corpus,
     k: int = 5,
@@ -92,8 +124,8 @@ def lda_fit(
     p(z = t) proportional to (doc_topic[d][t] + ALPHA)
     * (word_topic[w][t] + BETA) / (topic_total[t] + BETA * V)
     with the token's own assignment removed from the counts first.
-    The sweeps count in integer-valued floats (see the module docstring);
-    the returned model holds the same tables turned back into ints.
+    The sweeps count in integer-valued floats, returned as ints, and are
+    written out for k from the int alone, so no config text reaches ``exec``.
     Identical inputs and seed give identical output.
     """
     if k < 1:
@@ -109,8 +141,6 @@ def lda_fit(
         )
     rng = random.Random(seed)
     docs = corpus.docs
-    # Word-major: one token-sample reads one row. Float counts keep every
-    # add of the sweep float + float; see the module docstring.
     word_topic = [[0.0] * k for _ in range(vocab_size)]
     doc_topic_counts = [[0.0] * k for _ in range(len(docs))]
     topic_totals = [0.0] * k
@@ -124,39 +154,12 @@ def lda_fit(
             doc_counts[topic] += 1.0
             topic_totals[topic] += 1.0
         assignments.append(assigned)
-    # Locals, so the token-sample loop does no global lookups.
-    alpha, beta = ALPHA, BETA
-    beta_v = beta * vocab_size
-    # denominators[t] is always topic_totals[t] + beta_v, the same float the
-    # formula would compute; a move changes only the two entries it touches.
+    beta_v = BETA * vocab_size
     denominators = [total + beta_v for total in topic_totals]
-    thresholds = [0.0] * k
-    topic_ids = range(k)
-    last = k - 1
+    sweep = _sweep(k)
     for _ in range(iterations):
-        for doc, doc_counts, assigned in zip(docs, doc_topic_counts, assignments):
-            i = 0
-            for word in doc:
-                row = word_topic[word]
-                old = assigned[i]
-                row[old] -= 1.0
-                doc_counts[old] -= 1.0
-                topic_totals[old] -= 1.0
-                denominators[old] = topic_totals[old] + beta_v
-                cumulative = 0.0
-                for t in topic_ids:
-                    cumulative += (doc_counts[t] + alpha) * (row[t] + beta) / denominators[t]
-                    thresholds[t] = cumulative
-                draw = rng.random() * cumulative
-                new = 0
-                while new < last and thresholds[new] < draw:
-                    new += 1
-                assigned[i] = new
-                row[new] += 1.0
-                doc_counts[new] += 1.0
-                topic_totals[new] += 1.0
-                denominators[new] = topic_totals[new] + beta_v
-                i += 1
+        sweep(docs, doc_topic_counts, assignments, word_topic, topic_totals, denominators,
+              ALPHA, BETA, beta_v, rng.random)
     for table in (word_topic, doc_topic_counts, [topic_totals]):
         for row in table:
             row[:] = map(int, row)

@@ -720,6 +720,31 @@ class TestCliRuns:
             "topics": 5,
         }
 
+    def test_manifest_stage_cpu_seconds_and_peak_memory(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        assert main(["all", "--config", config_factory()]) == 0
+        stages = read_json(tmp_path / "out" / "manifest.json")["stages"]
+        assert all(stage["cpu_seconds"] >= 0 for stage in stages)
+        peaks = [stage["peak_rss_mb"] for stage in stages]
+        if sys.platform.startswith("linux"):
+            # VmHWM is the process's high-water mark, so it never falls.
+            assert all(peak > 0 for peak in peaks)
+            assert peaks == sorted(peaks)
+        # Without /proc/self/status every peak is null and the run goes on.
+        real_open = open
+
+        def no_proc(path, *args, **kwargs):
+            if path == "/proc/self/status":
+                raise FileNotFoundError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "open", no_proc, raising=False)
+        assert main(["all", "--config", config_factory(), "--output", str(tmp_path / "no_proc")]) == 0
+        stages = read_json(tmp_path / "no_proc" / "manifest.json")["stages"]
+        assert [stage["peak_rss_mb"] for stage in stages] == [None] * len(stages)
+        assert all(stage["cpu_seconds"] >= 0 for stage in stages)
+
     def test_preprocess_stage_times_dataset_stats(
         self, config_factory, tmp_path, monkeypatch
     ) -> None:

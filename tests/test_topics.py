@@ -9,7 +9,7 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from electionpulse.topics import (
@@ -185,8 +185,9 @@ class TestSamplerPin:
 def reference_fit(
     corpus: Corpus, k: int, iterations: int, seed: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[int]]:
-    """The sampler as it was over int counts, the oracle for the float
-    working counts: (assignments, word-topic, doc-topic, topic totals)."""
+    """The sampler as a plain loop over the topics and int counts, the oracle
+    for the float working counts and the sweep written out for k:
+    (assignments, word-topic, doc-topic, topic totals)."""
     rng = random.Random(seed)
     docs = corpus.docs
     word_topic = [[0] * k for _ in range(len(corpus.vocabulary))]
@@ -242,16 +243,19 @@ def all_ints(tables) -> bool:
 
 
 class TestFloatWorkingCounts:
-    """The sampler counts in floats; every draw and count must match the int
-    loop after every sweep, and every count a caller sees must be an int."""
+    """The sampler counts in floats, in a sweep written out for k; every draw
+    and count must match the int loop after every sweep, and every count a
+    caller sees must be an int. k = 3,000 checks that a large k compiles:
+    a weight sum or search nested k deep would not."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         docs=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=9), min_size=1, max_size=8),
-        k=st.integers(1, 8),
+        k=st.integers(1, 16),
         iterations=st.integers(1, 6),
         seed=st.integers(0, 2**32),
     )
+    @example(docs=[[0, 1, 2], [1, 2, 3], [0, 3]], k=3000, iterations=2, seed=7)
     def test_matches_the_int_loop(self, docs, k, iterations, seed) -> None:
         corpus = build_corpus([[f"w{word}" for word in doc] for doc in docs])
         for sweeps in range(1, iterations + 1):
