@@ -1,10 +1,13 @@
-"""Shared helpers: percentage rounding, word lists, and the one timestamp
-layout a record may carry, Twitter's classic ``created_at``."""
+"""Shared helpers: percentage rounding, word lists, the one timestamp
+layout a record may carry (Twitter's classic ``created_at``), and
+``write_csv`` and ``write_json``, which decide every artifact's bytes."""
 
 from __future__ import annotations
 
+import csv
+import json
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timedelta, timezone
 
 # Twitter's classic created_at layout: "Sat Nov 18 09:31:00 +0000 2017".
@@ -57,6 +60,21 @@ def read_word_list(path: str) -> frozenset[str]:
             if line and not line.startswith("#"):
                 words.add(line.lower())
     return frozenset(words)
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """``header``, then ``rows``: UTF-8, in the ``csv`` module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str, payload) -> None:
+    """``payload`` as JSON: sorted keys, a two-space indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def parse_timestamp(value: str) -> datetime:

@@ -3,9 +3,11 @@
 Every subcommand is one ``_STAGES`` row and runs as timed ``_stage``
 blocks over one validated configuration, so all analyses see the same
 preprocessed tweet population. Flag values are checked with the file's
-keys, so every usage error is reported at once. Artifacts are written to a
-staging directory and moved into the output directory only when the run
-succeeds, so a failed run never leaves partial outputs. A run manifest
+keys, so every usage error is reported at once. Writers hand rows or a
+payload to ``_util.write_csv`` or ``write_json``, which decide every
+artifact's bytes. Artifacts are staged, then moved into the output
+directory one ``os.replace`` each once every stage has succeeded; the
+manifest's ``promoted`` names the files moved. A run manifest
 is written on success and failure alike; it is the only artifact that
 contains wall-clock timestamps, keeping the data artifacts byte-stable
 across reruns with the same inputs and seed.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import os
 import shutil
 import sys
@@ -27,6 +28,7 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__, analytics, topics
+from ._util import write_csv, write_json
 from .config import ConfigError, RunConfig, validate_config
 from .ingest import (
     ParseReport,
@@ -139,12 +141,6 @@ def _grid(state: _RunState) -> analytics.SoleMentionGrid:
     return state.grid
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
     export_records(state.kept, os.path.join(staging, "tweets.csv"), state.config.actor_set)
     return len(state.kept)
@@ -152,42 +148,25 @@ def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
 
 def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
     scores = _score(state)
-    with open(os.path.join(staging, "scores.csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "polarity", "subjectivity", "polarity_class", "subjectivity_class"])
-        for tweet, score in zip(state.kept, scores):
-            writer.writerow(
-                [
-                    tweet.id,
-                    repr(score.polarity),
-                    repr(score.subjectivity),
-                    polarity_class(score.polarity),
-                    subjectivity_class(score.subjectivity),
-                ]
-            )
+    header = ["id", "polarity", "subjectivity", "polarity_class", "subjectivity_class"]
+    rows = (
+        [tweet.id, repr(score.polarity), repr(score.subjectivity),
+         polarity_class(score.polarity), subjectivity_class(score.subjectivity)]
+        for tweet, score in zip(state.kept, scores)
+    )
+    write_csv(os.path.join(staging, "scores.csv"), header, rows)
     return len(scores)
 
 
 def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
     table = compare_classifiers({engine: _scored(state, engine).scores for engine in ENGINES})
-    with open(os.path.join(staging, "compare.csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "engine",
-                "positive_count",
-                "neutral_count",
-                "negative_count",
-                "positive_pct",
-                "neutral_pct",
-                "negative_pct",
-            ]
-        )
-        for engine in sorted(table):
-            dist = table[engine]
-            writer.writerow(
-                [engine, *dist.counts, *(f"{value:.2f}" for value in dist.percentages)]
-            )
+    header = ["engine", "positive_count", "neutral_count", "negative_count",
+              "positive_pct", "neutral_pct", "negative_pct"]
+    rows = (
+        [engine, *dist.counts, *(f"{value:.2f}" for value in dist.percentages)]
+        for engine, dist in sorted(table.items())
+    )
+    write_csv(os.path.join(staging, "compare.csv"), header, rows)
     return len(state.kept)
 
 
@@ -203,7 +182,7 @@ def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
             "skipped": state.report.lines_skipped,
         },
     }
-    _write_json(os.path.join(staging, "counts.json"), payload)
+    write_json(os.path.join(staging, "counts.json"), payload)
     return len(state.stats["per_group"])
 
 
@@ -217,35 +196,26 @@ def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
     payload = {
         actor.id: analytics.cooccurrence_cloud(state.kept, actor, actor_set) for actor in chosen
     }
-    _write_json(os.path.join(staging, "clouds.json"), payload)
+    write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
 
 
 def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     series = analytics.avg_sentiment_series(_grid(state), _score(state))
-    with open(os.path.join(staging, "timeseries.csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["actor", "bucket", "count", "mean_polarity_x100", "mean_subjectivity"])
-        for actor_id, cells in series.items():
-            for label, cell in cells.items():
-                if cell is None:
-                    writer.writerow([actor_id, label, 0, "", ""])
-                else:
-                    writer.writerow(
-                        [
-                            actor_id,
-                            label,
-                            cell.count,
-                            repr(cell.mean_polarity_x100),
-                            repr(cell.mean_subjectivity),
-                        ]
-                    )
+    header = ["actor", "bucket", "count", "mean_polarity_x100", "mean_subjectivity"]
+    rows = (
+        [actor_id, label, 0, "", ""] if cell is None else
+        [actor_id, label, cell.count, repr(cell.mean_polarity_x100), repr(cell.mean_subjectivity)]
+        for actor_id, cells in series.items()
+        for label, cell in cells.items()
+    )
+    write_csv(os.path.join(staging, "timeseries.csv"), header, rows)
     return len(series) * len(analytics.BUCKET_LABELS)
 
 
 def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
     matrix = analytics.frequency_heatmap(_grid(state), state.kept)
-    _write_json(os.path.join(staging, "heatmap.json"), matrix)
+    write_json(os.path.join(staging, "heatmap.json"), matrix)
     return len(matrix)
 
 
@@ -280,7 +250,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
         "top_words": topics.TOP_WORDS,
         "topics": entries,
     }
-    _write_json(os.path.join(staging, "topics.json"), payload)
+    write_json(os.path.join(staging, "topics.json"), payload)
     return len(entries)
 
 
@@ -309,7 +279,7 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
         "likelihoods": model.word_likelihoods,
         "vocabulary": sorted(model.vocabulary),
     }
-    _write_json(os.path.join(staging, "nbc_model.json"), payload)
+    write_json(os.path.join(staging, "nbc_model.json"), payload)
     return len(docs)
 
 
@@ -343,6 +313,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
     status = "ok"
     error = None
     interrupt = None
+    promoted: list[str] = []
     state = _RunState(config=config)
     try:
         with _stage(state, "load") as stage:
@@ -363,10 +334,11 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
                 stage["records"] = writer(state, staging, options)
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
-    except Exception as exc:  # pipeline failure: no partial artifacts, manifest only
+            promoted.append(name)
+    except Exception as exc:  # pipeline failure: the manifest, and only what was promoted
         status = "failed"
         error = f"{type(exc).__name__}: {exc}"
-    except KeyboardInterrupt as exc:  # Ctrl-C: manifest only, then re-raise
+    except KeyboardInterrupt as exc:  # Ctrl-C: as a failure, then re-raise
         status = "interrupted"
         error = "KeyboardInterrupt"
         interrupt = exc
@@ -384,9 +356,10 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started_clock, 6),
         "stages": state.stages,
+        "promoted": promoted,
         "dataset": _dataset_section(state),
     }
-    _write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
+    write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
     if interrupt is not None:
         raise interrupt
     if status != "ok":

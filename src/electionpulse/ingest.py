@@ -11,8 +11,8 @@ pipeline on them; each kept tweet carries its id, timestamp, bucket and
 matched actor ids, not its text.
 ``dataset_stats`` returns the dict that ``counts.json`` holds.
 
-Writes: an RFC-4180 CSV export of preprocessed tweets with one boolean
-column per configured actor.
+Writes: a CSV export of preprocessed tweets with one boolean column per
+configured actor, its bytes decided by ``_util.write_csv``.
 
 Parsing is total: a malformed line never aborts the stream, it is
 counted and skipped, and lines read always equals records plus skips.
@@ -20,7 +20,6 @@ counted and skipped, and lines read always equals records plus skips.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import unicodedata
@@ -28,7 +27,7 @@ from collections.abc import Iterable, Sequence
 from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 
-from ._util import parse_timestamp, pct
+from ._util import parse_timestamp, pct, write_csv
 from .actors import ActorSet, group_counts, match_actors
 from .analytics import bucket_label
 from .preprocess import PipelineConfig, ProcessedTweet, preprocess_pipeline, text_tokens
@@ -238,11 +237,9 @@ def export_records(records: Sequence[ProcessedTweet], path: str, actors: ActorSe
     """Write one CSV row per kept tweet: id, timestamp, bucket, tokens,
     then a true/false column per configured actor, read from ``tweet.actors``."""
     ids = [actor.id for actor in actors]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "created_at", "bucket", "tokens"] + ids)
-        for tweet in records:
-            writer.writerow(
-                [tweet.id, tweet.created_at.isoformat(), tweet.bucket, " ".join(tweet.tokens)]
-                + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
-            )
+    rows = (
+        [tweet.id, tweet.created_at.isoformat(), tweet.bucket, " ".join(tweet.tokens)]
+        + ["true" if actor_id in tweet.actors else "false" for actor_id in ids]
+        for tweet in records
+    )
+    write_csv(path, ["id", "created_at", "bucket", "tokens", *ids], rows)

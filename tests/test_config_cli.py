@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import electionpulse.cli as cli_module
+from electionpulse import _util as util_module
 from electionpulse import actors as actors_module
 from electionpulse import analytics as analytics_module
 from electionpulse import preprocess as preprocess_module
@@ -343,16 +344,12 @@ def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
     return ["topics", "--config", config_factory(**{"topcs.iterations": "5"})]
 
 
-def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    # A [topic_labels] section left from an old config is a stray section.
-    return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
-
-
 # Keys that no configuration has, each refused with its own diagnostic:
 # a [fields] section (the parser reads Twitter's classic shape, so no key
-# moves a field), entries an old manifest's snapshot would carry (a field
-# map; topic labels, though a topic's index depends on the seed, the
-# corpus, k and the sweep count), and inputs that became constants, each
+# moves a field), topic labels, in an old config's [topic_labels] section
+# or as an old manifest's snapshot entry (a topic's index depends on the
+# seed, the corpus, k and the sweep count), the snapshot's field map, and
+# inputs that became constants, each
 # set to its old value (stemming always runs, the polarity column is x100,
 # alias words are always stopwords, the subjectivity split, the heatmap
 # rows, the Dirichlet priors, the keywords per topic and the length floor).
@@ -363,6 +360,7 @@ LEFTOVER_KEYS = {
     "input.field_map": "text=body",
     "input.timezone": "+01:00",
     "topics.labels": "a",
+    "topic_labels.0": "logistics",
     "preprocess.stem": "false",
     "sentiment.polarity_scale": "1",
     "preprocess.extra_stopwords_from_actors": "true",
@@ -477,8 +475,6 @@ EXIT_CODE_MATRIX = [
      "[topics] iteration is not a configuration key", None),
     ("unknown_section", _unknown_section, 2,
      "[topcs] iterations is not a configuration key", None),
-    ("leftover_topic_labels", _topic_labels_section, 2,
-     "[topic_labels] 0 is not a configuration key", None),
     ("leftover_keys", _leftover_keys, 2,
      tuple(
          "[{}] {} is not a configuration key".format(*dotted.split("."))
@@ -541,6 +537,7 @@ class TestCliExitCodes:
         manifest = read_json(out_dir / "manifest.json")
         assert manifest["status"] == "failed"
         assert error_fragment in manifest["error"]
+        assert manifest["promoted"] == []
         if digest_prefix is None:
             assert manifest["input_digest"] is None
         else:
@@ -690,10 +687,11 @@ class TestCliRuns:
         manifest = read_json(tmp_path / "out" / "manifest.json")
         assert sorted(manifest) == [
             "config", "dataset", "error", "finished_at", "input_digest",
-            "seed", "stages", "started_at", "status", "subcommand",
+            "promoted", "seed", "stages", "started_at", "status", "subcommand",
             "tool", "total_seconds",
         ]
         assert manifest["status"] == "ok"
+        assert manifest["promoted"] == ["scores.csv"]
         assert manifest["error"] is None
         assert manifest["subcommand"] == "sentiment"
         assert manifest["seed"] == 42
@@ -812,6 +810,43 @@ class TestCliRuns:
         manifest = read_json(out_dir / "manifest.json")
         assert manifest["status"] == "interrupted"
         assert manifest["error"] == "KeyboardInterrupt"
+        assert manifest["promoted"] == []
+
+    def test_a_failed_move_leaves_the_files_the_manifest_promoted(
+        self, config_factory, tmp_path, monkeypatch
+    ) -> None:
+        # Artifacts move in name order, one os.replace each; the third fails.
+        replace = os.replace
+        moved = []
+
+        def fail_third(source, target):
+            moved.append(os.path.basename(target))
+            if len(moved) == 3:
+                raise OSError("no space left on device")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", fail_third)
+        assert main(["all", "--config", config_factory()]) == 1
+        out_dir = tmp_path / "out"
+        manifest = read_json(out_dir / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "OSError: no space left on device"
+        assert manifest["promoted"] == ["clouds.json", "compare.csv"]
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "clouds.json", "compare.csv", "manifest.json"
+        ]
+
+    def test_each_artifact_is_written_once_by_its_format_writer(
+        self, config_factory, monkeypatch
+    ) -> None:
+        csv_paths = record_calls(monkeypatch, util_module, "write_csv")
+        json_paths = record_calls(monkeypatch, util_module, "write_json")
+        assert main(["all", "--config", config_factory()]) == 0
+        csv_names = [os.path.basename(path) for path in csv_paths]
+        json_names = [os.path.basename(path) for path in json_paths]
+        assert sorted(csv_names + json_names) == sorted(ALL_ARTIFACTS | {"manifest.json"})
+        assert all(name.endswith(".csv") for name in csv_names)
+        assert all(name.endswith(".json") for name in json_names)
 
     def test_each_record_is_matched_once(
         self, config_factory, records, actor_set, monkeypatch
