@@ -344,12 +344,16 @@ def _unknown_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
     return ["topics", "--config", config_factory(**{"topcs.iterations": "5"})]
 
 
+def _topic_labels_section(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # A [topic_labels] section left from an old config is a stray section.
+    return ["topics", "--config", config_factory(**{"topic_labels.0": "logistics"})]
+
+
 # Keys that no configuration has, each refused with its own diagnostic:
 # a [fields] section (the parser reads Twitter's classic shape, so no key
-# moves a field), topic labels, in an old config's [topic_labels] section
-# or as an old manifest's snapshot entry (a topic's index depends on the
-# seed, the corpus, k and the sweep count), the snapshot's field map, and
-# inputs that became constants, each
+# moves a field), entries an old manifest's snapshot would carry (a field
+# map; topic labels, though a topic's index depends on the seed, the
+# corpus, k and the sweep count), and inputs that became constants, each
 # set to its old value (stemming always runs, the polarity column is x100,
 # alias words are always stopwords, the subjectivity split, the heatmap
 # rows, the Dirichlet priors, the keywords per topic and the length floor).
@@ -360,7 +364,6 @@ LEFTOVER_KEYS = {
     "input.field_map": "text=body",
     "input.timezone": "+01:00",
     "topics.labels": "a",
-    "topic_labels.0": "logistics",
     "preprocess.stem": "false",
     "sentiment.polarity_scale": "1",
     "preprocess.extra_stopwords_from_actors": "true",
@@ -475,6 +478,8 @@ EXIT_CODE_MATRIX = [
      "[topics] iteration is not a configuration key", None),
     ("unknown_section", _unknown_section, 2,
      "[topcs] iterations is not a configuration key", None),
+    ("leftover_topic_labels", _topic_labels_section, 2,
+     "[topic_labels] 0 is not a configuration key", None),
     ("leftover_keys", _leftover_keys, 2,
      tuple(
          "[{}] {} is not a configuration key".format(*dotted.split("."))
