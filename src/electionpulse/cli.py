@@ -46,6 +46,7 @@ from .preprocess import (
 )
 from .sentiment import (
     ENGINES,
+    NBC_ALPHA,
     EngineScores,
     SenseLexicon,
     SentimentScore,
@@ -141,12 +142,12 @@ def _grid(state: _RunState) -> analytics.SoleMentionGrid:
     return state.grid
 
 
-def _stage_tweets_csv(state: _RunState, staging: str, options: dict) -> int:
+def _stage_tweets_csv(state: _RunState, staging: str) -> int:
     export_records(state.kept, os.path.join(staging, "tweets.csv"), state.config.actor_set)
     return len(state.kept)
 
 
-def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
+def _stage_scores_csv(state: _RunState, staging: str) -> int:
     scores = _score(state)
     header = ["id", "polarity", "subjectivity", "polarity_class", "subjectivity_class"]
     rows = (
@@ -158,7 +159,7 @@ def _stage_scores_csv(state: _RunState, staging: str, options: dict) -> int:
     return len(scores)
 
 
-def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
+def _stage_compare_csv(state: _RunState, staging: str) -> int:
     table = compare_classifiers({engine: _scored(state, engine).scores for engine in ENGINES})
     header = ["engine", "positive_count", "neutral_count", "negative_count",
               "positive_pct", "neutral_pct", "negative_pct"]
@@ -170,7 +171,7 @@ def _stage_compare_csv(state: _RunState, staging: str, options: dict) -> int:
     return len(state.kept)
 
 
-def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
+def _stage_counts_json(state: _RunState, staging: str) -> int:
     scores = _score(state)
     combined = analytics.combined_avg_polarity(state.kept, scores, state.config.actor_set)
     payload = {
@@ -186,21 +187,17 @@ def _stage_counts_json(state: _RunState, staging: str, options: dict) -> int:
     return len(state.stats["per_group"])
 
 
-def _stage_clouds_json(state: _RunState, staging: str, options: dict) -> int:
+def _stage_clouds_json(state: _RunState, staging: str) -> int:
     actor_set = state.config.actor_set
-    actor_id = options.get("actor")
-    if actor_id:
-        chosen = [actor_set[actor_id]]
-    else:
-        chosen = [actor for actor in actor_set if actor.kind == "candidate"]
     payload = {
-        actor.id: analytics.cooccurrence_cloud(state.kept, actor, actor_set) for actor in chosen
+        actor_id: analytics.cooccurrence_cloud(state.kept, actor_set[actor_id], actor_set)
+        for actor_id in state.config.cloud_actors
     }
     write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
 
 
-def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
+def _stage_timeseries_csv(state: _RunState, staging: str) -> int:
     series = analytics.avg_sentiment_series(_grid(state), _score(state))
     header = ["actor", "bucket", "count", "mean_polarity_x100", "mean_subjectivity"]
     rows = (
@@ -213,13 +210,13 @@ def _stage_timeseries_csv(state: _RunState, staging: str, options: dict) -> int:
     return len(series) * len(analytics.BUCKET_LABELS)
 
 
-def _stage_heatmap_json(state: _RunState, staging: str, options: dict) -> int:
+def _stage_heatmap_json(state: _RunState, staging: str) -> int:
     matrix = analytics.frequency_heatmap(_grid(state), state.kept)
     write_json(os.path.join(staging, "heatmap.json"), matrix)
     return len(matrix)
 
 
-def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
+def _stage_topics_json(state: _RunState, staging: str) -> int:
     config = state.config
     corpus = topics.build_corpus(tweet.tokens for tweet in state.kept)
     tokens = sum(map(len, corpus.docs))
@@ -254,7 +251,7 @@ def _stage_topics_json(state: _RunState, staging: str, options: dict) -> int:
     return len(entries)
 
 
-def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
+def _stage_nbc_model(state: _RunState, staging: str) -> int:
     corpus_path = state.config.nbc_corpus_path
     docs = []
     with open(corpus_path, encoding="utf-8-sig", newline="") as handle:
@@ -271,9 +268,9 @@ def _stage_nbc_model(state: _RunState, staging: str, options: dict) -> int:
                 raise ValueError(f"{corpus_path} line {reader.line_num}: empty label")
             tokens = preprocess_pipeline(text_tokens(text), state.pipeline) or ()
             docs.append((tokens, label))
-    model = nbc_train(docs, options.get("alpha", 1.0))
+    model = nbc_train(docs)
     payload = {
-        "alpha": model.alpha,
+        "alpha": NBC_ALPHA,
         "labels": model.labels,
         "priors": model.class_priors,
         "likelihoods": model.word_likelihoods,
@@ -301,9 +298,8 @@ SUBCOMMANDS = (*_STAGES, "all")
 _ALL_STAGES = tuple(stage for stage in _STAGES if stage != "train-nbc")
 
 
-def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
+def run(subcommand: str, config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit code."""
-    options = options or {}
     if subcommand not in SUBCOMMANDS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     started_at = datetime.now(timezone.utc)
@@ -331,7 +327,7 @@ def run(subcommand: str, config: RunConfig, options: dict | None = None) -> int:
         for command in _ALL_STAGES if subcommand == "all" else (subcommand,):
             name, writer, _ = _STAGES[command]
             with _stage(state, name) as stage:
-                stage["records"] = writer(state, staging, options)
+                stage["records"] = writer(state, staging)
         for name in sorted(os.listdir(staging)):
             os.replace(os.path.join(staging, name), os.path.join(config.output_dir, name))
             promoted.append(name)
@@ -401,9 +397,9 @@ def _dataset_section(state: _RunState) -> dict | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # A flag whose dest is "section.key" overrides that config key with the
-    # string given, which only ``validate_config`` checks; the rest
-    # (--config, --actor, train-nbc --alpha) are read by ``main``.
+    # No flag converts its value: a flag whose dest is "section.key"
+    # overrides that config key with the string given, and ``main`` hands
+    # that and --actor to ``validate_config``, the only check of both.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
     common.add_argument("--input", dest="input.path", metavar="INPUT",
@@ -435,26 +431,19 @@ def _build_parser() -> argparse.ArgumentParser:
     topics_cmd.add_argument("--k", dest="topics.k", metavar="K", help="topic count")
     topics_cmd.add_argument("--iters", dest="topics.iterations", metavar="ITERS",
                             help="Gibbs sweeps")
-    commands["train-nbc"].add_argument("--alpha", type=float, default=1.0,
-                                       help="Laplace smoothing constant")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     overrides = {key: value for key, value in args.items() if "." in key and value is not None}
-    options = {
-        key: value
-        for key, value in args.items()
-        if key in ("actor", "alpha") and value is not None
-    }
     try:
-        config = validate_config(args["config"], overrides, args["subcommand"], options)
+        config = validate_config(args["config"], overrides, args["subcommand"], args.get("actor"))
     except ConfigError as exc:
         for diagnostic in exc.diagnostics:
             print(f"config error: {diagnostic}", file=sys.stderr)
         return 2
-    return run(args["subcommand"], config, options)
+    return run(args["subcommand"], config)
 
 
 if __name__ == "__main__":

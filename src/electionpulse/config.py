@@ -2,10 +2,10 @@
 
 All paths in the file are resolved relative to the file's own directory,
 so a config travels with its fixtures. Command-line flags arrive as
-"section.key" overrides of the file's keys; the subcommand and its own
-options (`--actor`, `train-nbc --alpha`) are checked in the same pass.
-Validation is exhaustive: every usage error, in the file, the overrides
-or the options, is collected and reported together, not just the first
+"section.key" overrides of the file's keys; the subcommand and
+``cloud --actor`` are checked in the same pass. Validation is
+exhaustive: every usage error, in the file, the overrides or
+``--actor``, is collected and reported together, not just the first
 one. Actor ids are checked only when the roster itself loaded,
 since a roster that failed is already reported. The random seed comes
 from the ``--seed`` flag, else from ``[run] seed``. Timestamps are
@@ -16,13 +16,12 @@ value in the manifest's ``config`` snapshot and in its RunConfig field
 (the dictionary's only with spelling on), so a key cannot be used without
 being recorded. The keys read are the known keys: a file key never read is
 a usage error. A value is stripped of edge whitespace whether it comes from
-a flag or the file, paths included.
+a flag, ``--actor`` included, or the file, paths included.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from typing import Any, NamedTuple
 
@@ -42,6 +41,7 @@ class RunConfig(NamedTuple):
     input_path: str
     actor_set: ActorSet
     scope: list[str]
+    cloud_actors: list[str]  # --actor if given, else every candidate
     pattern_lexicon_path: str
     sense_lexicon_path: str
     negators_path: str
@@ -60,16 +60,16 @@ def validate_config(
     path: str,
     overrides: dict[str, Any] | None = None,
     subcommand: str | None = None,
-    options: dict[str, Any] | None = None,
+    actor: str | None = None,
 ) -> RunConfig:
     """Load and validate a config file, applying CLI overrides first.
 
-    ``subcommand`` and its ``options`` (``actor``, ``alpha``)
-    are checked alongside the file. Raises ConfigError listing every
-    violation; an unreadable file is a single-diagnostic ConfigError.
+    ``subcommand`` and ``actor`` (``cloud --actor``) are checked
+    alongside the file. Raises ConfigError listing every violation; an
+    unreadable file is a single-diagnostic ConfigError.
     """
     overrides = dict(overrides or {})
-    options = options or {}
+    actor = actor.strip() if actor is not None else None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -155,23 +155,22 @@ def validate_config(
     for actor_id in sorted({actor_id for actor_id in scope if scope.count(actor_id) > 1}):
         diagnostics.append(f"[actors] scope id {actor_id!r} is repeated")
     named = [("[actors] scope id", actor_id) for actor_id in scope]
-    named += [("--actor", options["actor"])] if "actor" in options else []
+    named += [("--actor", actor)] if actor is not None else []
     if actor_set is not None:
         for label, actor_id in named:
             if actor_id not in actor_set:
                 diagnostics.append(f"{label} {actor_id!r} is not a configured actor")
     if not scope and actor_set is not None:
-        scope = [actor.id for actor in actor_set.combined()]
+        scope = [entry.id for entry in actor_set.combined()]
     keep("scope", "actors", "scope", scope)
+    candidates = [entry.id for entry in actor_set or () if entry.kind == "candidate"]
+    fields["cloud_actors"] = [actor] if actor is not None else candidates
 
     require_path("pattern_lexicon_path", "lexicons", "pattern", "pattern lexicon CSV")
     require_path("sense_lexicon_path", "lexicons", "senses", "sense lexicon TSV")
     require_path("negators_path", "lexicons", "negators", "negator word list")
     nbc_label = "labelled corpus for train-nbc" if subcommand == "train-nbc" else None
     require_path("nbc_corpus_path", "lexicons", "nbc_corpus", nbc_label)
-    alpha = options.get("alpha")
-    if alpha is not None and not 0 < alpha < math.inf:
-        diagnostics.append(f"--alpha must be positive and finite, got {alpha}")
 
     require_path("stopwords_path", "preprocess", "stopwords", "stopword list")
     spellcheck = get_bool("preprocess", "spellcheck", True)

@@ -45,6 +45,7 @@ NEGATIVE = "negative"
 SUBJECTIVE = "subjective"
 OBJECTIVE = "objective"
 SUBJECTIVITY_THRESHOLD = 0.5
+NBC_ALPHA = 1.0  # Laplace (add-one) smoothing; nbc_model.json records it
 
 _POS_TAGS = frozenset("navr")
 
@@ -269,30 +270,27 @@ def subjectivity_class(score: float) -> str:
 class NBCModel(NamedTuple):
     """Multinomial Naive Bayes with Laplace smoothing.
 
-    likelihoods[label][word] = (count(word, label) + alpha) /
-    (count(label) + alpha * |V|) for every vocabulary word, so each
+    likelihoods[label][word] = (count(word, label) + NBC_ALPHA) /
+    (count(label) + NBC_ALPHA * |V|) for every vocabulary word, so each
     label's likelihoods sum to exactly 1.
     """
 
     class_priors: dict[str, float]
     word_likelihoods: dict[str, dict[str, float]]
     vocabulary: frozenset[str]
-    alpha: float
 
     @property
     def labels(self) -> list[str]:
         return sorted(self.class_priors)
 
 
-def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> NBCModel:
+def nbc_train(docs: Sequence[tuple[Sequence[str], str]]) -> NBCModel:
     """Train from (tokens, label) pairs.
 
-    Requires a positive smoothing constant and at least two distinct
-    labels with at least one document each, and checks that the priors
-    and each label's likelihoods sum to 1 within 1e-9.
+    Requires at least two distinct labels with at least one document
+    each, and checks that the priors and each label's likelihoods sum to
+    1 within 1e-9.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
     docs = list(docs)
     if not docs:
         raise ValueError("cannot train on an empty corpus")
@@ -312,9 +310,9 @@ def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> 
     likelihoods: dict[str, dict[str, float]] = {}
     for label in label_docs:
         label_total = sum(word_counts[label].values())
-        denominator = label_total + alpha * vocab_size
+        denominator = label_total + NBC_ALPHA * vocab_size
         likelihoods[label] = {
-            word: (word_counts[label][word] + alpha) / denominator
+            word: (word_counts[label][word] + NBC_ALPHA) / denominator
             for word in vocabulary
         }
     prior_sum = float_sum(priors.values())
@@ -324,7 +322,7 @@ def nbc_train(docs: Sequence[tuple[Sequence[str], str]], alpha: float = 1.0) -> 
         total = float_sum(table.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"likelihoods for {label!r} sum to {total}, not 1")
-    return NBCModel(priors, likelihoods, frozenset(vocabulary), alpha)
+    return NBCModel(priors, likelihoods, frozenset(vocabulary))
 
 
 class PolarityDistribution(NamedTuple):

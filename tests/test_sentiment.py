@@ -630,8 +630,6 @@ class TestNaiveBayes:
             nbc_train([])
         with pytest.raises(ValueError):
             nbc_train([(["a"], "pos"), (["b"], "pos")])
-        with pytest.raises(ValueError):
-            nbc_train([(["a"], "pos"), (["b"], "neg")], alpha=0.0)
 
     def test_classify_matches_brute_force(self, fixtures_dir) -> None:
         queries = [
