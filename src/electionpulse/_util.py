@@ -52,13 +52,16 @@ def float_sum(values: Iterable[float]) -> float:
 
 
 def read_word_list(path: str) -> frozenset[str]:
-    """One word per line, stripped and lowercased; skips blanks and '#' lines."""
+    """One word per line, stripped and lowercased; skips blanks and '#' lines.
+    A word holding whitespace raises ValueError naming the path and line."""
     words = set()
     with open(path, encoding="utf-8-sig") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
+        for number, raw in enumerate(handle, 1):
+            word = raw.strip().lower()
+            if word and not word.startswith("#"):
+                if any(ch.isspace() for ch in word):
+                    raise ValueError(f"{path} line {number}: {word!r} is not one word")
+                words.add(word)
     return frozenset(words)
 
 

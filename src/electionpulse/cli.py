@@ -2,15 +2,16 @@
 
 Every subcommand is one ``_STAGES`` row and runs as timed ``_stage``
 blocks over one validated configuration, so all analyses see the same
-preprocessed tweet population. Flag values are checked with the file's
-keys, so every usage error is reported at once. Writers hand rows or a
-payload to ``_util.write_csv`` or ``write_json``, which decide every
-artifact's bytes. Artifacts are staged, then moved into the output
+preprocessed tweet population. Every subcommand takes the same flags, each
+but ``--config`` setting one config key, and their values are checked with
+the file's keys, so every usage error is reported at once. Writers hand
+rows or a payload to ``_util.write_csv`` or ``write_json``, which decide
+every artifact's bytes. Artifacts are staged, then moved into the output
 directory one ``os.replace`` each once every stage has succeeded; the
-manifest's ``promoted`` names the files moved. A run manifest
-is written on success and failure alike; it is the only artifact that
-contains wall-clock timestamps, keeping the data artifacts byte-stable
-across reruns with the same inputs and seed.
+manifest's ``promoted`` names the files moved. A run manifest is written
+on success and failure alike; it is the only artifact that contains
+wall-clock timestamps, keeping the data artifacts byte-stable across
+reruns with the same inputs and seed.
 
 Exit codes: 0 success, 1 pipeline failure, 2 invalid configuration.
 """
@@ -190,8 +191,8 @@ def _stage_counts_json(state: _RunState, staging: str) -> int:
 def _stage_clouds_json(state: _RunState, staging: str) -> int:
     actor_set = state.config.actor_set
     payload = {
-        actor_id: analytics.cooccurrence_cloud(state.kept, actor_set[actor_id], actor_set)
-        for actor_id in state.config.cloud_actors
+        actor.id: analytics.cooccurrence_cloud(state.kept, actor, actor_set)
+        for actor in actor_set if actor.kind == "candidate"
     }
     write_json(os.path.join(staging, "clouds.json"), payload)
     return len(payload)
@@ -397,9 +398,9 @@ def _dataset_section(state: _RunState) -> dict | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # No flag converts its value: a flag whose dest is "section.key"
-    # overrides that config key with the string given, and ``main`` hands
-    # that and --actor to ``validate_config``, the only check of both.
+    # Every subcommand takes these flags, and none converts its value: a flag
+    # whose dest is "section.key" overrides that key with the string given,
+    # and ``main`` hands it to ``validate_config``, the only check of it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default="config.ini", help="run configuration INI file")
     common.add_argument("--input", dest="input.path", metavar="INPUT",
@@ -414,6 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the output directory")
     common.add_argument("--seed", dest="run.seed", metavar="SEED",
                         help="override the random seed")
+    common.add_argument("--k", dest="topics.k", metavar="K", help="topic count")
+    common.add_argument("--iters", dest="topics.iterations", metavar="ITERS",
+                        help="Gibbs sweeps")
 
     parser = argparse.ArgumentParser(
         prog="electionpulse",
@@ -421,16 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    commands = {
-        command: subparsers.add_parser(command, parents=[common], help=help_text)
-        for command, (_, _, help_text) in _STAGES.items()
-    }
-    subparsers.add_parser("all", parents=[common], help="run the full pipeline")
-    commands["cloud"].add_argument("--actor", help="emit the cloud for this actor only")
-    topics_cmd = commands["topics"]
-    topics_cmd.add_argument("--k", dest="topics.k", metavar="K", help="topic count")
-    topics_cmd.add_argument("--iters", dest="topics.iterations", metavar="ITERS",
-                            help="Gibbs sweeps")
+    for command in SUBCOMMANDS:
+        help_text = _STAGES[command][2] if command in _STAGES else "run the full pipeline"
+        subparsers.add_parser(command, parents=[common], help=help_text)
     return parser
 
 
@@ -438,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     args = vars(_build_parser().parse_args(argv))
     overrides = {key: value for key, value in args.items() if "." in key and value is not None}
     try:
-        config = validate_config(args["config"], overrides, args["subcommand"], args.get("actor"))
+        config = validate_config(args["config"], overrides, args["subcommand"])
     except ConfigError as exc:
         for diagnostic in exc.diagnostics:
             print(f"config error: {diagnostic}", file=sys.stderr)

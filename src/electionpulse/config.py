@@ -2,11 +2,10 @@
 
 All paths in the file are resolved relative to the file's own directory,
 so a config travels with its fixtures. Command-line flags arrive as
-"section.key" overrides of the file's keys; the subcommand and
-``cloud --actor`` are checked in the same pass. Validation is
-exhaustive: every usage error, in the file, the overrides or
-``--actor``, is collected and reported together, not just the first
-one. Actor ids are checked only when the roster itself loaded,
+"section.key" overrides of the file's keys, and the subcommand is checked
+in the same pass. Validation is exhaustive: every usage error, in the
+file or the overrides, is collected and reported together, not just the
+first one. Actor ids are checked only when the roster itself loaded,
 since a roster that failed is already reported. The random seed comes
 from the ``--seed`` flag, else from ``[run] seed``. Timestamps are
 read in the election's local time, ``ingest.LOCAL_TZ``; no key sets it.
@@ -16,7 +15,8 @@ value in the manifest's ``config`` snapshot and in its RunConfig field
 (the dictionary's only with spelling on), so a key cannot be used without
 being recorded. The keys read are the known keys: a file key never read is
 a usage error. A value is stripped of edge whitespace whether it comes from
-a flag, ``--actor`` included, or the file, paths included.
+a flag or the file, paths included. A key's default stands in for an
+absent key only, never for an empty value.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class RunConfig(NamedTuple):
     input_path: str
     actor_set: ActorSet
     scope: list[str]
-    cloud_actors: list[str]  # --actor if given, else every candidate
     pattern_lexicon_path: str
     sense_lexicon_path: str
     negators_path: str
@@ -60,16 +59,14 @@ def validate_config(
     path: str,
     overrides: dict[str, Any] | None = None,
     subcommand: str | None = None,
-    actor: str | None = None,
 ) -> RunConfig:
     """Load and validate a config file, applying CLI overrides first.
 
-    ``subcommand`` and ``actor`` (``cloud --actor``) are checked
-    alongside the file. Raises ConfigError listing every violation; an
-    unreadable file is a single-diagnostic ConfigError.
+    ``subcommand`` is checked alongside the file. Raises ConfigError
+    listing every violation; an unreadable file is a single-diagnostic
+    ConfigError.
     """
     overrides = dict(overrides or {})
-    actor = actor.strip() if actor is not None else None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -151,20 +148,15 @@ def validate_config(
         except (OSError, configparser.Error, ValueError) as exc:
             diagnostics.append(f"[actors] cannot load {actors_path}: {exc}")
 
-    scope = [item.strip() for item in (get("actors", "scope", "") or "").split(",") if item.strip()]
+    scope = [item.strip() for item in get("actors", "scope", "").split(",") if item.strip()]
     for actor_id in sorted({actor_id for actor_id in scope if scope.count(actor_id) > 1}):
         diagnostics.append(f"[actors] scope id {actor_id!r} is repeated")
-    named = [("[actors] scope id", actor_id) for actor_id in scope]
-    named += [("--actor", actor)] if actor is not None else []
     if actor_set is not None:
-        for label, actor_id in named:
+        for actor_id in scope:
             if actor_id not in actor_set:
-                diagnostics.append(f"{label} {actor_id!r} is not a configured actor")
-    if not scope and actor_set is not None:
-        scope = [entry.id for entry in actor_set.combined()]
+                diagnostics.append(f"[actors] scope id {actor_id!r} is not a configured actor")
+        scope = scope or [entry.id for entry in actor_set.combined()]
     keep("scope", "actors", "scope", scope)
-    candidates = [entry.id for entry in actor_set or () if entry.kind == "candidate"]
-    fields["cloud_actors"] = [actor] if actor is not None else candidates
 
     require_path("pattern_lexicon_path", "lexicons", "pattern", "pattern lexicon CSV")
     require_path("sense_lexicon_path", "lexicons", "senses", "sense lexicon TSV")
@@ -179,7 +171,7 @@ def validate_config(
     )
     fields["dictionary_path"] = dictionary if spellcheck else None
 
-    engine = (get("sentiment", "engine", "pattern") or "pattern").lower()
+    engine = get("sentiment", "engine", "pattern").lower()
     keep("engine", "sentiment", "engine", engine)
     if engine not in ENGINES:
         diagnostics.append(f"[sentiment] engine = {engine!r} must be one of {', '.join(ENGINES)}")
@@ -187,7 +179,10 @@ def validate_config(
     get_count("lda_k", "topics", "k", 5)
     get_count("lda_iterations", "topics", "iterations", 500)
 
-    output_dir = keep("output_dir", "output", "dir", resolve(get("output", "dir", "out") or "out"))
+    output_raw = get("output", "dir", "out")
+    if not output_raw:
+        diagnostics.append("[output] dir is empty")
+    output_dir = keep("output_dir", "output", "dir", resolve(output_raw))
     # The run creates the directory and its missing parents, so the nearest
     # path that exists must be a directory.
     existing = output_dir

@@ -140,15 +140,18 @@ def load_pattern_lexicon(path: str) -> dict[str, SentimentScore]:
     """Read a "lemma,polarity,subjectivity" CSV (header optional).
 
     Duplicate lemma rows are averaged into a single entry; an averaged
-    polarity outside [-1, 1] or subjectivity outside [0, 1] raises
-    ValueError.
+    polarity outside [-1, 1] or subjectivity outside [0, 1], or a lemma
+    holding whitespace (named with its path and line), raises ValueError.
     """
     collected: dict[str, list[tuple[float, float]]] = defaultdict(list)
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                 continue
             lemma = row[0].strip().lower()
+            if any(ch.isspace() for ch in lemma):
+                raise ValueError(f"{path} line {reader.line_num}: {lemma!r} is not one word")
             if len(row) < 3:
                 raise ValueError(f"pattern lexicon row for {lemma!r} has fewer than 3 columns")
             try:

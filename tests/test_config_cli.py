@@ -127,18 +127,19 @@ class TestValidateConfig:
             "preprocess.spellcheck": "maybe",
             "sentiment.engine": "vader",
             "topics.iterations": "many",
+            "output.dir": "",
             "run.seed": "x",
         })
         with pytest.raises(ConfigError) as err:
-            validate_config(path, {"topics.k": "-1"}, "cloud", actor="nobody")
+            validate_config(path, {"topics.k": "-1"}, "cloud")
         assert err.value.diagnostics == [
             "[actors] scope id 'peter_obi' is not a configured actor",
-            "--actor 'nobody' is not a configured actor",
             "[lexicons] negators: no such file: /nowhere/negators.txt",
             "[preprocess] spellcheck = 'maybe' is not a boolean",
             "[sentiment] engine = 'vader' must be one of pattern, swn",
             "[topics] k = -1 must be at least 1",
             "[topics] iterations = 'many' is not a valid int",
+            "[output] dir is empty",
             "seed 'x' is not an integer",
         ]
 
@@ -260,7 +261,7 @@ def _missing_config(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list
 
 
 def _unknown_actor(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
-    return ["cloud", "--config", config_factory(), "--actor", "peter_obi"]
+    return ["cloud", "--config", config_factory(**{"actors.scope": "peter_obi"})]
 
 
 def _train_nbc_without_corpus(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -270,8 +271,8 @@ def _train_nbc_without_corpus(config_factory, fixtures_dir, tmp_path, monkeypatc
 def _unknown_actor_and_zero_iterations(
     config_factory, fixtures_dir, tmp_path, monkeypatch
 ) -> list[str]:
-    path = config_factory(**{"topics.iterations": "0"})
-    return ["cloud", "--config", path, "--actor", "nobody"]
+    path = config_factory(**{"actors.scope": "willie_obiano_apga, nobody"})
+    return ["cloud", "--config", path, "--iters", "0"]
 
 
 def _unmatchable_alias(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
@@ -434,6 +435,11 @@ def _bad_flag_values(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
     return ["topics", "--config", config_factory(), "--k", "x", "--seed", "y", "--engine", "foo"]
 
 
+def _empty_engine_and_output(config_factory, fixtures_dir, tmp_path, monkeypatch) -> list[str]:
+    # Empty is not absent: neither value falls back to its key's default.
+    return ["counts", "--config", config_factory(), "--engine", "", "--output", ""]
+
+
 # One row per documented failure: (id, argv maker, exit code, stderr
 # fragment or tuple of fragments, manifest). Usage errors (2) stop before
 # any output, so they expect no manifest; runtime failures (1) leave a
@@ -442,13 +448,17 @@ def _bad_flag_values(config_factory, fixtures_dir, tmp_path, monkeypatch) -> lis
 # each one: all of them are reported, not just the first.
 EXIT_CODE_MATRIX = [
     ("missing_config", _missing_config, 2, "config error", None),
-    ("unknown_actor", _unknown_actor, 2, "peter_obi", None),
+    ("unknown_actor", _unknown_actor, 2,
+     "[actors] scope id 'peter_obi' is not a configured actor", None),
     ("train_nbc_without_corpus", _train_nbc_without_corpus, 2, "nbc_corpus", None),
     ("unknown_actor_and_zero_iterations", _unknown_actor_and_zero_iterations, 2,
-     ("--actor 'nobody'", "[topics] iterations = 0 must be at least 1"), None),
+     ("[actors] scope id 'nobody' is not a configured actor",
+      "[topics] iterations = 0 must be at least 1"), None),
     ("bad_flag_values", _bad_flag_values, 2,
      ("[topics] k = 'x' is not a valid int", "seed 'y' is not an integer",
       "[sentiment] engine = 'foo' must be one of pattern, swn"), None),
+    ("empty_engine_and_output", _empty_engine_and_output, 2,
+     ("[sentiment] engine = '' must be one of pattern, swn", "[output] dir is empty"), None),
     ("repeated_scope_id", _repeated_scope_id, 2,
      "[actors] scope id 'willie_obiano_apga' is repeated", None),
     ("output_is_a_file", _output_is_a_file, 2, "[output] dir: not a directory", None),
@@ -546,9 +556,10 @@ class TestCliExitCodes:
             ["ingest", "--timezone", "+01:00"],
             ["topics", "--group", "apga"],
             ["train-nbc", "--alpha", "1"],
+            ["cloud", "--actor", "willie_obiano"],
         ],
         ids=["--extra-stopwords-from-actors", "--top-n", "--field-map", "--alpha", "--beta",
-             "--top-words", "--timezone", "--group", "train-nbc--alpha"],
+             "--top-words", "--timezone", "--group", "train-nbc--alpha", "--actor"],
     )
     def test_removed_flags_are_usage_errors(self, argv, config_factory, tmp_path, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -609,15 +620,6 @@ class TestOverrideFlags:
         assert snapshot["sentiment"]["engine"] == "swn"
         assert snapshot["input"]["path"] == tweets
 
-    def test_actor_is_stripped_like_other_flag_values(self, config_factory, tmp_path) -> None:
-        written = []
-        for actor in ("willie_obiano", " willie_obiano "):
-            out = tmp_path / f"out{len(written)}"
-            argv = ["cloud", "--config", config_factory(), "--actor", actor, "--output", str(out)]
-            assert main(argv) == 0
-            written.append((out / "clouds.json").read_bytes())
-        assert written[0] == written[1]
-
     def test_no_flag_converts_its_value(self) -> None:
         # Every value reaches validate_config as the string given, so it alone checks it.
         parser = cli_module._build_parser()
@@ -631,6 +633,24 @@ class TestOverrideFlags:
             if action.option_strings and action.type is not None
         ]
         assert typed == []
+
+    def test_every_subcommand_takes_the_same_flags(self) -> None:
+        parser = cli_module._build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            name: sorted(flag for action in subparser._actions for flag in action.option_strings)
+            for name, subparser in subparsers.choices.items()
+        }
+        assert sorted(flags) == sorted(cli_module.SUBCOMMANDS)
+        assert all(found == flags["all"] for found in flags.values()), flags
+        # Each flag but --config and --help overrides one config key.
+        assert all(
+            "." in action.dest
+            for action in subparsers.choices["all"]._actions
+            if action.dest not in ("config", "help")
+        )
 
     def test_every_override_flag_has_a_row(self) -> None:
         parser = cli_module._build_parser()
@@ -1197,12 +1217,6 @@ class TestCliRuns:
         assert manifest["error"].startswith("FileNotFoundError")
         assert manifest["input_digest"] is None
         assert "error" in capsys.readouterr().err
-
-    def test_cloud_actor_option_narrows_output(self, config_factory, tmp_path) -> None:
-        rc = main(["cloud", "--config", config_factory(), "--actor", "willie_obiano"])
-        assert rc == 0
-        payload = read_json(tmp_path / "out" / "clouds.json")
-        assert list(payload) == ["willie_obiano"]
 
     def test_cloud_defaults_to_all_candidates(self, config_factory, tmp_path) -> None:
         rc = main(["cloud", "--config", config_factory()])

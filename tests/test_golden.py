@@ -90,10 +90,12 @@ def test_single_artifact_matches_all(subcommand, config_factory, tmp_path) -> No
     assert _digests(tmp_path / "out") == {artifact: GOLDEN["all"][artifact]}
 
 
-def test_cloud_for_one_actor_is_its_entry_of_all(config_factory, tmp_path) -> None:
-    config = config_factory()
-    assert main(["all", "--config", config, "--output", str(tmp_path / "all")]) == 0
-    clouds = json.loads((tmp_path / "all" / "clouds.json").read_text(encoding="utf-8"))
-    assert main(["cloud", "--config", config, "--actor", "willie_obiano"]) == 0
-    one = json.loads((tmp_path / "out" / "clouds.json").read_text(encoding="utf-8"))
-    assert one == {"willie_obiano": clouds["willie_obiano"]}
+def test_topic_flags_change_only_the_topics_of_all(config_factory, tmp_path) -> None:
+    assert main(["all", "--config", config_factory(), "--k", "3", "--iters", "20"]) == 0
+    digests = _digests(tmp_path / "out")
+    topics = json.loads((tmp_path / "out" / "topics.json").read_text(encoding="utf-8"))
+    assert (topics["k"], topics["iterations"]) == (3, 20)
+    del digests["topics.json"]
+    assert digests == {
+        name: digest for name, digest in GOLDEN["all"].items() if name != "topics.json"
+    }

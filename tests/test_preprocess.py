@@ -173,6 +173,17 @@ def test_word_list_loaders(loader, tmp_path) -> None:
     assert loader(str(path)) == frozenset({"the", "not"})
 
 
+# A line holding whitespace could never match a token, which whitespace ends.
+@pytest.mark.parametrize("loader", [load_stopwords, load_negators])
+@pytest.mark.parametrize("line,word", [("Not Really", "not really"), ("no\tway", "no\tway")])
+def test_word_list_loaders_reject_a_line_of_two_words(loader, line, word, tmp_path) -> None:
+    path = tmp_path / "words.txt"
+    path.write_text(f"# a comment\nnever\n  {line} \n", encoding="utf-8")
+    with pytest.raises(ValueError) as raised:
+        loader(str(path))
+    assert str(raised.value) == f"{path} line 3: {word!r} is not one word"
+
+
 class TestIsRetweet:
     # The parser sets the flag once; preprocessing excludes on it alone.
     def test_flagged_record(self, pipeline: PipelineConfig, actor_set, parse_lines) -> None:

@@ -395,6 +395,16 @@ class TestPatternLexicon:
         with pytest.raises(ValueError):
             load_pattern_lexicon(write_lines(["fine,huge,0.6"]))
 
+    # A lemma holding whitespace could never match a token, which whitespace ends.
+    @pytest.mark.parametrize(
+        "lemma,word", [("very good", "very good"), (" Not\tBad ", "not\tbad")]
+    )
+    def test_lemma_of_two_words_raises(self, lemma, word, write_lines) -> None:
+        path = write_lines(["lemma,polarity,subjectivity", "good,0.7,0.6", f"{lemma},0.9,0.8"])
+        with pytest.raises(ValueError) as raised:
+            load_pattern_lexicon(path)
+        assert str(raised.value) == f"{path} line 3: {word!r} is not one word"
+
 
 class TestPatternScoring:
     def test_single_match(self) -> None:
